@@ -11,16 +11,24 @@
 //     subsystem exists for.
 //
 //  2. Page read latency — what a buffer-pool miss costs on each backend:
-//     mem (a frame copy + CRC verify) vs disk (pread + CRC verify), over
+//     mem (a CRC verify of the stored frame) vs disk (one preadv into the
+//     caller's frame + the one CRC pass that verifies and seals it), over
 //     the same page population, cold pool, uniform random access.
 //
-// Example output:
+// Open times and read latencies are medians over kRepeats runs, with
+// the min and max beside them; every line also records the build type,
+// the dispatched kernel and CRC32C paths, and the core count. Example:
 //
 //   {"bench":"storage_io","phase":"cold_start","matrices":120,
-//    "build_s":1.8432,"snapshot_save_s":0.0211,"snapshot_open_s":0.0065,
-//    "speedup":283.6,"store_bytes":4906496,"query_parity":1}
+//    "build_s":1.2919,"snapshot_save_s":0.0143,"snapshot_open_s":0.0080,
+//    "snapshot_open_min_s":0.0078,"snapshot_open_max_s":0.0127,"opens":5,
+//    "speedup":162.4,"store_bytes":5205760,"query_parity":1,
+//    "build_type":"Release","kernel_backend":"avx2","crc32c":"sse4.2",
+//    "nproc":4}
 //   {"bench":"storage_io","phase":"read_latency","backend":"disk",
-//    "pages":512,"reads":4096,"ns_per_read":1843.2}
+//    "pages":512,"reads":4096,"repeats":5,"ns_per_read":2404.4,
+//    "ns_per_read_min":2342.6,"ns_per_read_max":2789.6,"check":533323,
+//    ...same provenance fields...}
 //
 // "query_parity" is asserted, not just reported: the snapshot-reopened
 // engine must answer the bench workload identically to the rebuilt one.
@@ -29,14 +37,18 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "common/crc32c.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "matrix/simd_ops.h"
 #include "storage/storage_manager.h"
 
 namespace imgrn {
@@ -54,6 +66,33 @@ struct JsonSink {
     }
   }
 };
+
+// Snapshot opens and read passes behind each median.
+constexpr size_t kRepeats = 5;
+
+// Where a line's numbers come from, as trailing JSON fields.
+std::string Provenance() {
+  char fields[256];
+  std::snprintf(fields, sizeof(fields),
+                "\"build_type\":\"%s\",\"kernel_backend\":\"%s\","
+                "\"crc32c\":\"%s\",\"nproc\":%u",
+                IMGRN_BENCH_BUILD_TYPE,
+                KernelBackendName(ActiveKernelBackend()),
+                Crc32cBackendName(), std::thread::hardware_concurrency());
+  return fields;
+}
+
+struct Spread {
+  double median;
+  double min;
+  double max;
+};
+
+Spread Summarize(std::vector<double> samples) {
+  IMGRN_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
 
 std::string TempStorePath() {
   return "/tmp/imgrn_bench_storage_" + std::to_string(::getpid()) + ".pages";
@@ -120,30 +159,37 @@ void BenchColdStart(const BenchDefaults& defaults, size_t pivots,
 
   // The snapshot cold start: a brand-new engine on the same file. No
   // database ingest, no build — open, verify, serve.
-  Stopwatch open_timer;
-  ImGrnEngine reopened(DiskEngineOptions(path, pivots));
-  IMGRN_CHECK_OK(reopened.LoadSnapshot());
-  const double open_s = open_timer.ElapsedSeconds();
-
+  std::vector<double> open_s;
   bool parity = true;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Result<std::vector<QueryMatch>> matches =
-        reopened.QueryWithGraph(queries[i], params);
-    IMGRN_CHECK_OK(matches.status());
-    parity = parity && SameMatches(built_answers[i], *matches);
+  for (size_t r = 0; r < kRepeats; ++r) {
+    Stopwatch open_timer;
+    ImGrnEngine reopened(DiskEngineOptions(path, pivots));
+    IMGRN_CHECK_OK(reopened.LoadSnapshot());
+    open_s.push_back(open_timer.ElapsedSeconds());
+
+    for (size_t i = 0; i < queries.size(); ++i) {
+      Result<std::vector<QueryMatch>> matches =
+          reopened.QueryWithGraph(queries[i], params);
+      IMGRN_CHECK_OK(matches.status());
+      parity = parity && SameMatches(built_answers[i], *matches);
+    }
   }
+  const Spread open = Summarize(open_s);
   IMGRN_CHECK(parity) << "snapshot-reopened engine diverged from the "
                          "rebuilt engine on the bench workload";
 
-  char line[512];
+  char line[768];
   std::snprintf(line, sizeof(line),
                 "{\"bench\":\"storage_io\",\"phase\":\"cold_start\","
                 "\"matrices\":%zu,\"build_s\":%.4f,\"snapshot_save_s\":%.4f,"
-                "\"snapshot_open_s\":%.4f,\"speedup\":%.1f,"
-                "\"store_bytes\":%ld,\"query_parity\":%d}",
-                defaults.num_matrices, build_s, save_s,
-                open_s, open_s > 0 ? build_s / open_s : 0.0, FileBytes(path),
-                parity ? 1 : 0);
+                "\"snapshot_open_s\":%.4f,\"snapshot_open_min_s\":%.4f,"
+                "\"snapshot_open_max_s\":%.4f,\"opens\":%zu,"
+                "\"speedup\":%.1f,\"store_bytes\":%ld,\"query_parity\":%d,"
+                "%s}",
+                defaults.num_matrices, build_s, save_s, open.median, open.min,
+                open.max, kRepeats,
+                open.median > 0 ? build_s / open.median : 0.0,
+                FileBytes(path), parity ? 1 : 0, Provenance().c_str());
   sink->Emit(line);
   std::remove(path.c_str());
 }
@@ -173,27 +219,36 @@ void BenchReadLatency(StorageBackend backend, const char* name, size_t pages,
   IMGRN_CHECK_OK((*store)->Sync());
 
   // Uniform random reads through the accounted (CRC-verified) path. A
-  // fixed LCG keeps the access sequence identical across backends.
+  // fixed LCG keeps the access sequence identical across backends and
+  // repetitions.
   Page scratch(kDefaultPageSize);
-  uint64_t state = 0x2017;
+  std::vector<double> ns_per_read;
   uint64_t checksum = 0;
-  Stopwatch timer;
-  for (size_t i = 0; i < reads; ++i) {
-    state = state * 6364136223846793005ull + 1442695040888963407ull;
-    const PageId id = static_cast<PageId>((state >> 33) % pages);
-    Result<Page*> page = (*store)->Read(id, &scratch);
-    IMGRN_CHECK_OK(page.status());
-    checksum += (*page)->data()[0];
+  for (size_t r = 0; r < kRepeats; ++r) {
+    uint64_t state = 0x2017;
+    checksum = 0;
+    Stopwatch timer;
+    for (size_t i = 0; i < reads; ++i) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const PageId id = static_cast<PageId>((state >> 33) % pages);
+      Result<Page*> page = (*store)->Read(id, &scratch);
+      IMGRN_CHECK_OK(page.status());
+      checksum += (*page)->data()[0];
+    }
+    ns_per_read.push_back(timer.ElapsedSeconds() / reads * 1e9);
   }
-  const double elapsed = timer.ElapsedSeconds();
+  const Spread ns = Summarize(ns_per_read);
 
-  char line[256];
+  char line[512];
   std::snprintf(line, sizeof(line),
                 "{\"bench\":\"storage_io\",\"phase\":\"read_latency\","
                 "\"backend\":\"%s\",\"pages\":%zu,\"reads\":%zu,"
-                "\"ns_per_read\":%.1f,\"check\":%llu}",
-                name, pages, reads, elapsed / reads * 1e9,
-                static_cast<unsigned long long>(checksum));
+                "\"repeats\":%zu,\"ns_per_read\":%.1f,"
+                "\"ns_per_read_min\":%.1f,\"ns_per_read_max\":%.1f,"
+                "\"check\":%llu,%s}",
+                name, pages, reads, kRepeats, ns.median, ns.min, ns.max,
+                static_cast<unsigned long long>(checksum),
+                Provenance().c_str());
   sink->Emit(line);
 }
 

@@ -83,12 +83,14 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
     }
   } else {
     const size_t n = database_->size();
-    // Determinism under parallelism: (1) the permutation cache is
-    // pre-warmed in source order, so its per-length permutations do not
-    // depend on worker scheduling; (2) per-matrix RNGs are pre-split
+    // Determinism and thread safety under parallelism: (1) the permutation
+    // cache is filled in source order before any worker starts, so its
+    // per-length permutations do not depend on scheduling and workers only
+    // look entries up (embedding reads BlocksForLength, which fills both
+    // of the cache's maps on a miss); (2) per-matrix RNGs are pre-split
     // sequentially.
     for (SourceId i = 0; i < n; ++i) {
-      embed_cache_->ForLength(database_->matrix(i).num_samples());
+      embed_cache_->BlocksForLength(database_->matrix(i).num_samples());
     }
     std::vector<Rng> matrix_rngs;
     matrix_rngs.reserve(n);

@@ -68,7 +68,9 @@ class PermutationBlocks {
 /// cache seeded from the query params, which is also what makes concurrent
 /// queries bit-reproducible (see QueryService). ImGrnIndex's long-lived
 /// embed cache is only touched on the update path, which QueryService
-/// serializes behind its writer lock.
+/// serializes behind its writer lock, and by a parallel Build, which
+/// fills BlocksForLength for every length before its workers start, so
+/// the workers only look entries up.
 ///
 /// Order invariance: the permutations of length l depend only on
 /// (seed, num_samples, l) — each length draws from its own seeded stream,

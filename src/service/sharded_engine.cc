@@ -136,7 +136,10 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
 }
 
 ShardedEngine::~ShardedEngine() {
-  // Join the daemon's thread before any member it reaches into goes away.
+  // Join the daemon's thread before any member it reaches into goes away,
+  // maintenance_ included: a tick reads it (StatsSnapshot), and reset()
+  // nulls it before the daemon's destructor gets to join.
+  if (maintenance_ != nullptr) maintenance_->Stop();
   maintenance_.reset();
 }
 

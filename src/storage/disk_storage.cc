@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -49,18 +50,6 @@ struct FileHeader {
 static_assert(sizeof(FileHeader) == 64);
 static_assert(std::is_trivially_copyable_v<FileHeader>);
 
-// On-disk per-slot header; `payload_crc` seals `payload_size` bytes.
-struct SlotHeader {
-  uint32_t magic;
-  uint32_t logical;
-  uint64_t generation;
-  uint32_t payload_crc;
-  uint32_t payload_size;
-  uint64_t reserved;
-};
-static_assert(sizeof(SlotHeader) == kSlotHeaderSize);
-static_assert(std::is_trivially_copyable_v<SlotHeader>);
-
 uint32_t HeaderCrc(const FileHeader& header) {
   return Crc32c(reinterpret_cast<const uint8_t*>(&header),
                 offsetof(FileHeader, header_crc));
@@ -93,6 +82,16 @@ void AppendPod(std::vector<uint8_t>* buf, const T& value) {
 }
 
 }  // namespace
+
+// On-disk per-slot header; `payload_crc` seals `payload_size` bytes.
+struct DiskStorageManager::SlotHeader {
+  uint32_t magic;
+  uint32_t logical;
+  uint64_t generation;
+  uint32_t payload_crc;
+  uint32_t payload_size;
+  uint64_t reserved;
+};
 
 DiskStorageManager::DiskStorageManager(std::string path, size_t page_size,
                                        bool unlink_on_close)
@@ -148,7 +147,8 @@ Status DiskStorageManager::Recover() {
   Candidate candidates[2];
   for (int i = 0; i < 2; ++i) {
     FileHeader& h = candidates[i].header;
-    if (!PReadFull(&h, sizeof(h), i * kHeaderSlotSize).ok()) continue;
+    iovec iov{&h, sizeof(h)};
+    if (!PReadFull(&iov, 1, i * kHeaderSlotSize).ok()) continue;
     if (std::memcmp(h.magic, kFileMagic, sizeof(kFileMagic)) != 0) continue;
     if (HeaderCrc(h) != h.header_crc) continue;
     candidates[i].valid = true;
@@ -229,20 +229,27 @@ Result<std::vector<uint8_t>> DiskStorageManager::ReadMetaChain(
     SlotId head, uint32_t count, std::vector<SlotId>* chain) {
   chain->clear();
   std::vector<uint8_t> meta;
+  std::vector<uint8_t> payload(page_size_);
   SlotId slot = head;
   for (uint32_t i = 0; i < count; ++i) {
     if (slot == kInvalidSlot || slot >= num_slots_) {
       return Status::DataLoss("meta chain broken in " + path_);
     }
-    std::vector<uint8_t> payload;
-    IMGRN_RETURN_IF_ERROR(ReadSlot(slot, kMetaLogical, &payload));
-    if (payload.size() < sizeof(SlotId)) {
+    SlotHeader header{};
+    IMGRN_RETURN_IF_ERROR(
+        ReadSlot(slot, kMetaLogical, &header, payload.data()));
+    if (Crc32c(payload.data(), header.payload_size) != header.payload_crc) {
+      return Status::DataLoss("meta slot " + std::to_string(slot) +
+                              " failed its CRC32C check");
+    }
+    if (header.payload_size < sizeof(SlotId)) {
       return Status::DataLoss("meta slot too small in " + path_);
     }
     chain->push_back(slot);
     SlotId next;
     std::memcpy(&next, payload.data(), sizeof(next));
-    meta.insert(meta.end(), payload.begin() + sizeof(SlotId), payload.end());
+    meta.insert(meta.end(), payload.begin() + sizeof(SlotId),
+                payload.begin() + header.payload_size);
     slot = next;
   }
   if (slot != kInvalidSlot) {
@@ -307,6 +314,8 @@ DiskStorageManager::SlotId DiskStorageManager::AllocateSlot() {
 Status DiskStorageManager::WriteSlot(SlotId slot, uint32_t logical,
                                      const uint8_t* payload,
                                      uint32_t payload_size) {
+  static_assert(sizeof(SlotHeader) == kSlotHeaderSize);
+  static_assert(std::is_trivially_copyable_v<SlotHeader>);
   IMGRN_CHECK_LE(payload_size, page_size_);
   std::vector<uint8_t> buf(kSlotHeaderSize + page_size_, 0);
   SlotHeader header{};
@@ -321,27 +330,18 @@ Status DiskStorageManager::WriteSlot(SlotId slot, uint32_t logical,
 }
 
 Status DiskStorageManager::ReadSlot(SlotId slot, uint32_t expected_logical,
-                                    std::vector<uint8_t>* payload) {
-  std::vector<uint8_t> buf(kSlotHeaderSize + page_size_);
-  IMGRN_RETURN_IF_ERROR(PReadFull(buf.data(), buf.size(), SlotOffset(slot)));
-  SlotHeader header;
-  std::memcpy(&header, buf.data(), sizeof(header));
-  if (header.magic != kSlotMagic || header.payload_size > page_size_) {
+                                    SlotHeader* header, uint8_t* payload) {
+  iovec iov[2] = {{header, sizeof(*header)}, {payload, page_size_}};
+  IMGRN_RETURN_IF_ERROR(PReadFull(iov, 2, SlotOffset(slot)));
+  if (header->magic != kSlotMagic || header->payload_size > page_size_) {
     return Status::DataLoss("slot " + std::to_string(slot) +
                             " has a corrupt header");
   }
-  if (header.logical != expected_logical) {
+  if (header->logical != expected_logical) {
     return Status::DataLoss("slot " + std::to_string(slot) +
-                            " holds page " + std::to_string(header.logical) +
+                            " holds page " + std::to_string(header->logical) +
                             ", expected " + std::to_string(expected_logical));
   }
-  if (Crc32c(buf.data() + kSlotHeaderSize, header.payload_size) !=
-      header.payload_crc) {
-    return Status::DataLoss("page " + std::to_string(expected_logical) +
-                            " failed its CRC32C check");
-  }
-  payload->assign(buf.begin() + kSlotHeaderSize,
-                  buf.begin() + kSlotHeaderSize + header.payload_size);
   return Status::Ok();
 }
 
@@ -412,15 +412,25 @@ Result<Page*> DiskStorageManager::Read(PageId id, Page* scratch) {
     scratch->Clear();
     return scratch;
   }
-  std::vector<uint8_t> payload;
-  IMGRN_RETURN_IF_ERROR(ReadSlot(slot, id, &payload));
-  if (payload.size() != page_size_) {
-    return Status::DataLoss("page " + std::to_string(id) +
-                            " has a short payload on disk");
+  // The payload lands in the frame directly, and the one CRC pass that
+  // seals the frame is also the check against the slot header.
+  SlotHeader header{};
+  Status status = ReadSlot(slot, id, &header, scratch->mutable_data());
+  if (status.ok() && header.payload_size != page_size_) {
+    status = Status::DataLoss("page " + std::to_string(id) +
+                              " has a short payload on disk");
   }
-  scratch->Clear();
-  scratch->WriteBytes(0, payload.data(), payload.size());
-  scratch->Seal();
+  if (status.ok()) {
+    scratch->Seal();
+    if (scratch->checksum() != header.payload_crc) {
+      status = Status::DataLoss("page " + std::to_string(id) +
+                                " failed its CRC32C check");
+    }
+  }
+  if (!status.ok()) {
+    scratch->Clear();  // never hand back the bytes of a failed read
+    return status;
+  }
   return scratch;
 }
 
@@ -543,22 +553,30 @@ size_t DiskStorageManager::ShrinkToFit() {
   return released;
 }
 
-Status DiskStorageManager::PReadFull(void* buf, size_t count,
+Status DiskStorageManager::PReadFull(iovec* iov, int iovcnt,
                                      size_t offset) const {
-  uint8_t* dst = static_cast<uint8_t*>(buf);
-  size_t done = 0;
-  while (done < count) {
-    const ssize_t n = ::pread(fd_, dst + done, count - done,
-                              static_cast<off_t>(offset + done));
+  while (iovcnt > 0) {
+    const ssize_t n = ::preadv(fd_, iov, iovcnt, static_cast<off_t>(offset));
     if (n < 0) {
       if (errno == EINTR) continue;
-      return ErrnoStatus("pread", path_);
+      return ErrnoStatus("preadv", path_);
     }
     if (n == 0) {
       return Status::DataLoss("short read at offset " +
-                              std::to_string(offset + done) + " in " + path_);
+                              std::to_string(offset) + " in " + path_);
     }
-    done += static_cast<size_t>(n);
+    // Step past the buffers this call filled; resume inside a partial one.
+    offset += static_cast<size_t>(n);
+    size_t left = static_cast<size_t>(n);
+    while (iovcnt > 0 && left >= iov->iov_len) {
+      left -= iov->iov_len;
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt > 0) {
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + left;
+      iov->iov_len -= left;
+    }
   }
   return Status::Ok();
 }

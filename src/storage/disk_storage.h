@@ -1,6 +1,8 @@
 #ifndef IMGRN_STORAGE_DISK_STORAGE_H_
 #define IMGRN_STORAGE_DISK_STORAGE_H_
 
+#include <sys/uio.h>
+
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -113,6 +115,7 @@ class DiskStorageManager final : public StorageManager {
  private:
   using SlotId = uint32_t;
   static constexpr SlotId kInvalidSlot = static_cast<SlotId>(-1);
+  struct SlotHeader;  // on-disk per-slot header, defined in the .cc
 
   DiskStorageManager(std::string path, size_t page_size, bool unlink_on_close);
 
@@ -127,13 +130,19 @@ class DiskStorageManager final : public StorageManager {
   SlotId AllocateSlot();
   Status WriteSlot(SlotId slot, uint32_t logical, const uint8_t* payload,
                    uint32_t payload_size);
-  /// Reads and verifies a slot; `payload` receives payload_size bytes.
-  Status ReadSlot(SlotId slot, uint32_t expected_logical,
-                  std::vector<uint8_t>* payload);
+  /// Reads a slot with one preadv: its header into `header` and its
+  /// page_size_ payload bytes straight into `payload`. Checks the header's
+  /// magic, size and logical page; checking the payload against
+  /// `header->payload_crc` is the caller's, so a page read can do it in the
+  /// same pass that seals its frame.
+  Status ReadSlot(SlotId slot, uint32_t expected_logical, SlotHeader* header,
+                  uint8_t* payload);
   Status WriteHeader(uint64_t generation, SlotId meta_head,
                      uint32_t meta_count);
 
-  Status PReadFull(void* buf, size_t count, size_t offset) const;
+  /// Fills every buffer of `iov` from `offset` on; a short file is
+  /// kDataLoss. Advances `iov` in place across partial reads.
+  Status PReadFull(iovec* iov, int iovcnt, size_t offset) const;
   Status PWriteFull(const void* buf, size_t count, size_t offset) const;
 
   std::string path_;

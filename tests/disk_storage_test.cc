@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/fault_injection.h"
+#include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/storage_manager.h"
 
@@ -227,6 +229,85 @@ TEST(DiskStorageTest, CorruptPayloadSurfacesDataLoss) {
   Result<Page*> page = store->Read(0, &scratch);
   ASSERT_FALSE(page.ok());
   EXPECT_EQ(page.status().code(), StatusCode::kDataLoss);
+}
+
+// A read lands in the caller's frame already sealed: the one CRC pass
+// that checked the slot is also the frame's seal, so the checksum must be
+// the CRC32C of exactly the bytes handed back.
+TEST(DiskStorageTest, ReadBackPageIsSealedWithItsCrc) {
+  TempStoreFile file("sealed_read");
+  {
+    std::unique_ptr<DiskStorageManager> store =
+        MustOpen(DiskOptions(file.path()));
+    ASSERT_NE(store, nullptr);
+    Page frame(kPageSize);
+    for (PageId id = 0; id < 3; ++id) {
+      store->Allocate();
+      FillPage(&frame, id, /*salt=*/9);
+      ASSERT_TRUE(store->Commit(id, frame).ok());
+    }
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  std::unique_ptr<DiskStorageManager> store = MustOpen(DiskOptions(file.path()));
+  ASSERT_NE(store, nullptr);
+  Page scratch(kPageSize);  // reused, so each read must replace the seal
+  for (PageId id = 0; id < 3; ++id) {
+    Result<Page*> page = store->Read(id, &scratch);
+    ASSERT_TRUE(page.ok()) << page.status().ToString();
+    EXPECT_EQ(*page, &scratch);
+    EXPECT_TRUE(PageMatches(**page, id, /*salt=*/9));
+    EXPECT_TRUE((*page)->sealed());
+    EXPECT_TRUE((*page)->VerifyChecksum());
+    EXPECT_EQ((*page)->checksum(), Crc32c((*page)->data(), (*page)->size()));
+  }
+}
+
+TEST(DiskStorageTest, CorruptPayloadFetchedThroughPoolIsNotAdmitted) {
+  TempStoreFile file("corrupt_pool");
+  {
+    std::unique_ptr<DiskStorageManager> store =
+        MustOpen(DiskOptions(file.path()));
+    ASSERT_NE(store, nullptr);
+    Page frame(kPageSize);
+    for (PageId id = 0; id < 2; ++id) {
+      store->Allocate();
+      FillPage(&frame, id, /*salt=*/5);
+      ASSERT_TRUE(store->Commit(id, frame).ok());
+    }
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  // Flip one payload byte of slot 0, which holds page 0 (fresh slots are
+  // handed out in commit order; the meta chain lands after them).
+  {
+    std::fstream f(file.path(),
+                   std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(f.good());
+    f.seekg(kDataStart + kSlotHeaderSize + 101);
+    char byte = 0;
+    f.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x01);
+    f.seekp(kDataStart + kSlotHeaderSize + 101);
+    f.write(&byte, 1);
+  }
+  std::unique_ptr<DiskStorageManager> store = MustOpen(DiskOptions(file.path()));
+  ASSERT_NE(store, nullptr);
+  BufferPool pool(store.get(), /*capacity=*/4);
+
+  Result<Page*> corrupt = pool.Fetch(0);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.status().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(pool.IsResident(0));
+
+  Result<Page*> intact = pool.Fetch(1);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  EXPECT_TRUE(PageMatches(**intact, 1, /*salt=*/5));
+  EXPECT_TRUE((*intact)->sealed());
+
+  // Not cached by the failed fetch: the next one reads and fails again.
+  EXPECT_EQ(pool.Fetch(0).status().code(), StatusCode::kDataLoss);
+  EXPECT_FALSE(pool.IsResident(0));
+  EXPECT_EQ(pool.num_resident(), 1u);
+  EXPECT_EQ(pool.stats().misses, 3u);
 }
 
 TEST(DiskStorageTest, GarbageFileRejectedWithDataLoss) {

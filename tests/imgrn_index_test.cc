@@ -206,9 +206,13 @@ TEST(ImGrnIndexTest, IndexPruneNodePairImpliesPointPruning) {
   }
 }
 
+// Enough matrices that all four workers embed some: under TSan (the
+// "concurrency" label in tools/ci_sanitize.sh) this also checks that
+// workers never fill the shared permutation cache. With 8 matrices TSan
+// saw that race in about one run in ten; with 32, in every run.
 TEST(ImGrnIndexTest, ParallelBuildBitIdenticalToSerial) {
-  GeneDatabase database_serial = MakeDatabase(8, 21);
-  GeneDatabase database_parallel = MakeDatabase(8, 21);
+  GeneDatabase database_serial = MakeDatabase(32, 21);
+  GeneDatabase database_parallel = MakeDatabase(32, 21);
 
   ImGrnIndexOptions serial_options = SmallOptions();
   serial_options.build_threads = 1;

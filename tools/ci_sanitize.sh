@@ -4,7 +4,8 @@
 # Configures a dedicated build tree with -DIMGRN_SANITIZE=<kind>, builds
 # the thread-heavy test binaries, and runs everything carrying the ctest
 # labels in $LABELS: "concurrency" (thread pool, query service, sharded
-# engine, shard stress, lock-free histogram) and "partitioning" (the
+# engine, shard stress, lock-free histogram, parallel index build) and
+# "partitioning" (the
 # differential partition-invariance suite, whose Rebalance/Resize paths
 # migrate data while queries run, plus the lock-free measured-cost
 # registry the query path writes concurrently — exactly the races a
@@ -33,7 +34,8 @@
 #
 # The third kind, "kernels", is the SIMD dispatch gate: it builds the
 # "kernels"-labeled differential suites (scalar-vs-vector per-kernel
-# bit-identity/tolerance, full-query backend invariance) under
+# bit-identity/tolerance, full-query backend invariance, SSE4.2-vs-table
+# CRC32C) under
 # ASan+UBSan (-DIMGRN_UBSAN=ON — misaligned loads, out-of-bounds gather
 # lanes and tail-loop index math are exactly UBSan/ASan territory), then
 # runs `ctest -L kernels` TWICE: once with native dispatch and once with
@@ -59,7 +61,7 @@ if [ "$KIND" = kernels ]; then
     -DIMGRN_SANITIZE=address \
     -DIMGRN_UBSAN=ON
   cmake --build "$BUILD_DIR" -j --target \
-    simd_ops_test kernel_fuzz_test vector_ops_test imgrn_cli
+    simd_ops_test kernel_fuzz_test vector_ops_test crc32c_test imgrn_cli
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
   export ASAN_OPTIONS
   echo "== kernels gate: backends on this machine =="
@@ -78,7 +80,8 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DIMGRN_SANITIZE="$KIND"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
-         shard_stress_test histogram_test partition_invariance_test \
+         shard_stress_test histogram_test imgrn_index_test \
+         partition_invariance_test \
          cost_model_test fault_injection_test replication_test \
          result_cache_test maintenance_test"
 if [ "$KIND" = address ]; then

@@ -83,9 +83,10 @@
 //   imgrn kernels
 //       Print the SIMD kernel backends (matrix/simd_ops.h): which table
 //       CPUID selected for this machine, which one is active after the
-//       IMGRN_FORCE_SCALAR override, and the override's raw value. Used
-//       by tools/ci_sanitize.sh to record which backend a differential
-//       run actually exercised.
+//       IMGRN_FORCE_SCALAR override, and the override's raw value; then
+//       the CRC32C path (common/crc32c.h), which the override does not
+//       touch. Used by tools/ci_sanitize.sh to record which backend a
+//       differential run actually exercised.
 //
 // All file formats are the plain-text / binary formats of matrix_io.h and
 // index_io.h.
@@ -97,6 +98,7 @@
 #include <map>
 #include <string>
 
+#include "common/crc32c.h"
 #include "common/fault_injection.h"
 #include "core/imgrn.h"
 #include "matrix/simd_ops.h"
@@ -889,6 +891,7 @@ int CmdKernels(int argc, char** argv) {
   std::printf("active:  %s\n", KernelBackendName(ActiveKernelBackend()));
   std::printf("IMGRN_FORCE_SCALAR: %s (%s)\n", force != nullptr ? force : "",
               KernelForceScalarValue(force) ? "forcing scalar" : "native");
+  std::printf("crc32c:  %s\n", Crc32cBackendName());
   return 0;
 }
 
