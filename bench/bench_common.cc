@@ -198,6 +198,12 @@ std::vector<ProbGraph> MakeQueryWorkload(const GeneDatabase& database,
   return queries;
 }
 
+Spread Summarize(std::vector<double> samples) {
+  IMGRN_CHECK(!samples.empty());
+  std::sort(samples.begin(), samples.end());
+  return {samples[samples.size() / 2], samples.front(), samples.back()};
+}
+
 WorkloadResult RunWorkload(const ImGrnEngine& engine,
                            const std::vector<ProbGraph>& queries,
                            const QueryParams& params) {

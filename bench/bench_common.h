@@ -90,6 +90,14 @@ struct WorkloadResult {
   size_t queries = 0;
 };
 
+/// Median, min and max of repeated measurements (median = upper middle).
+struct Spread {
+  double median;
+  double min;
+  double max;
+};
+Spread Summarize(std::vector<double> samples);
+
 /// Runs every query through the engine's IM-GRN processor and averages.
 WorkloadResult RunWorkload(const ImGrnEngine& engine,
                            const std::vector<ProbGraph>& queries,

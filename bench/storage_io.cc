@@ -37,7 +37,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -80,18 +79,6 @@ std::string Provenance() {
                 KernelBackendName(ActiveKernelBackend()),
                 Crc32cBackendName(), std::thread::hardware_concurrency());
   return fields;
-}
-
-struct Spread {
-  double median;
-  double min;
-  double max;
-};
-
-Spread Summarize(std::vector<double> samples) {
-  IMGRN_CHECK(!samples.empty());
-  std::sort(samples.begin(), samples.end());
-  return {samples[samples.size() / 2], samples.front(), samples.back()};
 }
 
 std::string TempStorePath() {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -35,12 +37,26 @@ struct QueueCompare {
 
 struct ImGrnQueryProcessor::TraversalContext {
   GeneId anchor_gene = 0;
-  std::unordered_set<GeneId> neighbor_genes;
+  std::vector<GeneId> neighbor_genes;  // Sorted, distinct.
 
   // Query-side signatures (Fig. 4 lines 3-6).
   std::vector<uint8_t> anchor_gene_sig;     // qV_f(s)
   std::vector<uint8_t> neighbor_gene_sig;   // qV_f(t)
   std::vector<uint8_t> source_filter_sig;   // qV_d(s) & qV_d(t)
+
+  // One leaf entry of the anchor gene or of a neighbor gene.
+  struct LeafRecord {
+    RecordRef ref;
+    EmbeddedPoint point;
+  };
+  // A leaf's anchor-gene and neighbor-gene entries, each in entry order.
+  struct LeafRecords {
+    std::vector<LeafRecord> anchors;
+    std::vector<LeafRecord> neighbors;
+  };
+  // Filled on a leaf's first visit: the queue pairs a handful of leaves
+  // with each other many times, so each leaf is scanned once per query.
+  std::unordered_map<NodeId, LeafRecords> leaf_records;
 
   // Surviving candidate anchor/neighbor pairs, grouped by source.
   struct CandidatePair {
@@ -204,8 +220,12 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
   const VertexId anchor = query.MaxDegreeVertex();
   ctx->anchor_gene = query.label(anchor);
   for (VertexId neighbor : query.Neighbors(anchor)) {
-    ctx->neighbor_genes.insert(query.label(neighbor));
+    ctx->neighbor_genes.push_back(query.label(neighbor));
   }
+  std::sort(ctx->neighbor_genes.begin(), ctx->neighbor_genes.end());
+  ctx->neighbor_genes.erase(
+      std::unique(ctx->neighbor_genes.begin(), ctx->neighbor_genes.end()),
+      ctx->neighbor_genes.end());
 
   // Query-side signatures (lines 3-6).
   ctx->anchor_gene_sig.assign(sig_bytes, 0);
@@ -216,9 +236,7 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
       index_->InvertedFileEntry(ctx->anchor_gene).end());
   std::vector<uint8_t> source_sig_t(sig_bytes, 0);
   for (GeneId gene : ctx->neighbor_genes) {
-    std::vector<uint8_t> one(sig_bytes, 0);
-    ByteSignatureAdd(layout, gene, one);
-    ByteSignatureMerge(ctx->neighbor_gene_sig.data(), one.data(), sig_bytes);
+    ByteSignatureAdd(layout, gene, ctx->neighbor_gene_sig);
     const std::span<const uint8_t> if_entry = index_->InvertedFileEntry(gene);
     ByteSignatureMerge(source_sig_t.data(), if_entry.data(), sig_bytes);
   }
@@ -227,6 +245,15 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
   ctx->source_filter_sig.resize(sig_bytes);
   for (size_t i = 0; i < sig_bytes; ++i) {
     ctx->source_filter_sig[i] = source_sig_s[i] & source_sig_t[i];
+  }
+  // The anchor's V_f bits as (byte, mask) probes. A subtree may hold the
+  // anchor only if EVERY probe's bits are set, as ByteSignatureMayContain
+  // requires; one matching bit is not enough.
+  std::vector<std::pair<size_t, uint8_t>> anchor_probes;
+  for (size_t i = 0; i < sig_bytes; ++i) {
+    if (ctx->anchor_gene_sig[i] != 0) {
+      anchor_probes.emplace_back(i, ctx->anchor_gene_sig[i]);
+    }
   }
 
   // The gene-ID dimension of the index (position 2d, Section 5.1) groups
@@ -237,68 +264,124 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
   // genes.
   const size_t gene_dim = 2 * d;
   const double anchor_value = static_cast<double>(ctx->anchor_gene);
-  auto gene_ranges_feasible = [&](const RTreeEntry& ea,
-                                  const RTreeEntry& eb) {
-    if (ea.mbr.lo(gene_dim) > anchor_value ||
-        ea.mbr.hi(gene_dim) < anchor_value) {
+
+  // Every gene-range and signature test of a child pair (E_a, E_b) reads
+  // one side only: E_a must be able to hold the anchor, E_b a neighbor,
+  // and both a source with the anchor and a neighbor. A pair passes them
+  // iff E_a passes the anchor-side tests and E_b the neighbor-side tests.
+  auto anchor_side_passes = [&](const RTreeEntry& entry) {
+    if (entry.mbr.lo(gene_dim) > anchor_value ||
+        entry.mbr.hi(gene_dim) < anchor_value) {
       return false;
     }
-    for (GeneId gene : ctx->neighbor_genes) {
-      const double value = static_cast<double>(gene);
-      if (eb.mbr.lo(gene_dim) <= value && value <= eb.mbr.hi(gene_dim)) {
-        return true;
+    const std::span<const uint8_t> genes = index_->GeneSignature(entry);
+    for (const auto& [byte, mask] : anchor_probes) {
+      if ((genes[byte] & mask) != mask) return false;
+    }
+    return index_->EntryMayIntersectSources(entry, ctx->source_filter_sig);
+  };
+  auto neighbor_side_passes = [&](const RTreeEntry& entry) {
+    // The first neighbor at or above the range's low end must not pass
+    // its high end.
+    const auto first = std::lower_bound(
+        ctx->neighbor_genes.begin(), ctx->neighbor_genes.end(),
+        entry.mbr.lo(gene_dim), [](GeneId gene, double value) {
+          return static_cast<double>(gene) < value;
+        });
+    if (first == ctx->neighbor_genes.end() ||
+        static_cast<double>(*first) > entry.mbr.hi(gene_dim)) {
+      return false;
+    }
+    return ByteSignaturesIntersect(index_->GeneSignature(entry),
+                                   ctx->neighbor_gene_sig) &&
+           index_->EntryMayIntersectSources(entry, ctx->source_filter_sig);
+  };
+
+  std::priority_queue<QueueElement, std::vector<QueueElement>, QueueCompare>
+      queue;
+  std::vector<const RTreeEntry*> anchor_side;
+  std::vector<const RTreeEntry*> neighbor_side;
+  // Expands one node pair (lines 9-13 for the root, 22-26 below it): each
+  // side's children are filtered once, and Lemma 6 runs on the cross
+  // product of the survivors in the nested order of Fig. 4, so the queue
+  // sees the same pushes as a test of every child pair would make. The
+  // counters still describe all |A|·|B| child pairs.
+  auto expand = [&](const RTreeNode& node_a, const RTreeNode& node_b,
+                    int child_key) {
+    anchor_side.clear();
+    neighbor_side.clear();
+    for (const RTreeEntry& entry : node_a.entries) {
+      if (anchor_side_passes(entry)) anchor_side.push_back(&entry);
+    }
+    if (!anchor_side.empty()) {
+      for (const RTreeEntry& entry : node_b.entries) {
+        if (neighbor_side_passes(entry)) neighbor_side.push_back(&entry);
       }
     }
-    return false;
+    const size_t pairs = node_a.entries.size() * node_b.entries.size();
+    stats->node_pairs_examined += pairs;
+    stats->node_pairs_pruned_signature +=
+        pairs - anchor_side.size() * neighbor_side.size();
+    for (const RTreeEntry* ca : anchor_side) {
+      for (const RTreeEntry* cb : neighbor_side) {
+        if (params.use_index_pruning &&
+            (ImGrnIndex::IndexPruneNodePair(ca->mbr, cb->mbr, d,
+                                            params.gamma) ||
+             ImGrnIndex::IndexPruneNodePair(cb->mbr, ca->mbr, d,
+                                            params.gamma))) {
+          ++stats->node_pairs_pruned_index;
+          continue;
+        }
+        queue.push(QueueElement{child_key, static_cast<NodeId>(ca->handle),
+                                static_cast<NodeId>(cb->handle)});
+      }
+    }
   };
 
-  // Examines one ordered child pair; returns true when it survives the
-  // gene-range + signature + Lemma-6 pruning.
-  auto pair_survives = [&](const RTreeEntry& ea, const RTreeEntry& eb) {
-    ++stats->node_pairs_examined;
-    if (!gene_ranges_feasible(ea, eb) ||
-        !index_->EntryMayContainGene(ea, ctx->anchor_gene) ||
-        !ByteSignaturesIntersect(index_->GeneSignature(eb),
-                                 ctx->neighbor_gene_sig) ||
-        !index_->EntryMayIntersectSources(ea, ctx->source_filter_sig) ||
-        !index_->EntryMayIntersectSources(eb, ctx->source_filter_sig)) {
-      ++stats->node_pairs_pruned_signature;
-      return false;
+  // A leaf's anchor-gene and neighbor-gene entries, listed on first visit.
+  // The gene is read from the point MBR before anything is decoded.
+  auto records_of = [&](NodeId id, const RTreeNode& leaf)
+      -> const TraversalContext::LeafRecords& {
+    auto [it, inserted] = ctx->leaf_records.try_emplace(id);
+    if (!inserted) return it->second;
+    for (const RTreeEntry& entry : leaf.entries) {
+      const GeneId gene = static_cast<GeneId>(entry.mbr.lo(gene_dim));
+      const bool is_anchor = gene == ctx->anchor_gene;
+      const bool is_neighbor = std::binary_search(
+          ctx->neighbor_genes.begin(), ctx->neighbor_genes.end(), gene);
+      if (!is_anchor && !is_neighbor) continue;
+      TraversalContext::LeafRecord record{DecodeRecordRef(entry.handle),
+                                          index_->PointFromLeafEntry(entry)};
+      if (is_anchor) it->second.anchors.push_back(record);
+      if (is_neighbor) it->second.neighbors.push_back(std::move(record));
     }
-    if (params.use_index_pruning &&
-        (ImGrnIndex::IndexPruneNodePair(ea.mbr, eb.mbr, d, params.gamma) ||
-         ImGrnIndex::IndexPruneNodePair(eb.mbr, ea.mbr, d, params.gamma))) {
-      ++stats->node_pairs_pruned_index;
-      return false;
-    }
-    return true;
+    return it->second;
   };
 
-  // Processes a leaf node pair (lines 16-21).
-  auto process_leaf_pair = [&](const RTreeNode& leaf_a,
+  // Processes a leaf node pair (lines 16-21): every anchor entry of `a`
+  // against every neighbor entry of `b` from the same source, in entry
+  // order.
+  auto process_leaf_pair = [&](NodeId a, const RTreeNode& leaf_a, NodeId b,
                                const RTreeNode& leaf_b) {
-    for (const RTreeEntry& pa : leaf_a.entries) {
-      const EmbeddedPoint point_a = index_->PointFromLeafEntry(pa);
-      if (point_a.gene != ctx->anchor_gene) continue;
-      const RecordRef ref_a = DecodeRecordRef(pa.handle);
-      for (const RTreeEntry& pb : leaf_b.entries) {
-        const EmbeddedPoint point_b = index_->PointFromLeafEntry(pb);
-        if (!ctx->neighbor_genes.contains(point_b.gene)) continue;
-        const RecordRef ref_b = DecodeRecordRef(pb.handle);
-        if (ref_a.source != ref_b.source) continue;
+    // unordered_map references survive the insertion of `b`'s records.
+    const TraversalContext::LeafRecords& records_a = records_of(a, leaf_a);
+    const TraversalContext::LeafRecords& records_b = records_of(b, leaf_b);
+    for (const TraversalContext::LeafRecord& pa : records_a.anchors) {
+      for (const TraversalContext::LeafRecord& pb : records_b.neighbors) {
+        if (pa.ref.source != pb.ref.source) continue;
         ++stats->leaf_pairs_examined;
 
         if (params.use_pivot_pruning &&
-            (PivotPruneEdge(point_a, point_b, params.gamma) ||
-             PivotPruneEdge(point_b, point_a, params.gamma))) {
+            (PivotPruneEdge(pa.point, pb.point, params.gamma) ||
+             PivotPruneEdge(pb.point, pa.point, params.gamma))) {
           ++stats->leaf_pairs_pruned_pivot;
           continue;
         }
         if (params.use_edge_pruning) {
-          const GeneMatrix& matrix = index_->database().matrix(ref_a.source);
+          const GeneMatrix& matrix = index_->database().matrix(pa.ref.source);
           const double distance =
-              EuclideanDistance(matrix.Column(ref_a.column),
-                                matrix.Column(ref_b.column));
+              EuclideanDistance(matrix.Column(pa.ref.column),
+                                matrix.Column(pb.ref.column));
           if (EdgeInferencePrune(distance, matrix.num_samples(),
                                  params.gamma)) {
             ++stats->leaf_pairs_pruned_edge;
@@ -306,32 +389,22 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
           }
         }
         ctx->candidates.push_back(TraversalContext::CandidatePair{
-            ref_a.source, ref_a.column, ref_b.column});
-        ctx->candidate_sources.insert(ref_a.source);
+            pa.ref.source, pa.ref.column, pb.ref.column});
+        ctx->candidate_sources.insert(pa.ref.source);
       }
     }
   };
 
   if (rtree.root_id() == kInvalidNodeId) return Status::Ok();
-  std::priority_queue<QueueElement, std::vector<QueueElement>, QueueCompare>
-      queue;
-
   Result<const RTreeNode*> root_fetch = rtree.node(rtree.root_id());
   if (!root_fetch.ok()) return root_fetch.status();
   const RTreeNode& root = **root_fetch;
   if (root.IsLeaf()) {
-    process_leaf_pair(root, root);
+    process_leaf_pair(rtree.root_id(), root, rtree.root_id(), root);
     return Status::Ok();
   }
   // Seed with surviving ordered pairs of root entries (lines 9-13).
-  for (const RTreeEntry& ea : root.entries) {
-    for (const RTreeEntry& eb : root.entries) {
-      if (!pair_survives(ea, eb)) continue;
-      queue.push(QueueElement{root.level - 1,
-                              static_cast<NodeId>(ea.handle),
-                              static_cast<NodeId>(eb.handle)});
-    }
-  }
+  expand(root, root, root.level - 1);
 
   // Main loop (lines 14-27). The control checkpoint sits here — once per
   // popped node pair — so a deadline or cancel stops the traversal within
@@ -349,17 +422,10 @@ Status ImGrnQueryProcessor::TraverseIndex(const ProbGraph& query,
     const RTreeNode& node_a = **fetch_a;
     const RTreeNode& node_b = **fetch_b;
     if (node_a.IsLeaf()) {
-      process_leaf_pair(node_a, node_b);
+      process_leaf_pair(element.a, node_a, element.b, node_b);
       continue;
     }
-    for (const RTreeEntry& ca : node_a.entries) {
-      for (const RTreeEntry& cb : node_b.entries) {
-        if (!pair_survives(ca, cb)) continue;
-        queue.push(QueueElement{element.key - 1,
-                                static_cast<NodeId>(ca.handle),
-                                static_cast<NodeId>(cb.handle)});
-      }
-    }
+    expand(node_a, node_b, element.key - 1);
   }
   return Status::Ok();
 }

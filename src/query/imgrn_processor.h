@@ -19,8 +19,10 @@ namespace imgrn {
 ///     the inverted file IF);
 ///  3. traverse the R*-tree with a priority queue of node pairs keyed by
 ///     level (depth-first), pruning pairs by gene-ID signatures, data-source
-///     signatures, and Lemma 6; at the leaves, prune candidate gene pairs by
-///     the pivot condition (Sec. 4.2) and Lemma 3;
+///     signatures, and Lemma 6 (the signature tests read one side of a
+///     pair each, so each node's children are filtered once and Lemma 6
+///     sees only the survivors' cross product); at the leaves, prune
+///     candidate gene pairs by the pivot condition (Sec. 4.2) and Lemma 3;
 ///  4. refine the surviving candidate matrices (Lemma 5, exact Monte Carlo
 ///     probabilities, labeled subgraph isomorphism, Eq. 3 vs alpha).
 ///

@@ -115,6 +115,11 @@ struct QueryStats {
   size_t query_vertices = 0;
   size_t query_edges = 0;
 
+  /// Logical child pairs (E_a, E_b) of every node-pair expansion, |A|·|B|
+  /// each, not predicate evaluations: the traversal tests each side's
+  /// children once, and only the cross product of the survivors meets
+  /// Lemma 6. A pair failing the gene-range or signature tests of either
+  /// side counts in node_pairs_pruned_signature.
   size_t node_pairs_examined = 0;
   size_t node_pairs_pruned_signature = 0;
   size_t node_pairs_pruned_index = 0;  // Lemma 6.

@@ -569,10 +569,11 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // sample lands after a source is retired. Replicas mirror the same
         // active set, so WHICH replica records does not change which
         // globals get samples.
-        std::vector<double> seconds_of(replica.local_to_global.size(), 0.0);
+        std::vector<SourceCostSample> sample_of(
+            replica.local_to_global.size());
         for (const SourceCostSample& sample : local_stats.source_costs) {
-          IMGRN_CHECK_LT(sample.source, seconds_of.size());
-          seconds_of[sample.source] = sample.seconds;
+          IMGRN_CHECK_LT(sample.source, sample_of.size());
+          sample_of[sample.source] = sample;
         }
         for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
           if (!replica.active[i]) continue;
@@ -581,7 +582,11 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
               topology.shard_of[global] != shard_index) {
             continue;  // A migrating duplicate; its owner records it.
           }
-          measured_.Record(global, seconds_of[i]);
+          SourceCostSample& sample = sample_of[i];
+          sample.source = global;
+          measured_.Record(global, source_meter_ != nullptr
+                                       ? source_meter_(sample)
+                                       : sample.seconds);
         }
         // The sub-query's permutation-cache fill time is shared overhead:
         // real shard load, but attributable to no single source (which
@@ -591,7 +596,9 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // per-source EWMAs stay layout-independent while the shard's
         // measured total still includes it.
         shard_overhead_.Record(static_cast<SourceId>(shard_index),
-                               local_stats.permutation_fill_seconds);
+                               overhead_meter_ != nullptr
+                                   ? overhead_meter_(local_stats)
+                                   : local_stats.permutation_fill_seconds);
         // Remap shard-local ids to global source ids while the reader lock
         // still pins local_to_global, and keep only the sources this
         // query's partition map assigns to this shard — a migrating source
@@ -1473,6 +1480,13 @@ size_t ShardedEngine::ShardOf(SourceId source) const {
 
 ResultCacheStats ShardedEngine::CacheStats() const {
   return cache_ != nullptr ? cache_->Stats() : ResultCacheStats{};
+}
+
+void ShardedEngine::SetCostMeterForTesting(
+    double (*source_seconds)(const SourceCostSample&),
+    double (*overhead_seconds)(const QueryStats&)) {
+  source_meter_ = source_seconds;
+  overhead_meter_ = overhead_seconds;
 }
 
 ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {

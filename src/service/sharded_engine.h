@@ -397,6 +397,18 @@ class ShardedEngine : public QueryEngine {
   /// EWMAs and sample counts, written lock-free by every sub-query.
   const MeasuredCostRegistry& measured_costs() const { return measured_; }
 
+  /// Test hook: replaces the wall-clock seconds the measured cost model
+  /// records, so tests can assert on measured imbalance without timing
+  /// noise. Every sub-query records `source_seconds(sample)` for each live
+  /// source it owns (`sample` carries the global id; a zero sample when
+  /// the traversal never surfaced the source) and
+  /// `overhead_seconds(sub_query_stats)` in its shard's overhead bucket.
+  /// Null restores wall-clock recording. Set before traffic runs (plain
+  /// members, not synchronized against queries).
+  void SetCostMeterForTesting(
+      double (*source_seconds)(const SourceCostSample& sample),
+      double (*overhead_seconds)(const QueryStats& sub_query_stats));
+
   /// One bounded step of the checksum scrubber (the maintenance daemon's
   /// tick body; public so tests drive it deterministically). Resumes at
   /// `*cursor`, seal-verifies up to `max_pages` live pages across the
@@ -605,6 +617,10 @@ class ShardedEngine : public QueryEngine {
   /// cost in whichever source ran first. Folded back into
   /// ShardStats::measured_seconds (the whole shard really did pay it).
   mutable MeasuredCostRegistry shard_overhead_;
+
+  /// SetCostMeterForTesting's meters; null = wall-clock seconds.
+  double (*source_meter_)(const SourceCostSample&) = nullptr;
+  double (*overhead_meter_)(const QueryStats&) = nullptr;
 
   /// Declared LAST: the daemon's thread calls back into everything above,
   /// so it must be destroyed (joined) first. Null unless

@@ -380,6 +380,7 @@ TEST_F(MaintenanceTest, SwapRebalanceUnsticksTwoShardStall) {
         0.97, &rng));
   }
   ShardedEngine engine(MakeShardedOptions(/*num_shards=*/2));
+  testing_util::UseCandidatePairCostMeter(&engine);
   engine.LoadDatabase(std::move(database));
   ASSERT_TRUE(engine.BuildIndex().ok());
 

@@ -470,6 +470,7 @@ TEST_F(PartitionInvarianceTest, AutoRebalanceMovesFewSourcesToMeasuredTarget) {
   // source well past any reasonable min_samples anyway.
   options.calibration.min_samples = 1;
   ShardedEngine sharded(options, nullptr);
+  testing_util::UseCandidatePairCostMeter(&sharded);
   sharded.LoadDatabase(MakeSkewedDatabase(kSources));
   ASSERT_TRUE(sharded.BuildIndex().ok());
 
@@ -624,6 +625,7 @@ TEST_F(PartitionInvarianceTest, MeasuredImbalanceSeesSkewTheEstimateCannot) {
   options.partitioner = std::make_shared<ExplicitPartitioner>(clumped);
   options.calibration.min_samples = 1;
   ShardedEngine sharded(options, nullptr);
+  testing_util::UseCandidatePairCostMeter(&sharded);
   sharded.LoadDatabase(make_database());
   ASSERT_TRUE(sharded.BuildIndex().ok());
 

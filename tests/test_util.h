@@ -169,6 +169,21 @@ inline std::unique_ptr<ShardedEngine> MakeLoadedShardedEngine(
   return engine;
 }
 
+/// Feeds `engine`'s measured cost model work counts instead of wall-clock
+/// seconds (ShardedEngine::SetCostMeterForTesting), for tests that assert
+/// on measured imbalance. A source is charged one microsecond per
+/// candidate gene pair the traversal surfaced for it: the pairs drive its
+/// refinement and carry its share of the traversal. The shard's
+/// permutation-fill bucket is charged nothing; that overhead belongs to no
+/// source, and in wall-clock form its noise decided these tests.
+inline void UseCandidatePairCostMeter(ShardedEngine* engine) {
+  engine->SetCostMeterForTesting(
+      [](const SourceCostSample& sample) {
+        return 1e-6 * static_cast<double>(sample.candidate_pairs);
+      },
+      [](const QueryStats&) { return 0.0; });
+}
+
 /// Byte-exact match comparison — the differential suites' core assertion.
 /// EXPECT_EQ on the probability doubles on purpose: sharding, replication,
 /// partitioning, and caching must not perturb a single bit.

@@ -25,7 +25,10 @@
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw
 # buffer juggling on paths where overflows and leaks hide; the binaries
-# are single-threaded, so TSan would add nothing). ThreadSanitizer is the
+# are single-threaded, so TSan would add nothing) and "query" (the Fig.-4
+# processor, its pinned traversal counters and its fuzz suite: the
+# traversal holds pointers into R*-tree node entries and per-leaf record
+# lists, so overruns show under ASan). ThreadSanitizer is the
 # default and the gate that matters for src/service; pass "address" to
 # run the same workload under AddressSanitizer instead — CI runs BOTH
 # kinds, so the fault binaries get a TSan pass and an ASan
@@ -85,7 +88,8 @@ TARGETS="thread_pool_test query_service_test sharded_engine_test \
          cost_model_test fault_injection_test replication_test \
          result_cache_test maintenance_test"
 if [ "$KIND" = address ]; then
-  TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test"
+  TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
+           imgrn_processor_test query_stats_test processor_fuzz_test"
 fi
 # shellcheck disable=SC2086  # TARGETS is a deliberate word list
 cmake --build "$BUILD_DIR" -j --target $TARGETS
@@ -103,7 +107,7 @@ fi
 # label per binary, so the gate's coverage is the union of these runs).
 LABELS="concurrency partitioning robustness replication maintenance"
 if [ "$KIND" = address ]; then
-  LABELS="$LABELS storage"
+  LABELS="$LABELS storage query"
 fi
 for LABEL in $LABELS; do
   echo "== $KIND sanitizer: ctest -L $LABEL =="
