@@ -43,9 +43,11 @@ inline constexpr char kShardSubQuery[] = "shard.subquery";
 /// to its peers and the replica's breaker eventually quarantines it.
 inline constexpr char kReplicaSubQuery[] = "shard.replica";
 inline constexpr int64_t kReplicaDetailStride = 1000;
-/// The four steps of the migration protocol (Rebalance/Resize). `detail`
-/// is the moving global source id for copy/delete, the shard-count for
-/// publish/drain.
+/// The steps of every ShardedEngine topology change (Rebalance, Resize,
+/// SetReplicas, RebuildReplica): copy, publish, drain, and for Rebalance
+/// and Resize delete. `detail` is the global source id for copy/delete
+/// and, for publish/drain, the shard count of the topology being
+/// published.
 inline constexpr char kMigrateCopy[] = "migrate.copy";
 inline constexpr char kMigratePublish[] = "migrate.publish";
 inline constexpr char kMigrateDrain[] = "migrate.drain";

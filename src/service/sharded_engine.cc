@@ -28,6 +28,30 @@ Status ValidateParams(const QueryParams& params) {
   return Status::Ok();
 }
 
+/// Index of `global`'s active entry in replica.local_to_global, or -1.
+int64_t ActiveLocalOf(const ShardReplica& replica, SourceId global) {
+  // Scan from the back: migrated-in entries (the common lookup after a
+  // rebalance) sit at the end, and at most one entry per global is active.
+  for (size_t i = replica.local_to_global.size(); i > 0; --i) {
+    if (replica.local_to_global[i - 1] == global && replica.active[i - 1]) {
+      return static_cast<int64_t>(i - 1);
+    }
+  }
+  return -1;
+}
+
+/// Deactivates local id `local` of `replica`: engine RemoveMatrix, side
+/// tables and gauges. Caller holds the replica's write lock.
+Status DeactivateLocked(ShardReplica& replica, size_t local, double cost) {
+  IMGRN_RETURN_IF_ERROR(
+      replica.engine.RemoveMatrix(static_cast<SourceId>(local)));
+  replica.active[local] = false;
+  replica.active_sources.fetch_sub(1, std::memory_order_relaxed);
+  replica.cost.store(replica.cost.load(std::memory_order_relaxed) - cost,
+                     std::memory_order_relaxed);
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::string ShardedEngineStatsSnapshot::DebugString() const {
@@ -41,25 +65,18 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
            ": sources=" + std::to_string(shard.sources) + " load=" + load +
            " sub_queries=" + std::to_string(shard.sub_queries) +
            " errors=" + std::to_string(shard.sub_query_errors) +
-           " in_flight=" + std::to_string(shard.in_flight) +
-           " breaker=" + CircuitBreaker::StateName(shard.breaker);
-    if (shard.breaker_rejections > 0) {
-      out += "(" + std::to_string(shard.breaker_rejections) + " rejected)";
-    }
-    out += "\n";
-    if (shard.replicas.size() > 1) {
-      for (const ReplicaStats& replica : shard.replicas) {
-        out += "  replica" + std::to_string(replica.replica) +
-               ": sub_queries=" + std::to_string(replica.sub_queries) +
-               " errors=" + std::to_string(replica.sub_query_errors) +
-               " in_flight=" + std::to_string(replica.in_flight) +
-               " breaker=" + CircuitBreaker::StateName(replica.breaker);
-        if (replica.breaker_rejections > 0) {
-          out += "(" + std::to_string(replica.breaker_rejections) +
-                 " rejected)";
-        }
-        out += "\n";
+           " in_flight=" + std::to_string(shard.in_flight) + "\n";
+    for (const ReplicaStats& replica : shard.replicas) {
+      out += "  replica" + std::to_string(replica.replica) +
+             ": sub_queries=" + std::to_string(replica.sub_queries) +
+             " errors=" + std::to_string(replica.sub_query_errors) +
+             " in_flight=" + std::to_string(replica.in_flight) +
+             " breaker=" + CircuitBreaker::StateName(replica.breaker);
+      if (replica.breaker_rejections > 0) {
+        out += "(" + std::to_string(replica.breaker_rejections) +
+               " rejected)";
       }
+      out += "\n";
     }
   }
   char line[96];
@@ -166,6 +183,12 @@ std::shared_ptr<ReplicaSet> ShardedEngine::MakeReplicaSet(
   return std::make_shared<ReplicaSet>(std::move(replicas));
 }
 
+std::shared_ptr<const ShardedEngine::Topology> ShardedEngine::Current()
+    const {
+  std::lock_guard<std::mutex> lock(topology_mutex_);
+  return topology_;
+}
+
 void ShardedEngine::Publish(std::shared_ptr<const Topology> topology) {
   std::lock_guard<std::mutex> lock(topology_mutex_);
   if (topology_ != nullptr) {
@@ -206,11 +229,12 @@ void ShardedEngine::DrainOlder(const Topology& newest) const {
 }
 
 void ShardedEngine::LoadDatabase(GeneDatabase database) {
-  const size_t num_shards = this->num_shards();
+  const std::shared_ptr<const Topology> current = Current();
+  const size_t num_shards = current->shards.size();
   auto next = std::make_shared<Topology>();
   next->shards.reserve(num_shards);
   for (size_t i = 0; i < num_shards; ++i) {
-    next->shards.push_back(MakeReplicaSet(options_.num_replicas));
+    next->shards.push_back(MakeReplicaSet(current->shards.front()->size()));
   }
 
   const size_t total = database.size();
@@ -578,8 +602,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
           if (!replica.active[i]) continue;
           const SourceId global = replica.local_to_global[i];
-          if (global < topology.shard_of.size() &&
-              topology.shard_of[global] != shard_index) {
+          if (!topology.Owns(shard_index, global)) {
             continue;  // A migrating duplicate; its owner records it.
           }
           SourceCostSample& sample = sample_of[i];
@@ -612,10 +635,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         for (QueryMatch& match : *local) {
           IMGRN_CHECK_LT(match.source, replica.local_to_global.size());
           const SourceId global = replica.local_to_global[match.source];
-          if (global < topology.shard_of.size() &&
-              topology.shard_of[global] != shard_index) {
-            continue;
-          }
+          if (!topology.Owns(shard_index, global)) continue;
           match.source = global;
           kept.push_back(std::move(match));
         }
@@ -634,10 +654,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
             for (SourceCostSample sample : local_stats.source_costs) {
               const SourceId global =
                   replica.local_to_global[sample.source];
-              if (global < topology.shard_of.size() &&
-                  topology.shard_of[global] != shard_index) {
-                continue;
-              }
+              if (!topology.Owns(shard_index, global)) continue;
               sample.source = global;
               remapped.push_back(sample);
             }
@@ -740,18 +757,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShardWithRecovery(
   }
 }
 
-int64_t ShardedEngine::ActiveLocalOf(const ShardReplica& replica,
-                                     SourceId global) {
-  // Scan from the back: migrated-in entries (the common lookup after a
-  // rebalance) sit at the end, and at most one entry per global is active.
-  for (size_t i = replica.local_to_global.size(); i > 0; --i) {
-    if (replica.local_to_global[i - 1] == global && replica.active[i - 1]) {
-      return static_cast<int64_t>(i - 1);
-    }
-  }
-  return -1;
-}
-
 Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
                                             GeneMatrix matrix,
                                             SourceId global, double cost) {
@@ -788,18 +793,17 @@ Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
   return Status::Ok();
 }
 
-Status ShardedEngine::AppendToAllReplicasLocked(ReplicaSet& set,
+Status ShardedEngine::AppendToAllReplicasLocked(ReplicaSpan replicas,
                                                 const GeneMatrix& matrix,
                                                 SourceId global,
                                                 double cost) {
-  for (size_t r = 0; r < set.size(); ++r) {
-    Status append = AppendToReplicaLocked(*set.replica(r), matrix, global,
-                                          cost);
+  for (const std::shared_ptr<ShardReplica>& replica : replicas) {
+    Status append = AppendToReplicaLocked(*replica, matrix, global, cost);
     if (!append.ok()) {
       // Roll the earlier replicas back so the set never exposes the source
       // on some replicas but not others (a query routed to replica 0 must
       // see exactly what one routed to replica 1 sees).
-      IMGRN_CHECK_OK(RemoveFromReplicasLocked(set, global, cost,
+      IMGRN_CHECK_OK(RemoveFromReplicasLocked(replicas, global, cost,
                                               /*must_exist=*/false));
       return append;
     }
@@ -807,13 +811,12 @@ Status ShardedEngine::AppendToAllReplicasLocked(ReplicaSet& set,
   return Status::Ok();
 }
 
-Status ShardedEngine::RemoveFromReplicasLocked(ReplicaSet& set,
+Status ShardedEngine::RemoveFromReplicasLocked(ReplicaSpan replicas,
                                                SourceId global, double cost,
                                                bool must_exist) {
-  for (const std::shared_ptr<ShardReplica>& entry : set.replicas()) {
-    ShardReplica& replica = *entry;
-    std::unique_lock<std::shared_mutex> lock(replica.mutex);
-    const int64_t local = ActiveLocalOf(replica, global);
+  for (const std::shared_ptr<ShardReplica>& replica : replicas) {
+    std::unique_lock<std::shared_mutex> lock(replica->mutex);
+    const int64_t local = ActiveLocalOf(*replica, global);
     if (local < 0) {
       // Replicas mirror the same active set, so a missing entry is only
       // legitimate when unwinding a PARTIAL append (must_exist false).
@@ -821,11 +824,7 @@ Status ShardedEngine::RemoveFromReplicasLocked(ReplicaSet& set,
       continue;
     }
     IMGRN_RETURN_IF_ERROR(
-        replica.engine.RemoveMatrix(static_cast<SourceId>(local)));
-    replica.active[static_cast<size_t>(local)] = false;
-    replica.active_sources.fetch_sub(1, std::memory_order_relaxed);
-    replica.cost.store(replica.cost.load(std::memory_order_relaxed) - cost,
-                       std::memory_order_relaxed);
+        DeactivateLocked(*replica, static_cast<size_t>(local), cost));
   }
   return Status::Ok();
 }
@@ -841,11 +840,7 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   }
   const SourceId global = matrix.source_id();
   const double cost = EstimateSourceCost(matrix);
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   std::vector<double> shard_costs;
   shard_costs.reserve(current->shards.size());
   for (const std::shared_ptr<ReplicaSet>& set : current->shards) {
@@ -853,8 +848,8 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   }
   const size_t s = partitioner_->PlaceSource(global, cost, shard_costs);
   IMGRN_CHECK_LT(s, current->shards.size());
-  Status append =
-      AppendToAllReplicasLocked(*current->shards[s], matrix, global, cost);
+  Status append = AppendToAllReplicasLocked(current->shards[s]->replicas(),
+                                            matrix, global, cost);
   if (!append.ok()) {
     // The rolled-back append may have been briefly visible on the earlier
     // replicas (the new source passes the map filter while unpublished);
@@ -868,11 +863,9 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   ++next_source_;
   // Publish the extended map AFTER the data is in place, so every query
   // that can see the map entry finds the source on its shard.
-  auto next = std::make_shared<Topology>();
-  next->shards = current->shards;
-  next->shard_of = current->shard_of;
-  next->shard_of.push_back(static_cast<uint32_t>(s));
-  Publish(std::move(next));
+  std::vector<uint32_t> shard_of = current->shard_of;
+  shard_of.push_back(static_cast<uint32_t>(s));
+  Publish(std::make_shared<Topology>(current->shards, std::move(shard_of)));
   // The generation bump is the LAST step: from here every cache key minted
   // before this AddSource is unservable, and any result computed while the
   // append was in flight fails the insert-time generation check.
@@ -888,11 +881,7 @@ Status ShardedEngine::RemoveSource(SourceId source) {
   if (source >= next_source_) {
     return Status::InvalidArgument("unknown source id");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   ReplicaSet& set = *current->shards[current->shard_of[source]];
   // Existence check against the primary (replicas mirror the active set).
   // No replica lock needed for the read: the side tables are only written
@@ -901,7 +890,7 @@ Status ShardedEngine::RemoveSource(SourceId source) {
     return Status::FailedPrecondition("matrix already removed");
   }
   IMGRN_RETURN_IF_ERROR(RemoveFromReplicasLocked(
-      set, source, source_cost_[source], /*must_exist=*/true));
+      set.replicas(), source, source_cost_[source], /*must_exist=*/true));
   retracted_[source] = true;
   // Forget the measured cost after every replica was deactivated under its
   // write lock: a sub-query records under a replica's shared lock, so any
@@ -918,11 +907,7 @@ Status ShardedEngine::Rebalance(const PartitionPlan& plan) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   if (plan.num_shards != current->shards.size()) {
     return Status::InvalidArgument(
         "plan has " + std::to_string(plan.num_shards) + " shards, engine " +
@@ -960,11 +945,7 @@ Status ShardedEngine::Rebalance(double target_imbalance,
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   // Under update_mutex_ the published map always covers every source
   // (AddSource extends it before releasing the lock).
   PartitionPlan now;
@@ -988,22 +969,16 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   // Shards keep their identity below min(K, K'): the partitioner decides
   // placement, the migration moves only what it reassigns. New shards get
-  // the current replica count (SetReplicas keeps options_ in sync).
-  std::vector<std::shared_ptr<ReplicaSet>> target_shards;
-  target_shards.reserve(new_num_shards);
-  for (size_t i = 0; i < new_num_shards; ++i) {
-    if (i < current->shards.size()) {
-      target_shards.push_back(current->shards[i]);
-    } else {
-      target_shards.push_back(MakeReplicaSet(options_.num_replicas));
-    }
+  // the published replica count.
+  const size_t kept = std::min(current->shards.size(), new_num_shards);
+  std::vector<std::shared_ptr<ReplicaSet>> target_shards(
+      current->shards.begin(),
+      current->shards.begin() + static_cast<ptrdiff_t>(kept));
+  while (target_shards.size() < new_num_shards) {
+    target_shards.push_back(MakeReplicaSet(current->shards.front()->size()));
   }
   // Retracted sources carry no load; zero them out so the plan packs only
   // live cost (their map entries are still assigned, arbitrarily). A
@@ -1022,12 +997,12 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   Status migrated =
       MigrateLocked(std::move(target_shards), std::move(plan.shard_of));
   update_generation_.fetch_add(1, std::memory_order_release);
-  if (migrated.ok()) {
-    // Dropped shard indices may be reborn by a future grow; their overhead
-    // EWMAs must not leak into the new shard's measurement.
-    for (size_t s = new_num_shards; s < current->shards.size(); ++s) {
-      shard_overhead_.Retire(static_cast<SourceId>(s));
-    }
+  // Dropped shard indices may be reborn by a future grow; their overhead
+  // EWMAs must not leak into the new shard's measurement. Key on the
+  // published count, not the Status: a fault after the commit point fails
+  // the call but leaves the smaller topology published.
+  for (size_t s = num_shards(); s < current->shards.size(); ++s) {
+    shard_overhead_.Retire(static_cast<SourceId>(s));
   }
   return migrated;
 }
@@ -1040,125 +1015,133 @@ Status ShardedEngine::SetReplicas(size_t num_replicas) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   const size_t have = current->shards.front()->size();
-  if (num_replicas == have) {
-    options_.num_replicas = num_replicas;
-    return Status::Ok();
-  }
+  if (num_replicas == have) return Status::Ok();
+  // Every set keeps its first min(have, num_replicas) replicas. Growing
+  // clones each primary into the fresh tail and does not drain: the new
+  // sets are supersets of the old, so every older pin stays servable.
+  // Shrinking copies nothing and drains the queries that could still route
+  // to a dropped replica, which then dies with its last shared_ptr (its
+  // spill file unlinks with it). No generation bump: replica membership
+  // cannot change answers, so the result cache stays warm.
   auto next = std::make_shared<Topology>();
   next->shard_of = current->shard_of;
-  next->shards.reserve(current->shards.size());
-  if (num_replicas < have) {
-    // Shrink — the migration protocol's publish -> drain -> delete,
-    // applied to replicas: publish sets without the tail replicas, wait
-    // for every query pinned to a topology that can still route to a
-    // dropped replica, and let the last shared_ptr destroy it (its spill
-    // file unlinks with it).
-    for (const std::shared_ptr<ReplicaSet>& set : current->shards) {
-      std::vector<std::shared_ptr<ShardReplica>> kept(
-          set->replicas().begin(),
-          set->replicas().begin() + static_cast<ptrdiff_t>(num_replicas));
-      next->shards.push_back(std::make_shared<ReplicaSet>(std::move(kept)));
-    }
-    options_.num_replicas = num_replicas;
-    Publish(std::move(next));
-    std::shared_ptr<const Topology> newest;
-    {
-      std::lock_guard<std::mutex> lock(topology_mutex_);
-      newest = topology_;
-    }
-    DrainOlder(*newest);
-    return Status::Ok();
-  }
-  // Grow — the protocol's copy -> publish: clone each shard's primary into
-  // the new replicas through the same append path migrations use, then
-  // publish sets that include them. No drain is needed: the new sets are
-  // supersets of the old (same surviving ShardReplica objects), so every
-  // older pin stays fully servable. A clone failure aborts before the
-  // publish — the half-built replicas were never reachable, so there is
-  // nothing to roll back.
+  std::vector<SourceCopy> copies;
   for (const std::shared_ptr<ReplicaSet>& set : current->shards) {
-    std::vector<std::shared_ptr<ShardReplica>> replicas = set->replicas();
-    const ShardReplica& primary = set->primary();
-    for (size_t r = have; r < num_replicas; ++r) {
-      std::shared_ptr<ShardReplica> replica = MakeReplica();
-      // Read the primary without its lock: the side tables and database
-      // are only written by holders of update_mutex_, which we are. The
-      // clone compacts local ids (inactive entries are skipped) — matches
-      // are unaffected because local ids never leave a sub-query.
-      for (size_t i = 0; i < primary.local_to_global.size(); ++i) {
-        if (!primary.active[i]) continue;
-        const SourceId global = primary.local_to_global[i];
-        GeneMatrix copy =
-            primary.engine.database().matrix(static_cast<SourceId>(i));
-        IMGRN_RETURN_IF_ERROR(AppendToReplicaLocked(
-            *replica, std::move(copy), global, source_cost_[global]));
-      }
-      replicas.push_back(std::move(replica));
-    }
+    std::vector<std::shared_ptr<ShardReplica>> replicas(
+        set->replicas().begin(),
+        set->replicas().begin() +
+            static_cast<ptrdiff_t>(std::min(have, num_replicas)));
+    while (replicas.size() < num_replicas) replicas.push_back(MakeReplica());
     next->shards.push_back(std::make_shared<ReplicaSet>(std::move(replicas)));
+    if (num_replicas > have) {
+      ListActiveSources(
+          set->primary(),
+          ReplicaSpan(next->shards.back()->replicas()).subspan(have),
+          &copies);
+    }
   }
-  options_.num_replicas = num_replicas;
-  Publish(std::move(next));
-  // No generation bump: replica membership cannot change answers, so the
-  // result cache deliberately stays warm across replica scaling.
+  return ApplyTopologyChange(copies, std::move(next),
+                             /*drain=*/num_replicas < have);
+}
+
+Status ShardedEngine::ApplyTopologyChange(
+    const std::vector<SourceCopy>& copies,
+    std::shared_ptr<const Topology> next, bool drain) {
+  // Copy. Until the publish, each destination is either unreachable (a
+  // fresh replica) or holds the copy as a non-owner that the current map
+  // filters out, so no query sees it. The fault site is evaluated once per
+  // source, not per replica: the unit of a copy is the source.
+  Status status = Status::Ok();
+  size_t copied = 0;
+  for (; copied < copies.size(); ++copied) {
+    const SourceCopy& copy = copies[copied];
+    status = CheckFault(fault_sites::kMigrateCopy,
+                        static_cast<int64_t>(copy.global));
+    if (!status.ok()) break;
+    // Read the donor now, not when the list was built: an earlier append
+    // into a replica that is also a donor can reallocate its database. No
+    // donor lock is needed: only holders of update_mutex_ write replicas.
+    status = AppendToAllReplicasLocked(
+        copy.to, copy.donor->engine.database().matrix(copy.local),
+        copy.global, source_cost_[copy.global]);
+    if (!status.ok()) break;
+  }
+  if (status.ok()) {
+    status = CheckFault(fault_sites::kMigratePublish,
+                        static_cast<int64_t>(next->shards.size()));
+  }
+  if (!status.ok()) {
+    // Before the commit point: undo this call's copies (one that failed
+    // halfway has already unwound itself) and publish nothing.
+    for (size_t i = 0; i < copied; ++i) {
+      IMGRN_CHECK_OK(RemoveFromReplicasLocked(
+          copies[i].to, copies[i].global, source_cost_[copies[i].global],
+          /*must_exist=*/true));
+    }
+    return status;
+  }
+  Publish(next);
+  if (!drain) return Status::Ok();
+  // After the commit point a fault rolls forward: `next` stays published,
+  // and what the drain guards (a migration's deletes, a dropped replica's
+  // release) is left to the next migration's sweep or the last pin.
+  IMGRN_RETURN_IF_ERROR(CheckFault(fault_sites::kMigrateDrain,
+                                   static_cast<int64_t>(next->shards.size())));
+  DrainOlder(*next);
   return Status::Ok();
+}
+
+void ShardedEngine::ListActiveSources(const ShardReplica& donor,
+                                      ReplicaSpan to,
+                                      std::vector<SourceCopy>* copies) {
+  // Skipping inactive entries compacts the clone's local ids; matches are
+  // unaffected because local ids never leave a sub-query.
+  for (size_t i = 0; i < donor.local_to_global.size(); ++i) {
+    if (!donor.active[i]) continue;
+    copies->push_back({&donor, static_cast<SourceId>(i),
+                       donor.local_to_global[i], to});
+  }
 }
 
 Status ShardedEngine::MigrateLocked(
     std::vector<std::shared_ptr<ReplicaSet>> target_shards,
     std::vector<uint32_t> target_map) {
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
-  // The moving set: active sources whose owner changes. Shard indices
-  // shared between the lists refer to the same ReplicaSet object, so an
-  // unchanged assignment never moves, even across a Resize.
-  std::vector<std::vector<SourceId>> incoming(target_shards.size());
-  size_t moves = 0;
+  const std::shared_ptr<const Topology> current = Current();
+  // The moving set, in ascending id order: active sources whose owner
+  // changes, each copied from its owner's primary into every replica of
+  // its destination. Shard indices shared between the lists refer to the
+  // same ReplicaSet object, so an unchanged assignment never moves, even
+  // across a Resize.
+  std::vector<SourceCopy> moving;
   for (SourceId global = 0; global < next_source_; ++global) {
-    if (retracted_[global]) continue;
-    if (target_map[global] == current->shard_of[global]) continue;
-    incoming[target_map[global]].push_back(global);
-    ++moves;
+    const uint32_t from = current->shard_of[global];
+    if (retracted_[global] || target_map[global] == from) continue;
+    const ShardReplica& donor = current->shards[from]->primary();
+    const int64_t local = ActiveLocalOf(donor, global);
+    IMGRN_CHECK_GE(local, 0);
+    moving.push_back({&donor, static_cast<SourceId>(local), global,
+                      target_shards[target_map[global]]->replicas()});
   }
-  const bool same_shards = target_shards == current->shards;
-  if (moves == 0 && same_shards) {
+  if (moving.empty() && target_shards == current->shards) {
     if (target_map != current->shard_of) {
       // Only retracted sources were reassigned: publish the new map so
       // ShardOf/Rebalance see it, but nothing migrates.
-      auto relabeled = std::make_shared<Topology>();
-      relabeled->shards = std::move(target_shards);
-      relabeled->shard_of = std::move(target_map);
-      Publish(std::move(relabeled));
+      Publish(std::make_shared<Topology>(std::move(target_shards),
+                                         std::move(target_map)));
     }
     return Status::Ok();
   }
 
   // Step 1 — cut over new pins to a fresh topology object with UNCHANGED
-  // ownership, then wait for the pins of every older one to drain. From
-  // here on, all in-flight queries hold a map that covers every current
-  // source (so none relies on the pass-through rule for a source this
-  // migration is about to duplicate). A fault here aborts before anything
-  // changed.
-  IMGRN_RETURN_IF_ERROR(
-      CheckFault(fault_sites::kMigratePublish,
-                 static_cast<int64_t>(target_shards.size())));
-  auto mid = std::make_shared<Topology>();
-  mid->shards = current->shards;
-  mid->shard_of = current->shard_of;
-  Publish(mid);
-  IMGRN_RETURN_IF_ERROR(
-      CheckFault(fault_sites::kMigrateDrain,
-                 static_cast<int64_t>(target_shards.size())));
-  DrainOlder(*mid);
+  // ownership and drain every older one. From here on, all in-flight
+  // queries hold a map that covers every current source (so none relies
+  // on the pass-through rule for a source this migration is about to
+  // duplicate). A fault here aborts before anything changed.
+  IMGRN_RETURN_IF_ERROR(ApplyTopologyChange(
+      {}, std::make_shared<Topology>(current->shards, current->shard_of),
+      /*drain=*/true));
 
   // Recovery sweep: a migration that faulted after publishing its new map
   // (drain/delete step) leaves its superseded copies behind — active
@@ -1167,115 +1150,54 @@ Status ShardedEngine::MigrateLocked(
   // drain above retired every pin that could have seen an older map), so
   // deactivating them here is safe and makes migrations self-healing: each
   // one starts by garbage-collecting whatever a predecessor's fault left.
+  // It also guarantees no destination below already holds an active copy.
   for (size_t s = 0; s < current->shards.size(); ++s) {
-    for (const std::shared_ptr<ShardReplica>& entry :
+    for (const std::shared_ptr<ShardReplica>& replica :
          current->shards[s]->replicas()) {
-      ShardReplica& replica = *entry;
-      std::unique_lock<std::shared_mutex> lock(replica.mutex);
-      for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
-        if (!replica.active[i]) continue;
-        const SourceId global = replica.local_to_global[i];
-        if (current->shard_of[global] == s) continue;
+      std::unique_lock<std::shared_mutex> lock(replica->mutex);
+      for (size_t i = 0; i < replica->local_to_global.size(); ++i) {
+        const SourceId global = replica->local_to_global[i];
+        if (!replica->active[i] || current->Owns(s, global)) continue;
         IMGRN_RETURN_IF_ERROR(
-            replica.engine.RemoveMatrix(static_cast<SourceId>(i)));
-        replica.active[i] = false;
-        replica.active_sources.fetch_sub(1, std::memory_order_relaxed);
-        replica.cost.store(replica.cost.load(std::memory_order_relaxed) -
-                               source_cost_[global],
-                           std::memory_order_relaxed);
+            DeactivateLocked(*replica, i, source_cost_[global]));
       }
     }
   }
 
-  // Pre-publish rollback: deactivates the destination copies THIS
-  // migration appended (on every replica that received them — a set whose
-  // append faulted halfway already unwound itself). They are invisible
-  // (active non-owners under the still-current map), so a faulted copy
-  // step can undo itself and leave the engine exactly as it found it.
-  std::vector<std::pair<ReplicaSet*, SourceId>> appended;
-  auto rollback = [&] {
-    for (auto& [dst, global] : appended) {
-      IMGRN_CHECK_OK(RemoveFromReplicasLocked(
-          *dst, global, source_cost_[global], /*must_exist=*/true));
-    }
-  };
-
-  // Step 2 — copy every moving source into every replica of its
-  // destination shard (write lock per append). The old copies stay in
-  // place and stay authoritative: in-flight queries pinned to `mid` filter
-  // the new copies out. The sweep above guarantees no destination already
-  // holds an active copy. A fault rolls the appends back and leaves
-  // ownership untouched. Fault sites are evaluated once per moving source,
-  // not per replica — the unit of migration is the source.
-  for (size_t d = 0; d < target_shards.size(); ++d) {
-    for (SourceId global : incoming[d]) {
-      ReplicaSet& dst = *target_shards[d];
-      const ShardReplica& src =
-          current->shards[current->shard_of[global]]->primary();
-      Status copy_fault =
-          CheckFault(fault_sites::kMigrateCopy, static_cast<int64_t>(global));
-      if (!copy_fault.ok()) {
-        rollback();
-        return copy_fault;
-      }
-      const int64_t src_local = ActiveLocalOf(src, global);
-      IMGRN_CHECK_GE(src_local, 0);
-      const GeneMatrix& matrix =
-          src.engine.database().matrix(static_cast<SourceId>(src_local));
-      Status append = AppendToAllReplicasLocked(dst, matrix, global,
-                                                source_cost_[global]);
-      if (!append.ok()) {
-        rollback();
-        return append;
-      }
-      appended.emplace_back(&dst, global);
-    }
-  }
-
-  // Step 3 — publish the new ownership, then drain the queries still
-  // pinned to the old map. New queries find every moved source on its new
-  // shard (copied above); drained ones found it on the old. The publish is
-  // the commit point: a fault before it rolls back (nothing published), a
-  // fault after it rolls FORWARD — the new map stands, the not-yet-deleted
-  // old copies are invisible non-owners, and the next migration's sweep
+  // Step 2 — copy the moving sources (by destination shard, then ascending
+  // id), publish the new ownership and drain the queries still pinned to
+  // the old map. New queries find every moved source on its new shard;
+  // drained ones found it on the old, whose copy stays authoritative until
+  // the publish. A fault before the publish rolls the copies back; one
+  // after it rolls FORWARD: the new map stands, the not-yet-deleted old
+  // copies are invisible non-owners, and the next migration's sweep
   // collects them.
-  {
-    Status publish_fault =
-        CheckFault(fault_sites::kMigratePublish,
-                   static_cast<int64_t>(target_shards.size()));
-    if (!publish_fault.ok()) {
-      rollback();
-      return publish_fault;
-    }
-  }
-  auto next = std::make_shared<Topology>();
-  next->shards = std::move(target_shards);
-  next->shard_of = target_map;
-  Publish(next);
-  IMGRN_RETURN_IF_ERROR(
-      CheckFault(fault_sites::kMigrateDrain,
-                 static_cast<int64_t>(next->shards.size())));
-  DrainOlder(*next);
+  std::vector<SourceCopy> copies = moving;
+  std::stable_sort(copies.begin(), copies.end(),
+                   [&](const SourceCopy& a, const SourceCopy& b) {
+                     return target_map[a.global] < target_map[b.global];
+                   });
+  const std::shared_ptr<const Topology> next = std::make_shared<Topology>(
+      std::move(target_shards), std::move(target_map));
+  IMGRN_RETURN_IF_ERROR(ApplyTopologyChange(copies, next, /*drain=*/true));
 
-  // Step 4 — delete the moved sources from their old shards (every
+  // Step 3 — delete the moved sources from their old shards (every
   // replica). Shards that are not part of the new topology are skipped: no
   // new query can reach them, and the object is retired when its last pin
   // unwinds. A fault mid-loop is safe at every prefix: the new map is
   // already authoritative, each undeleted old copy is an invisible
   // non-owner, and the next migration's sweep finishes the job.
-  for (SourceId global = 0; global < next_source_; ++global) {
-    if (retracted_[global]) continue;
-    const size_t from = current->shard_of[global];
-    if (target_map[global] == from) continue;
+  for (const SourceCopy& moved : moving) {
+    const size_t from = current->shard_of[moved.global];
     if (from >= next->shards.size() ||
         next->shards[from] != current->shards[from]) {
       continue;
     }
-    IMGRN_RETURN_IF_ERROR(
-        CheckFault(fault_sites::kMigrateDelete, static_cast<int64_t>(global)));
+    IMGRN_RETURN_IF_ERROR(CheckFault(fault_sites::kMigrateDelete,
+                                     static_cast<int64_t>(moved.global)));
     IMGRN_RETURN_IF_ERROR(RemoveFromReplicasLocked(
-        *current->shards[from], global, source_cost_[global],
-        /*must_exist=*/true));
+        current->shards[from]->replicas(), moved.global,
+        source_cost_[moved.global], /*must_exist=*/true));
   }
   return Status::Ok();
 }
@@ -1385,11 +1307,7 @@ Status ShardedEngine::RebuildReplica(size_t shard, size_t replica) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  std::shared_ptr<const Topology> current;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    current = topology_;
-  }
+  const std::shared_ptr<const Topology> current = Current();
   if (shard >= current->shards.size()) {
     return Status::InvalidArgument("shard index out of range");
   }
@@ -1401,70 +1319,35 @@ Status ShardedEngine::RebuildReplica(size_t shard, size_t replica) {
   // peer, the sick replica donates to its own replacement — its resident
   // side tables and database are intact even when its backing STORE is
   // not (the store holds tree pages; the matrices live in memory).
-  // Reading the donor without its lock is safe here: the side tables and
-  // database are only written by holders of update_mutex_, which we are
-  // (the SetReplicas clone makes the same argument).
-  const ShardReplica* donor = nullptr;
+  const ShardReplica* donor = set.replica(replica).get();
   for (size_t r = 0; r < set.size(); ++r) {
-    if (r == replica) continue;
-    if (set.replica(r)->breaker.state() != CircuitBreaker::State::kOpen) {
+    if (r != replica &&
+        set.replica(r)->breaker.state() != CircuitBreaker::State::kOpen) {
       donor = set.replica(r).get();
       break;
     }
   }
-  if (donor == nullptr) donor = set.replica(replica).get();
-  // Copy phase: synthesize a fresh replica (fresh engine, fresh backing
-  // file, closed breaker) through the same append path migrations use.
-  // The copy fault site fires per source, like a migration's copy step. A
-  // failure aborts before the publish — the half-built replica was never
-  // reachable, so there is nothing to roll back.
-  std::shared_ptr<ShardReplica> fresh = MakeReplica();
-  for (size_t i = 0; i < donor->local_to_global.size(); ++i) {
-    if (!donor->active[i]) continue;
-    const SourceId global = donor->local_to_global[i];
-    IMGRN_RETURN_IF_ERROR(CheckFault(fault_sites::kMigrateCopy,
-                                     static_cast<int64_t>(global)));
-    GeneMatrix copy =
-        donor->engine.database().matrix(static_cast<SourceId>(i));
-    IMGRN_RETURN_IF_ERROR(AppendToReplicaLocked(
-        *fresh, std::move(copy), global, source_cost_[global]));
-  }
-  // Publish -> drain -> delete: the topology with the fresh replica in the
-  // sick one's place goes live, queries pinned to the old topology finish
-  // against the old replica (whose data outlives them), and the last pin
-  // to unwind retires it — spill file unlinked with it. No generation
-  // bump: replica membership cannot change answers, so the result cache
-  // deliberately stays warm through a rebuild.
-  auto next = std::make_shared<Topology>();
-  next->shard_of = current->shard_of;
-  next->shards.reserve(current->shards.size());
-  for (size_t s = 0; s < current->shards.size(); ++s) {
-    if (s != shard) {
-      next->shards.push_back(current->shards[s]);
-      continue;
-    }
-    std::vector<std::shared_ptr<ShardReplica>> replicas = set.replicas();
-    replicas[replica] = fresh;
-    next->shards.push_back(std::make_shared<ReplicaSet>(std::move(replicas)));
-  }
-  Publish(std::move(next));
-  std::shared_ptr<const Topology> newest;
-  {
-    std::lock_guard<std::mutex> lock(topology_mutex_);
-    newest = topology_;
-  }
-  DrainOlder(*newest);
-  return Status::Ok();
+  // Clone the donor into a fresh replica (fresh engine, fresh backing
+  // file, closed breaker) in the sick one's place, publish, and drain:
+  // queries pinned to the old topology finish against the old replica,
+  // and the last pin to unwind retires it — spill file unlinked with it.
+  // No generation bump: replica membership cannot change answers, so the
+  // result cache deliberately stays warm through a rebuild.
+  std::vector<std::shared_ptr<ShardReplica>> replicas = set.replicas();
+  replicas[replica] = MakeReplica();
+  auto next = std::make_shared<Topology>(current->shards, current->shard_of);
+  next->shards[shard] = std::make_shared<ReplicaSet>(std::move(replicas));
+  std::vector<SourceCopy> copies;
+  ListActiveSources(
+      *donor, ReplicaSpan(next->shards[shard]->replicas()).subspan(replica, 1),
+      &copies);
+  return ApplyTopologyChange(copies, std::move(next), /*drain=*/true);
 }
 
-size_t ShardedEngine::num_shards() const {
-  std::lock_guard<std::mutex> lock(topology_mutex_);
-  return topology_->shards.size();
-}
+size_t ShardedEngine::num_shards() const { return Current()->shards.size(); }
 
 size_t ShardedEngine::num_replicas() const {
-  std::lock_guard<std::mutex> lock(topology_mutex_);
-  return topology_->shards.front()->size();
+  return Current()->shards.front()->size();
 }
 
 size_t ShardedEngine::num_sources() const {
@@ -1473,9 +1356,9 @@ size_t ShardedEngine::num_sources() const {
 }
 
 size_t ShardedEngine::ShardOf(SourceId source) const {
-  std::lock_guard<std::mutex> lock(topology_mutex_);
-  IMGRN_CHECK_LT(source, topology_->shard_of.size());
-  return topology_->shard_of[source];
+  const std::shared_ptr<const Topology> current = Current();
+  IMGRN_CHECK_LT(source, current->shard_of.size());
+  return current->shard_of[source];
 }
 
 ResultCacheStats ShardedEngine::CacheStats() const {
@@ -1519,7 +1402,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
         shard_overhead_.Ewma(static_cast<SourceId>(s));
     measured[s] += stats.overhead_seconds;
     stats.measured_seconds = measured[s];
-    stats.breaker = set.primary().breaker.state();
     stats.replicas.reserve(set.size());
     for (size_t r = 0; r < set.size(); ++r) {
       const ShardReplica& replica = *set.replica(r);
@@ -1537,7 +1419,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
       stats.sub_queries += replica_stats.sub_queries;
       stats.sub_query_errors += replica_stats.sub_query_errors;
       stats.in_flight += replica_stats.in_flight;
-      stats.breaker_rejections += replica_stats.breaker_rejections;
       stats.replicas.push_back(replica_stats);
     }
     costs.push_back(stats.cost);
@@ -1559,10 +1440,10 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
 
 std::shared_mutex& ShardedEngine::shard_mutex_for_testing(
     size_t shard, size_t replica) const {
-  std::lock_guard<std::mutex> lock(topology_mutex_);
-  IMGRN_CHECK_LT(shard, topology_->shards.size());
-  IMGRN_CHECK_LT(replica, topology_->shards[shard]->size());
-  return topology_->shards[shard]->replica(replica)->mutex;
+  const std::shared_ptr<const Topology> current = Current();
+  IMGRN_CHECK_LT(shard, current->shards.size());
+  IMGRN_CHECK_LT(replica, current->shards[shard]->size());
+  return current->shards[shard]->replica(replica)->mutex;
 }
 
 }  // namespace imgrn

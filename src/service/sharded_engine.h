@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -121,9 +122,7 @@ struct ReplicaStats {
 
 /// Per-shard counters of one StatsSnapshot() call. The sub-query counters
 /// are sums over the shard's replicas; `replicas` holds the per-replica
-/// split. `breaker`/`breaker_rejections` keep their single-replica
-/// meaning: replica 0's state and the rejection sum (with num_replicas ==
-/// 1 both read exactly as before replication existed).
+/// split, breakers included.
 struct ShardStats {
   size_t shard = 0;
   size_t sources = 0;            ///< Active (added minus removed) sources.
@@ -139,8 +138,6 @@ struct ShardStats {
   uint64_t sub_queries = 0;      ///< Finished per-shard sub-queries.
   uint64_t sub_query_errors = 0; ///< Of those, non-OK (incl. cancelled).
   uint64_t in_flight = 0;        ///< Sub-queries running right now.
-  CircuitBreaker::State breaker = CircuitBreaker::State::kClosed;
-  uint64_t breaker_rejections = 0; ///< Attempts the breakers turned away.
   std::vector<ReplicaStats> replicas;
 };
 
@@ -171,9 +168,10 @@ struct ShardedEngineStatsSnapshot {
   MaintenanceStats maintenance;
 
   /// One line per shard, e.g. "shard0: sources=3 load=1.2e5
-  /// measured=2.1e-3s sub_queries=17 errors=0 in_flight=0", with a
-  /// per-replica breakdown when replicated, then an "imbalance=" summary
-  /// line reporting both ratios and a "cache:" line when one exists.
+  /// measured=2.1e-3s sub_queries=17 errors=0 in_flight=0", each followed
+  /// by one line per replica with its counters and breaker, then an
+  /// "imbalance=" summary line reporting both ratios and a "cache:" line
+  /// when one exists.
   std::string DebugString() const;
 };
 
@@ -220,27 +218,29 @@ struct ShardedEngineStatsSnapshot {
 /// maps and across live Rebalance/Resize; tests/replication_test.cc
 /// across replica counts, cache hits, and breaker-tripped failover.
 ///
-/// Topology and the rebalance protocol: the shard list (one ReplicaSet
-/// per shard) and the partition map live in one immutable Topology object
-/// published behind a mutex. Every query pins the current topology for
-/// its whole fan-out (a pin count on the topology object) and filters
-/// each shard's matches through the pinned map, so a query is answered by
-/// exactly one owner per source even while sources are in flight between
-/// shards. A migration step is: copy the moving sources into every
-/// replica of their destination shards (under those replicas' write
-/// locks), publish the new topology, wait for every query pinned to an
-/// older topology to drain, then delete the moved sources from their old
-/// shards' replicas. Between the copy and the delete a moving source is
+/// Topology changes: the shard list (one ReplicaSet per shard) and the
+/// partition map live in one immutable Topology object published behind a
+/// mutex. Every query pins the current topology for its whole fan-out (a
+/// pin count on the topology object) and filters each shard's matches
+/// through the pinned map, so a query is answered by exactly one owner per
+/// source even while sources are in flight between shards. Rebalance,
+/// Resize, SetReplicas and RebuildReplica share one copy -> publish ->
+/// drain step: copy the listed sources into their destination replicas
+/// (under those replicas' write locks), publish the successor topology,
+/// then optionally wait for every query pinned to an older topology to
+/// finish. A migration runs it twice (a cutover that keeps ownership, then
+/// the moving sources) and deletes the moved sources from their old shards
+/// afterwards. Between the copy and the delete a moving source is
 /// materialized on two shards, but the map filter guarantees each query
 /// counts it exactly once — old-topology queries see it on the old owner
 /// (whose data outlives them), new-topology queries on the new.
-/// SetReplicas reuses the same machinery: growing clones each shard's
-/// primary into fresh replicas (copy) and publishes a topology whose
-/// ReplicaSets include them; shrinking publishes sets without the dropped
-/// replicas and drains the older pins, after which the last shared_ptr
-/// retires them (publish→drain→delete). Queries on shards untouched by a
-/// plan never block; updates (AddSource/RemoveSource) serialize with a
-/// rebalance in progress.
+/// SetReplicas grows by cloning each primary into fresh replicas (no
+/// drain: older pins stay servable) and shrinks by publishing sets without
+/// the tail replicas, then draining; RebuildReplica clones a peer into a
+/// fresh replica and drains. A replica that leaves the topology dies with
+/// its last shared_ptr. Queries on shards untouched by a change never
+/// block; updates (AddSource/RemoveSource) serialize with a change in
+/// progress.
 ///
 /// Fan-out runs on the ThreadPool passed at construction (pass null to run
 /// sub-queries sequentially on the calling thread). The pool may be shared
@@ -389,8 +389,8 @@ class ShardedEngine : public QueryEngine {
 
   /// The calibrated per-source costs an auto Rebalance would plan over
   /// right now: static estimates (retracted sources zeroed) blended with
-  /// the measured EWMAs per options().calibration. Indexed by global
-  /// source id.
+  /// the measured EWMAs per ShardedEngineOptions::calibration. Indexed by
+  /// global source id.
   std::vector<double> CalibratedSourceCosts() const;
 
   /// The live measured-cost registry (read-only): per-source query-time
@@ -442,8 +442,8 @@ class ShardedEngine : public QueryEngine {
   /// backing store.
   Status RebuildReplica(size_t shard, size_t replica);
 
-  /// The maintenance daemon, or null when options().maintenance.enabled is
-  /// false. Tests use it for TickForTesting()/Stats().
+  /// The maintenance daemon; null unless maintenance.enabled was set in the
+  /// ShardedEngineOptions. Tests use it for TickForTesting()/Stats().
   MaintenanceDaemon* maintenance() const { return maintenance_.get(); }
 
   /// Test/instrumentation hook: the reader-writer lock of one shard
@@ -455,10 +455,9 @@ class ShardedEngine : public QueryEngine {
  private:
   /// The unit of atomicity for queries: an immutable shard list (one
   /// ReplicaSet per shard) + partition map, published as a whole. Queries
-  /// pin one topology for their entire fan-out; Rebalance/Resize/
-  /// SetReplicas publish a successor and wait for the pins on the
-  /// predecessor to drain before deleting migrated data (or dropped
-  /// replicas).
+  /// pin one topology for their entire fan-out; a topology change
+  /// publishes a successor and waits for the pins on its predecessors to
+  /// drain before deleting migrated data (or dropping replicas).
   struct Topology {
     std::vector<std::shared_ptr<ReplicaSet>> shards;
 
@@ -471,6 +470,23 @@ class ShardedEngine : public QueryEngine {
     /// topology_mutex_ while this is the published topology, so once a
     /// successor is published the count can only fall.
     mutable std::atomic<int64_t> pins{0};
+
+    /// Whether `shard` answers for `global` under this map.
+    bool Owns(size_t shard, SourceId global) const {
+      return global >= shard_of.size() || shard_of[global] == shard;
+    }
+  };
+
+  using ReplicaSpan = std::span<const std::shared_ptr<ShardReplica>>;
+
+  /// One source a topology change copies: `global`, held at local id
+  /// `local` of `donor`, appended to every replica of `to` (a view into a
+  /// ReplicaSet of the topology being published).
+  struct SourceCopy {
+    const ShardReplica* donor;
+    SourceId local;
+    SourceId global;
+    ReplicaSpan to;
   };
 
   /// RAII pin: snapshots the published topology and holds it for the
@@ -511,6 +527,9 @@ class ShardedEngine : public QueryEngine {
       const ProbGraph& query_graph, const QueryParams& params,
       QueryStats* stats, const QueryControl* control) const;
 
+  /// The published topology.
+  std::shared_ptr<const Topology> Current() const;
+
   /// Publishes `topology` as the current one (under topology_mutex_) and
   /// records the outgoing topology in the drain history.
   void Publish(std::shared_ptr<const Topology> topology);
@@ -520,9 +539,25 @@ class ShardedEngine : public QueryEngine {
   /// AddSource publishes intermediate topologies, so at migration time a
   /// query may still hold a map several generations back (one that does
   /// not even cover a recently added source). Must not hold any shard lock
-  /// (drained queries may need them to finish); callers hold
-  /// update_mutex_, which queries never take.
+  /// (drained queries may need them to finish); its one caller,
+  /// ApplyTopologyChange, holds update_mutex_, which queries never take.
   void DrainOlder(const Topology& newest) const;
+
+  /// The copy -> publish -> drain step of every topology change. Copies
+  /// each entry of `copies` in order (one migrate.copy evaluation per
+  /// source), evaluates migrate.publish and publishes `next` — the commit
+  /// point: a fault up to here undoes this call's copies and publishes
+  /// nothing. With `drain`, then evaluates migrate.drain and waits for
+  /// every older pin; a fault there rolls forward (`next` stays). Caller
+  /// holds update_mutex_.
+  Status ApplyTopologyChange(const std::vector<SourceCopy>& copies,
+                             std::shared_ptr<const Topology> next,
+                             bool drain);
+
+  /// Lists every active source of `donor`, in local-id order, for copying
+  /// into `to`: the clone step of SetReplicas and RebuildReplica.
+  static void ListActiveSources(const ShardReplica& donor, ReplicaSpan to,
+                                std::vector<SourceCopy>* copies);
 
   /// Shared migration machinery of Rebalance and Resize: moves every
   /// active source to target_map's shard, over the target_shards list
@@ -536,25 +571,23 @@ class ShardedEngine : public QueryEngine {
   Status AppendToReplicaLocked(ShardReplica& replica, GeneMatrix matrix,
                                SourceId global, double cost);
 
-  /// Appends a copy of `matrix` to EVERY replica of `set` (lock step).
-  /// On a mid-set failure the copies already appended are rolled back, so
-  /// the set never exposes the source on some replicas but not others.
-  Status AppendToAllReplicasLocked(ReplicaSet& set, const GeneMatrix& matrix,
-                                   SourceId global, double cost);
+  /// Appends a copy of `matrix` to EVERY one of `replicas` (lock step).
+  /// On a mid-way failure the copies already appended are rolled back, so
+  /// a set never exposes the source on some replicas but not others.
+  Status AppendToAllReplicasLocked(ReplicaSpan replicas,
+                                   const GeneMatrix& matrix, SourceId global,
+                                   double cost);
 
-  /// Deactivates `global` on every replica of `set` (engine RemoveMatrix
+  /// Deactivates `global` on every one of `replicas` (engine RemoveMatrix
   /// + side tables + gauges, under each replica's write lock). With
   /// `must_exist`, a replica without an active entry is a CHECK failure
   /// (replicas mirror the same active set); without it such replicas are
   /// skipped (rollback of a partially appended copy).
-  Status RemoveFromReplicasLocked(ReplicaSet& set, SourceId global,
+  Status RemoveFromReplicasLocked(ReplicaSpan replicas, SourceId global,
                                   double cost, bool must_exist);
 
   /// CalibratedSourceCosts() body; caller holds update_mutex_.
   std::vector<double> CalibratedCostsLocked() const;
-
-  /// Index of `global`'s active entry in replica.local_to_global, or -1.
-  static int64_t ActiveLocalOf(const ShardReplica& replica, SourceId global);
 
   /// Creates one ShardReplica with the configured engine options, giving
   /// it a fresh backing file under options_.storage_dir when one is set.
@@ -578,8 +611,8 @@ class ShardedEngine : public QueryEngine {
   mutable std::vector<std::weak_ptr<const Topology>> topology_history_;
   mutable std::mutex topology_mutex_;
 
-  /// Serializes AddSource/RemoveSource/Rebalance/Resize/SetReplicas with
-  /// each other (routing + migration metadata below). Queries never touch
+  /// Serializes the updates and topology changes with each other
+  /// (routing + migration metadata below). Queries never touch
   /// this mutex — an update only contends with sub-queries of its own
   /// shard, via the replica mutexes.
   mutable std::mutex update_mutex_;
@@ -596,9 +629,9 @@ class ShardedEngine : public QueryEngine {
   /// can change answers (LoadDatabase, AddSource, RemoveSource, and every
   /// Rebalance/Resize — conservatively, since a pure migration cannot).
   /// Cache keys embed the generation they were computed at, so bumping
-  /// makes every prior entry unservable. SetReplicas deliberately does
-  /// NOT bump: replica membership never changes answers, so the cache
-  /// stays warm through replica scaling.
+  /// makes every prior entry unservable. SetReplicas and RebuildReplica
+  /// deliberately do NOT bump: replica membership never changes answers,
+  /// so the cache stays warm through replica changes.
   mutable std::atomic<uint64_t> update_generation_{0};
 
   /// Null when options_.cache.capacity == 0.

@@ -3,15 +3,18 @@
 // degradation contract they enable: transient shard faults are retried to
 // success, persistent faults either fail the query or degrade it per
 // QueryParams::allow_partial (survivors bit-exact), quarantined shards are
-// skipped instantly, and a migration killed at any protocol step leaves
-// every source visible exactly once. This binary is the "robustness" ctest
-// label: tools/ci_sanitize.sh runs it under both TSan and ASan.
+// skipped instantly, a migration killed at any protocol step leaves
+// every source visible exactly once, and a killed replica change rolls
+// back or forward without changing an answer. This binary is the
+// "robustness" ctest label: tools/ci_sanitize.sh runs it under both TSan
+// and ASan.
 
 #include "common/fault_injection.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <vector>
@@ -569,14 +572,17 @@ TEST_F(ServingFaultTest, BreakerQuarantinesThenRecovers) {
       EXPECT_TRUE(stats.degraded);
     }
     ShardedEngineStatsSnapshot snapshot = sharded_->StatsSnapshot();
-    EXPECT_EQ(snapshot.shards[0].breaker, CircuitBreaker::State::kOpen);
+    EXPECT_EQ(snapshot.shards[0].replicas[0].breaker,
+              CircuitBreaker::State::kOpen);
     // ...so the next query is turned away instantly (no attempt reaches
     // the fault site) yet still degrades cleanly.
     QueryStats stats;
     ASSERT_TRUE(sharded_->Query(FaultQueryMatrix(), params, &stats).ok());
     EXPECT_TRUE(stats.degraded);
     EXPECT_EQ(stats.failed_shards, std::vector<size_t>{0});
-    EXPECT_GT(sharded_->StatsSnapshot().shards[0].breaker_rejections, 0u);
+    EXPECT_GT(
+        sharded_->StatsSnapshot().shards[0].replicas[0].breaker_rejections,
+        0u);
   }
   // The shard heals and the cooldown expires: the probe query closes the
   // breaker and the full bit-exact answer returns.
@@ -587,7 +593,7 @@ TEST_F(ServingFaultTest, BreakerQuarantinesThenRecovers) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(stats.degraded);
   ExpectSameMatches(*result, expected_, "recovered");
-  EXPECT_EQ(sharded_->StatsSnapshot().shards[0].breaker,
+  EXPECT_EQ(sharded_->StatsSnapshot().shards[0].replicas[0].breaker,
             CircuitBreaker::State::kClosed);
 }
 
@@ -722,6 +728,150 @@ TEST_F(MigrationFaultTest, MidCopyFaultRollsBackLaterSources) {
       sharded_->Query(FaultQueryMatrix(), FaultParams());
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   ExpectSameMatches(*after, expected_, "after mid-copy fault");
+}
+
+// --- Replica changes and the shared topology-change step ----------------
+
+// The four migrate.* sites in protocol order.
+const std::vector<const char*> kMigrateSites = {
+    fault_sites::kMigrateCopy, fault_sites::kMigratePublish,
+    fault_sites::kMigrateDrain, fault_sites::kMigrateDelete};
+
+// Runs `change` under rules that never fire and returns how often it
+// evaluated each migrate.* site, in kMigrateSites order.
+std::vector<uint64_t> MigrateEvaluations(
+    const std::function<Status()>& change) {
+  std::vector<FaultRule> rules;
+  for (const char* site : kMigrateSites) {
+    rules.push_back({.site = site, .every_nth = 1'000'000});
+  }
+  ScopedFaultInjection scoped(rules);
+  const Status status = change();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  std::vector<uint64_t> counts;
+  for (const char* site : kMigrateSites) {
+    counts.push_back(FaultInjector::Global().SiteStats(site).evaluations);
+  }
+  return counts;
+}
+
+TEST(TopologyChangeFaultSitesTest, EvaluationCountsArePinned) {
+  // MigrationFaultTest and the stress suite pick evaluations by every_nth,
+  // so each change's count per site is part of its contract:
+  // copy, publish, drain, delete.
+  const size_t kSources = 12;
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  ShardedEngine sharded(options);
+  sharded.LoadDatabase(FaultDatabase(kSources));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+
+  // A rotation moves every source: a cutover publish and drain, a copy per
+  // source, the commit publish and drain, a delete per source.
+  EXPECT_EQ(MigrateEvaluations(
+                [&] { return sharded.Rebalance(RotatePlan(sharded)); }),
+            (std::vector<uint64_t>{kSources, 2, 2, kSources}));
+  // Growing copies every shard's active sources and does not drain.
+  EXPECT_EQ(MigrateEvaluations([&] { return sharded.SetReplicas(2); }),
+            (std::vector<uint64_t>{kSources, 1, 0, 0}));
+  // A rebuild copies the donor's active sources and drains.
+  const uint64_t donor_sources = sharded.StatsSnapshot().shards[1].sources;
+  EXPECT_EQ(MigrateEvaluations([&] { return sharded.RebuildReplica(1, 0); }),
+            (std::vector<uint64_t>{donor_sources, 1, 1, 0}));
+  // Shrinking copies nothing and drains.
+  EXPECT_EQ(MigrateEvaluations([&] { return sharded.SetReplicas(1); }),
+            (std::vector<uint64_t>{0, 1, 1, 0}));
+}
+
+// Replica changes killed by injected faults: before the publish they roll
+// back (the published replicas stay the very same objects), after it they
+// roll forward. Either way every replica keeps answering bit-exactly.
+class ReplicaChangeFaultTest : public ServingFaultTest {
+ protected:
+  // The published replica objects, by shard (each named by its mutex).
+  std::vector<std::vector<const void*>> PublishedReplicas() const {
+    std::vector<std::vector<const void*>> replicas(sharded_->num_shards());
+    for (size_t s = 0; s < replicas.size(); ++s) {
+      for (size_t r = 0; r < sharded_->num_replicas(); ++r) {
+        replicas[s].push_back(&sharded_->shard_mutex_for_testing(s, r));
+      }
+    }
+    return replicas;
+  }
+
+  // One query per replica, so round-robin routing reaches each of them.
+  void ExpectExactAnswers(const std::string& context) {
+    for (size_t q = 0; q < sharded_->num_replicas(); ++q) {
+      Result<std::vector<QueryMatch>> result =
+          sharded_->Query(FaultQueryMatrix(), FaultParams());
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ExpectSameMatches(*result, expected_, context);
+    }
+  }
+};
+
+TEST_F(ReplicaChangeFaultTest, GrowKilledAtCopyRollsBack) {
+  Build();
+  const std::vector<std::vector<const void*>> before = PublishedReplicas();
+  {
+    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateCopy,
+                                  .every_nth = 3,
+                                  .max_fires = 1}});
+    EXPECT_EQ(sharded_->SetReplicas(2).code(), StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(sharded_->num_replicas(), 1u);
+  EXPECT_EQ(PublishedReplicas(), before);
+  ExpectExactAnswers("after a killed grow");
+
+  ASSERT_TRUE(sharded_->SetReplicas(2).ok());
+  EXPECT_EQ(sharded_->num_replicas(), 2u);
+  ExpectExactAnswers("after the retried grow");
+}
+
+TEST_F(ReplicaChangeFaultTest, RebuildKilledAtCopyRollsBack) {
+  ShardedEngineOptions options;
+  options.num_replicas = 2;
+  Build(options);
+  const std::vector<std::vector<const void*>> before = PublishedReplicas();
+  {
+    // Shard 1 holds two sources: the second copy fails after the first
+    // landed, so the rollback has a copy to undo.
+    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateCopy,
+                                  .every_nth = 2,
+                                  .max_fires = 1}});
+    EXPECT_EQ(sharded_->RebuildReplica(1, 0).code(),
+              StatusCode::kUnavailable);
+  }
+  EXPECT_EQ(sharded_->num_replicas(), 2u);
+  EXPECT_EQ(PublishedReplicas(), before);
+  ExpectExactAnswers("after a killed rebuild");
+
+  ASSERT_TRUE(sharded_->RebuildReplica(1, 0).ok());
+  EXPECT_NE(PublishedReplicas()[1][0], before[1][0]);  // Replaced.
+  EXPECT_EQ(PublishedReplicas()[1][1], before[1][1]);
+  ExpectExactAnswers("after the retried rebuild");
+}
+
+TEST_F(ReplicaChangeFaultTest, ShrinkKilledAtDrainRollsForward) {
+  ShardedEngineOptions options;
+  options.num_replicas = 2;
+  Build(options);
+  {
+    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateDrain,
+                                  .every_nth = 1,
+                                  .max_fires = 1}});
+    EXPECT_EQ(sharded_->SetReplicas(1).code(), StatusCode::kUnavailable);
+  }
+  // The publish had committed: the engine reads 1 replica everywhere, and
+  // a grow after it gives its new shard that count, not the pre-fault 2.
+  EXPECT_EQ(sharded_->num_replicas(), 1u);
+  ASSERT_TRUE(sharded_->Resize(kShards + 1).ok());
+  const ShardedEngineStatsSnapshot snapshot = sharded_->StatsSnapshot();
+  ASSERT_EQ(snapshot.shards.size(), kShards + 1);
+  for (const ShardStats& shard : snapshot.shards) {
+    EXPECT_EQ(shard.replicas.size(), 1u) << "shard " << shard.shard;
+  }
+  ExpectExactAnswers("after a rolled-forward shrink");
 }
 
 }  // namespace

@@ -328,6 +328,36 @@ TEST_F(PartitionInvarianceTest, ResizeKeepsBitExactness) {
                   ReferenceQuery(query, params), "updates after resize");
 }
 
+TEST_F(PartitionInvarianceTest, FaultedShrinkStillRetiresDroppedOverhead) {
+  // A shrink that faults after its commit point (the second migrate.drain
+  // evaluation) fails, yet leaves the smaller topology published. The
+  // dropped shards' overhead EWMAs must be retired all the same, or a later
+  // grow that reuses their indices starts from stale measurements.
+  ShardedEngineOptions options;
+  options.num_shards = 4;
+  ShardedEngine sharded(options, nullptr);
+  sharded.SetCostMeterForTesting(nullptr,
+                                 [](const QueryStats&) { return 1e-3; });
+  sharded.LoadDatabase(MakeDatabase(8));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+  ASSERT_TRUE(sharded.Query(ClusterQueryMatrix(9550), DefaultParams()).ok());
+  for (const ShardStats& shard : sharded.StatsSnapshot().shards) {
+    ASSERT_GT(shard.overhead_seconds, 0.0) << "shard " << shard.shard;
+  }
+  {
+    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateDrain,
+                                  .every_nth = 2,
+                                  .max_fires = 1}});
+    ASSERT_FALSE(sharded.Resize(2).ok());
+  }
+  ASSERT_EQ(sharded.num_shards(), 2u);  // Rolled forward.
+  ASSERT_TRUE(sharded.Resize(4).ok());
+  const ShardedEngineStatsSnapshot snapshot = sharded.StatsSnapshot();
+  for (size_t s = 2; s < 4; ++s) {
+    EXPECT_EQ(snapshot.shards[s].overhead_seconds, 0.0) << "shard " << s;
+  }
+}
+
 TEST_F(PartitionInvarianceTest, RebalanceAfterRemovalSkipsRetractedSources) {
   const size_t kSources = 6;
   BuildReference(MakeDatabase(kSources));

@@ -33,7 +33,8 @@
 # run the same workload under AddressSanitizer instead — CI runs BOTH
 # kinds, so the fault binaries get a TSan pass and an ASan
 # (leak-checking) pass. The script prints each label as it runs so CI
-# logs show what the gate actually covered.
+# logs show what the gate actually covered, runs every label even after
+# one fails, and exits non-zero naming the labels that failed.
 #
 # The third kind, "kernels", is the SIMD dispatch gate: it builds the
 # "kernels"-labeled differential suites (scalar-vs-vector per-kernel
@@ -63,18 +64,25 @@ if [ "$KIND" = kernels ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DIMGRN_SANITIZE=address \
     -DIMGRN_UBSAN=ON
-  cmake --build "$BUILD_DIR" -j --target \
+  cmake --build "$BUILD_DIR" -j"$(nproc)" --target \
     simd_ops_test kernel_fuzz_test vector_ops_test crc32c_test imgrn_cli
   ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}"
   export ASAN_OPTIONS
   echo "== kernels gate: backends on this machine =="
   "$BUILD_DIR/tools/imgrn" kernels
+  FAILED=""
   echo "== kernels gate: ctest -L kernels (native dispatch) =="
-  ctest --test-dir "$BUILD_DIR" -L kernels --output-on-failure
+  ctest --test-dir "$BUILD_DIR" -L kernels --output-on-failure ||
+    FAILED="$FAILED native"
   echo "== kernels gate: ctest -L kernels (IMGRN_FORCE_SCALAR=1) =="
   IMGRN_FORCE_SCALAR=1 "$BUILD_DIR/tools/imgrn" kernels
   IMGRN_FORCE_SCALAR=1 \
-    ctest --test-dir "$BUILD_DIR" -L kernels --output-on-failure
+    ctest --test-dir "$BUILD_DIR" -L kernels --output-on-failure ||
+    FAILED="$FAILED scalar"
+  if [ -n "$FAILED" ]; then
+    echo "== kernels sanitizer gate: FAIL (modes failed:$FAILED) ==" >&2
+    exit 1
+  fi
   echo "== kernels sanitizer gate: PASS (asan+ubsan, both dispatch modes) =="
   exit 0
 fi
@@ -92,7 +100,7 @@ if [ "$KIND" = address ]; then
            imgrn_processor_test query_stats_test processor_fuzz_test"
 fi
 # shellcheck disable=SC2086  # TARGETS is a deliberate word list
-cmake --build "$BUILD_DIR" -j --target $TARGETS
+cmake --build "$BUILD_DIR" -j"$(nproc)" --target $TARGETS
 
 # Any sanitizer report is a hard failure.
 if [ "$KIND" = thread ]; then
@@ -109,8 +117,15 @@ LABELS="concurrency partitioning robustness replication maintenance"
 if [ "$KIND" = address ]; then
   LABELS="$LABELS storage query"
 fi
+# Every label runs even after one fails, so one log shows them all.
+FAILED=""
 for LABEL in $LABELS; do
   echo "== $KIND sanitizer: ctest -L $LABEL =="
-  ctest --test-dir "$BUILD_DIR" -L "$LABEL" --output-on-failure
+  ctest --test-dir "$BUILD_DIR" -L "$LABEL" --output-on-failure ||
+    FAILED="$FAILED $LABEL"
 done
+if [ -n "$FAILED" ]; then
+  echo "== $KIND sanitizer gate: FAIL (labels failed:$FAILED) ==" >&2
+  exit 1
+fi
 echo "== $KIND sanitizer gate: PASS (labels run: $LABELS) =="
