@@ -1,9 +1,6 @@
 #include "core/engine.h"
 
-#include <fstream>
-
 #include "common/logging.h"
-#include "index/index_io.h"
 #include "index/snapshot.h"
 
 namespace imgrn {
@@ -61,35 +58,6 @@ Status ImGrnEngine::RemoveMatrix(SourceId source) {
   return index_->RemoveMatrix(source);
 }
 
-Status ImGrnEngine::SaveIndexTo(const std::string& path) const {
-  if (index_ == nullptr || !index_->is_built()) {
-    return Status::FailedPrecondition("BuildIndex() has not run");
-  }
-  return SaveIndexToFile(*index_, path);
-}
-
-Status ImGrnEngine::LoadIndexFrom(const std::string& path) {
-  if (database_.empty()) {
-    return Status::FailedPrecondition("no database loaded");
-  }
-  IMGRN_RETURN_IF_ERROR(EnsureStorage());
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::NotFound("cannot open: " + path);
-  }
-  Result<PersistedIndexParts> parts = ReadIndexParts(&in);
-  IMGRN_RETURN_IF_ERROR(parts.status());
-  parts->options.storage = store_.get();
-  Result<std::unique_ptr<ImGrnIndex>> index = ImGrnIndex::Restore(
-      std::move(parts->options), &database_, std::move(parts->pivot_sets),
-      std::move(parts->embeddings), std::move(parts->active),
-      std::move(parts->inverted_file));
-  IMGRN_RETURN_IF_ERROR(index.status());
-  index_ = std::move(*index);
-  processor_ = std::make_unique<ImGrnQueryProcessor>(index_.get());
-  return Status::Ok();
-}
-
 Status ImGrnEngine::SaveSnapshot() {
   if (index_ == nullptr || !index_->is_built()) {
     return Status::FailedPrecondition("BuildIndex() has not run");
@@ -110,7 +78,7 @@ Status ImGrnEngine::LoadSnapshot() {
       std::move(contents->parts.pivot_sets),
       std::move(contents->parts.embeddings),
       std::move(contents->parts.active),
-      std::move(contents->parts.inverted_file), &contents->tree_meta);
+      std::move(contents->parts.inverted_file), contents->tree_meta);
   IMGRN_RETURN_IF_ERROR(index.status());
   index_ = std::move(*index);
   processor_ = std::make_unique<ImGrnQueryProcessor>(index_.get());

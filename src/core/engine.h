@@ -2,7 +2,6 @@
 #define IMGRN_CORE_ENGINE_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -41,13 +40,14 @@ struct EngineOptions {
 ///   auto matches = engine.Query(query_matrix, params, &stats);
 ///
 /// Concurrency contract (what service/query_service.h builds on): the const
-/// methods — Query, QueryWithGraph, database(), index(), SaveIndexTo — are
-/// safe to call from many threads at once on a built index; every piece of
-/// mutable state they reach is either per-call (PermutationCache, stats) or
+/// methods — Query, QueryWithGraph, database(), index() — are safe to call
+/// from many threads at once on a built index; every piece of mutable
+/// state they reach is either per-call (PermutationCache, stats) or
 /// internally synchronized (the R*-tree buffer pool). The non-const methods
-/// (LoadDatabase, BuildIndex, AddMatrix, RemoveMatrix, LoadIndexFrom,
-/// mutable_database) require exclusive access: no other call may overlap
-/// them. QueryService enforces exactly this with a reader-writer lock.
+/// (LoadDatabase, BuildIndex, AddMatrix, RemoveMatrix, SaveSnapshot,
+/// LoadSnapshot, mutable_database) require exclusive access: no other call
+/// may overlap them. QueryService enforces exactly this with a
+/// reader-writer lock.
 class ImGrnEngine {
  public:
   explicit ImGrnEngine(EngineOptions options = {});
@@ -75,20 +75,11 @@ class ImGrnEngine {
   /// deleted; the matrix data stays resident). Requires a built index.
   Status RemoveMatrix(SourceId source);
 
-  /// Persists the built index (see index/index_io.h; the database is saved
-  /// separately with matrix_io.h).
-  Status SaveIndexTo(const std::string& path) const;
-
-  /// Restores a persisted index over the currently loaded database
-  /// (replaces any built index). The database must be the one the index
-  /// was built over.
-  Status LoadIndexFrom(const std::string& path);
-
   /// Persists the database and the built index — tree pages included —
   /// into the engine's backing store and makes them durable (see
-  /// index/snapshot.h). On a disk-backed engine the snapshot survives a
-  /// crash at any point: the file always reopens to the last successful
-  /// SaveSnapshot.
+  /// index/snapshot.h, the one persistence format of a built index). On a
+  /// disk-backed engine the snapshot survives a crash at any point: the
+  /// file always reopens to the last successful SaveSnapshot.
   Status SaveSnapshot();
 
   /// Reopens the state written by SaveSnapshot from the engine's backing

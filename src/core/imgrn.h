@@ -23,7 +23,7 @@
 #include "datagen/dream5_like.h"
 #include "datagen/query_gen.h"
 #include "datagen/synthetic.h"
-#include "index/index_io.h"
+#include "index/snapshot.h"
 #include "inference/grn_inference.h"
 #include "inference/measures.h"
 #include "inference/mutual_information.h"

@@ -240,7 +240,7 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
     std::vector<std::vector<EmbeddedPoint>> embeddings,
     std::vector<bool> active,
     std::unordered_map<GeneId, std::vector<uint8_t>> inverted_file,
-    const RTreeMeta* tree_meta) {
+    const RTreeMeta& tree_meta) {
   if (database == nullptr || database->empty()) {
     return Status::InvalidArgument("empty database");
   }
@@ -274,29 +274,33 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
   rtree_options.storage = index->options_.storage;
   index->rtree_ = std::make_unique<RTree>(std::move(rtree_options));
 
+  const size_t d = index->options_.num_pivots;
   for (SourceId i = 0; i < n; ++i) {
-    if (embeddings[i].size() !=
-        (active[i] ? database->matrix(i).num_genes() : 0)) {
+    const GeneMatrix& matrix = database->matrix(i);
+    PivotSet& pivots = pivot_sets[i];
+    if (pivots.columns.size() != d) {
+      return Status::InvalidArgument("pivot count mismatch");
+    }
+    pivots.vectors.clear();
+    for (size_t column : pivots.columns) {
+      if (column >= matrix.num_genes()) {
+        return Status::InvalidArgument("pivot column out of range");
+      }
+      const std::span<const double> view = matrix.Column(column);
+      pivots.vectors.emplace_back(view.begin(), view.end());
+    }
+    if (embeddings[i].size() != (active[i] ? matrix.num_genes() : 0)) {
       return Status::InvalidArgument(
           "embedded point count does not match matrix shape");
     }
-    for (uint32_t column = 0; column < embeddings[i].size(); ++column) {
-      const EmbeddedPoint& point = embeddings[i][column];
-      if (point.num_pivots() != index->options_.num_pivots) {
+    for (const EmbeddedPoint& point : embeddings[i]) {
+      if (point.x.size() != d || point.y.size() != d) {
         return Status::InvalidArgument("embedded point dimension mismatch");
       }
-      if (tree_meta != nullptr) continue;  // Validate shape only.
-      const std::vector<uint8_t> payload =
-          index->MakeLeafPayload(point.gene, i);
-      index->rtree_->Insert(point.ToIndexPoint(),
-                            EncodeRecordRef(RecordRef{i, column}), payload);
     }
   }
-  if (tree_meta != nullptr) {
-    // Instant cold start: the node pages are already in options.storage;
-    // reopen the saved tree instead of re-inserting every point.
-    IMGRN_RETURN_IF_ERROR(index->rtree_->RestoreFromPages(*tree_meta));
-  }
+  // Instant cold start: the node pages are already in options.storage.
+  IMGRN_RETURN_IF_ERROR(index->rtree_->RestoreFromPages(tree_meta));
 
   index->pivot_sets_ = std::move(pivot_sets);
   index->embeddings_ = std::move(embeddings);

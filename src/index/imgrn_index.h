@@ -38,8 +38,8 @@ struct ImGrnIndexOptions {
 
   /// Backing store for the R*-tree's pages. Non-owning; must outlive the
   /// index and match `page_size`. Null = a private in-memory store (the
-  /// historical behavior). Never persisted by index_io — the engine wires
-  /// its store in at construction.
+  /// historical behavior). Never persisted by a snapshot — the engine
+  /// wires its store in at construction.
   StorageManager* storage = nullptr;
 
   /// Build the R*-tree with STR bulk loading (fast, near-full packing)
@@ -166,7 +166,7 @@ class ImGrnIndex {
   /// Reconstructs an EmbeddedPoint from a leaf entry (point MBR).
   EmbeddedPoint PointFromLeafEntry(const RTreeEntry& entry) const;
 
-  /// --- Persistence (index_io.h) ---
+  /// --- Persistence (index/snapshot.h) ---
 
   const std::vector<PivotSet>& pivot_sets() const { return pivot_sets_; }
   const std::vector<bool>& active_flags() const { return active_; }
@@ -176,15 +176,17 @@ class ImGrnIndex {
   }
 
   /// Restores a built index from persisted parts: parallel per-source
-  /// arrays sized to `database`, plus the inverted file.
+  /// arrays sized to `database`, plus the inverted file. Each pivot set
+  /// needs only its `options.num_pivots` columns: the pivot vectors are
+  /// re-derived as the database's standardized columns, which is what
+  /// they were at build time. A pivot column out of range, a point count
+  /// that does not match its matrix, or an x/y of the wrong length is
+  /// kInvalidArgument.
   ///
-  /// With `tree_meta` null the R*-tree is rebuilt by re-inserting the
-  /// active embedded points (the index_io file path). With `tree_meta`
-  /// set — the snapshot path — the tree is reopened node-for-node from
-  /// pages previously written by SerializeAllNodes into
-  /// `options.storage`, which must be the store that holds them; no
-  /// re-insertion happens, so the restored tree (and its query I/O) is
-  /// bit-identical to the saved one.
+  /// The R*-tree is reopened node-for-node from `tree_meta`, whose pages
+  /// SerializeAllNodes wrote into `options.storage`, which must be the
+  /// store that holds them. Nothing is re-inserted, so the restored tree
+  /// (and its query I/O) is bit-identical to the saved one.
   ///
   /// Incremental adds after a restore draw from a fresh RNG stream seeded
   /// by `options.seed`, so they are deterministic but not identical to
@@ -195,7 +197,7 @@ class ImGrnIndex {
       std::vector<std::vector<EmbeddedPoint>> embeddings,
       std::vector<bool> active,
       std::unordered_map<GeneId, std::vector<uint8_t>> inverted_file,
-      const RTreeMeta* tree_meta = nullptr);
+      const RTreeMeta& tree_meta);
 
  private:
   /// Pivots + embeds + inserts one matrix; shared by Build and AddMatrix.

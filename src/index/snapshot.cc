@@ -1,8 +1,9 @@
 #include "index/snapshot.h"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
-#include <istream>
-#include <ostream>
+#include <functional>
 
 #include "common/logging.h"
 #include "storage/page_stream.h"
@@ -12,8 +13,13 @@ namespace imgrn {
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'I', 'M', 'G', 'R', 'N', 'S', 'N', '1'};
-constexpr uint32_t kSnapshotVersion = 1;
+// Bumped whenever a section's layout changes, so a snapshot of another
+// layout is rejected (kInvalidArgument), never misparsed.
+constexpr uint32_t kSnapshotVersion = 2;
 constexpr uint32_t kEndianTag = 0x01020304u;
+
+// size_t fields (index options, pivot columns) are written raw as u64.
+static_assert(sizeof(size_t) == sizeof(uint64_t));
 
 // Directory page layout, from offset 0:
 //   magic[8], version u32, endian u32, then kNumSections refs of
@@ -21,6 +27,8 @@ constexpr uint32_t kEndianTag = 0x01020304u;
 constexpr size_t kRefSize = sizeof(PageId) + sizeof(uint64_t);
 constexpr size_t kNumSections = 3;  // database, index parts, tree meta.
 constexpr size_t kDirectorySize = 8 + 4 + 4 + kNumSections * kRefSize;
+
+using SectionRefs = std::array<PageStreamRef, kNumSections>;
 
 template <typename T>
 Status AppendPod(PageStreamWriter* writer, T value) {
@@ -35,6 +43,65 @@ Status ReadPod(PageStreamReader* reader, T* value) {
 Status Inconsistent(const char* what) {
   return Status::DataLoss(std::string("snapshot section inconsistent (") +
                           what + ")");
+}
+
+/// Reads a u64 count of items that each take at least `min_item_bytes` of
+/// the section. A count the rest of the section cannot hold is kDataLoss,
+/// so a forged count never reaches an allocation.
+Status ReadCount(PageStreamReader* reader, size_t min_item_bytes,
+                 uint64_t* count, const char* what) {
+  IMGRN_RETURN_IF_ERROR(ReadPod(reader, count));
+  if (*count > reader->remaining() / min_item_bytes) return Inconsistent(what);
+  return Status::Ok();
+}
+
+/// Reads the directory at the store's app root into `refs`.
+Status ReadDirectory(StorageManager* store, SectionRefs* refs) {
+  const PageId directory = store->app_root();
+  if (directory == kInvalidPageId) {
+    return Status::NotFound("store holds no snapshot");
+  }
+  Page scratch(store->page_size());
+  Result<Page*> dir = store->Read(directory, &scratch);
+  IMGRN_RETURN_IF_ERROR(dir.status());
+  char magic[8];
+  (*dir)->ReadBytes(0, magic, sizeof(magic));
+  if (std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
+    return Status::InvalidArgument("store's root page is not a snapshot");
+  }
+  const uint32_t version = (*dir)->ReadAt<uint32_t>(8);
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument("unsupported snapshot version " +
+                                   std::to_string(version));
+  }
+  if ((*dir)->ReadAt<uint32_t>(12) != kEndianTag) {
+    return Status::InvalidArgument(
+        "snapshot was written on a different-endian host");
+  }
+  // No section outgrows the store, so every count checked against what a
+  // section has left is bounded by the store's real size.
+  const uint64_t store_bytes =
+      uint64_t{store->num_pages()} * store->page_size();
+  size_t offset = 16;
+  for (PageStreamRef& ref : *refs) {
+    ref.head = (*dir)->ReadAt<PageId>(offset);
+    ref.num_bytes = (*dir)->ReadAt<uint64_t>(offset + sizeof(PageId));
+    if (ref.num_bytes > store_bytes) return Inconsistent("section length");
+    offset += kRefSize;
+  }
+  return Status::Ok();
+}
+
+/// Parses one section with `parse`, which must consume it exactly: bytes
+/// left over mean the recorded length and the contents disagree.
+template <typename Parse>
+auto ReadSection(StorageManager* store, PageStreamRef ref, Parse parse) {
+  PageStreamReader reader(store, ref);
+  auto value = parse(&reader);
+  if (value.ok() && reader.remaining() != 0) {
+    return decltype(value)(Inconsistent("bytes left after parsing"));
+  }
+  return value;
 }
 
 /// Returns a previous stream's pages to the store's free list. Best
@@ -74,24 +141,33 @@ Status WriteDatabase(const GeneDatabase& database, PageStreamWriter* writer) {
 }
 
 Result<GeneDatabase> ReadDatabase(PageStreamReader* reader) {
+  // Source id, the two shape words and the standardized flag.
+  constexpr size_t kMinMatrixBytes = 4 + 8 + 8 + 1;
   uint64_t count = 0;
-  IMGRN_RETURN_IF_ERROR(ReadPod(reader, &count));
-  if (count > (1u << 24)) return Inconsistent("matrix count");
+  IMGRN_RETURN_IF_ERROR(
+      ReadCount(reader, kMinMatrixBytes, &count, "matrix count"));
   GeneDatabase database;
   for (uint64_t i = 0; i < count; ++i) {
     uint32_t source_id = 0;
     uint64_t num_samples = 0;
     uint64_t num_genes = 0;
     IMGRN_RETURN_IF_ERROR(ReadPod(reader, &source_id));
-    IMGRN_RETURN_IF_ERROR(ReadPod(reader, &num_samples));
-    IMGRN_RETURN_IF_ERROR(ReadPod(reader, &num_genes));
-    if (source_id != i || num_samples > (1u << 28) ||
-        num_genes > (1u << 28)) {
+    IMGRN_RETURN_IF_ERROR(
+        ReadCount(reader, sizeof(double), &num_samples, "sample count"));
+    IMGRN_RETURN_IF_ERROR(
+        ReadCount(reader, sizeof(GeneId) + num_samples * sizeof(double),
+                  &num_genes, "gene count"));
+    if (source_id != i || num_samples == 0) {
       return Inconsistent("matrix shape");
     }
     std::vector<GeneId> gene_ids(num_genes);
     IMGRN_RETURN_IF_ERROR(
         reader->Read(gene_ids.data(), num_genes * sizeof(GeneId)));
+    std::vector<GeneId> sorted = gene_ids;
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
+      return Inconsistent("duplicate gene id");
+    }
     GeneMatrix matrix(source_id, num_samples, std::move(gene_ids));
     for (size_t column = 0; column < num_genes; ++column) {
       std::span<double> dst = matrix.MutableColumn(column);
@@ -104,6 +180,121 @@ Result<GeneDatabase> ReadDatabase(PageStreamReader* reader) {
     database.Add(std::move(matrix));
   }
   return database;
+}
+
+// --- Index-parts section ---
+
+/// The size_t options the section persists, in order; signature_hashes and
+/// seed follow them.
+std::array<size_t*, 6> SizeOptions(ImGrnIndexOptions* options) {
+  return {&options->num_pivots,        &options->signature_bits,
+          &options->embed_samples,     &options->page_size,
+          &options->rtree_max_entries, &options->buffer_pool_pages};
+}
+
+Status WriteIndexParts(const ImGrnIndex& index, PageStreamWriter* writer) {
+  ImGrnIndexOptions options = index.options();
+  for (const size_t* field : SizeOptions(&options)) {
+    IMGRN_RETURN_IF_ERROR(AppendPod<uint64_t>(writer, *field));
+  }
+  IMGRN_RETURN_IF_ERROR(AppendPod<int32_t>(writer, options.signature_hashes));
+  IMGRN_RETURN_IF_ERROR(AppendPod<uint64_t>(writer, options.seed));
+
+  // num_pivots fixes the length of every pivot-column list and x/y vector.
+  const size_t d = options.num_pivots;
+  const size_t n = index.pivot_sets().size();
+  IMGRN_RETURN_IF_ERROR(AppendPod<uint64_t>(writer, n));
+  for (SourceId i = 0; i < n; ++i) {
+    IMGRN_RETURN_IF_ERROR(AppendPod<uint8_t>(writer, index.active_flags()[i]));
+    // Columns only: the pivot vectors are the database's own columns.
+    IMGRN_RETURN_IF_ERROR(
+        writer->Append(index.pivots(i).columns.data(), d * sizeof(size_t)));
+    const std::vector<EmbeddedPoint>& points = index.embedded_points(i);
+    IMGRN_RETURN_IF_ERROR(AppendPod<uint64_t>(writer, points.size()));
+    for (const EmbeddedPoint& point : points) {
+      IMGRN_RETURN_IF_ERROR(writer->Append(point.x.data(), d * sizeof(double)));
+      IMGRN_RETURN_IF_ERROR(writer->Append(point.y.data(), d * sizeof(double)));
+      IMGRN_RETURN_IF_ERROR(AppendPod<uint32_t>(writer, point.gene));
+    }
+  }
+
+  IMGRN_RETURN_IF_ERROR(
+      AppendPod<uint64_t>(writer, index.inverted_file().size()));
+  for (const auto& [gene, sig] : index.inverted_file()) {
+    IMGRN_RETURN_IF_ERROR(AppendPod<uint32_t>(writer, gene));
+    IMGRN_RETURN_IF_ERROR(AppendPod<uint64_t>(writer, sig.size()));
+    IMGRN_RETURN_IF_ERROR(writer->Append(sig.data(), sig.size()));
+  }
+  return Status::Ok();
+}
+
+/// Parses the section of an index over a database of `num_sources`
+/// matrices.
+Result<PersistedIndexParts> ReadIndexParts(PageStreamReader* reader,
+                                           size_t num_sources) {
+  PersistedIndexParts parts;
+  ImGrnIndexOptions& options = parts.options;
+  for (size_t* field : SizeOptions(&options)) {
+    IMGRN_RETURN_IF_ERROR(ReadPod(reader, field));
+  }
+  IMGRN_RETURN_IF_ERROR(ReadPod(reader, &options.signature_hashes));
+  IMGRN_RETURN_IF_ERROR(ReadPod(reader, &options.seed));
+  // What ImGrnIndex, its buffer pool and its permutation cache would
+  // otherwise CHECK. d and the signature width size records below (every
+  // built index has an inverted-file entry), so they must fit too.
+  const size_t d = options.num_pivots;
+  if (d == 0 || d > reader->remaining() / sizeof(double) ||
+      options.signature_bits < 8 ||
+      options.signature_bits / 8 > reader->remaining() ||
+      options.signature_hashes < 1 || options.embed_samples == 0 ||
+      options.buffer_pool_pages == 0) {
+    return Inconsistent("index options");
+  }
+
+  uint64_t count = 0;
+  IMGRN_RETURN_IF_ERROR(ReadCount(reader, 1 + d * sizeof(size_t) + 8, &count,
+                                  "source count"));
+  if (count != num_sources) {
+    return Inconsistent("source count differs from the database's");
+  }
+  parts.pivot_sets.resize(count);
+  parts.embeddings.resize(count);
+  parts.active.resize(count);
+  for (uint64_t i = 0; i < count; ++i) {
+    uint8_t active = 0;
+    IMGRN_RETURN_IF_ERROR(ReadPod(reader, &active));
+    parts.active[i] = active != 0;
+    std::vector<size_t>& columns = parts.pivot_sets[i].columns;
+    columns.resize(d);
+    IMGRN_RETURN_IF_ERROR(reader->Read(columns.data(), d * sizeof(size_t)));
+    uint64_t num_points = 0;
+    IMGRN_RETURN_IF_ERROR(ReadCount(reader,
+                                    2 * d * sizeof(double) + sizeof(GeneId),
+                                    &num_points, "point count"));
+    parts.embeddings[i].resize(num_points);
+    for (EmbeddedPoint& point : parts.embeddings[i]) {
+      point.x.resize(d);
+      point.y.resize(d);
+      IMGRN_RETURN_IF_ERROR(reader->Read(point.x.data(), d * sizeof(double)));
+      IMGRN_RETURN_IF_ERROR(reader->Read(point.y.data(), d * sizeof(double)));
+      IMGRN_RETURN_IF_ERROR(ReadPod(reader, &point.gene));
+    }
+  }
+
+  uint64_t num_entries = 0;
+  IMGRN_RETURN_IF_ERROR(ReadCount(reader, sizeof(GeneId) + 8, &num_entries,
+                                  "inverted-file entry count"));
+  parts.inverted_file.reserve(num_entries);
+  for (uint64_t e = 0; e < num_entries; ++e) {
+    GeneId gene = 0;
+    uint64_t bytes = 0;
+    IMGRN_RETURN_IF_ERROR(ReadPod(reader, &gene));
+    IMGRN_RETURN_IF_ERROR(ReadCount(reader, 1, &bytes, "signature size"));
+    std::vector<uint8_t> sig(bytes);
+    IMGRN_RETURN_IF_ERROR(reader->Read(sig.data(), bytes));
+    parts.inverted_file.emplace(gene, std::move(sig));
+  }
+  return parts;
 }
 
 // --- Tree-meta section ---
@@ -129,13 +320,14 @@ Result<RTreeMeta> ReadTreeMeta(PageStreamReader* reader) {
   meta.root = root;
   IMGRN_RETURN_IF_ERROR(ReadPod(reader, &meta.num_records));
   uint64_t num_nodes = 0;
-  IMGRN_RETURN_IF_ERROR(ReadPod(reader, &num_nodes));
-  if (num_nodes > (1u << 28)) return Inconsistent("tree node count");
+  IMGRN_RETURN_IF_ERROR(
+      ReadCount(reader, sizeof(PageId), &num_nodes, "tree node count"));
   meta.node_pages.resize(num_nodes);
   IMGRN_RETURN_IF_ERROR(
       reader->Read(meta.node_pages.data(), num_nodes * sizeof(PageId)));
   uint64_t num_free = 0;
-  IMGRN_RETURN_IF_ERROR(ReadPod(reader, &num_free));
+  IMGRN_RETURN_IF_ERROR(
+      ReadCount(reader, sizeof(NodeId), &num_free, "tree free-node count"));
   if (num_free > num_nodes) return Inconsistent("tree free-node count");
   meta.free_nodes.resize(num_free);
   IMGRN_RETURN_IF_ERROR(
@@ -163,55 +355,31 @@ Status WriteSnapshot(const GeneDatabase& database, ImGrnIndex* index,
   // are live and stay put). If the old directory is unreadable, leak its
   // chains instead of failing the new snapshot.
   PageId directory = store->app_root();
-  if (directory != kInvalidPageId) {
-    Page scratch(store->page_size());
-    Result<Page*> old = store->Read(directory, &scratch);
-    if (old.ok()) {
-      char magic[8];
-      (*old)->ReadBytes(0, magic, sizeof(magic));
-      if (std::memcmp(magic, kSnapshotMagic, sizeof(magic)) == 0) {
-        size_t offset = 16;
-        for (size_t s = 0; s < kNumSections; ++s) {
-          const PageId head = (*old)->ReadAt<PageId>(offset);
-          if (head != kInvalidPageId) FreeChain(store, head);
-          offset += kRefSize;
-        }
-      }
-    }
-  } else {
+  if (directory == kInvalidPageId) {
     directory = store->Allocate();
+  } else {
+    SectionRefs old;
+    if (ReadDirectory(store, &old).ok()) {
+      for (const PageStreamRef& ref : old) FreeChain(store, ref.head);
+    }
   }
 
   // Tree nodes first: every live node reaches its page, sealed.
   IMGRN_RETURN_IF_ERROR(index->mutable_rtree().SerializeAllNodes());
 
-  PageStreamRef refs[kNumSections];
-
-  {
+  const std::function<Status(PageStreamWriter*)> sections[kNumSections] = {
+      [&](PageStreamWriter* writer) { return WriteDatabase(database, writer); },
+      [&](PageStreamWriter* writer) { return WriteIndexParts(*index, writer); },
+      [&](PageStreamWriter* writer) {
+        return WriteTreeMeta(index->rtree().ExportMeta(), writer);
+      }};
+  SectionRefs refs;
+  for (size_t s = 0; s < kNumSections; ++s) {
     PageStreamWriter writer(store);
-    IMGRN_RETURN_IF_ERROR(WriteDatabase(database, &writer));
+    IMGRN_RETURN_IF_ERROR(sections[s](&writer));
     Result<PageStreamRef> ref = writer.Finish();
     IMGRN_RETURN_IF_ERROR(ref.status());
-    refs[0] = *ref;
-  }
-  {
-    PageStreamWriter writer(store);
-    PageStreamOutBuf buf(&writer);
-    std::ostream out(&buf);
-    Status io = WriteIndexParts(*index, &out);
-    if (!buf.status().ok()) return buf.status();  // The precise store error.
-    IMGRN_RETURN_IF_ERROR(io);
-    Result<PageStreamRef> ref = writer.Finish();
-    IMGRN_RETURN_IF_ERROR(ref.status());
-    refs[1] = *ref;
-  }
-  {
-    PageStreamWriter writer(store);
-    IMGRN_RETURN_IF_ERROR(
-        WriteTreeMeta(index->rtree().ExportMeta(), &writer));
-    Result<PageStreamRef> ref = writer.Finish();
-    IMGRN_RETURN_IF_ERROR(ref.status());
-    refs[2] = *ref;
+    refs[s] = *ref;
   }
 
   Page page(store->page_size());
@@ -238,29 +406,13 @@ Status CollectSnapshotPages(StorageManager* store,
   if (store == nullptr) {
     return Status::InvalidArgument("no store to walk");
   }
-  const PageId directory = store->app_root();
-  if (directory == kInvalidPageId) {
-    return Status::NotFound("store holds no snapshot");
-  }
-  Page scratch(store->page_size());
-  Result<Page*> dir = store->Read(directory, &scratch);
-  IMGRN_RETURN_IF_ERROR(dir.status());
-  char magic[8];
-  (*dir)->ReadBytes(0, magic, sizeof(magic));
-  if (std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("store's root page is not a snapshot");
-  }
-  pages->push_back(directory);
-  PageStreamRef refs[kNumSections];
-  size_t offset = 16;
-  for (PageStreamRef& ref : refs) {
-    ref.head = (*dir)->ReadAt<PageId>(offset);
-    ref.num_bytes = (*dir)->ReadAt<uint64_t>(offset + sizeof(PageId));
-    offset += kRefSize;
-  }
+  SectionRefs refs;
+  IMGRN_RETURN_IF_ERROR(ReadDirectory(store, &refs));
+  pages->push_back(store->app_root());
   // Walk each section's page chain (first 4 bytes of every stream page
   // link to the next one), bounded by the store size against corrupt
   // cycles.
+  Page scratch(store->page_size());
   for (const PageStreamRef& ref : refs) {
     PageId id = ref.head;
     for (uint64_t hops = store->num_pages();
@@ -277,13 +429,10 @@ Status CollectSnapshotPages(StorageManager* store,
   // The snapshot's tree is pinned too: its meta section names the node
   // pages LoadSnapshot would restore from, which may differ from the
   // current in-memory tree's after a rebuild that has not re-snapshotted.
-  {
-    PageStreamReader reader(store, refs[2]);
-    Result<RTreeMeta> meta = ReadTreeMeta(&reader);
-    IMGRN_RETURN_IF_ERROR(meta.status());
-    for (PageId page : meta->node_pages) {
-      if (page != kInvalidPageId) pages->push_back(page);
-    }
+  Result<RTreeMeta> meta = ReadSection(store, refs[2], ReadTreeMeta);
+  IMGRN_RETURN_IF_ERROR(meta.status());
+  for (PageId page : meta->node_pages) {
+    if (page != kInvalidPageId) pages->push_back(page);
   }
   return Status::Ok();
 }
@@ -292,61 +441,24 @@ Result<SnapshotContents> ReadSnapshot(StorageManager* store) {
   if (store == nullptr) {
     return Status::InvalidArgument("no store to read a snapshot from");
   }
-  const PageId directory = store->app_root();
-  if (directory == kInvalidPageId) {
-    return Status::NotFound("store holds no snapshot");
-  }
-  Page scratch(store->page_size());
-  Result<Page*> dir = store->Read(directory, &scratch);
-  IMGRN_RETURN_IF_ERROR(dir.status());
-  char magic[8];
-  (*dir)->ReadBytes(0, magic, sizeof(magic));
-  if (std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument("store's root page is not a snapshot");
-  }
-  const uint32_t version = (*dir)->ReadAt<uint32_t>(8);
-  if (version != kSnapshotVersion) {
-    return Status::InvalidArgument("unsupported snapshot version " +
-                                   std::to_string(version));
-  }
-  if ((*dir)->ReadAt<uint32_t>(12) != kEndianTag) {
-    return Status::InvalidArgument(
-        "snapshot was written on a different-endian host");
-  }
-  PageStreamRef refs[kNumSections];
-  size_t offset = 16;
-  for (PageStreamRef& ref : refs) {
-    ref.head = (*dir)->ReadAt<PageId>(offset);
-    ref.num_bytes = (*dir)->ReadAt<uint64_t>(offset + sizeof(PageId));
-    offset += kRefSize;
-  }
-
+  SectionRefs refs;
+  IMGRN_RETURN_IF_ERROR(ReadDirectory(store, &refs));
   SnapshotContents contents;
-  {
-    PageStreamReader reader(store, refs[0]);
-    Result<GeneDatabase> database = ReadDatabase(&reader);
-    IMGRN_RETURN_IF_ERROR(database.status());
-    contents.database = std::move(*database);
+  Result<GeneDatabase> database = ReadSection(store, refs[0], ReadDatabase);
+  IMGRN_RETURN_IF_ERROR(database.status());
+  contents.database = std::move(*database);
+  Result<PersistedIndexParts> parts =
+      ReadSection(store, refs[1], [&](PageStreamReader* reader) {
+        return ReadIndexParts(reader, contents.database.size());
+      });
+  IMGRN_RETURN_IF_ERROR(parts.status());
+  if (parts->options.page_size != store->page_size()) {
+    return Inconsistent("index page size differs from the store's");
   }
-  {
-    PageStreamReader reader(store, refs[1]);
-    PageStreamInBuf buf(&reader);
-    std::istream in(&buf);
-    Result<PersistedIndexParts> parts = ReadIndexParts(&in);
-    if (!parts.ok()) {
-      // Prefer the store-level error (checksum kDataLoss, fault-site
-      // kUnavailable) over the parser's view of a failing stream.
-      if (!buf.status().ok()) return buf.status();
-      return parts.status();
-    }
-    contents.parts = std::move(*parts);
-  }
-  {
-    PageStreamReader reader(store, refs[2]);
-    Result<RTreeMeta> meta = ReadTreeMeta(&reader);
-    IMGRN_RETURN_IF_ERROR(meta.status());
-    contents.tree_meta = std::move(*meta);
-  }
+  contents.parts = std::move(*parts);
+  Result<RTreeMeta> meta = ReadSection(store, refs[2], ReadTreeMeta);
+  IMGRN_RETURN_IF_ERROR(meta.status());
+  contents.tree_meta = std::move(*meta);
   return contents;
 }
 

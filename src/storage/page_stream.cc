@@ -114,30 +114,4 @@ Status PageStreamReader::Read(void* dst, size_t count) {
   return Status::Ok();
 }
 
-PageStreamOutBuf::int_type PageStreamOutBuf::overflow(int_type ch) {
-  if (traits_type::eq_int_type(ch, traits_type::eof())) return ch;
-  const char c = traits_type::to_char_type(ch);
-  return xsputn(&c, 1) == 1 ? ch : traits_type::eof();
-}
-
-std::streamsize PageStreamOutBuf::xsputn(const char* data,
-                                         std::streamsize count) {
-  if (!status_.ok()) return 0;
-  status_ = writer_->Append(data, static_cast<size_t>(count));
-  return status_.ok() ? count : 0;
-}
-
-PageStreamInBuf::int_type PageStreamInBuf::underflow() {
-  if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
-  if (xsgetn(&one_, 1) != 1) return traits_type::eof();
-  setg(&one_, &one_, &one_ + 1);
-  return traits_type::to_int_type(one_);
-}
-
-std::streamsize PageStreamInBuf::xsgetn(char* dst, std::streamsize count) {
-  if (!status_.ok()) return 0;
-  status_ = reader_->Read(dst, static_cast<size_t>(count));
-  return status_.ok() ? count : 0;
-}
-
 }  // namespace imgrn

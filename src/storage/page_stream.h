@@ -2,7 +2,6 @@
 #define IMGRN_STORAGE_PAGE_STREAM_H_
 
 #include <cstdint>
-#include <streambuf>
 #include <vector>
 
 #include "common/status.h"
@@ -60,6 +59,7 @@ class PageStreamReader {
   /// Reads exactly `count` bytes; kDataLoss if the stream ends early.
   Status Read(void* dst, size_t count);
 
+  /// Bytes of the stream not read yet.
   uint64_t remaining() const { return remaining_; }
 
  private:
@@ -73,42 +73,6 @@ class PageStreamReader {
   uint64_t remaining_;
   bool loaded_ = false;
   Status status_;
-};
-
-/// std::streambuf adapters so iostream-based serializers (index_io) can
-/// target a paged store directly. Stream-level failures set failbit as
-/// usual; the precise Status (e.g. kDataLoss from a checksum mismatch) is
-/// preserved on the side and readable via status().
-
-class PageStreamOutBuf final : public std::streambuf {
- public:
-  explicit PageStreamOutBuf(PageStreamWriter* writer) : writer_(writer) {}
-
-  const Status& status() const { return status_; }
-
- protected:
-  int_type overflow(int_type ch) override;
-  std::streamsize xsputn(const char* data, std::streamsize count) override;
-
- private:
-  PageStreamWriter* writer_;
-  Status status_;
-};
-
-class PageStreamInBuf final : public std::streambuf {
- public:
-  explicit PageStreamInBuf(PageStreamReader* reader) : reader_(reader) {}
-
-  const Status& status() const { return status_; }
-
- protected:
-  int_type underflow() override;
-  std::streamsize xsgetn(char* dst, std::streamsize count) override;
-
- private:
-  PageStreamReader* reader_;
-  Status status_;
-  char one_;  // Single-char buffer backing underflow().
 };
 
 }  // namespace imgrn

@@ -32,7 +32,10 @@
 # default and the gate that matters for src/service; pass "address" to
 # run the same workload under AddressSanitizer instead — CI runs BOTH
 # kinds, so the fault binaries get a TSan pass and an ASan
-# (leak-checking) pass. The script prints each label as it runs so CI
+# (leak-checking) pass. The address build also layers UBSan on top
+# (-DIMGRN_UBSAN=ON, no recovery), so the snapshot parsers, the disk
+# store and the query path run under ASan+UBSan; UBSan does not compose
+# with TSan. The script prints each label as it runs so CI
 # logs show what the gate actually covered, runs every label even after
 # one fails, and exits non-zero naming the labels that failed.
 #
@@ -87,9 +90,14 @@ if [ "$KIND" = kernels ]; then
   exit 0
 fi
 
+UBSAN=OFF
+if [ "$KIND" = address ]; then
+  UBSAN=ON
+fi
 cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DIMGRN_SANITIZE="$KIND"
+  -DIMGRN_SANITIZE="$KIND" \
+  -DIMGRN_UBSAN="$UBSAN"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
          partition_invariance_test \

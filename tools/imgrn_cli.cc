@@ -5,34 +5,25 @@
 // Subcommands:
 //   imgrn generate --out=db.txt [--n_matrices=100] [--dist=Uni|Gau] ...
 //       Generate a synthetic gene feature database (Section 6.1 model).
-//   imgrn build-index --db=db.txt --out=db.idx [--pivots=2]
-//       Build and persist the IM-GRN index.
-//   imgrn query --db=db.txt --index=db.idx --query=q.txt
+//   imgrn query --db=db.txt --query=q.txt
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
 //               [--replicas=1] [--store=mem|disk:FILE]
 //               [--partition=modulo|balanced|calibrated]
 //               [--fault=SPEC] [--fault-seed=N] [--allow-partial=0|1]
-//       Run one IM-GRN query; q.txt is a gene matrix file (matrix_io.h).
+//       Build the index and run one IM-GRN query; q.txt is a gene matrix
+//       file (matrix_io.h). To query a persisted index, use
+//       `snapshot load --query`.
 //       --store selects the page-store backend of the engine's index
 //       (storage/storage_manager.h): "mem" (default) keeps pages in RAM;
 //       "disk:FILE" puts them in a crash-safe paged file. Results are
 //       bit-identical either way. Only meaningful with --shards=1 (the
 //       sharded path manages its own per-shard spill files).
-//   imgrn snapshot save --db=db.txt --store=disk:FILE [--pivots=2]
-//   imgrn snapshot load --store=disk:FILE [--query=q.txt] [--gamma=0.5]
-//       Durable whole-system snapshots (index/snapshot.h): `save` ingests
-//       the database, builds the index and persists database + index +
-//       R*-tree pages into the store with a crash-safe commit; `load`
-//       reopens the store and restores everything WITHOUT re-ingesting or
-//       re-building — the instant-cold-start path — then optionally runs
-//       a query against the restored engine.
 //       --shards=K > 1 partitions the database across K in-memory engines
 //       and fans the query out (service/sharded_engine.h); the matches are
 //       identical to --shards=1 by construction for EVERY --partition
 //       strategy (modulo: source id mod K; balanced: cost-based LPT bin
 //       packing; calibrated: LPT over measured-cost-blended estimates —
-//       see service/partitioner.h and service/cost_model.h). Incompatible
-//       with --index (per-shard indices are built in memory).
+//       see service/partitioner.h and service/cost_model.h).
 //       --replicas=R > 1 mirrors every shard across R replicas
 //       (service/replica_set.h): updates apply to all replicas in lock
 //       step and each sub-query is served by one replica picked
@@ -45,6 +36,17 @@
 //       --allow-partial=1 a query that loses shards degrades instead of
 //       failing: the surviving shards' matches are printed, a DEGRADED
 //       line names the failed shards, and the exit code stays 0.
+//   imgrn snapshot save --db=db.txt --store=disk:FILE [--pivots=2]
+//               [--seed=7]
+//   imgrn snapshot load --store=disk:FILE [--query=q.txt] [--gamma=0.5]
+//               [--alpha=0.5] [--top_k=0] [--seed=99]
+//       Durable whole-system snapshots (index/snapshot.h), the one way to
+//       persist a built index: `save` ingests the database, builds the
+//       index and persists database + index + R*-tree pages into the
+//       store with a crash-safe commit; `load` reopens the store and
+//       restores everything WITHOUT re-ingesting or re-building — the
+//       instant-cold-start path — then optionally answers a query against
+//       the restored engine.
 //   imgrn cache stats --db=db.txt --query=q.txt [--shards=2] [--replicas=1]
 //               [--capacity=64] [--repeat=3] [--gamma=0.5] ...
 //       Demo/diagnostic for the whole-query result cache
@@ -88,8 +90,8 @@
 //       touch. Used by tools/ci_sanitize.sh to record which backend a
 //       differential run actually exercised.
 //
-// All file formats are the plain-text / binary formats of matrix_io.h and
-// index_io.h.
+// Databases and queries are the plain-text format of matrix_io.h; a built
+// index persists only as a snapshot (index/snapshot.h).
 
 #include <chrono>
 #include <cstdio>
@@ -189,33 +191,6 @@ int CmdGenerate(int argc, char** argv) {
   return 0;
 }
 
-int CmdBuildIndex(int argc, char** argv) {
-  Args args(argc, argv, 2,
-            {{"db", ""}, {"out", ""}, {"pivots", "2"}, {"seed", "7"}});
-  if (!args.Has("db") || !args.Has("out")) {
-    std::fprintf(stderr, "build-index requires --db=FILE --out=FILE\n");
-    return 2;
-  }
-  Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
-  if (!database.ok()) return Fail(database.status());
-
-  EngineOptions options;
-  options.index.num_pivots = static_cast<size_t>(args.GetInt("pivots"));
-  options.index.seed = static_cast<uint64_t>(args.GetInt("seed"));
-  ImGrnEngine engine(options);
-  engine.LoadDatabase(std::move(*database));
-  Status status = engine.BuildIndex();
-  if (!status.ok()) return Fail(status);
-  status = engine.SaveIndexTo(args.Get("out"));
-  if (!status.ok()) return Fail(status);
-  std::printf("indexed %zu matrices in %.3f s (R*-tree: %zu points, "
-              "height %d); index written to %s\n",
-              engine.database().size(), engine.index().build_seconds(),
-              engine.index().rtree().size(),
-              engine.index().rtree().height(), args.Get("out").c_str());
-  return 0;
-}
-
 /// Shared result printer of `query` and `snapshot load`.
 void PrintMatches(const std::vector<QueryMatch>& matches) {
   for (const QueryMatch& match : matches) {
@@ -231,7 +206,6 @@ void PrintMatches(const std::vector<QueryMatch>& matches) {
 int CmdQuery(int argc, char** argv) {
   Args args(argc, argv, 2,
             {{"db", ""},
-             {"index", ""},
              {"query", ""},
              {"gamma", "0.5"},
              {"alpha", "0.5"},
@@ -271,12 +245,6 @@ int CmdQuery(int argc, char** argv) {
     return 2;
   }
   const bool sharded_path = shards > 1 || replicas > 1;
-  if (sharded_path && args.Has("index")) {
-    std::fprintf(stderr,
-                 "--shards > 1 / --replicas > 1 build per-shard indices in "
-                 "memory and cannot use --index\n");
-    return 2;
-  }
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
   if (!database.ok()) return Fail(database.status());
   Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
@@ -336,14 +304,8 @@ int CmdQuery(int argc, char** argv) {
     }
     ImGrnEngine engine(engine_options);
     engine.LoadDatabase(std::move(*database));
-    if (args.Has("index")) {
-      Status status = engine.LoadIndexFrom(args.Get("index"));
-      if (!status.ok()) return Fail(status);
-    } else {
-      std::fprintf(stderr, "(no --index given; building in memory)\n");
-      Status status = engine.BuildIndex();
-      if (!status.ok()) return Fail(status);
-    }
+    Status status = engine.BuildIndex();
+    if (!status.ok()) return Fail(status);
     matches = engine.Query(*query_matrix, params, &stats);
   }
   if (!matches.ok()) return Fail(matches.status());
@@ -898,8 +860,8 @@ int CmdKernels(int argc, char** argv) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: imgrn <generate|build-index|extract-query|query|cache|"
-      "rebalance|maintenance|snapshot|infer|kernels> [--flags]\n"
+      "usage: imgrn <generate|extract-query|query|cache|rebalance|"
+      "maintenance|snapshot|infer|kernels> [--flags]\n"
       "(see the header comment of tools/imgrn_cli.cc)\n");
   return 2;
 }
@@ -908,9 +870,6 @@ int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const char* command = argv[1];
   if (std::strcmp(command, "generate") == 0) return CmdGenerate(argc, argv);
-  if (std::strcmp(command, "build-index") == 0) {
-    return CmdBuildIndex(argc, argv);
-  }
   if (std::strcmp(command, "query") == 0) return CmdQuery(argc, argv);
   if (std::strcmp(command, "cache") == 0) return CmdCache(argc, argv);
   if (std::strcmp(command, "rebalance") == 0) return CmdRebalance(argc, argv);
