@@ -3,16 +3,17 @@
 // bound, pivot pruning, R*-tree insert/search, and subgraph isomorphism.
 //
 // --json_out=FILE switches the binary into the SIMD-kernel comparison
-// mode instead: every dispatch-table kernel (matrix/simd_ops.h) is timed
-// under the scalar reference AND the CPU's native backend across a sweep
-// of vector lengths, one JSON line per (kernel, length) appended to FILE
-// (e.g. BENCH_micro_kernels.json) with ns_per_call for both backends and
-// the speedup. The flag is intercepted before google-benchmark sees it
-// (benchmark::Initialize rejects unknown flags); without it the binary
-// behaves as a normal google-benchmark suite.
+// mode instead: the dispatched Monte Carlo block kernel (matrix/simd_ops.h)
+// is timed under the scalar reference AND the CPU's native backend at
+// l = 64, 256, 1024 and 4096, one JSON line per length appended to FILE
+// (e.g. BENCH_micro_kernels.json) with ns per permutation sample for both
+// backends and the speedup. The flag is intercepted before
+// google-benchmark sees it (benchmark::Initialize rejects unknown flags);
+// without it the binary behaves as a normal google-benchmark suite.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -78,7 +79,7 @@ void BM_EdgeProbabilityCachedPermutations(benchmark::State& state) {
   const std::vector<double> a = RandomStandardized(40, &rng);
   const std::vector<double> b = RandomStandardized(40, &rng);
   PermutationCache cache(static_cast<size_t>(state.range(0)), 5);
-  cache.ForLength(40);  // Pre-warm.
+  cache.BlocksForLength(40);  // Pre-warm.
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateEdgeProbabilityCached(a, b, &cache));
   }
@@ -93,7 +94,7 @@ void BM_EdgeProbabilityCachedScalarPinned(benchmark::State& state) {
   const std::vector<double> a = RandomStandardized(40, &rng);
   const std::vector<double> b = RandomStandardized(40, &rng);
   PermutationCache cache(static_cast<size_t>(state.range(0)), 5);
-  cache.ForLength(40);  // Pre-warm.
+  cache.BlocksForLength(40);  // Pre-warm.
   ScopedKernelOverride scope(ScalarKernels());
   for (auto _ : state) {
     benchmark::DoNotOptimize(EstimateEdgeProbabilityCached(a, b, &cache));
@@ -208,7 +209,7 @@ void BM_SubgraphIsomorphism(benchmark::State& state) {
 BENCHMARK(BM_SubgraphIsomorphism)->Arg(50)->Arg(100)->Arg(200);
 
 // ---------------------------------------------------------------------------
-// --json_out mode: scalar-vs-native timing of every dispatch-table kernel.
+// --json_out mode: scalar-vs-native timing of the dispatched block kernel.
 // ---------------------------------------------------------------------------
 
 // One timed measurement: repeats the op enough times to amortize clock
@@ -228,25 +229,19 @@ double BestNsPerCall(size_t iterations, const Op& op) {
   return best_seconds * 1e9 / static_cast<double>(iterations);
 }
 
-size_t IterationsForLength(size_t length) {
-  // ~2M element-visits per repetition keeps every (kernel, length) cell
-  // in the same few-millisecond timing regime.
-  const size_t iters = 2'000'000 / length;
-  return iters < 64 ? 64 : iters;
-}
-
 struct KernelTiming {
-  const char* kernel;
   size_t length;
   double scalar_ns;
   double native_ns;
 };
 
-// Keeps reduction results alive so the timed calls cannot be dead-code
+// Keeps kernel results alive so the timed calls cannot be dead-code
 // eliminated.
 volatile double g_bench_sink = 0.0;
 
-std::vector<KernelTiming> TimeKernelsAtLength(size_t length) {
+// Times one full-width block (kPermutedDistanceBatch samples) under both
+// tables; ns are normalized per permutation SAMPLE.
+KernelTiming TimeBlockKernelAtLength(size_t length) {
   Rng rng(0xBEEF ^ length);
   std::vector<double> a(length);
   std::vector<double> b(length);
@@ -254,78 +249,21 @@ std::vector<KernelTiming> TimeKernelsAtLength(size_t length) {
   for (double& v : b) v = rng.Gaussian();
   StandardizeInPlace(a);
   StandardizeInPlace(b);
-  std::vector<uint32_t> perm;
-  rng.Permutation(length, &perm);
-  std::vector<double> scratch(length);
-  // One full-width interleaved permutation block for the batched kernel.
-  std::vector<std::vector<uint32_t>> block_perms;
-  std::vector<uint32_t> interleaved(length * kPermutedDistanceBatch);
-  for (size_t s = 0; s < kPermutedDistanceBatch; ++s) {
-    std::vector<uint32_t> p;
-    rng.Permutation(length, &p);
-    for (size_t i = 0; i < length; ++i) {
-      interleaved[i * kPermutedDistanceBatch + s] = p[i];
-    }
-    block_perms.push_back(std::move(p));
-  }
+  const PermutationBlocks blocks(kPermutedDistanceBatch, length, &rng);
   double block_out[kPermutedDistanceBatch];
-
-  const size_t iters = IterationsForLength(length);
-  std::vector<KernelTiming> timings;
-  const auto time_both = [&](const char* kernel, auto&& op_for_table) {
-    const double scalar_ns = BestNsPerCall(
-        iters, [&] { op_for_table(ScalarKernels()); });
-    const double native_ns = BestNsPerCall(
-        iters, [&] { op_for_table(NativeKernels()); });
-    timings.push_back({kernel, length, scalar_ns, native_ns});
-  };
-
-  time_both("dot", [&](const KernelDispatch& t) {
-    g_bench_sink = g_bench_sink + t.dot(a, b);
-  });
-  time_both("squared_norm", [&](const KernelDispatch& t) {
-    g_bench_sink = g_bench_sink + t.squared_norm(a);
-  });
-  time_both("squared_euclidean_distance", [&](const KernelDispatch& t) {
-    g_bench_sink = g_bench_sink + t.squared_euclidean_distance(a, b);
-  });
-  time_both("pearson_correlation", [&](const KernelDispatch& t) {
-    g_bench_sink = g_bench_sink + t.pearson_correlation(a, b);
-  });
-  // Standardizing an already-standardized vector is a fixed point, so the
-  // timed calls do the full (non-degenerate) work on stable values.
-  scratch = a;
-  time_both("standardize_in_place", [&](const KernelDispatch& t) {
-    t.standardize_in_place(scratch);
-    g_bench_sink = g_bench_sink + scratch[0];
-  });
-  time_both("apply_permutation", [&](const KernelDispatch& t) {
-    t.apply_permutation(a, perm, scratch);
-    g_bench_sink = g_bench_sink + scratch[0];
-  });
-  // The batched kernel evaluates kPermutedDistanceBatch samples per call;
-  // its ns_per_call is normalized per SAMPLE so the speedup column is
-  // comparable with the per-sample scalar path it replaces.
-  {
-    const double scalar_ns = BestNsPerCall(iters, [&] {
-      // The historical refinement inner loop: permute, then distance,
-      // once per sample.
-      for (size_t s = 0; s < kPermutedDistanceBatch; ++s) {
-        ScalarKernels().apply_permutation(b, block_perms[s], scratch);
-        g_bench_sink =
-            g_bench_sink + ScalarKernels().squared_euclidean_distance(a, scratch);
-      }
-    });
-    const double native_ns = BestNsPerCall(iters, [&] {
-      NativeKernels().permuted_squared_distance_block(
-          a, b, interleaved.data(), kPermutedDistanceBatch, block_out);
+  // ~2M element-visits per repetition keeps every length in the same
+  // few-millisecond timing regime.
+  const size_t iters = std::max<size_t>(64, 2'000'000 / length);
+  const auto time_table = [&](const KernelDispatch& table) {
+    return BestNsPerCall(iters, [&] {
+      table.permuted_squared_distance_block(a, b, blocks.block(0),
+                                            kPermutedDistanceBatch, block_out);
       g_bench_sink = g_bench_sink + block_out[0];
-    });
-    timings.push_back({"permuted_distance_per_sample", length,
-                       scalar_ns / static_cast<double>(kPermutedDistanceBatch),
-                       native_ns / static_cast<double>(kPermutedDistanceBatch)});
-  }
-  return timings;
+    }) / static_cast<double>(kPermutedDistanceBatch);
+  };
+  const double scalar_ns = time_table(ScalarKernels());
+  const double native_ns = time_table(NativeKernels());
+  return {length, scalar_ns, native_ns};
 }
 
 int RunKernelComparison(const std::string& json_out) {
@@ -346,18 +284,18 @@ int RunKernelComparison(const std::string& json_out) {
   };
   const char* native = KernelBackendName(NativeKernels().backend);
   for (size_t length : {64, 256, 1024, 4096}) {
-    for (const KernelTiming& t : TimeKernelsAtLength(length)) {
-      char line[512];
-      std::snprintf(
-          line, sizeof(line),
-          "{\"bench\": \"micro_kernels\", \"kernel\": \"%s\", "
-          "\"length\": %zu, \"native_backend\": \"%s\", "
-          "\"scalar_ns_per_call\": %.2f, \"native_ns_per_call\": %.2f, "
-          "\"speedup\": %.2f}",
-          t.kernel, t.length, native, t.scalar_ns, t.native_ns,
-          t.native_ns > 0.0 ? t.scalar_ns / t.native_ns : 0.0);
-      emit(line);
-    }
+    const KernelTiming t = TimeBlockKernelAtLength(length);
+    char line[512];
+    std::snprintf(
+        line, sizeof(line),
+        "{\"bench\": \"micro_kernels\", "
+        "\"kernel\": \"permuted_distance_per_sample\", "
+        "\"length\": %zu, \"native_backend\": \"%s\", "
+        "\"scalar_ns_per_call\": %.2f, \"native_ns_per_call\": %.2f, "
+        "\"speedup\": %.2f}",
+        t.length, native, t.scalar_ns, t.native_ns,
+        t.native_ns > 0.0 ? t.scalar_ns / t.native_ns : 0.0);
+    emit(line);
   }
   if (file != nullptr) std::fclose(file);
   return 0;

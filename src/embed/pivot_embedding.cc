@@ -35,9 +35,9 @@ std::vector<EmbeddedPoint> EmbedMatrix(const GeneMatrix& matrix,
     for (size_t w = 0; w < d; ++w) {
       IMGRN_CHECK_EQ(pivots.vectors[w].size(), standardized.num_samples());
       // Embedded coordinates are persisted in snapshots and feed pruning
-      // decisions, so both must be backend-invariant: x via the pinned
-      // scalar-reference EuclideanDistance (never the Fast* dispatch), y
-      // via the batched kernel, which is bit-identical on every backend.
+      // decisions, so both must be backend-invariant: x via the scalar
+      // EuclideanDistance, y via the batched kernel, which is
+      // bit-identical on every backend.
       point.x[w] =
           EuclideanDistance(standardized.Column(s), pivots.vectors[w]);
       point.y[w] = ExpectedPermutedDistanceCached(standardized.Column(s),

@@ -12,10 +12,6 @@ namespace imgrn {
 double PivotCost(const GeneMatrix& standardized_matrix,
                  const std::vector<size_t>& pivot_columns) {
   IMGRN_CHECK(!pivot_columns.empty());
-  // Trial costs decide which pivots the index is built on; stay on the
-  // pinned scalar-reference distance so index construction (and hence
-  // snapshots and QueryStats) is invariant under the SIMD dispatch
-  // backend / IMGRN_FORCE_SCALAR.
   double total = 0.0;
   for (size_t s = 0; s < standardized_matrix.num_genes(); ++s) {
     double min_dist = std::numeric_limits<double>::infinity();

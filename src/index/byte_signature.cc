@@ -1,6 +1,5 @@
 #include "index/byte_signature.h"
 
-#include "common/bitvector.h"
 #include "common/logging.h"
 
 namespace imgrn {
@@ -45,6 +44,22 @@ void ByteSignatureMerge(uint8_t* dst, const uint8_t* src, size_t num_bytes) {
   for (size_t i = 0; i < num_bytes; ++i) {
     dst[i] |= src[i];
   }
+}
+
+uint64_t MixHash64(uint64_t value) {
+  uint64_t z = value + 0x9E3779B97F4A7C15ULL;
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+uint64_t MixHash64Alt(uint64_t value) {
+  // Murmur3 finalizer with a different constant schedule than MixHash64 so
+  // the two streams behave independently for double hashing.
+  uint64_t z = value ^ 0xC2B2AE3D27D4EB4FULL;
+  z = (z ^ (z >> 33)) * 0xFF51AFD7ED558CCDULL;
+  z = (z ^ (z >> 33)) * 0xC4CEB9FE1A85EC53ULL;
+  return z ^ (z >> 33);
 }
 
 }  // namespace imgrn

@@ -8,10 +8,11 @@
 namespace imgrn {
 
 /// Raw-byte hashed bit-vector signatures, the wire format of the V_f / V_d
-/// synopses stored in R*-tree entry payloads (Section 5.1). Semantics match
-/// common/bitvector.h's HashSignature (double hashing, no false negatives);
-/// this flat form exists so signatures can live inside the fixed-size,
-/// monoid-merged payload bytes of RTreeEntry.
+/// synopses stored in R*-tree entry payloads (Section 5.1): each id sets
+/// `num_hashes` bits chosen by double hashing over MixHash64 and
+/// MixHash64Alt, so membership probes have no false negatives. The flat
+/// form lets signatures live inside the fixed-size, monoid-merged payload
+/// bytes of RTreeEntry.
 struct ByteSignatureLayout {
   size_t num_bits = 128;
   int num_hashes = 2;
@@ -33,6 +34,12 @@ bool ByteSignaturesIntersect(std::span<const uint8_t> a,
 
 /// dst |= src, byte-wise. The RTree payload-merge monoid.
 void ByteSignatureMerge(uint8_t* dst, const uint8_t* src, size_t num_bytes);
+
+/// 64-bit mix hash (SplitMix64 finalizer), the first double-hashing stream.
+uint64_t MixHash64(uint64_t value);
+
+/// Second independent hash stream for double hashing.
+uint64_t MixHash64Alt(uint64_t value);
 
 }  // namespace imgrn
 

@@ -86,9 +86,8 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
     // Determinism and thread safety under parallelism: (1) the permutation
     // cache is filled in source order before any worker starts, so its
     // per-length permutations do not depend on scheduling and workers only
-    // look entries up (embedding reads BlocksForLength, which fills both
-    // of the cache's maps on a miss); (2) per-matrix RNGs are pre-split
-    // sequentially.
+    // look entries up (embedding reads BlocksForLength, which fills the
+    // cache on a miss); (2) per-matrix RNGs are pre-split sequentially.
     for (SourceId i = 0; i < n; ++i) {
       embed_cache_->BlocksForLength(database_->matrix(i).num_samples());
     }

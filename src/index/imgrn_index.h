@@ -6,7 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/bitvector.h"
 #include "common/status.h"
 #include "embed/pivot_embedding.h"
 #include "embed/pivot_selection.h"

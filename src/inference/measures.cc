@@ -6,7 +6,6 @@
 #include "inference/mutual_information.h"
 #include "inference/permutation_cache.h"
 #include "matrix/linalg.h"
-#include "matrix/simd_ops.h"
 #include "matrix/vector_ops.h"
 
 namespace imgrn {
@@ -29,19 +28,36 @@ const char* InferenceMeasureName(InferenceMeasure measure) {
 
 namespace {
 
-DenseMatrix CorrelationScores(const GeneMatrix& matrix) {
-  // Batch scoring of all O(n^2) pairs is a throughput site, not a
-  // query-time decision site: the dispatched kernel's few-ULP
-  // reassociation difference only perturbs scores, never an accept/reject
-  // anchored comparison, so the Fast* wrapper is safe here.
+// Pearson correlation of every gene pair, zero on the diagonal: Dot / l
+// over columns standardized once (||x||^2 == l, so the sample covariance
+// of standardized columns is the correlation).
+DenseMatrix CorrelationMatrix(const GeneMatrix& matrix) {
   const size_t n = matrix.num_genes();
-  DenseMatrix scores(n, n);
+  const size_t l = matrix.num_samples();
+  GeneMatrix standardized = matrix;
+  standardized.StandardizeColumns();
+  DenseMatrix cor(n, n);
   for (size_t s = 0; s < n; ++s) {
     for (size_t t = s + 1; t < n; ++t) {
-      const double score =
-          FastAbsolutePearsonCorrelation(matrix.Column(s), matrix.Column(t));
+      const double c = Dot(standardized.Column(s), standardized.Column(t)) /
+                       static_cast<double>(l);
+      cor.At(s, t) = c;
+      cor.At(t, s) = c;
+    }
+  }
+  return cor;
+}
+
+DenseMatrix CorrelationScores(const GeneMatrix& matrix) {
+  // |r(X_s, X_t)| of Eq. (2). Rounding can lift a collinear pair's |Dot| / l
+  // just above 1, so clamp as PearsonCorrelation does; a NaN column's NaN
+  // fails the comparison and passes through, also as it does there.
+  DenseMatrix scores = CorrelationMatrix(matrix);
+  for (size_t s = 0; s < scores.rows(); ++s) {
+    for (size_t t = 0; t < scores.cols(); ++t) {
+      double score = std::fabs(scores.At(s, t));
+      if (score > 1.0) score = 1.0;
       scores.At(s, t) = score;
-      scores.At(t, s) = score;
     }
   }
   return scores;
@@ -71,20 +87,8 @@ DenseMatrix ImGrnScores(const GeneMatrix& matrix, const ScoreOptions& options) {
 Result<DenseMatrix> PartialCorrelationScores(const GeneMatrix& matrix,
                                              const ScoreOptions& options) {
   const size_t n = matrix.num_genes();
-  const size_t l = matrix.num_samples();
-  // Sample covariance of standardized columns is the correlation matrix.
-  GeneMatrix standardized = matrix;
-  standardized.StandardizeColumns();
-  DenseMatrix cov(n, n);
-  for (size_t s = 0; s < n; ++s) {
-    cov.At(s, s) = 1.0 + options.ridge;
-    for (size_t t = s + 1; t < n; ++t) {
-      const double c = Dot(standardized.Column(s), standardized.Column(t)) /
-                       static_cast<double>(l);
-      cov.At(s, t) = c;
-      cov.At(t, s) = c;
-    }
-  }
+  DenseMatrix cov = CorrelationMatrix(matrix);
+  for (size_t s = 0; s < n; ++s) cov.At(s, s) = 1.0 + options.ridge;
   Result<DenseMatrix> precision = InvertMatrix(cov);
   if (!precision.ok()) return precision.status();
   DenseMatrix scores(n, n);
@@ -133,23 +137,32 @@ DenseMatrix ImGrnMutualInformationScores(const GeneMatrix& matrix,
   // Pr{ MI(X_s, X_t) > MI(X_s, X_t^R) } over random permutations.
   const size_t n = matrix.num_genes();
   const size_t bins = MiBins(matrix, options);
+  const size_t l = matrix.num_samples();
   PermutationCache cache(options.num_samples, options.seed);
-  const auto& perms = cache.ForLength(matrix.num_samples());
+  const PermutationBlocks& blocks = cache.BlocksForLength(l);
   DenseMatrix scores(n, n);
-  std::vector<double> permuted(matrix.num_samples());
+  std::vector<double> permuted(l);
   for (size_t s = 0; s < n; ++s) {
     for (size_t t = s + 1; t < n; ++t) {
+      const std::span<const double> column_t = matrix.Column(t);
       const double observed =
-          MutualInformation(matrix.Column(s), matrix.Column(t), bins);
+          MutualInformation(matrix.Column(s), column_t, bins);
       size_t hits = 0;
-      for (const auto& perm : perms) {
-        ApplyPermutation(matrix.Column(t), perm, permuted);
-        if (observed > MutualInformation(matrix.Column(s), permuted, bins)) {
-          ++hits;
+      // The samples in draw order: block k, lane b is sample 8k + b.
+      for (size_t k = 0; k < blocks.num_blocks(); ++k) {
+        const uint32_t* block = blocks.block(k);
+        const size_t width = blocks.block_width(k);
+        for (size_t b = 0; b < width; ++b) {
+          for (size_t i = 0; i < l; ++i) {
+            permuted[i] = column_t[block[i * width + b]];
+          }
+          if (observed > MutualInformation(matrix.Column(s), permuted, bins)) {
+            ++hits;
+          }
         }
       }
-      const double p =
-          static_cast<double>(hits) / static_cast<double>(perms.size());
+      const double p = static_cast<double>(hits) /
+                       static_cast<double>(blocks.num_samples());
       scores.At(s, t) = p;
       scores.At(t, s) = p;
     }

@@ -4,26 +4,26 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "matrix/simd_ops.h"
 #include "matrix/vector_ops.h"
 
 namespace imgrn {
 
-PermutationBlocks::PermutationBlocks(
-    const std::vector<std::vector<uint32_t>>& perms, size_t length)
-    : num_samples_(perms.size()), length_(length) {
+PermutationBlocks::PermutationBlocks(size_t num_samples, size_t length,
+                                     Rng* rng)
+    : num_samples_(num_samples), length_(length) {
   // Every block, including a narrow tail, is allocated at full
   // kPermutedDistanceBatch width so block(k) offsets stay uniform; tail
   // lanes beyond block_width(k) are zero-filled and never read.
   data_.assign(num_blocks() * length_ * kPermutedDistanceBatch, 0);
-  for (size_t s = 0; s < perms.size(); ++s) {
-    IMGRN_CHECK_EQ(perms[s].size(), length_);
+  std::vector<uint32_t> perm;
+  for (size_t s = 0; s < num_samples_; ++s) {
+    rng->Permutation(length_, &perm);
     const size_t k = s / kPermutedDistanceBatch;
     const size_t b = s % kPermutedDistanceBatch;
     uint32_t* block_data = data_.data() + k * length_ * kPermutedDistanceBatch;
     const size_t width = block_width(k);
     for (size_t i = 0; i < length_; ++i) {
-      block_data[i * width + b] = perms[s][i];
+      block_data[i * width + b] = perm[i];
     }
   }
 }
@@ -33,10 +33,9 @@ PermutationCache::PermutationCache(size_t num_samples, uint64_t seed)
   IMGRN_CHECK_GT(num_samples, 0u);
 }
 
-const std::vector<std::vector<uint32_t>>& PermutationCache::ForLength(
-    size_t l) {
-  auto it = cache_.find(l);
-  if (it != cache_.end()) return it->second;
+const PermutationBlocks& PermutationCache::BlocksForLength(size_t l) {
+  auto it = blocks_.find(l);
+  if (it != blocks_.end()) return it->second;
   // A fresh stream per length (seed mixed with l) keeps the permutations a
   // function of (seed, num_samples, l) alone — the order lengths are first
   // requested in must not matter, or per-matrix refinement results would
@@ -44,22 +43,9 @@ const std::vector<std::vector<uint32_t>>& PermutationCache::ForLength(
   // engine's bit-identity with a single engine).
   Stopwatch fill_timer;
   Rng rng(seed_ ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(l) + 1)));
-  std::vector<std::vector<uint32_t>> perms(num_samples_);
-  for (auto& perm : perms) {
-    rng.Permutation(l, &perm);
-  }
-  auto& entry = cache_.emplace(l, std::move(perms)).first->second;
-  fill_seconds_ += fill_timer.ElapsedSeconds();
-  return entry;
-}
-
-const PermutationBlocks& PermutationCache::BlocksForLength(size_t l) {
-  auto it = blocks_.find(l);
-  if (it != blocks_.end()) return it->second;
-  const std::vector<std::vector<uint32_t>>& perms = ForLength(l);
-  Stopwatch fill_timer;
   auto& entry =
-      blocks_.emplace(l, PermutationBlocks(perms, l)).first->second;
+      blocks_.emplace(l, PermutationBlocks(num_samples_, l, &rng))
+          .first->second;
   fill_seconds_ += fill_timer.ElapsedSeconds();
   return entry;
 }
@@ -69,9 +55,9 @@ double EstimateEdgeProbabilityCached(std::span<const double> xs,
                                      PermutationCache* cache) {
   IMGRN_CHECK_EQ(xs.size(), xt.size());
   const PermutationBlocks& blocks = cache->BlocksForLength(xt.size());
-  // The observed distance is the accept/reject anchor: pin it to the
-  // scalar reference so the comparisons below are backend-invariant (it is
-  // computed once per pair — speed is immaterial next to the S samples).
+  // The observed distance is the accept/reject anchor, computed once per
+  // pair in the scalar reference's order (speed is immaterial next to the
+  // S samples).
   const double observed = SquaredEuclideanDistance(xs, xt);
   auto* kernel = ActiveKernels().permuted_squared_distance_block;
   double distances[kPermutedDistanceBatch];

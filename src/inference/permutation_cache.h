@@ -11,21 +11,19 @@
 
 namespace imgrn {
 
-/// The S permutations of one length, re-laid for the batched Monte Carlo
+/// The S permutations of one length, laid out for the batched Monte Carlo
 /// kernel (simd_ops.h permuted_squared_distance_block): samples are grouped
 /// into blocks of kPermutedDistanceBatch, and within block k the indices
 /// are interleaved position-major — entry [i * width(k) + b] is sample
 /// (k * kPermutedDistanceBatch + b)'s permutation image of position i. One
 /// kernel call then evaluates a whole block's distances in a single pass
-/// over the standardized columns, instead of the historical per-sample
-/// permute-then-distance double pass. The samples are the SAME permutations
-/// ForLength() returns, in the same order, so estimates built on either
-/// layout are bit-identical.
+/// over the standardized columns. Sample order is draw order: sample s is
+/// the s-th Rng::Permutation draw of the generating stream.
 class PermutationBlocks {
  public:
-  PermutationBlocks() = default;
-  PermutationBlocks(const std::vector<std::vector<uint32_t>>& perms,
-                    size_t length);
+  /// Draws `num_samples` permutations of `length` from `rng`, in order,
+  /// straight into the interleaved blocks.
+  PermutationBlocks(size_t num_samples, size_t length, Rng* rng);
 
   size_t num_samples() const { return num_samples_; }
   size_t length() const { return length_; }
@@ -61,8 +59,8 @@ class PermutationBlocks {
 /// EdgeProbabilityEstimator (fresh permutations per pair) remains the
 /// reference implementation.
 ///
-/// Thread compatibility: NOT thread-safe — ForLength() mutates the cache
-/// on a miss, so a single instance must not be shared across threads
+/// Thread compatibility: NOT thread-safe — BlocksForLength() mutates the
+/// cache on a miss, so a single instance must not be shared across threads
 /// without external synchronization. The query pipeline never shares one:
 /// ImGrnQueryProcessor, refinement, and InferGrn each construct a per-call
 /// cache seeded from the query params, which is also what makes concurrent
@@ -87,15 +85,12 @@ class PermutationCache {
 
   size_t num_samples() const { return num_samples_; }
 
-  /// Returns the cached permutations of length `l` (generated on first use).
-  const std::vector<std::vector<uint32_t>>& ForLength(size_t l);
-
-  /// Returns the same permutations re-laid into interleaved blocks for the
-  /// batched distance kernel (built lazily from ForLength(l) and cached).
+  /// Returns the cached permutations of length `l`, drawn into interleaved
+  /// blocks on first use.
   const PermutationBlocks& BlocksForLength(size_t l);
 
-  /// Cumulative wall-clock spent GENERATING cache entries (the ForLength
-  /// misses and block re-layouts) since construction. Fills are amortized
+  /// Cumulative wall-clock spent GENERATING cache entries (the
+  /// BlocksForLength misses) since construction. Fills are amortized
   /// overhead of the whole call that owns the cache, not of whichever
   /// matrix happened to trigger them: per-source cost attribution reads
   /// this before/after refining each source and books the delta to a
@@ -109,7 +104,6 @@ class PermutationCache {
   size_t num_samples_;
   uint64_t seed_;
   double fill_seconds_ = 0.0;
-  std::unordered_map<size_t, std::vector<std::vector<uint32_t>>> cache_;
   std::unordered_map<size_t, PermutationBlocks> blocks_;
 };
 
@@ -121,9 +115,9 @@ class PermutationCache {
 /// over the columns instead of S permute-then-distance passes. The result
 /// is bit-identical to the historical per-sample evaluation on EVERY
 /// dispatch backend: each lane accumulates its sample's distance in the
-/// scalar reference's operation order (simd_ops.h equivalence class 2),
-/// and the `observed` anchor each sample is compared against is computed
-/// with the pinned scalar reference kernel. The Monte Carlo accept/reject
+/// scalar reference's operation order (simd_ops.h), and the `observed`
+/// anchor each sample is compared against is computed with the scalar
+/// SquaredEuclideanDistance. The Monte Carlo accept/reject
 /// decisions are therefore invariant under IMGRN_FORCE_SCALAR / CPU.
 double EstimateEdgeProbabilityCached(std::span<const double> xs,
                                      std::span<const double> xt,

@@ -1,27 +1,19 @@
 #include "matrix/simd_ops.h"
 
 #include <atomic>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-
-#include "common/logging.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define IMGRN_KERNELS_X86_64 1
 #include <immintrin.h>
 #endif
-#if defined(__aarch64__)
-#define IMGRN_KERNELS_NEON 1
-#include <arm_neon.h>
-#endif
 
 // This translation unit compiles with -ffp-contract=off (see
-// src/matrix/CMakeLists.txt): the scalar reference kernels below DEFINE the
-// engine's numeric semantics, and a compiler fusing their mul+add sequences
-// into FMA would silently change every stored result and break the
-// bit-identity contract between the scalar reference and the
-// lane-sequential SIMD kernels (equivalence class 2 in simd_ops.h).
+// src/matrix/CMakeLists.txt): the scalar reference kernel below DEFINES the
+// engine's Monte Carlo numeric semantics, and a compiler fusing its mul+add
+// sequence into FMA would silently change every estimate and break the
+// bit-identity contract with the lane-sequential SIMD kernel (simd_ops.h).
 
 namespace imgrn {
 
@@ -31,114 +23,11 @@ const char* KernelBackendName(KernelBackend backend) {
       return "scalar";
     case KernelBackend::kAvx2:
       return "avx2";
-    case KernelBackend::kNeon:
-      return "neon";
   }
   return "?";
 }
 
 namespace {
-
-// Variance below this is treated as "constant vector" — shared by every
-// backend's pearson_correlation and standardize_in_place.
-constexpr double kZeroVarianceEpsilon = 1e-15;
-
-// ---------------------------------------------------------------------------
-// Scalar reference backend. These bodies are the historical vector_ops.cc
-// loops, moved here verbatim so the reference semantics are pinned in the
-// contraction-disabled TU and every other backend has one source of truth
-// to be measured against.
-// ---------------------------------------------------------------------------
-
-double ScalarDot(std::span<const double> a, std::span<const double> b) {
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
-  return sum;
-}
-
-double ScalarSquaredNorm(std::span<const double> a) {
-  double sum = 0.0;
-  for (double v : a) sum += v * v;
-  return sum;
-}
-
-double ScalarSquaredEuclideanDistance(std::span<const double> a,
-                                      std::span<const double> b) {
-  double sum = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double diff = a[i] - b[i];
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-double ScalarPearsonCorrelation(std::span<const double> a,
-                                std::span<const double> b) {
-  double sum_a = 0.0;
-  double sum_b = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    sum_a += a[i];
-    sum_b += b[i];
-  }
-  const double mean_a = sum_a / static_cast<double>(a.size());
-  const double mean_b = sum_b / static_cast<double>(b.size());
-  double cov = 0.0;
-  double var_a = 0.0;
-  double var_b = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    const double da = a[i] - mean_a;
-    const double db = b[i] - mean_b;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a < kZeroVarianceEpsilon || var_b < kZeroVarianceEpsilon) {
-    return 0.0;
-  }
-  double cor = cov / (std::sqrt(var_a) * std::sqrt(var_b));
-  if (cor > 1.0) cor = 1.0;
-  if (cor < -1.0) cor = -1.0;
-  return cor;
-}
-
-// Shared by every backend: the mean / sum-of-squares reductions of
-// standardization stay in scalar order so the standardized values are
-// bit-identical regardless of backend (equivalence class 1). Returns false
-// for a (near-)constant vector, in which case the caller zero-fills.
-bool StandardizeMoments(std::span<const double> values, double* mean,
-                        double* scale) {
-  double sum = 0.0;
-  for (double v : values) sum += v;
-  *mean = sum / static_cast<double>(values.size());
-  double sum_sq = 0.0;
-  for (double v : values) {
-    const double centered = v - *mean;
-    sum_sq += centered * centered;
-  }
-  if (sum_sq < kZeroVarianceEpsilon) return false;
-  *scale = std::sqrt(static_cast<double>(values.size()) / sum_sq);
-  return true;
-}
-
-void ScalarStandardizeInPlace(std::span<double> values) {
-  double mean = 0.0;
-  double scale = 0.0;
-  if (!StandardizeMoments(values, &mean, &scale)) {
-    for (double& v : values) v = 0.0;
-    return;
-  }
-  for (double& v : values) {
-    v = (v - mean) * scale;
-  }
-}
-
-void ScalarApplyPermutation(std::span<const double> input,
-                            std::span<const uint32_t> perm,
-                            std::span<double> output) {
-  for (size_t i = 0; i < input.size(); ++i) {
-    output[i] = input[perm[i]];
-  }
-}
 
 void ScalarPermutedSquaredDistanceBlock(std::span<const double> xs,
                                         std::span<const double> xt,
@@ -147,7 +36,7 @@ void ScalarPermutedSquaredDistanceBlock(std::span<const double> xs,
   const size_t l = xt.size();
   for (size_t b = 0; b < batch; ++b) {
     // Ascending-i accumulation with separate mul and add: exactly the
-    // operation order of ApplyPermutation + ScalarSquaredEuclideanDistance,
+    // operation order of ApplyPermutation + SquaredEuclideanDistance,
     // so this fallback is bit-identical to the historical per-sample path.
     double acc = 0.0;
     for (size_t i = 0; i < l; ++i) {
@@ -160,192 +49,14 @@ void ScalarPermutedSquaredDistanceBlock(std::span<const double> xs,
 
 constexpr KernelDispatch kScalarDispatch = {
     KernelBackend::kScalar,
-    &ScalarDot,
-    &ScalarSquaredNorm,
-    &ScalarSquaredEuclideanDistance,
-    &ScalarPearsonCorrelation,
-    &ScalarStandardizeInPlace,
-    &ScalarApplyPermutation,
     &ScalarPermutedSquaredDistanceBlock,
 };
 
 #if defined(IMGRN_KERNELS_X86_64)
 
-// ---------------------------------------------------------------------------
-// AVX2 backend. Reduction kernels (class 3) use 4 independent 4-lane FMA
-// accumulators — reassociated relative to the reference, tolerance
-// documented in simd_ops.h. Elementwise and lane-sequential kernels
-// (classes 1 and 2) use separate mul/add so they stay bit-identical.
-// Compiled with per-function target attributes so the rest of the build
-// keeps the portable baseline ISA; only CPUID-gated dispatch reaches them.
-// ---------------------------------------------------------------------------
-
-__attribute__((target("avx2,fma"))) double HsumAvx2(__m256d v) {
-  // Fixed tree order: (lane0 + lane1) + (lane2 + lane3).
-  const __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  const __m128d pair = _mm_add_pd(lo, hi);  // {l0+l2, l1+l3}
-  return _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-}
-
-__attribute__((target("avx2,fma"))) double Avx2Dot(std::span<const double> a,
-                                                   std::span<const double> b) {
-  const size_t n = a.size();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  __m256d acc2 = _mm256_setzero_pd();
-  __m256d acc3 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(pa + i),
-                           _mm256_loadu_pd(pb + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(pa + i + 4),
-                           _mm256_loadu_pd(pb + i + 4), acc1);
-    acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(pa + i + 8),
-                           _mm256_loadu_pd(pb + i + 8), acc2);
-    acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(pa + i + 12),
-                           _mm256_loadu_pd(pb + i + 12), acc3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(pa + i),
-                           _mm256_loadu_pd(pb + i), acc0);
-  }
-  double sum =
-      HsumAvx2(_mm256_add_pd(_mm256_add_pd(acc0, acc1),
-                             _mm256_add_pd(acc2, acc3)));
-  for (; i < n; ++i) sum += pa[i] * pb[i];
-  return sum;
-}
-
-__attribute__((target("avx2,fma"))) double Avx2SquaredNorm(
-    std::span<const double> a) {
-  return Avx2Dot(a, a);
-}
-
-__attribute__((target("avx2,fma"))) double Avx2SquaredEuclideanDistance(
-    std::span<const double> a, std::span<const double> b) {
-  const size_t n = a.size();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d d0 =
-        _mm256_sub_pd(_mm256_loadu_pd(pa + i), _mm256_loadu_pd(pb + i));
-    const __m256d d1 = _mm256_sub_pd(_mm256_loadu_pd(pa + i + 4),
-                                     _mm256_loadu_pd(pb + i + 4));
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-    acc1 = _mm256_fmadd_pd(d1, d1, acc1);
-  }
-  for (; i + 4 <= n; i += 4) {
-    const __m256d d0 =
-        _mm256_sub_pd(_mm256_loadu_pd(pa + i), _mm256_loadu_pd(pb + i));
-    acc0 = _mm256_fmadd_pd(d0, d0, acc0);
-  }
-  double sum = HsumAvx2(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    const double diff = pa[i] - pb[i];
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-__attribute__((target("avx2,fma"))) double Avx2PearsonCorrelation(
-    std::span<const double> a, std::span<const double> b) {
-  const size_t n = a.size();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  // Pass 1: sums for the means.
-  __m256d sa = _mm256_setzero_pd();
-  __m256d sb = _mm256_setzero_pd();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    sa = _mm256_add_pd(sa, _mm256_loadu_pd(pa + i));
-    sb = _mm256_add_pd(sb, _mm256_loadu_pd(pb + i));
-  }
-  double sum_a = HsumAvx2(sa);
-  double sum_b = HsumAvx2(sb);
-  for (; i < n; ++i) {
-    sum_a += pa[i];
-    sum_b += pb[i];
-  }
-  const double inv_n = 1.0 / static_cast<double>(n);
-  const __m256d mean_a = _mm256_set1_pd(sum_a * inv_n);
-  const __m256d mean_b = _mm256_set1_pd(sum_b * inv_n);
-  // Pass 2: covariance and variances.
-  __m256d cov_v = _mm256_setzero_pd();
-  __m256d var_a_v = _mm256_setzero_pd();
-  __m256d var_b_v = _mm256_setzero_pd();
-  i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d da = _mm256_sub_pd(_mm256_loadu_pd(pa + i), mean_a);
-    const __m256d db = _mm256_sub_pd(_mm256_loadu_pd(pb + i), mean_b);
-    cov_v = _mm256_fmadd_pd(da, db, cov_v);
-    var_a_v = _mm256_fmadd_pd(da, da, var_a_v);
-    var_b_v = _mm256_fmadd_pd(db, db, var_b_v);
-  }
-  double cov = HsumAvx2(cov_v);
-  double var_a = HsumAvx2(var_a_v);
-  double var_b = HsumAvx2(var_b_v);
-  const double ma = sum_a * inv_n;
-  const double mb = sum_b * inv_n;
-  for (; i < n; ++i) {
-    const double da = pa[i] - ma;
-    const double db = pb[i] - mb;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a < kZeroVarianceEpsilon || var_b < kZeroVarianceEpsilon) {
-    return 0.0;
-  }
-  double cor = cov / (std::sqrt(var_a) * std::sqrt(var_b));
-  if (cor > 1.0) cor = 1.0;
-  if (cor < -1.0) cor = -1.0;
-  return cor;
-}
-
-__attribute__((target("avx2"))) void Avx2StandardizeInPlace(
-    std::span<double> values) {
-  double mean = 0.0;
-  double scale = 0.0;
-  if (!StandardizeMoments(values, &mean, &scale)) {
-    for (double& v : values) v = 0.0;
-    return;
-  }
-  double* p = values.data();
-  const size_t n = values.size();
-  const __m256d mean_v = _mm256_set1_pd(mean);
-  const __m256d scale_v = _mm256_set1_pd(scale);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // sub then mul — per-element, identical to the scalar reference.
-    _mm256_storeu_pd(
-        p + i,
-        _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(p + i), mean_v),
-                      scale_v));
-  }
-  for (; i < n; ++i) p[i] = (p[i] - mean) * scale;
-}
-
-__attribute__((target("avx2"))) void Avx2ApplyPermutation(
-    std::span<const double> input, std::span<const uint32_t> perm,
-    std::span<double> output) {
-  const size_t n = input.size();
-  const double* in = input.data();
-  const uint32_t* pi = perm.data();
-  double* out = output.data();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i idx =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(pi + i));
-    _mm256_storeu_pd(out + i, _mm256_i32gather_pd(in, idx, 8));
-  }
-  for (; i < n; ++i) out[i] = in[pi[i]];
-}
+// AVX2 backend. Compiled with a per-function target attribute so the rest
+// of the build keeps the portable baseline ISA; only CPUID-gated dispatch
+// reaches it.
 
 __attribute__((target("avx2"))) void Avx2PermutedSquaredDistanceBlock(
     std::span<const double> xs, std::span<const double> xt,
@@ -382,165 +93,14 @@ __attribute__((target("avx2"))) void Avx2PermutedSquaredDistanceBlock(
 
 constexpr KernelDispatch kAvx2Dispatch = {
     KernelBackend::kAvx2,
-    &Avx2Dot,
-    &Avx2SquaredNorm,
-    &Avx2SquaredEuclideanDistance,
-    &Avx2PearsonCorrelation,
-    &Avx2StandardizeInPlace,
-    &Avx2ApplyPermutation,
     &Avx2PermutedSquaredDistanceBlock,
 };
 
 #endif  // IMGRN_KERNELS_X86_64
 
-#if defined(IMGRN_KERNELS_NEON)
-
-// ---------------------------------------------------------------------------
-// NEON backend (aarch64). Reduction kernels only: 2-lane float64x2 with 4
-// independent FMA accumulators (class 3, tolerance). aarch64 has no double
-// gather, so apply_permutation and the batched Monte Carlo kernel keep the
-// scalar reference (trivially bit-identical); standardize_in_place
-// vectorizes just the elementwise pass (class 1).
-// ---------------------------------------------------------------------------
-
-double NeonDot(std::span<const double> a, std::span<const double> b) {
-  const size_t n = a.size();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = vfmaq_f64(acc0, vld1q_f64(pa + i), vld1q_f64(pb + i));
-    acc1 = vfmaq_f64(acc1, vld1q_f64(pa + i + 2), vld1q_f64(pb + i + 2));
-    acc2 = vfmaq_f64(acc2, vld1q_f64(pa + i + 4), vld1q_f64(pb + i + 4));
-    acc3 = vfmaq_f64(acc3, vld1q_f64(pa + i + 6), vld1q_f64(pb + i + 6));
-  }
-  double sum = vaddvq_f64(vaddq_f64(vaddq_f64(acc0, acc1),
-                                    vaddq_f64(acc2, acc3)));
-  for (; i < n; ++i) sum += pa[i] * pb[i];
-  return sum;
-}
-
-double NeonSquaredNorm(std::span<const double> a) { return NeonDot(a, a); }
-
-double NeonSquaredEuclideanDistance(std::span<const double> a,
-                                    std::span<const double> b) {
-  const size_t n = a.size();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float64x2_t d0 = vsubq_f64(vld1q_f64(pa + i), vld1q_f64(pb + i));
-    const float64x2_t d1 =
-        vsubq_f64(vld1q_f64(pa + i + 2), vld1q_f64(pb + i + 2));
-    acc0 = vfmaq_f64(acc0, d0, d0);
-    acc1 = vfmaq_f64(acc1, d1, d1);
-  }
-  double sum = vaddvq_f64(vaddq_f64(acc0, acc1));
-  for (; i < n; ++i) {
-    const double diff = pa[i] - pb[i];
-    sum += diff * diff;
-  }
-  return sum;
-}
-
-double NeonPearsonCorrelation(std::span<const double> a,
-                              std::span<const double> b) {
-  const size_t n = a.size();
-  const double* pa = a.data();
-  const double* pb = b.data();
-  float64x2_t sa = vdupq_n_f64(0.0);
-  float64x2_t sb = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    sa = vaddq_f64(sa, vld1q_f64(pa + i));
-    sb = vaddq_f64(sb, vld1q_f64(pb + i));
-  }
-  double sum_a = vaddvq_f64(sa);
-  double sum_b = vaddvq_f64(sb);
-  for (; i < n; ++i) {
-    sum_a += pa[i];
-    sum_b += pb[i];
-  }
-  const double ma = sum_a / static_cast<double>(n);
-  const double mb = sum_b / static_cast<double>(n);
-  const float64x2_t mav = vdupq_n_f64(ma);
-  const float64x2_t mbv = vdupq_n_f64(mb);
-  float64x2_t cov_v = vdupq_n_f64(0.0);
-  float64x2_t var_a_v = vdupq_n_f64(0.0);
-  float64x2_t var_b_v = vdupq_n_f64(0.0);
-  i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t da = vsubq_f64(vld1q_f64(pa + i), mav);
-    const float64x2_t db = vsubq_f64(vld1q_f64(pb + i), mbv);
-    cov_v = vfmaq_f64(cov_v, da, db);
-    var_a_v = vfmaq_f64(var_a_v, da, da);
-    var_b_v = vfmaq_f64(var_b_v, db, db);
-  }
-  double cov = vaddvq_f64(cov_v);
-  double var_a = vaddvq_f64(var_a_v);
-  double var_b = vaddvq_f64(var_b_v);
-  for (; i < n; ++i) {
-    const double da = pa[i] - ma;
-    const double db = pb[i] - mb;
-    cov += da * db;
-    var_a += da * da;
-    var_b += db * db;
-  }
-  if (var_a < kZeroVarianceEpsilon || var_b < kZeroVarianceEpsilon) {
-    return 0.0;
-  }
-  double cor = cov / (std::sqrt(var_a) * std::sqrt(var_b));
-  if (cor > 1.0) cor = 1.0;
-  if (cor < -1.0) cor = -1.0;
-  return cor;
-}
-
-void NeonStandardizeInPlace(std::span<double> values) {
-  double mean = 0.0;
-  double scale = 0.0;
-  if (!StandardizeMoments(values, &mean, &scale)) {
-    for (double& v : values) v = 0.0;
-    return;
-  }
-  double* p = values.data();
-  const size_t n = values.size();
-  const float64x2_t mean_v = vdupq_n_f64(mean);
-  const float64x2_t scale_v = vdupq_n_f64(scale);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(p + i,
-              vmulq_f64(vsubq_f64(vld1q_f64(p + i), mean_v), scale_v));
-  }
-  for (; i < n; ++i) p[i] = (p[i] - mean) * scale;
-}
-
-constexpr KernelDispatch kNeonDispatch = {
-    KernelBackend::kNeon,
-    &NeonDot,
-    &NeonSquaredNorm,
-    &NeonSquaredEuclideanDistance,
-    &NeonPearsonCorrelation,
-    &NeonStandardizeInPlace,
-    &ScalarApplyPermutation,
-    &ScalarPermutedSquaredDistanceBlock,
-};
-
-#endif  // IMGRN_KERNELS_NEON
-
 const KernelDispatch* ProbeNativeKernels() {
 #if defined(IMGRN_KERNELS_X86_64) && defined(__GNUC__)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return &kAvx2Dispatch;
-  }
-#endif
-#if defined(IMGRN_KERNELS_NEON)
-  return &kNeonDispatch;  // Advanced SIMD is baseline on aarch64.
+  if (__builtin_cpu_supports("avx2")) return &kAvx2Dispatch;
 #endif
   return &kScalarDispatch;
 }
@@ -588,38 +148,6 @@ ScopedKernelOverride::ScopedKernelOverride(const KernelDispatch& table)
 
 ScopedKernelOverride::~ScopedKernelOverride() {
   g_active_kernels.store(previous_, std::memory_order_release);
-}
-
-double FastDot(std::span<const double> a, std::span<const double> b) {
-  IMGRN_CHECK_EQ(a.size(), b.size());
-  return ActiveKernels().dot(a, b);
-}
-
-double FastSquaredNorm(std::span<const double> a) {
-  return ActiveKernels().squared_norm(a);
-}
-
-double FastSquaredEuclideanDistance(std::span<const double> a,
-                                    std::span<const double> b) {
-  IMGRN_CHECK_EQ(a.size(), b.size());
-  return ActiveKernels().squared_euclidean_distance(a, b);
-}
-
-double FastEuclideanDistance(std::span<const double> a,
-                             std::span<const double> b) {
-  return std::sqrt(FastSquaredEuclideanDistance(a, b));
-}
-
-double FastPearsonCorrelation(std::span<const double> a,
-                              std::span<const double> b) {
-  IMGRN_CHECK_EQ(a.size(), b.size());
-  IMGRN_CHECK(!a.empty());
-  return ActiveKernels().pearson_correlation(a, b);
-}
-
-double FastAbsolutePearsonCorrelation(std::span<const double> a,
-                                      std::span<const double> b) {
-  return std::fabs(FastPearsonCorrelation(a, b));
 }
 
 }  // namespace imgrn

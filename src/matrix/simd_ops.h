@@ -7,68 +7,41 @@
 
 namespace imgrn {
 
-/// Runtime-dispatched SIMD kernels for the dense refinement hot path.
+/// Runtime-dispatched SIMD kernel for the Monte Carlo permutation estimate
+/// of Eq. (4) and Lemma 2 — the one dense loop of a query that pays for a
+/// vector backend. Every other dense primitive (dot products, distances,
+/// Pearson correlation, standardization, permutation) is a plain scalar
+/// function in vector_ops.h and does not dispatch.
 ///
 /// The engine's headline guarantee across every subsystem is bit-exactness
-/// (sharded == unsharded, disk == mem, snapshot-reopened == rebuilt), so a
-/// vectorized kernel may only ship under an explicit equivalence class.
-/// Every kernel in the dispatch table belongs to one of three:
+/// (sharded == unsharded, disk == mem, snapshot-reopened == rebuilt), so
+/// the dispatched kernel has one contract: BIT-IDENTICAL to the scalar
+/// reference on every backend, for any input including NaN/Inf/denormals
+/// and signed zeros. `permuted_squared_distance_block` keeps it by
+/// construction: each SIMD lane accumulates exactly one permutation
+/// sample's sum_i (xs[i] - xt[perm[i]])^2 in ascending-i order with
+/// separate mul and add (no FMA), which is operation-for-operation the
+/// scalar reference's loop. The Monte Carlo accept/reject decisions are
+/// therefore identical across backends by construction, not by tolerance,
+/// and so is every result the engine computes — matches, QueryStats
+/// counters, inference score matrices and snapshot bytes. (The scalar
+/// reference translation units compile with -ffp-contract=off so a
+/// compiler cannot re-fuse the reference into FMA; see
+/// src/matrix/CMakeLists.txt.)
 ///
-///  1. BIT-IDENTICAL, elementwise: `apply_permutation` (pure data movement)
-///     and `standardize_in_place` (its two internal reductions — mean and
-///     sum of squares — stay in scalar order on every backend; only the
-///     elementwise (v - mean) * scale pass vectorizes, and per-element IEEE
-///     ops are identical in SIMD lanes and scalar registers). Any backend's
-///     output is bit-for-bit the scalar reference's output, for any input
-///     including NaN/Inf/denormals and signed zeros.
-///
-///  2. BIT-IDENTICAL, lane-sequential: `permuted_squared_distance_block`,
-///     the batched Monte Carlo kernel behind Lemma 2's permutation
-///     estimate. Each SIMD lane accumulates exactly one permutation
-///     sample's sum_i (xs[i] - xt[perm[i]])^2 in ascending-i order with
-///     separate mul and add (no FMA), which is operation-for-operation the
-///     scalar reference's ApplyPermutation + SquaredEuclideanDistance
-///     order. The Monte Carlo accept/reject decisions — the thing the
-///     engine's bit-exactness actually rests on — are therefore identical
-///     across backends by construction, not by tolerance. (The scalar
-///     reference translation units compile with -ffp-contract=off so a
-///     compiler cannot re-fuse the reference into FMA; see
-///     src/matrix/CMakeLists.txt.)
-///
-///  3. TOLERANCE, reassociated reductions: `dot`, `squared_norm`,
-///     `squared_euclidean_distance`, `pearson_correlation`. These use
-///     multiple accumulators and FMA, so results differ from the scalar
-///     reference by reassociation/contraction rounding — empirically a few
-///     ULPs (tests assert <= 64 ULPs / 1e-12 relative on finite inputs up
-///     to length 4096). They are only wired into throughput paths whose
-///     consumers carry tolerances anyway (inference score matrices, ROC
-///     benches, pivot selection, index-build embedding). Query-time
-///     DECISION sites (refinement stage-2 Markov/pivot bounds, the
-///     processor's leaf-pair pruning, query-GRN inference, the estimator's
-///     `observed` anchor) keep the scalar reference via vector_ops.h, so a
-///     full query's matches and QueryStats counters are invariant under
-///     backend choice. tests/kernel_fuzz_test.cc holds the system to that.
-///     Caveat: on adversarial inputs whose partial sums overflow under one
-///     association order but not another (e.g. alternating ±1e308),
-///     reassociated reductions may differ from the reference in
-///     non-finite class; the promised domain is inputs whose partial sums
-///     stay finite under any association, which standardized gene columns
-///     (|v| <= sqrt(l)) satisfy by construction.
-///
-/// Backend selection happens once, on first use: AVX2(+FMA) via CPUID on
-/// x86-64, NEON on aarch64, scalar everywhere else. Setting the
-/// IMGRN_FORCE_SCALAR environment variable (to anything but "", "0",
-/// "false" or "off") pins the scalar reference backend — the differential
-/// CI gate (tools/ci_sanitize.sh kernels) runs the test suite both ways.
+/// Backend selection happens once, on first use: AVX2 via CPUID on x86-64,
+/// scalar everywhere else. Setting the IMGRN_FORCE_SCALAR environment
+/// variable (to anything but "", "0", "false" or "off") pins the scalar
+/// reference backend — the differential CI gate (tools/ci_sanitize.sh
+/// kernels) runs the test suite both ways.
 
 /// Identifies a kernel backend implementation.
 enum class KernelBackend {
   kScalar,  // Portable reference; always available; defines the semantics.
-  kAvx2,    // x86-64 AVX2 + FMA (reductions) + 32-bit gathers (batch/perm).
-  kNeon,    // aarch64 Advanced SIMD (reductions + elementwise standardize).
+  kAvx2,    // x86-64 AVX2 (32-bit index gathers).
 };
 
-/// Human-readable backend name ("scalar", "avx2", "neon").
+/// Human-readable backend name ("scalar", "avx2").
 const char* KernelBackendName(KernelBackend backend);
 
 /// Number of permutation samples one `permuted_squared_distance_block`
@@ -77,51 +50,20 @@ const char* KernelBackendName(KernelBackend backend);
 /// narrower.
 inline constexpr size_t kPermutedDistanceBatch = 8;
 
-/// Table of kernel entry points for one backend. All preconditions
-/// (matching sizes, non-empty inputs, non-overlapping spans) are enforced
-/// by the public wrappers in vector_ops.h / the fast wrappers below; table
-/// functions assume validated inputs.
+/// Table of kernel entry points for one backend. Table functions assume
+/// validated inputs; their callers (permutation_cache.cc) check sizes.
 struct KernelDispatch {
   KernelBackend backend;
 
-  /// sum_i a[i] * b[i]   (class 3: tolerance).
-  double (*dot)(std::span<const double> a, std::span<const double> b);
-
-  /// sum_i a[i]^2        (class 3: tolerance).
-  double (*squared_norm)(std::span<const double> a);
-
-  /// sum_i (a[i]-b[i])^2 (class 3: tolerance).
-  double (*squared_euclidean_distance)(std::span<const double> a,
-                                       std::span<const double> b);
-
-  /// Pearson correlation, clamped to [-1, 1], 0 for (near-)constant
-  /// inputs  (class 3: tolerance; the 1e-15 zero-variance cutoff is
-  /// evaluated on the backend's own variance sum, so inputs engineered to
-  /// land within rounding distance of the cutoff may flip between 0 and a
-  /// correlation value across backends).
-  double (*pearson_correlation)(std::span<const double> a,
-                                std::span<const double> b);
-
-  /// Standardize to mean 0, ||v||^2 == v.size() (class 1: bit-identical).
-  void (*standardize_in_place)(std::span<double> values);
-
-  /// output[i] = input[perm[i]]  (class 1: bit-identical). Input and
-  /// output must not overlap (checked by the vector_ops.h wrapper).
-  void (*apply_permutation)(std::span<const double> input,
-                            std::span<const uint32_t> perm,
-                            std::span<double> output);
-
-  /// Batched Monte Carlo distance kernel (class 2: bit-identical,
-  /// lane-sequential). For `batch` permutation samples laid out
-  /// interleaved — idx[i * batch + b] is sample b's permutation image of
-  /// position i, i in [0, xt.size()), b in [0, batch) — computes
+  /// Batched Monte Carlo distance kernel. For `batch` permutation samples
+  /// laid out interleaved — idx[i * batch + b] is sample b's permutation
+  /// image of position i, i in [0, xt.size()), b in [0, batch) — computes
   ///   out[b] = sum_i (xs[i] - xt[idx[i * batch + b]])^2
   /// with each sample's sum accumulated in ascending-i order using
   /// separate mul/add. One call makes a single pass over the standardized
-  /// columns for up to kPermutedDistanceBatch samples, instead of the
-  /// scalar path's per-sample permute-then-distance double pass.
-  /// Requires batch >= 1; batch > kPermutedDistanceBatch falls back to the
-  /// scalar loop on every backend.
+  /// columns for up to kPermutedDistanceBatch samples. Requires
+  /// batch >= 1; batch != kPermutedDistanceBatch takes the scalar loop on
+  /// every backend.
   void (*permuted_squared_distance_block)(std::span<const double> xs,
                                           std::span<const double> xt,
                                           const uint32_t* idx, size_t batch,
@@ -129,8 +71,7 @@ struct KernelDispatch {
 };
 
 /// The portable scalar reference table. Its semantics define every other
-/// backend's contract; decision sites that must be backend-invariant pin
-/// themselves to it (via the vector_ops.h reference functions).
+/// backend's contract.
 const KernelDispatch& ScalarKernels();
 
 /// The best table this CPU supports (CPUID-probed once; == ScalarKernels()
@@ -165,21 +106,6 @@ class ScopedKernelOverride {
  private:
   const KernelDispatch* previous_;
 };
-
-/// Dispatched (fast) reduction wrappers for throughput call sites —
-/// equivalence class 3 above: results may differ from the vector_ops.h
-/// reference functions by reassociation/FMA rounding. Decision sites must
-/// use the vector_ops.h reference functions instead.
-double FastDot(std::span<const double> a, std::span<const double> b);
-double FastSquaredNorm(std::span<const double> a);
-double FastSquaredEuclideanDistance(std::span<const double> a,
-                                    std::span<const double> b);
-double FastEuclideanDistance(std::span<const double> a,
-                             std::span<const double> b);
-double FastPearsonCorrelation(std::span<const double> a,
-                              std::span<const double> b);
-double FastAbsolutePearsonCorrelation(std::span<const double> a,
-                                      std::span<const double> b);
 
 }  // namespace imgrn
 

@@ -3,20 +3,36 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "matrix/simd_ops.h"
 
 // Compiled with -ffp-contract=off (see CMakeLists.txt in this directory):
 // these are the engine's REFERENCE numeric semantics, and letting a
 // compiler fuse mul+add into FMA would change stored results between
-// builds and break the scalar-vs-SIMD bit-identity contract documented in
-// simd_ops.h.
+// builds and machines.
 
 namespace imgrn {
 
 namespace {
 
-// Variance below this is treated as "constant vector".
+// Variance below this is treated as "constant vector" by both
+// PearsonCorrelation and StandardizeInPlace.
 constexpr double kZeroVarianceEpsilon = 1e-15;
+
+// The mean / sum-of-squares reductions of standardization. Returns false
+// for a (near-)constant vector, in which case the caller zero-fills.
+bool StandardizeMoments(std::span<const double> values, double* mean,
+                        double* scale) {
+  double sum = 0.0;
+  for (double v : values) sum += v;
+  *mean = sum / static_cast<double>(values.size());
+  double sum_sq = 0.0;
+  for (double v : values) {
+    const double centered = v - *mean;
+    sum_sq += centered * centered;
+  }
+  if (sum_sq < kZeroVarianceEpsilon) return false;
+  *scale = std::sqrt(static_cast<double>(values.size()) / sum_sq);
+  return true;
+}
 
 }  // namespace
 
@@ -44,17 +60,26 @@ double StdDev(std::span<const double> values) {
 
 double Dot(std::span<const double> a, std::span<const double> b) {
   IMGRN_CHECK_EQ(a.size(), b.size());
-  return ScalarKernels().dot(a, b);
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
+  return sum;
 }
 
 double SquaredNorm(std::span<const double> a) {
-  return ScalarKernels().squared_norm(a);
+  double sum = 0.0;
+  for (double v : a) sum += v * v;
+  return sum;
 }
 
 double SquaredEuclideanDistance(std::span<const double> a,
                                 std::span<const double> b) {
   IMGRN_CHECK_EQ(a.size(), b.size());
-  return ScalarKernels().squared_euclidean_distance(a, b);
+  double sum = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double diff = a[i] - b[i];
+    sum += diff * diff;
+  }
+  return sum;
 }
 
 double EuclideanDistance(std::span<const double> a,
@@ -66,7 +91,31 @@ double PearsonCorrelation(std::span<const double> a,
                           std::span<const double> b) {
   IMGRN_CHECK_EQ(a.size(), b.size());
   IMGRN_CHECK(!a.empty());
-  return ScalarKernels().pearson_correlation(a, b);
+  double sum_a = 0.0;
+  double sum_b = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    sum_a += a[i];
+    sum_b += b[i];
+  }
+  const double mean_a = sum_a / static_cast<double>(a.size());
+  const double mean_b = sum_b / static_cast<double>(b.size());
+  double cov = 0.0;
+  double var_a = 0.0;
+  double var_b = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double da = a[i] - mean_a;
+    const double db = b[i] - mean_b;
+    cov += da * db;
+    var_a += da * da;
+    var_b += db * db;
+  }
+  if (var_a < kZeroVarianceEpsilon || var_b < kZeroVarianceEpsilon) {
+    return 0.0;
+  }
+  double cor = cov / (std::sqrt(var_a) * std::sqrt(var_b));
+  if (cor > 1.0) cor = 1.0;
+  if (cor < -1.0) cor = -1.0;
+  return cor;
 }
 
 double AbsolutePearsonCorrelation(std::span<const double> a,
@@ -76,9 +125,15 @@ double AbsolutePearsonCorrelation(std::span<const double> a,
 
 void StandardizeInPlace(std::span<double> values) {
   IMGRN_CHECK(!values.empty());
-  // Bit-identical on every backend (equivalence class 1, simd_ops.h), so
-  // dispatch is safe even for stored matrix columns.
-  ActiveKernels().standardize_in_place(values);
+  double mean = 0.0;
+  double scale = 0.0;
+  if (!StandardizeMoments(values, &mean, &scale)) {
+    for (double& v : values) v = 0.0;
+    return;
+  }
+  for (double& v : values) {
+    v = (v - mean) * scale;
+  }
 }
 
 std::vector<double> Standardized(std::span<const double> values) {
@@ -105,14 +160,14 @@ void ApplyPermutation(std::span<const double> input,
   IMGRN_CHECK_EQ(input.size(), output.size());
   // Aliasing precondition, asserted rather than silent: output[i] =
   // input[perm[i]] reads input positions after earlier writes to output,
-  // so any overlap between the two spans corrupts results (and the SIMD
-  // gather backend reads 4 positions per store, widening the hazard).
-  // Every caller permutes into a separate scratch buffer; hold them to it.
+  // so any overlap between the two spans corrupts results. Every caller
+  // permutes into a separate scratch buffer; hold them to it.
   IMGRN_CHECK(input.data() + input.size() <= output.data() ||
               output.data() + output.size() <= input.data())
       << "ApplyPermutation input and output must not overlap";
-  // Bit-identical on every backend (pure data movement).
-  ActiveKernels().apply_permutation(input, perm, output);
+  for (size_t i = 0; i < input.size(); ++i) {
+    output[i] = input[perm[i]];
+  }
 }
 
 double CorrelationFromDistance(double distance, size_t length) {

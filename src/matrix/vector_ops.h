@@ -11,15 +11,12 @@ namespace imgrn {
 /// primitives every higher layer (inference measures, embedding, pruning
 /// bounds) is built on.
 ///
-/// Numeric contract (see simd_ops.h for the full policy): the reduction
-/// functions here (Dot, SquaredNorm, distances, Pearson) are the pinned
-/// scalar REFERENCE — their serial accumulation order never changes, so
-/// query-time decision sites that call them are invariant under the
-/// runtime-dispatched SIMD backend. Throughput call sites that can absorb
-/// a few ULPs of reassociation error should use the Fast* wrappers in
-/// simd_ops.h instead. StandardizeInPlace and ApplyPermutation DO dispatch
-/// to the active SIMD backend, because every backend's implementation is
-/// bit-identical to the reference by construction.
+/// Numeric contract: every function here is plain scalar code with a fixed
+/// serial accumulation order, compiled without FP contraction, so its
+/// result is the same bits on every machine and under every kernel
+/// backend. Nothing here dispatches; the one SIMD kernel, the batched
+/// Monte Carlo distance of simd_ops.h, is bit-identical to its scalar
+/// reference by construction.
 
 /// Arithmetic mean of `values`. Requires a non-empty span.
 double Mean(std::span<const double> values);

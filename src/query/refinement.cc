@@ -37,10 +37,6 @@ bool RefineMatrix(const ImGrnIndex& index, SourceId source,
     for (const ProbEdge& qe : query.edges()) {
       const size_t ca = static_cast<size_t>(column_of[qe.u]);
       const size_t cb = static_cast<size_t>(column_of[qe.v]);
-      // Decision site: this distance feeds Lemma-3/5 prune decisions, so
-      // it stays on the pinned scalar-reference kernel (never Fast*) —
-      // QueryStats and match sets must be invariant under the dispatched
-      // SIMD backend. The heavy per-sample work below is batched instead.
       const double distance =
           EuclideanDistance(matrix.Column(ca), matrix.Column(cb));
       double ub = MarkovUpperBoundClosedForm(distance, l);

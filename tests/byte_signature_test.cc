@@ -128,5 +128,11 @@ TEST(ByteSignatureDeathTest, SizeMismatchAborts) {
   EXPECT_DEATH(ByteSignatureAdd(layout, 1, wrong), "Check failed");
 }
 
+TEST(MixHashTest, DeterministicAndSpread) {
+  EXPECT_EQ(MixHash64(42), MixHash64(42));
+  EXPECT_NE(MixHash64(42), MixHash64(43));
+  EXPECT_NE(MixHash64(42), MixHash64Alt(42));
+}
+
 }  // namespace
 }  // namespace imgrn

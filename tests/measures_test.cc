@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "matrix/vector_ops.h"
@@ -55,6 +56,48 @@ TEST(ComputeScoreMatrixTest, CorrelationSeparatesClusterFromNoise) {
   // Columns 0,1 are the cluster; column 2 is noise.
   EXPECT_GT(scores->At(0, 1), 0.7);
   EXPECT_LT(scores->At(0, 2), 0.4);
+}
+
+// Correlation scores come from one Dot over standardized columns per pair;
+// they must agree with the pairwise |Pearson|, including its edge cases.
+TEST(ComputeScoreMatrixTest, CorrelationMatchesAbsolutePearson) {
+  Rng rng(10);
+  GeneMatrix matrix =
+      MakePlantedMatrix(0, 40, {{1, 2, 3}}, {4, 5, 6, 7}, 0.9, &rng);
+  constexpr size_t kConstant = 3;
+  constexpr size_t kCollinear = 4;
+  constexpr size_t kWithNan = 5;
+  for (size_t j = 0; j < matrix.num_samples(); ++j) {
+    matrix.At(j, kConstant) = 2.5;
+    matrix.At(j, kCollinear) = -3.0 * matrix.At(j, 0) + 0.5;
+  }
+  matrix.At(7, kWithNan) = std::numeric_limits<double>::quiet_NaN();
+  Result<DenseMatrix> scores =
+      ComputeScoreMatrix(matrix, InferenceMeasure::kCorrelation);
+  ASSERT_TRUE(scores.ok());
+  const size_t n = matrix.num_genes();
+  for (size_t s = 0; s < n; ++s) {
+    for (size_t t = 0; t < n; ++t) {
+      if (s == t) continue;
+      const double score = scores->At(s, t);
+      if (s == kWithNan || t == kWithNan) {
+        // NaN passes through the clamp, even against the constant column
+        // (where PearsonCorrelation's zero-variance early-out gives 0).
+        EXPECT_TRUE(std::isnan(score)) << s << ", " << t;
+        continue;
+      }
+      const double pearson =
+          AbsolutePearsonCorrelation(matrix.Column(s), matrix.Column(t));
+      EXPECT_NEAR(score, pearson, 1e-12) << s << ", " << t;
+      EXPECT_LE(score, 1.0) << s << ", " << t;
+      if (s == kConstant || t == kConstant) {
+        EXPECT_EQ(score, 0.0) << s << ", " << t;
+      }
+    }
+  }
+  EXPECT_NEAR(scores->At(0, kCollinear), 1.0, 1e-12);
+  EXPECT_TRUE(std::isnan(
+      AbsolutePearsonCorrelation(matrix.Column(0), matrix.Column(kWithNan))));
 }
 
 TEST(ComputeScoreMatrixTest, ImGrnScoresInUnitIntervalAndSymmetric) {

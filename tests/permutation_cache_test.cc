@@ -18,14 +18,36 @@ std::vector<double> RandomStandardized(size_t l, Rng* rng) {
   return values;
 }
 
+// Sample s of `blocks`: block s / 8, lane s % 8 of the interleaved layout.
+std::vector<uint32_t> Sample(const PermutationBlocks& blocks, size_t s) {
+  const size_t k = s / kPermutedDistanceBatch;
+  const size_t b = s % kPermutedDistanceBatch;
+  const size_t width = blocks.block_width(k);
+  std::vector<uint32_t> perm(blocks.length());
+  for (size_t i = 0; i < blocks.length(); ++i) {
+    perm[i] = blocks.block(k)[i * width + b];
+  }
+  return perm;
+}
+
+std::vector<std::vector<uint32_t>> AllSamples(const PermutationBlocks& blocks) {
+  std::vector<std::vector<uint32_t>> samples;
+  for (size_t s = 0; s < blocks.num_samples(); ++s) {
+    samples.push_back(Sample(blocks, s));
+  }
+  return samples;
+}
+
 TEST(PermutationCacheTest, GeneratesRequestedCount) {
   PermutationCache cache(32, 1);
-  EXPECT_EQ(cache.ForLength(10).size(), 32u);
+  const PermutationBlocks& blocks = cache.BlocksForLength(10);
+  EXPECT_EQ(blocks.num_samples(), 32u);
+  EXPECT_EQ(blocks.num_blocks(), 4u);
 }
 
 TEST(PermutationCacheTest, EntriesAreValidPermutations) {
   PermutationCache cache(16, 2);
-  for (const auto& perm : cache.ForLength(9)) {
+  for (const auto& perm : AllSamples(cache.BlocksForLength(9))) {
     std::vector<uint32_t> sorted = perm;
     std::sort(sorted.begin(), sorted.end());
     for (uint32_t i = 0; i < 9; ++i) {
@@ -36,21 +58,37 @@ TEST(PermutationCacheTest, EntriesAreValidPermutations) {
 
 TEST(PermutationCacheTest, RepeatLookupReturnsSameObject) {
   PermutationCache cache(8, 3);
-  const auto* first = &cache.ForLength(5);
-  const auto* second = &cache.ForLength(5);
+  const auto* first = &cache.BlocksForLength(5);
+  const auto* second = &cache.BlocksForLength(5);
   EXPECT_EQ(first, second);
 }
 
 TEST(PermutationCacheTest, DifferentLengthsIndependent) {
   PermutationCache cache(8, 4);
-  EXPECT_EQ(cache.ForLength(5)[0].size(), 5u);
-  EXPECT_EQ(cache.ForLength(7)[0].size(), 7u);
+  EXPECT_EQ(cache.BlocksForLength(5).length(), 5u);
+  EXPECT_EQ(cache.BlocksForLength(7).length(), 7u);
 }
 
 TEST(PermutationCacheTest, DeterministicBySeed) {
   PermutationCache a(8, 42);
   PermutationCache b(8, 42);
-  EXPECT_EQ(a.ForLength(6), b.ForLength(6));
+  EXPECT_EQ(AllSamples(a.BlocksForLength(6)), AllSamples(b.BlocksForLength(6)));
+}
+
+// Block k, lane b holds the (8k + b)-th Rng::Permutation draw of the
+// stream, including the lanes of a narrow final block (20 samples: two
+// full blocks and one of width 4).
+TEST(PermutationCacheTest, BlocksHoldDrawsInOrder) {
+  Rng block_rng(7);
+  const PermutationBlocks blocks(20, 9, &block_rng);
+  ASSERT_EQ(blocks.num_blocks(), 3u);
+  EXPECT_EQ(blocks.block_width(2), 4u);
+  Rng draw_rng(7);
+  std::vector<uint32_t> draw;
+  for (size_t s = 0; s < blocks.num_samples(); ++s) {
+    draw_rng.Permutation(9, &draw);
+    EXPECT_EQ(Sample(blocks, s), draw) << "sample " << s;
+  }
 }
 
 TEST(EstimateEdgeProbabilityCachedTest, AgreesWithFreshEstimator) {

@@ -1,27 +1,25 @@
-// Differential suite for the runtime-dispatched SIMD kernels: every
-// backend the build can produce is held to the scalar reference under the
-// equivalence policy of simd_ops.h — bit-identity for the elementwise and
-// lane-sequential kernels (classes 1 and 2) on ANY input including NaN,
-// Inf, denormals and signed zeros; a documented ULP/relative tolerance for
-// the reassociated reduction kernels (class 3) on inputs whose partial
-// sums stay finite. Inputs sweep the shapes that break vector code:
-// every length through 65 (all tail-loop residues of the 4-, 8- and
-// 16-wide main loops), unaligned span offsets, constant vectors, and
-// adversarial special values.
+// Differential suite for the runtime-dispatched SIMD kernel: every backend
+// the build can produce is held bit-for-bit to the scalar reference on ANY
+// input including NaN, Inf, denormals and signed zeros (simd_ops.h). Inputs
+// sweep the shapes that break vector code: every length through 65, narrow
+// tail batches and adversarial special values. The dispatch machinery and
+// the score matrices built on top of it are checked for backend
+// invariance too.
 
 #include "matrix/simd_ops.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "inference/measures.h"
 #include "matrix/vector_ops.h"
+#include "tests/test_util.h"
 
 namespace imgrn {
 namespace {
@@ -31,7 +29,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
 
 // Bitwise equality — the only meaningful comparison for the bit-identity
-// classes: it distinguishes -0.0 from +0.0 and matches NaN payloads.
+// contract: it distinguishes -0.0 from +0.0 and matches NaN payloads.
 ::testing::AssertionResult BitEqual(double a, double b) {
   if (std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b)) {
     return ::testing::AssertionSuccess();
@@ -42,53 +40,11 @@ constexpr double kDenormal = std::numeric_limits<double>::denorm_min();
          << std::bit_cast<uint64_t>(b) << ")";
 }
 
-// Distance in units-in-the-last-place between two finite doubles of the
-// same sign, via the monotone mapping from IEEE-754 bit patterns to
-// integers.
-uint64_t UlpDistance(double a, double b) {
-  const auto to_ordered = [](double v) -> int64_t {
-    const auto bits = static_cast<int64_t>(std::bit_cast<uint64_t>(v));
-    return bits < 0 ? std::numeric_limits<int64_t>::min() - bits : bits;
-  };
-  const int64_t oa = to_ordered(a);
-  const int64_t ob = to_ordered(b);
-  return oa > ob ? static_cast<uint64_t>(oa - ob)
-                 : static_cast<uint64_t>(ob - oa);
-}
-
-// Tolerance for the class-3 reduction kernels (documented in simd_ops.h):
-// within 64 ULPs or 1e-12 relative on finite results; non-finite results
-// must agree in kind.
-::testing::AssertionResult ReductionClose(double reference, double value) {
-  if (std::isnan(reference) || std::isnan(value)) {
-    if (std::isnan(reference) && std::isnan(value)) {
-      return ::testing::AssertionSuccess();
-    }
-    return ::testing::AssertionFailure()
-           << "NaN mismatch: " << reference << " vs " << value;
-  }
-  if (std::isinf(reference) || std::isinf(value)) {
-    if (reference == value) return ::testing::AssertionSuccess();
-    return ::testing::AssertionFailure()
-           << "infinity mismatch: " << reference << " vs " << value;
-  }
-  if (UlpDistance(reference, value) <= 64) {
-    return ::testing::AssertionSuccess();
-  }
-  const double magnitude = std::max(std::fabs(reference), std::fabs(value));
-  if (std::fabs(reference - value) <= 1e-12 * magnitude) {
-    return ::testing::AssertionSuccess();
-  }
-  return ::testing::AssertionFailure()
-         << reference << " vs " << value << " differ by "
-         << UlpDistance(reference, value) << " ULPs";
-}
-
 // All distinct backends this binary can dispatch to (scalar always;
-// native only when the CPU offers a SIMD table). Reduction identities are
-// asserted scalar-vs-table for EVERY table, so the suite degrades to a
-// scalar self-check on hardware without SIMD rather than silently passing
-// on nothing.
+// native only when the CPU offers a SIMD table). Identities are asserted
+// scalar-vs-table for EVERY table, so the suite degrades to a scalar
+// self-check on hardware without SIMD rather than silently passing on
+// nothing.
 std::vector<const KernelDispatch*> AllBackends() {
   std::vector<const KernelDispatch*> backends = {&ScalarKernels()};
   if (NativeKernels().backend != KernelBackend::kScalar) {
@@ -113,20 +69,17 @@ std::vector<uint32_t> RandomPermutation(size_t l, Rng* rng) {
   return perm;
 }
 
-// Lengths covering every residue of the 4-, 8- and 16-wide main loops
-// plus one deep length; 0 exercises the empty-input path of the
-// reductions.
+// Lengths covering every residue of 4- and 8-wide vector code plus one
+// deep length.
 std::vector<size_t> TestLengths() {
   std::vector<size_t> lengths;
-  for (size_t l = 0; l <= 65; ++l) lengths.push_back(l);
+  for (size_t l = 1; l <= 65; ++l) lengths.push_back(l);
   lengths.push_back(1024);
   return lengths;
 }
 
-// Adversarial payloads for the bit-identity kernels. Reductions are NOT
-// asserted on these (their tolerance contract only covers finite partial
-// sums); apply_permutation and standardize_in_place must reproduce the
-// scalar reference exactly even here.
+// Adversarial payloads: the block kernel must reproduce the scalar
+// reference exactly even here.
 std::vector<std::vector<double>> SpecialVectors() {
   return {
       {0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0},
@@ -139,212 +92,8 @@ std::vector<std::vector<double>> SpecialVectors() {
 }
 
 // ---------------------------------------------------------------------------
-// Class 3 (tolerance): reductions, scalar vs every backend.
-// ---------------------------------------------------------------------------
-
-TEST(SimdReductionTest, DotMatchesReferenceAcrossLengths) {
-  Rng rng(101);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t l : TestLengths()) {
-      const std::vector<double> a = RandomVector(l, &rng);
-      const std::vector<double> b = RandomVector(l, &rng);
-      EXPECT_TRUE(ReductionClose(ScalarKernels().dot(a, b), table->dot(a, b)))
-          << BackendLabel(table) << " dot, length " << l;
-    }
-  }
-}
-
-TEST(SimdReductionTest, SquaredNormMatchesReferenceAcrossLengths) {
-  Rng rng(102);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t l : TestLengths()) {
-      const std::vector<double> a = RandomVector(l, &rng);
-      EXPECT_TRUE(ReductionClose(ScalarKernels().squared_norm(a),
-                                 table->squared_norm(a)))
-          << BackendLabel(table) << " squared_norm, length " << l;
-    }
-  }
-}
-
-TEST(SimdReductionTest, SquaredDistanceMatchesReferenceAcrossLengths) {
-  Rng rng(103);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t l : TestLengths()) {
-      const std::vector<double> a = RandomVector(l, &rng);
-      const std::vector<double> b = RandomVector(l, &rng);
-      EXPECT_TRUE(
-          ReductionClose(ScalarKernels().squared_euclidean_distance(a, b),
-                         table->squared_euclidean_distance(a, b)))
-          << BackendLabel(table) << " squared_distance, length " << l;
-    }
-  }
-}
-
-TEST(SimdReductionTest, PearsonMatchesReferenceAcrossLengths) {
-  Rng rng(104);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t l : TestLengths()) {
-      if (l == 0) continue;  // Pearson requires non-empty input.
-      const std::vector<double> a = RandomVector(l, &rng);
-      const std::vector<double> b = RandomVector(l, &rng);
-      EXPECT_TRUE(ReductionClose(ScalarKernels().pearson_correlation(a, b),
-                                 table->pearson_correlation(a, b)))
-          << BackendLabel(table) << " pearson, length " << l;
-    }
-  }
-}
-
-TEST(SimdReductionTest, UnalignedSpanOffsets) {
-  // Vectors deliberately viewed at offsets 1..3 from the allocation, so
-  // the SIMD main loops run over unaligned addresses.
-  Rng rng(105);
-  const std::vector<double> a = RandomVector(131, &rng);
-  const std::vector<double> b = RandomVector(131, &rng);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t offset = 1; offset <= 3; ++offset) {
-      const std::span<const double> va =
-          std::span<const double>(a).subspan(offset);
-      const std::span<const double> vb =
-          std::span<const double>(b).subspan(offset);
-      EXPECT_TRUE(
-          ReductionClose(ScalarKernels().dot(va, vb), table->dot(va, vb)))
-          << BackendLabel(table) << " offset " << offset;
-      EXPECT_TRUE(
-          ReductionClose(ScalarKernels().squared_euclidean_distance(va, vb),
-                         table->squared_euclidean_distance(va, vb)))
-          << BackendLabel(table) << " offset " << offset;
-    }
-  }
-}
-
-TEST(SimdReductionTest, EmptyInputsGiveZero) {
-  const std::span<const double> empty;
-  for (const KernelDispatch* table : AllBackends()) {
-    EXPECT_EQ(table->dot(empty, empty), 0.0) << BackendLabel(table);
-    EXPECT_EQ(table->squared_norm(empty), 0.0) << BackendLabel(table);
-    EXPECT_EQ(table->squared_euclidean_distance(empty, empty), 0.0)
-        << BackendLabel(table);
-  }
-}
-
-TEST(SimdReductionTest, PearsonConstantVectorIsExactlyZeroEverywhere) {
-  // The zero-variance guard is an exact early-out, so "0 for constant
-  // input" holds bitwise on every backend, not just within tolerance.
-  const std::vector<double> constant(37, 4.25);
-  Rng rng(106);
-  const std::vector<double> varying = RandomVector(37, &rng);
-  for (const KernelDispatch* table : AllBackends()) {
-    EXPECT_TRUE(BitEqual(table->pearson_correlation(constant, varying), 0.0))
-        << BackendLabel(table);
-    EXPECT_TRUE(BitEqual(table->pearson_correlation(varying, constant), 0.0))
-        << BackendLabel(table);
-  }
-}
-
-TEST(SimdReductionTest, PearsonStaysClampedOnCollinearInput) {
-  // Perfectly collinear input puts the raw quotient within rounding of
-  // ±1; every backend must clamp into [-1, 1].
-  std::vector<double> a(41);
-  std::vector<double> b(41);
-  for (size_t i = 0; i < a.size(); ++i) {
-    a[i] = 0.1 * static_cast<double>(i) - 2.0;
-    b[i] = -3.0 * a[i] + 0.5;
-  }
-  for (const KernelDispatch* table : AllBackends()) {
-    const double cor = table->pearson_correlation(a, b);
-    EXPECT_GE(cor, -1.0) << BackendLabel(table);
-    EXPECT_LE(cor, 1.0) << BackendLabel(table);
-    EXPECT_NEAR(cor, -1.0, 1e-12) << BackendLabel(table);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Class 1 (bit-identical, elementwise): standardize and permutation.
-// ---------------------------------------------------------------------------
-
-TEST(SimdBitIdentityTest, StandardizeBitIdenticalAcrossLengths) {
-  Rng rng(201);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t l : TestLengths()) {
-      const std::vector<double> input = RandomVector(l, &rng);
-      std::vector<double> reference = input;
-      std::vector<double> candidate = input;
-      ScalarKernels().standardize_in_place(reference);
-      table->standardize_in_place(candidate);
-      for (size_t i = 0; i < l; ++i) {
-        ASSERT_TRUE(BitEqual(reference[i], candidate[i]))
-            << BackendLabel(table) << " length " << l << " index " << i;
-      }
-    }
-  }
-}
-
-TEST(SimdBitIdentityTest, StandardizeBitIdenticalOnSpecialValues) {
-  for (const KernelDispatch* table : AllBackends()) {
-    for (const std::vector<double>& special : SpecialVectors()) {
-      std::vector<double> reference = special;
-      std::vector<double> candidate = special;
-      ScalarKernels().standardize_in_place(reference);
-      table->standardize_in_place(candidate);
-      for (size_t i = 0; i < special.size(); ++i) {
-        ASSERT_TRUE(BitEqual(reference[i], candidate[i]))
-            << BackendLabel(table) << " index " << i;
-      }
-    }
-  }
-}
-
-TEST(SimdBitIdentityTest, StandardizeConstantVectorZeroFillsEverywhere) {
-  for (const KernelDispatch* table : AllBackends()) {
-    std::vector<double> values(13, -7.5);
-    table->standardize_in_place(values);
-    for (double v : values) {
-      EXPECT_TRUE(BitEqual(v, 0.0)) << BackendLabel(table);
-    }
-  }
-}
-
-TEST(SimdBitIdentityTest, ApplyPermutationBitIdenticalAcrossLengths) {
-  Rng rng(202);
-  for (const KernelDispatch* table : AllBackends()) {
-    for (size_t l : TestLengths()) {
-      if (l == 0) continue;
-      const std::vector<double> input = RandomVector(l, &rng);
-      const std::vector<uint32_t> perm = RandomPermutation(l, &rng);
-      std::vector<double> reference(l);
-      std::vector<double> candidate(l);
-      ScalarKernels().apply_permutation(input, perm, reference);
-      table->apply_permutation(input, perm, candidate);
-      for (size_t i = 0; i < l; ++i) {
-        ASSERT_TRUE(BitEqual(reference[i], candidate[i]))
-            << BackendLabel(table) << " length " << l << " index " << i;
-      }
-    }
-  }
-}
-
-TEST(SimdBitIdentityTest, ApplyPermutationPreservesNanPayloadsAndSignedZero) {
-  // Permutation is pure data movement: gather lanes must carry NaN bit
-  // patterns and -0.0 through untouched.
-  std::vector<double> input = {kNan, -0.0, kInf, -kInf,
-                               kDenormal, 1.0, -kDenormal, 0.0, -2.5};
-  // Give one NaN a distinguishable payload.
-  input[0] = std::bit_cast<double>(std::bit_cast<uint64_t>(kNan) | 0xBEEFu);
-  Rng rng(203);
-  const std::vector<uint32_t> perm = RandomPermutation(input.size(), &rng);
-  for (const KernelDispatch* table : AllBackends()) {
-    std::vector<double> output(input.size());
-    table->apply_permutation(input, perm, output);
-    for (size_t i = 0; i < input.size(); ++i) {
-      ASSERT_TRUE(BitEqual(output[i], input[perm[i]]))
-          << BackendLabel(table) << " index " << i;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Class 2 (bit-identical, lane-sequential): the batched Monte Carlo
-// kernel vs the historical per-sample permute-then-distance composition.
+// The batched Monte Carlo kernel vs the per-sample permute-then-distance
+// composition of vector_ops.h.
 // ---------------------------------------------------------------------------
 
 void ExpectBlockBitIdentical(const KernelDispatch* table, size_t l,
@@ -367,9 +116,8 @@ void ExpectBlockBitIdentical(const KernelDispatch* table, size_t l,
   std::vector<double> permuted(l);
   for (size_t b = 0; b < batch; ++b) {
     // The reference composition the batched kernel replaces.
-    ScalarKernels().apply_permutation(xt, perms[b], permuted);
-    const double reference =
-        ScalarKernels().squared_euclidean_distance(xs, permuted);
+    ApplyPermutation(xt, perms[b], permuted);
+    const double reference = SquaredEuclideanDistance(xs, permuted);
     ASSERT_TRUE(BitEqual(reference, out[b]))
         << BackendLabel(table) << " length " << l << " batch " << batch
         << " sample " << b;
@@ -380,7 +128,6 @@ TEST(SimdBatchedDistanceTest, BitIdenticalToPerSamplePathAcrossLengths) {
   Rng rng(301);
   for (const KernelDispatch* table : AllBackends()) {
     for (size_t l : TestLengths()) {
-      if (l == 0) continue;
       ExpectBlockBitIdentical(table, l, kPermutedDistanceBatch, &rng);
     }
   }
@@ -419,10 +166,8 @@ TEST(SimdBatchedDistanceTest, SpecialValuesFlowThroughBitIdentically) {
           out.data());
       std::vector<double> permuted(l);
       for (size_t b = 0; b < kPermutedDistanceBatch; ++b) {
-        ScalarKernels().apply_permutation(special, perms[b], permuted);
-        ASSERT_TRUE(BitEqual(
-            ScalarKernels().squared_euclidean_distance(xs, permuted),
-            out[b]))
+        ApplyPermutation(special, perms[b], permuted);
+        ASSERT_TRUE(BitEqual(SquaredEuclideanDistance(xs, permuted), out[b]))
             << BackendLabel(table) << " sample " << b;
       }
     }
@@ -448,7 +193,6 @@ TEST(KernelDispatchTest, ForceScalarValueParsing) {
 TEST(KernelDispatchTest, BackendNamesAreStable) {
   EXPECT_STREQ(KernelBackendName(KernelBackend::kScalar), "scalar");
   EXPECT_STREQ(KernelBackendName(KernelBackend::kAvx2), "avx2");
-  EXPECT_STREQ(KernelBackendName(KernelBackend::kNeon), "neon");
 }
 
 TEST(KernelDispatchTest, ScalarTableIsTheReference) {
@@ -469,30 +213,8 @@ TEST(KernelDispatchTest, ScopedOverrideSwapsAndRestores) {
   EXPECT_EQ(ActiveKernelBackend(), original);
 }
 
-TEST(KernelDispatchTest, FastWrappersUseActiveTable) {
-  Rng rng(401);
-  const std::vector<double> a = RandomVector(29, &rng);
-  const std::vector<double> b = RandomVector(29, &rng);
-  for (const KernelDispatch* table : AllBackends()) {
-    ScopedKernelOverride scope(*table);
-    EXPECT_TRUE(BitEqual(FastDot(a, b), table->dot(a, b)))
-        << BackendLabel(table);
-    EXPECT_TRUE(BitEqual(FastSquaredNorm(a), table->squared_norm(a)))
-        << BackendLabel(table);
-    EXPECT_TRUE(BitEqual(FastSquaredEuclideanDistance(a, b),
-                         table->squared_euclidean_distance(a, b)))
-        << BackendLabel(table);
-    EXPECT_TRUE(BitEqual(FastPearsonCorrelation(a, b),
-                         table->pearson_correlation(a, b)))
-        << BackendLabel(table);
-    EXPECT_TRUE(BitEqual(FastEuclideanDistance(a, b),
-                         std::sqrt(table->squared_euclidean_distance(a, b))))
-        << BackendLabel(table);
-  }
-}
-
-// The reference functions in vector_ops.h must NOT follow the dispatch
-// override — they are the pinned decision-site semantics.
+// The reductions in vector_ops.h do not dispatch: an override leaves their
+// bits alone.
 TEST(KernelDispatchTest, VectorOpsReductionsStayPinnedUnderOverride) {
   Rng rng(402);
   const std::vector<double> a = RandomVector(1024, &rng);
@@ -510,8 +232,8 @@ TEST(KernelDispatchTest, VectorOpsReductionsStayPinnedUnderOverride) {
   }
 }
 
-// And the dispatched-but-bit-identical vector_ops entry points must give
-// the same bits no matter which backend the override selects.
+// Nor do standardization and permutation: the same bits no matter which
+// backend the override selects.
 TEST(KernelDispatchTest, DispatchedVectorOpsBitInvariantUnderOverride) {
   Rng rng(403);
   const std::vector<double> input = RandomVector(257, &rng);
@@ -531,6 +253,41 @@ TEST(KernelDispatchTest, DispatchedVectorOpsBitInvariantUnderOverride) {
           << BackendLabel(table) << " index " << i;
       ASSERT_TRUE(BitEqual(permuted[i], permuted_ref[i]))
           << BackendLabel(table) << " index " << i;
+    }
+  }
+}
+
+// Every inference measure's score matrix is the same bits under either
+// backend: Correlation and pCorr run on the scalar Dot, MI on scalar
+// histograms, and both permutation measures on the block kernel or the
+// draw-ordered permutation blocks. 20 samples leave a narrow tail block.
+TEST(KernelDispatchTest, ScoreMatricesBitIdenticalAcrossBackends) {
+  Rng rng(404);
+  const GeneMatrix matrix = testing_util::MakePlantedMatrix(
+      0, 37, {{1, 2, 3}}, {4, 5, 6}, 0.9, &rng);
+  ScoreOptions options;
+  options.num_samples = 20;
+  for (InferenceMeasure measure :
+       {InferenceMeasure::kImGrn, InferenceMeasure::kCorrelation,
+        InferenceMeasure::kPartialCorrelation,
+        InferenceMeasure::kMutualInformation,
+        InferenceMeasure::kImGrnMutualInformation}) {
+    Result<DenseMatrix> scalar = [&] {
+      ScopedKernelOverride scope(ScalarKernels());
+      return ComputeScoreMatrix(matrix, measure, options);
+    }();
+    Result<DenseMatrix> native = [&] {
+      ScopedKernelOverride scope(NativeKernels());
+      return ComputeScoreMatrix(matrix, measure, options);
+    }();
+    ASSERT_TRUE(scalar.ok()) << InferenceMeasureName(measure);
+    ASSERT_TRUE(native.ok()) << InferenceMeasureName(measure);
+    for (size_t s = 0; s < matrix.num_genes(); ++s) {
+      for (size_t t = 0; t < matrix.num_genes(); ++t) {
+        EXPECT_TRUE(BitEqual(scalar->At(s, t), native->At(s, t)))
+            << InferenceMeasureName(measure) << " (" << s << ", " << t
+            << ")";
+      }
     }
   }
 }

@@ -35,6 +35,13 @@ TEST(DotTest, KnownValue) {
   EXPECT_DOUBLE_EQ(Dot(a, b), 32.0);
 }
 
+TEST(DotTest, EmptySpansGiveZero) {
+  const std::span<const double> empty;
+  EXPECT_EQ(Dot(empty, empty), 0.0);
+  EXPECT_EQ(SquaredNorm(empty), 0.0);
+  EXPECT_EQ(SquaredEuclideanDistance(empty, empty), 0.0);
+}
+
 TEST(SquaredNormTest, MatchesSelfDot) {
   Rng rng(1);
   std::vector<double> a = RandomVector(17, &rng);
@@ -98,6 +105,22 @@ TEST(PearsonCorrelationTest, ConstantVectorGivesZero) {
   std::vector<double> constant = {5, 5, 5, 5};
   std::vector<double> varying = {1, 2, 3, 4};
   EXPECT_DOUBLE_EQ(PearsonCorrelation(constant, varying), 0.0);
+  EXPECT_DOUBLE_EQ(PearsonCorrelation(varying, constant), 0.0);
+}
+
+TEST(PearsonCorrelationTest, StaysClampedOnCollinearInput) {
+  // Perfectly collinear input puts the raw quotient within rounding of
+  // -1; the result must be clamped into [-1, 1].
+  std::vector<double> a(41);
+  std::vector<double> b(41);
+  for (size_t i = 0; i < a.size(); ++i) {
+    a[i] = 0.1 * static_cast<double>(i) - 2.0;
+    b[i] = -3.0 * a[i] + 0.5;
+  }
+  const double cor = PearsonCorrelation(a, b);
+  EXPECT_GE(cor, -1.0);
+  EXPECT_LE(cor, 1.0);
+  EXPECT_NEAR(cor, -1.0, 1e-12);
 }
 
 TEST(PearsonCorrelationTest, AlwaysInRange) {

@@ -40,14 +40,13 @@
 # one fails, and exits non-zero naming the labels that failed.
 #
 # The third kind, "kernels", is the SIMD dispatch gate: it builds the
-# "kernels"-labeled differential suites (scalar-vs-vector per-kernel
-# bit-identity/tolerance, full-query backend invariance, SSE4.2-vs-table
-# CRC32C) under
-# ASan+UBSan (-DIMGRN_UBSAN=ON — misaligned loads, out-of-bounds gather
-# lanes and tail-loop index math are exactly UBSan/ASan territory), then
-# runs `ctest -L kernels` TWICE: once with native dispatch and once with
-# IMGRN_FORCE_SCALAR=1, printing which backend CPUID actually selected
-# so CI logs record what the run exercised.
+# "kernels"-labeled differential suites (scalar-vs-AVX2 bit-identity of
+# the Monte Carlo block kernel, score-matrix and full-query backend
+# invariance, SSE4.2-vs-table CRC32C) under ASan+UBSan (-DIMGRN_UBSAN=ON
+# — out-of-bounds gather lanes and index math are exactly UBSan/ASan
+# territory), then runs `ctest -L kernels` TWICE: once with native
+# dispatch and once with IMGRN_FORCE_SCALAR=1, printing which backend
+# CPUID actually selected so CI logs record what the run exercised.
 #
 # Usage: tools/ci_sanitize.sh [thread|address|kernels] [build-dir]
 set -eu
@@ -61,7 +60,7 @@ BUILD_DIR="${2:-build-${KIND}san}"
 SRC_DIR="$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)"
 
 if [ "$KIND" = kernels ]; then
-  # ASan + UBSan build of the SIMD differential suites, run in both
+  # ASan + UBSan build of the kernel differential suites, run in both
   # dispatch modes.
   cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
