@@ -14,20 +14,12 @@
 // "imbalance" is max/mean estimated shard load (1.0 = perfect balance);
 // the fan-out latency of a sharded request is bounded by its hottest
 // shard, so qps should be read NEXT TO the imbalance it was achieved at.
-// --partition picks the placement strategy (modulo | balanced |
-// calibrated) and --zipf=s > 0 draws matrix sizes from a Zipf-like rank
-// decay so a few giant sources dominate the load — the skewed regime
-// where the strategies actually differ.
-//
-// --calibrate=1 adds a second timed pass per sharded setting: the first
-// pass feeds the measured per-source cost model, then the minimum-
-// movement auto-rebalance (ShardedEngine::Rebalance(target)) moves just
-// enough sources to bring the MEASURED imbalance under
-// --target-imbalance, and the workload is re-run. The second JSON line
-// carries "calibrated":1 plus "moved_sources" and the post-rebalance
-// "measured_imbalance". --json_out=FILE appends every JSON line to FILE
-// (e.g. BENCH_service_throughput.json) so the perf trajectory is recorded
-// across PRs.
+// --partition picks the placement strategy (modulo | balanced) and
+// --zipf=s > 0 draws matrix sizes from a Zipf-like rank decay so a few
+// giant sources dominate the load — the skewed regime where the
+// strategies actually differ. --json_out=FILE appends every JSON line to
+// FILE (e.g. BENCH_service_throughput.json) so the perf trajectory is
+// recorded across PRs.
 //
 // --replicas=R > 1 mirrors every shard R times with round-robin routing
 // (read scaling; only meaningful on the sharded path) and --cache=C > 0
@@ -40,9 +32,9 @@
 // (service/maintenance.h) in the background during every sharded pass —
 // the scrubber seal-verifies --scrub-pages pages per tick while the
 // workload hammers the same replicas — and the JSON line gains
-// "scrub_pages_per_sec", "pages_scrubbed", "pages_reclaimed" and
-// "rebalance_fires", quantifying the scrub throughput the serving path
-// sustains alongside queries.
+// "scrub_pages_per_sec", "pages_scrubbed" and "pages_reclaimed",
+// quantifying the scrub throughput the serving path sustains alongside
+// queries.
 
 #include <cstdio>
 #include <functional>
@@ -88,14 +80,9 @@ int Main(int argc, char** argv) {
                 "1 | replicas per shard (read scaling; sharded path only)"},
                {"cache",
                 "0 | query-result cache capacity (0 = disabled)"},
-               {"partition",
-                "modulo | shard placement: modulo, balanced or calibrated"},
+               {"partition", "modulo | shard placement: modulo or balanced"},
                {"zipf",
                 "0 | Zipf exponent for skewed matrix sizes (0 = uniform)"},
-               {"calibrate",
-                "0 | 1 = auto-rebalance on measured costs and re-run"},
-               {"target-imbalance",
-                "1.25 | auto-rebalance max/mean target (with --calibrate)"},
                {"maintenance",
                 "0 | 1 = run the maintenance daemon during sharded passes"},
                {"scrub-pages",
@@ -154,8 +141,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const std::shared_ptr<const Partitioner> partitioner = *parsed;
-  const bool calibrate = flags.GetInt("calibrate") != 0;
-  const double target_imbalance = flags.GetDouble("target-imbalance");
   const bool run_maintenance = flags.GetInt("maintenance") != 0;
   const size_t scrub_pages =
       static_cast<size_t>(flags.GetInt("scrub-pages"));
@@ -213,10 +198,9 @@ int Main(int argc, char** argv) {
   }
 
   // Replays the workload through one service and prints the JSON line
-  // (and appends it to --json_out when given). `extra` carries additional
-  // ,"key":value fields, e.g. the calibration outcome of a second pass; a
-  // function so it can be evaluated AFTER the timed run (the maintenance
-  // counters only exist then).
+  // (and appends it to --json_out when given). `extra_fn` returns
+  // additional ,"key":value fields; a function so it can be evaluated
+  // AFTER the timed run (the maintenance counters only exist then).
   double qps_at_1 = 0.0;
   auto run_setting = [&](QueryService& service, size_t num_threads,
                          size_t num_shards, size_t replicas,
@@ -322,44 +306,20 @@ int Main(int argc, char** argv) {
           const double seconds = timer.ElapsedSeconds();
           const uint64_t scrubbed =
               now.pages_scrubbed - before.pages_scrubbed;
-          char buf[224];
+          char buf[160];
           std::snprintf(
               buf, sizeof(buf),
               ",\"maintenance\":1,\"scrub_pages_per_sec\":%.1f,"
-              "\"pages_scrubbed\":%llu,\"pages_reclaimed\":%llu,"
-              "\"rebalance_fires\":%llu",
+              "\"pages_scrubbed\":%llu,\"pages_reclaimed\":%llu",
               seconds > 0 ? static_cast<double>(scrubbed) / seconds : 0.0,
               static_cast<unsigned long long>(now.pages_scrubbed),
-              static_cast<unsigned long long>(now.pages_reclaimed),
-              static_cast<unsigned long long>(now.rebalance_fires));
+              static_cast<unsigned long long>(now.pages_reclaimed));
           return std::string(buf);
         };
       }
       run_setting(service, num_threads, num_shards, num_replicas,
                   sharded.StatsSnapshot().imbalance, &sharded,
                   maintenance_extra);
-      if (calibrate) {
-        // The timed pass above fed the measured cost model; move just
-        // enough sources to bring the measured imbalance under target and
-        // replay the same workload on the repacked layout.
-        size_t moved = 0;
-        const Status rebalanced =
-            sharded.Rebalance(target_imbalance, &moved);
-        if (!rebalanced.ok()) {
-          std::fprintf(stderr, "auto-rebalance failed: %s\n",
-                       rebalanced.ToString().c_str());
-          return 1;
-        }
-        const ShardedEngineStatsSnapshot after = sharded.StatsSnapshot();
-        char extra[128];
-        std::snprintf(extra, sizeof(extra),
-                      ",\"calibrated\":1,\"moved_sources\":%zu,"
-                      "\"measured_imbalance\":%.3f",
-                      moved, after.measured_imbalance);
-        run_setting(service, num_threads, num_shards, num_replicas,
-                    after.imbalance, &sharded,
-                    [text = std::string(extra)] { return text; });
-      }
     }
   }
   if (json_file != nullptr) std::fclose(json_file);

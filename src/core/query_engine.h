@@ -35,13 +35,11 @@ class QueryEngine {
   /// null; `control`, when non-null, carries the request's deadline /
   /// cancellation flag.
   ///
-  /// Per-query cost attribution hook: when
-  /// QueryParams::collect_source_costs is set, implementations that
-  /// support it fill `stats->source_costs` with the wall-clock each
-  /// touched source accounted for (see query/query_types.h). ShardedEngine
-  /// both consumes the breakdown (feeding its measured cost model for
-  /// calibrated partitioning / auto-rebalance) and re-exposes it with
-  /// global source ids; engines without a breakdown leave it empty.
+  /// Per-query cost attribution: when QueryParams::collect_source_costs
+  /// is set, implementations that support it fill `stats->source_costs`
+  /// with the wall-clock each refined source accounted for (see
+  /// query/query_types.h). SingleEngine passes ImGrnEngine's breakdown
+  /// through; engines without one, ShardedEngine included, leave it empty.
   ///
   /// Degradation contract: when QueryParams::allow_partial is set, an
   /// implementation MAY return an OK-but-incomplete answer after an

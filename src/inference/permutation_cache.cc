@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/stopwatch.h"
 #include "matrix/vector_ops.h"
 
 namespace imgrn {
@@ -41,13 +40,9 @@ const PermutationBlocks& PermutationCache::BlocksForLength(size_t l) {
   // requested in must not matter, or per-matrix refinement results would
   // depend on which other matrices share the query (breaking the sharded
   // engine's bit-identity with a single engine).
-  Stopwatch fill_timer;
   Rng rng(seed_ ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(l) + 1)));
-  auto& entry =
-      blocks_.emplace(l, PermutationBlocks(num_samples_, l, &rng))
-          .first->second;
-  fill_seconds_ += fill_timer.ElapsedSeconds();
-  return entry;
+  return blocks_.emplace(l, PermutationBlocks(num_samples_, l, &rng))
+      .first->second;
 }
 
 double EstimateEdgeProbabilityCached(std::span<const double> xs,

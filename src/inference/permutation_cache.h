@@ -89,21 +89,9 @@ class PermutationCache {
   /// blocks on first use.
   const PermutationBlocks& BlocksForLength(size_t l);
 
-  /// Cumulative wall-clock spent GENERATING cache entries (the
-  /// BlocksForLength misses) since construction. Fills are amortized
-  /// overhead of the whole call that owns the cache, not of whichever
-  /// matrix happened to trigger them: per-source cost attribution reads
-  /// this before/after refining each source and books the delta to a
-  /// shared overhead bucket instead of the source (see
-  /// QueryStats::permutation_fill_seconds) — otherwise the first refined
-  /// source of each length eats the fill and the measured cost model
-  /// becomes layout-dependent.
-  double fill_seconds() const { return fill_seconds_; }
-
  private:
   size_t num_samples_;
   uint64_t seed_;
-  double fill_seconds_ = 0.0;
   std::unordered_map<size_t, PermutationBlocks> blocks_;
 };
 

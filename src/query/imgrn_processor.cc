@@ -166,7 +166,6 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
       IMGRN_RETURN_IF_ERROR(control->Check());
     }
     Stopwatch source_timer;
-    const double fill_before = cache.fill_seconds();
     QueryMatch match;
     if (RefineMatrix(*index_, source, query_graph, params, &cache, &match,
                      &local_stats)) {
@@ -175,15 +174,7 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
     if (attribute) {
       SourceCostSample sample;
       sample.source = source;
-      // A cache fill triggered inside this source's refinement is shared
-      // overhead (every later source of the same length reuses it), not
-      // this source's cost: subtract it, or the first-refined source of
-      // each length reads as more expensive than its identical peers and
-      // the measured EWMAs become layout-dependent. The total fill is
-      // reported separately in permutation_fill_seconds below.
-      const double fill_delta = cache.fill_seconds() - fill_before;
-      sample.seconds =
-          std::max(0.0, source_timer.ElapsedSeconds() - fill_delta);
+      sample.seconds = source_timer.ElapsedSeconds();
       sample.candidate_pairs = pairs_of[source];
       if (!ctx.candidates.empty()) {
         sample.seconds += local_stats.traversal_seconds *
@@ -194,7 +185,6 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
     }
   }
   local_stats.refinement_seconds = refinement_timer.ElapsedSeconds();
-  local_stats.permutation_fill_seconds = cache.fill_seconds();
   FinalizeMatches(params.top_k, &matches);
   local_stats.answers = matches.size();
   local_stats.total_seconds = total_timer.ElapsedSeconds();

@@ -35,10 +35,11 @@ struct QueryParams {
   size_t top_k = 0;
 
   /// When set, the processor attributes the query's wall-clock to the
-  /// individual sources it touched and reports the breakdown in
+  /// individual sources it refined and reports the breakdown in
   /// QueryStats::source_costs. Off by default: the breakdown costs a small
-  /// amount of bookkeeping per candidate source, and only load-balancing
-  /// callers (ShardedEngine's measured cost model) consume it.
+  /// amount of bookkeeping per candidate source. Its consumer is
+  /// perfbench's traced replay, which reads the candidate sources from it;
+  /// ShardedEngine ignores the flag.
   bool collect_source_costs = false;
 
   /// Degradation policy for fan-out engines (ShardedEngine). When set, a
@@ -74,9 +75,7 @@ void FinalizeMatches(size_t top_k, std::vector<QueryMatch>* matches);
 /// One source's share of a query's work, reported only when
 /// QueryParams::collect_source_costs is set. `seconds` is wall-clock the
 /// query spent on this source: its refinement time measured exactly
-/// (minus any permutation-cache fill the source happened to trigger —
-/// fills are per-query overhead shared across sources and are reported in
-/// QueryStats::permutation_fill_seconds instead), plus the shared
+/// (including any permutation-cache fill it triggered), plus the shared
 /// index-traversal time prorated by the source's share of the surviving
 /// candidate pairs (traversal work is interleaved across sources, so an
 /// exact per-source split does not exist; candidate pairs are the closest
@@ -95,17 +94,6 @@ struct QueryStats {
   double traversal_seconds = 0.0;
   double refinement_seconds = 0.0;
   double total_seconds = 0.0;
-
-  /// Wall-clock spent filling the refinement PermutationCache (generating
-  /// the per-length permutation samples and their block re-layouts). This
-  /// is per-QUERY overhead — each distinct sample length is filled once no
-  /// matter how many sources share it — so it is reported here and
-  /// deliberately EXCLUDED from the per-source seconds in source_costs:
-  /// booking it to whichever source happened to refine first made the
-  /// measured cost model layout-dependent (the same source read as more
-  /// expensive whenever it led its shard's refinement order). The sharded
-  /// engine books this to a per-shard overhead bucket instead.
-  double permutation_fill_seconds = 0.0;
 
   /// Physical page accesses (buffer-pool misses) during the query.
   uint64_t page_accesses = 0;
@@ -135,10 +123,12 @@ struct QueryStats {
   size_t matrices_pruned_graph = 0;  // Lemma 5 during refinement.
   size_t answers = 0;
 
-  /// Per-source cost attribution (ascending source id), filled only when
-  /// QueryParams::collect_source_costs is set and only by processors that
-  /// implement the breakdown (ImGrnQueryProcessor does; baseline scans
-  /// leave it empty). Sources the traversal pruned entirely do not appear.
+  /// Per-source cost attribution (ascending source id): one entry per
+  /// candidate matrix refined, so its size is candidate_matrices. Filled
+  /// only when QueryParams::collect_source_costs is set and only by
+  /// processors that implement the breakdown (ImGrnQueryProcessor does;
+  /// baseline scans and ShardedEngine leave it empty). Sources the
+  /// traversal pruned entirely do not appear.
   std::vector<SourceCostSample> source_costs;
 
   /// True when QueryParams::allow_partial let the query succeed without

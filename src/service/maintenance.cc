@@ -44,22 +44,12 @@ void MaintenanceDaemon::Loop() {
   }
 }
 
-int64_t MaintenanceDaemon::NowMicros() const {
-  if (options_.clock_micros != nullptr) return options_.clock_micros();
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 void MaintenanceDaemon::Tick() {
   std::lock_guard<std::mutex> lock(tick_mutex_);
   ticks_.fetch_add(1, std::memory_order_relaxed);
-  // Until the cluster is built there is nothing to scrub or balance; the
-  // daemon idles rather than racing the setup phase.
-  if (engine_->has_index()) {
-    ScrubTick();
-    RebalanceTick();
-  }
+  // Until the cluster is built there is nothing to scrub; the daemon
+  // idles rather than racing the setup phase.
+  if (engine_->has_index()) ScrubTick();
   if (options_.on_tick) options_.on_tick(Stats());
 }
 
@@ -88,26 +78,6 @@ void MaintenanceDaemon::ScrubTick() {
   if (!status.ok()) scrub_errors_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void MaintenanceDaemon::RebalanceTick() {
-  const double imbalance = engine_->StatsSnapshot().measured_imbalance;
-  if (imbalance <= options_.rebalance_low) rebalance_armed_ = true;
-  if (!rebalance_armed_ || imbalance < options_.rebalance_high) return;
-  if (options_.rebalance_cooldown_micros > 0 && rebalance_fired_before_ &&
-      NowMicros() - last_rebalance_micros_ <
-          options_.rebalance_cooldown_micros) {
-    return;
-  }
-  size_t moved = 0;
-  Status status = engine_->Rebalance(options_.rebalance_target, &moved);
-  rebalance_fires_.fetch_add(1, std::memory_order_relaxed);
-  if (status.ok()) {
-    sources_moved_.fetch_add(moved, std::memory_order_relaxed);
-  }
-  rebalance_armed_ = false;
-  rebalance_fired_before_ = true;
-  last_rebalance_micros_ = NowMicros();
-}
-
 MaintenanceStats MaintenanceDaemon::Stats() const {
   MaintenanceStats stats;
   stats.enabled = true;
@@ -118,8 +88,6 @@ MaintenanceStats MaintenanceDaemon::Stats() const {
   stats.rebuild_failures = rebuild_failures_.load(std::memory_order_relaxed);
   stats.pages_reclaimed = pages_reclaimed_.load(std::memory_order_relaxed);
   stats.slots_truncated = slots_truncated_.load(std::memory_order_relaxed);
-  stats.rebalance_fires = rebalance_fires_.load(std::memory_order_relaxed);
-  stats.sources_moved = sources_moved_.load(std::memory_order_relaxed);
   stats.scrub_errors = scrub_errors_.load(std::memory_order_relaxed);
   return stats;
 }

@@ -16,9 +16,8 @@ namespace imgrn {
 class ShardedEngine;
 
 /// The self-healing maintenance plane: a daemon thread owned by a
-/// ShardedEngine (opt-in via ShardedEngineOptions::maintenance) that runs
-/// three background jobs so the cluster repairs itself before queries get
-/// hurt:
+/// ShardedEngine (opt-in via ShardedEngineOptions::maintenance) that keeps
+/// every replica's backing store sound before queries get hurt:
 ///
 ///  1. Checksum scrubber — walks the cold pages of every shard/replica
 ///     backing store at a bounded rate (`scrub_pages_per_tick`), verifying
@@ -26,24 +25,17 @@ class ShardedEngine;
 ///     that fails with kDataLoss quarantines its replica (breaker forced
 ///     open, so queries route around it immediately) and re-synthesizes it
 ///     from a healthy peer over the copy -> publish -> drain protocol.
-///     While a replica's store scrubs clean end-to-end, pages stranded by
-///     shadow-paging index rebuilds are reclaimed and the file truncated
-///     (`reclaim_storage`).
 ///
-///  2. Auto-rebalance — watches `StatsSnapshot().measured_imbalance` and
-///     fires Rebalance when it crosses `rebalance_high`. Hysteresis: after
-///     firing, the loop is disarmed until imbalance falls back below
-///     `rebalance_low`, so a workload hovering near the threshold cannot
-///     make the loop thrash. An optional cooldown further rate-limits
-///     fires.
+///  2. Storage reclaim — while a replica's store scrubs clean end-to-end,
+///     pages stranded by shadow-paging index rebuilds are reclaimed and
+///     the file truncated (`reclaim_storage`).
 ///
-///  3. Observability — every counter below lands in the engine's
-///     StatsSnapshot (and `imgrn maintenance status`).
+///  3. Counters — every counter below lands in the engine's StatsSnapshot
+///     (and `imgrn maintenance status`).
 ///
 /// Determinism for tests: `tick_interval_micros <= 0` starts no thread —
-/// drive the daemon with TickForTesting(). `clock_micros` injects the
-/// clock the cooldown reads. `on_tick` observes every tick's cumulative
-/// stats from the tick thread itself.
+/// drive the daemon with TickForTesting(). `on_tick` observes every tick's
+/// cumulative stats from the tick thread itself.
 struct MaintenanceOptions {
   /// Master switch. When false, ShardedEngine creates no daemon at all.
   bool enabled = false;
@@ -63,24 +55,6 @@ struct MaintenanceOptions {
   /// gets its stranded pages reclaimed (ImGrnEngine::ReclaimStorage) under
   /// an exclusive replica lock.
   bool reclaim_storage = true;
-
-  /// Rebalance fires when measured_imbalance >= rebalance_high (and the
-  /// loop is armed)...
-  double rebalance_high = 1.5;
-
-  /// ...and re-arms only once measured_imbalance <= rebalance_low.
-  /// `rebalance_low` < `rebalance_high` gives the loop its hysteresis gap.
-  double rebalance_low = 1.25;
-
-  /// Imbalance target handed to ShardedEngine::Rebalance when firing.
-  double rebalance_target = 1.25;
-
-  /// Minimum time between rebalance fires; 0 disables the cooldown.
-  int64_t rebalance_cooldown_micros = 0;
-
-  /// Clock the rebalance cooldown reads, in microseconds. Null means
-  /// std::chrono::steady_clock. Tests inject a fake to step time.
-  int64_t (*clock_micros)() = nullptr;
 
   /// Called at the end of every tick, from the ticking thread, with the
   /// cumulative stats. Tests use this to observe the daemon racing real
@@ -120,8 +94,6 @@ struct MaintenanceStats {
   uint64_t rebuild_failures = 0;
   uint64_t pages_reclaimed = 0;
   uint64_t slots_truncated = 0;
-  uint64_t rebalance_fires = 0;
-  uint64_t sources_moved = 0;
   uint64_t scrub_errors = 0;
 };
 
@@ -147,7 +119,7 @@ class MaintenanceDaemon {
   void Stop();
 
   /// Runs exactly one tick synchronously on the calling thread —
-  /// scrub step, corruption handling, rebalance check, on_tick hook.
+  /// scrub step, corruption handling, on_tick hook.
   void TickForTesting() { Tick(); }
 
   /// Snapshot of the cumulative counters.
@@ -159,19 +131,14 @@ class MaintenanceDaemon {
   void Loop();
   void Tick();
   void ScrubTick();
-  void RebalanceTick();
-  int64_t NowMicros() const;
 
   ShardedEngine* const engine_;
   const MaintenanceOptions options_;
 
   // Serializes ticks (background thread vs TickForTesting) and guards the
-  // non-atomic tick-local state below it.
+  // scrub cursor.
   std::mutex tick_mutex_;
   ScrubCursor cursor_;
-  bool rebalance_armed_ = true;
-  bool rebalance_fired_before_ = false;
-  int64_t last_rebalance_micros_ = 0;
 
   std::atomic<uint64_t> ticks_{0};
   std::atomic<uint64_t> pages_scrubbed_{0};
@@ -180,8 +147,6 @@ class MaintenanceDaemon {
   std::atomic<uint64_t> rebuild_failures_{0};
   std::atomic<uint64_t> pages_reclaimed_{0};
   std::atomic<uint64_t> slots_truncated_{0};
-  std::atomic<uint64_t> rebalance_fires_{0};
-  std::atomic<uint64_t> sources_moved_{0};
   std::atomic<uint64_t> scrub_errors_{0};
 
   std::mutex stop_mutex_;

@@ -1,7 +1,6 @@
 #include "service/partitioner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <utility>
 
@@ -50,123 +49,6 @@ double MaxMeanImbalance(const std::vector<double>& shard_costs) {
   if (total <= 0.0) return 1.0;
   const double mean = total / static_cast<double>(shard_costs.size());
   return *std::max_element(shard_costs.begin(), shard_costs.end()) / mean;
-}
-
-double MaxMeanImbalanceWithFallback(const std::vector<double>& primary,
-                                    const std::vector<double>& fallback) {
-  const double total =
-      std::accumulate(primary.begin(), primary.end(), 0.0);
-  if (!primary.empty() && total > 0.0) return MaxMeanImbalance(primary);
-  return MaxMeanImbalance(fallback);
-}
-
-PartitionPlan PlanMinimalRebalance(const std::vector<double>& costs,
-                                   const PartitionPlan& current,
-                                   double target_imbalance,
-                                   size_t* moved_sources) {
-  IMGRN_CHECK_OK(current.Validate(costs.size()));
-  if (target_imbalance < 1.0) target_imbalance = 1.0;
-  PartitionPlan plan = current;
-
-  std::vector<double> load(plan.num_shards, 0.0);
-  double total = 0.0;
-  for (size_t i = 0; i < costs.size(); ++i) {
-    load[plan.shard_of[i]] += costs[i];
-    total += costs[i];
-  }
-  const double mean = total / static_cast<double>(plan.num_shards);
-
-  // Per-shard source lists sorted by (cost desc, id asc): each step scans
-  // the hottest shard's list for its heaviest still-improving source.
-  std::vector<std::vector<size_t>> members(plan.num_shards);
-  for (size_t i = 0; i < costs.size(); ++i) {
-    members[plan.shard_of[i]].push_back(i);
-  }
-  for (std::vector<size_t>& list : members) {
-    std::sort(list.begin(), list.end(), [&costs](size_t a, size_t b) {
-      if (costs[a] != costs[b]) return costs[a] > costs[b];
-      return a < b;
-    });
-  }
-
-  // Moves `source` between the per-shard lists, keeping the destination
-  // sorted (cost desc, id asc) for later steps.
-  auto relocate = [&costs, &members, &plan, &load](size_t source, size_t from,
-                                                   size_t to) {
-    std::vector<size_t>& src = members[from];
-    src.erase(std::find(src.begin(), src.end(), source));
-    auto insert_at = std::lower_bound(
-        members[to].begin(), members[to].end(), source,
-        [&costs](size_t a, size_t b) {
-          if (costs[a] != costs[b]) return costs[a] > costs[b];
-          return a < b;
-        });
-    members[to].insert(insert_at, source);
-    plan.shard_of[source] = static_cast<uint32_t>(to);
-    load[from] -= costs[source];
-    load[to] += costs[source];
-  };
-
-  while (mean > 0.0) {
-    const size_t hot = static_cast<size_t>(
-        std::max_element(load.begin(), load.end()) - load.begin());
-    if (load[hot] <= target_imbalance * mean) break;  // Under target.
-    const size_t cool = static_cast<size_t>(
-        std::min_element(load.begin(), load.end()) - load.begin());
-    const double gap = load[hot] - load[cool];
-    // The heaviest source on the hot shard that still shrinks the hot-cool
-    // gap: 0 < cost < gap (cost == gap would only swap the roles, cost ==
-    // 0 moves nothing). Every such move strictly decreases the sum of
-    // squared loads, so the loop terminates.
-    size_t pick = members[hot].size();
-    for (size_t slot = 0; slot < members[hot].size(); ++slot) {
-      const double cost = costs[members[hot][slot]];
-      if (cost > 0.0 && cost < gap) {
-        pick = slot;
-        break;
-      }
-    }
-    if (pick != members[hot].size()) {
-      relocate(members[hot][pick], hot, cool);
-      continue;
-    }
-    // No single move improves: every positive hot source weighs at least
-    // `gap`. Fall back to a swap — exchange a hot source for a cool one
-    // whose cost DIFFERENCE d sits in (0, gap); the exchange shifts
-    // exactly d of load, so it strictly decreases the sum of squared
-    // loads like a single move does (termination holds). Among the
-    // candidates, the pair whose d lands closest to gap/2 equalizes
-    // best; ties break toward the first pair in (cost desc, id asc)
-    // scan order, so the plan stays deterministic.
-    size_t swap_hot = costs.size();
-    size_t swap_cool = costs.size();
-    double best = -1.0;
-    for (size_t a : members[hot]) {
-      if (costs[a] <= 0.0) continue;
-      for (size_t b : members[cool]) {
-        const double d = costs[a] - costs[b];
-        if (d <= 0.0 || d >= gap) continue;
-        const double score = std::abs(gap - 2.0 * d);
-        if (best < 0.0 || score < best) {
-          best = score;
-          swap_hot = a;
-          swap_cool = b;
-        }
-      }
-    }
-    if (best < 0.0) break;  // No improving move or swap exists.
-    relocate(swap_hot, hot, cool);
-    relocate(swap_cool, cool, hot);
-  }
-
-  if (moved_sources != nullptr) {
-    size_t moved = 0;
-    for (size_t i = 0; i < costs.size(); ++i) {
-      if (plan.shard_of[i] != current.shard_of[i]) ++moved;
-    }
-    *moved_sources = moved;
-  }
-  return plan;
 }
 
 size_t Partitioner::PlaceSource(SourceId /*source*/, double /*cost*/,
@@ -222,21 +104,18 @@ PartitionPlan BalancedPartitioner::Partition(const std::vector<double>& costs,
   return plan;
 }
 
-PartitionPlan ExplicitPartitioner::Partition(const std::vector<double>& costs,
-                                             size_t num_shards) const {
-  IMGRN_CHECK_EQ(num_shards, plan_.num_shards);
-  IMGRN_CHECK_EQ(costs.size(), plan_.shard_of.size());
+PartitionPlan ExplicitPartitioner::Partition(
+    const std::vector<double>& /*costs*/, size_t /*num_shards*/) const {
   return plan_;
 }
 
 std::shared_ptr<const Partitioner> MakePartitioner(const std::string& name) {
   if (name == "modulo") return std::make_shared<ModuloPartitioner>();
   if (name == "balanced") return std::make_shared<BalancedPartitioner>();
-  if (name == "calibrated") return std::make_shared<CalibratedPartitioner>();
   return nullptr;
 }
 
-const char* KnownPartitionerNames() { return "modulo, balanced, calibrated"; }
+const char* KnownPartitionerNames() { return "modulo, balanced"; }
 
 Result<std::shared_ptr<const Partitioner>> ParsePartitioner(
     const std::string& name) {

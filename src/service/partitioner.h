@@ -43,53 +43,6 @@ std::vector<double> EstimateSourceCosts(const GeneDatabase& database);
 /// an empty vector or an idle engine (mean 0).
 double MaxMeanImbalance(const std::vector<double>& shard_costs);
 
-/// MaxMeanImbalance over `primary`, falling back to `fallback` when
-/// `primary` carries no signal (empty or all-zero). The measured-load
-/// gauge needs this: a cold MeasuredCostRegistry sums to zero on every
-/// shard, and plain MaxMeanImbalance reads that as "perfectly balanced"
-/// (1.0) even with every source piled on one shard — so a maintenance
-/// loop keyed on the measured ratio would never fire before traffic runs.
-/// Blending in the static estimate (or source counts) as the fallback
-/// makes the gauge read the real skew until measurements exist, after
-/// which the measured ratio takes over exactly as before.
-double MaxMeanImbalanceWithFallback(const std::vector<double>& primary,
-                                    const std::vector<double>& fallback);
-
-/// Incremental re-packing: starting from `current` (which must be valid
-/// for costs.size() sources), greedily moves sources until the max/mean
-/// imbalance of the per-shard cost sums is <= target_imbalance, and
-/// returns the resulting plan. Each step moves the heaviest source on the
-/// most-loaded shard that still *strictly improves* balance (its cost must
-/// be positive and below the hot-cool load gap, or the move would just
-/// swap which shard is hot) onto the least-loaded shard; ties break toward
-/// the lower source id / shard index, so the plan is deterministic.
-///
-/// When NO single move improves — every positive source on the hot shard
-/// is at least as heavy as the hot-cool gap — the step falls back to a
-/// SWAP: exchange one hot source `a` for one cool source `b` whose cost
-/// difference d = cost[a] - cost[b] satisfies 0 < d < gap (the exchange
-/// shifts exactly d of load, so it strictly improves by the same argument
-/// as a single move). Among the candidates the pair whose d lands closest
-/// to gap/2 (the perfect equalizer) wins, ties toward lower source ids.
-/// This is what un-sticks two-shard "exchange-only" configurations, e.g.
-/// loads {6,6} vs {3.5,3.5}: gap 5, every single move of a 6 overshoots,
-/// but swapping a 6 for a 3.5 lands both shards on 9.5.
-///
-/// This is the minimum-movement counterpart of a full BalancedPartitioner
-/// re-plan: a full re-plan optimizes packing with no regard for where
-/// sources currently live and typically relocates most of the database,
-/// while this touches only the few sources needed to get back under the
-/// target. Termination is guaranteed (every move or swap strictly
-/// decreases the sum of squared shard loads); if neither exists the plan
-/// so far is returned even above target — zero-cost (retracted) sources
-/// never move. target_imbalance is clamped to >= 1.0. If `moved_sources`
-/// is non-null it receives the number of sources whose shard differs from
-/// `current` in the returned plan (a swap counts both).
-PartitionPlan PlanMinimalRebalance(const std::vector<double>& costs,
-                                   const PartitionPlan& current,
-                                   double target_imbalance,
-                                   size_t* moved_sources = nullptr);
-
 /// Placement policy of a ShardedEngine: produces the initial partition
 /// plan at LoadDatabase time and places each incrementally added source.
 /// Implementations must be deterministic (same costs -> same plan) and
@@ -116,12 +69,6 @@ class Partitioner {
   /// Default: least-loaded shard (lowest index on ties).
   virtual size_t PlaceSource(SourceId source, double cost,
                              const std::vector<double>& shard_costs) const;
-
-  /// True if this policy wants the engine to feed it CALIBRATED costs
-  /// (static estimate blended with the measured per-source EWMA, see
-  /// service/cost_model.h) instead of raw static estimates wherever the
-  /// engine re-plans (Resize, auto Rebalance). Default: static only.
-  virtual bool wants_measured_costs() const { return false; }
 };
 
 /// The PR-2 baseline: source i -> shard i mod K. Ignores costs entirely,
@@ -148,19 +95,6 @@ class BalancedPartitioner : public Partitioner {
                           size_t num_shards) const override;
 };
 
-/// BalancedPartitioner fed by the measured cost model: the same LPT bin
-/// packing, but over costs calibrated against the per-source query-time
-/// EWMA the engine collects while serving (service/cost_model.h). With a
-/// cold registry it packs exactly like "balanced"; once the workload has
-/// produced enough samples per source, placement tracks where queries
-/// actually spend their time — pruning power, index hit rates, and query
-/// mix included — rather than the static genes² × samples proxy.
-class CalibratedPartitioner : public BalancedPartitioner {
- public:
-  const char* name() const override { return "calibrated"; }
-  bool wants_measured_costs() const override { return true; }
-};
-
 /// A fixed, caller-supplied map — the escape hatch for operators (pin a
 /// source to a shard) and the workhorse of the property-based differential
 /// tests (random maps, empty shards, all-in-one). New sources fall back to
@@ -171,8 +105,9 @@ class ExplicitPartitioner : public Partitioner {
 
   const char* name() const override { return "explicit"; }
 
-  /// Returns the stored plan; `costs` must have exactly plan.shard_of.size()
-  /// entries and `num_shards` must equal plan.num_shards (checked).
+  /// Returns the stored plan whatever `costs` and `num_shards` ask for.
+  /// The engine checks the fit: LoadDatabase requires it, and Resize to
+  /// another shard count, or after AddSource, returns InvalidArgument.
   PartitionPlan Partition(const std::vector<double>& costs,
                           size_t num_shards) const override;
 
@@ -180,13 +115,13 @@ class ExplicitPartitioner : public Partitioner {
   PartitionPlan plan_;
 };
 
-/// Factory for the CLI / bench strategy flags: "modulo", "balanced" or
-/// "calibrated". Returns null for an unknown name; prefer ParsePartitioner
-/// where a diagnosable Status is wanted.
+/// Factory for the CLI / bench strategy flags: "modulo" or "balanced".
+/// Returns null for an unknown name; prefer ParsePartitioner where a
+/// diagnosable Status is wanted.
 std::shared_ptr<const Partitioner> MakePartitioner(const std::string& name);
 
 /// The names MakePartitioner accepts, comma-separated, for error messages
-/// and --help text: "modulo, balanced, calibrated".
+/// and --help text: "modulo, balanced".
 const char* KnownPartitionerNames();
 
 /// MakePartitioner with a proper error channel: an unknown `name` yields

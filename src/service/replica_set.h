@@ -56,6 +56,11 @@ struct ShardReplica {
   mutable std::atomic<uint64_t> sub_queries_finished{0};
   mutable std::atomic<uint64_t> sub_query_errors{0};
 
+  /// Summed QueryStats::total_seconds of the sub-queries this replica
+  /// served: its measured busy time, the ShardStats::measured_seconds
+  /// gauge.
+  mutable std::atomic<double> busy_seconds{0.0};
+
   /// Quarantine gate for this replica's sub-queries. Travels with the
   /// ShardReplica object across Rebalance/Resize/SetReplicas (a sick
   /// replica stays quarantined through a topology change).

@@ -57,10 +57,9 @@ Status DeactivateLocked(ShardReplica& replica, size_t local, double cost) {
 std::string ShardedEngineStatsSnapshot::DebugString() const {
   std::string out;
   for (const ShardStats& shard : shards) {
-    char load[96];
-    std::snprintf(load, sizeof(load), "%.3g measured=%.3gs overhead=%.3gs",
-                  shard.cost, shard.measured_seconds,
-                  shard.overhead_seconds);
+    char load[64];
+    std::snprintf(load, sizeof(load), "%.3g measured=%.3gs", shard.cost,
+                  shard.measured_seconds);
     out += "shard" + std::to_string(shard.shard) +
            ": sources=" + std::to_string(shard.sources) + " load=" + load +
            " sub_queries=" + std::to_string(shard.sub_queries) +
@@ -104,13 +103,11 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
                   maintenance.corrupt_pages, maintenance.replicas_rebuilt,
                   maintenance.rebuild_failures, maintenance.scrub_errors);
     out += line1;
-    char line2[224];
+    char line2[128];
     std::snprintf(line2, sizeof(line2),
                   "maintenance: reclaimed_pages=%" PRIu64
-                  " truncated_slots=%" PRIu64 " rebalance_fires=%" PRIu64
-                  " sources_moved=%" PRIu64 "\n",
-                  maintenance.pages_reclaimed, maintenance.slots_truncated,
-                  maintenance.rebalance_fires, maintenance.sources_moved);
+                  " truncated_slots=%" PRIu64 "\n",
+                  maintenance.pages_reclaimed, maintenance.slots_truncated);
     out += line2;
   }
   return out;
@@ -134,8 +131,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
       pool_(pool) {
   IMGRN_CHECK_GE(options_.num_shards, 1u);
   IMGRN_CHECK_GE(options_.num_replicas, 1u);
-  measured_.SetDecay(options_.calibration.measured_half_life_seconds);
-  shard_overhead_.SetDecay(options_.calibration.measured_half_life_seconds);
   if (options_.cache.capacity > 0) {
     cache_ = std::make_unique<ResultCache>(options_.cache);
   }
@@ -240,9 +235,8 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
   const size_t total = database.size();
   source_cost_ = EstimateSourceCosts(database);
   retracted_.assign(total, false);
-  measured_.Reset();  // A fresh database invalidates every measurement.
-  shard_overhead_.Reset();
   PartitionPlan plan = partitioner_->Partition(source_cost_, num_shards);
+  IMGRN_CHECK_EQ(plan.num_shards, num_shards);
   IMGRN_CHECK_OK(plan.Validate(total));
 
   std::vector<GeneDatabase> parts(num_shards);
@@ -475,7 +469,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
     // time); the I/O and pruning counters add up exactly.
     aggregated.traversal_seconds += shard.traversal_seconds;
     aggregated.refinement_seconds += shard.refinement_seconds;
-    aggregated.permutation_fill_seconds += shard.permutation_fill_seconds;
     aggregated.page_accesses += shard.page_accesses;
     aggregated.page_fetches += shard.page_fetches;
     aggregated.node_pairs_examined += shard.node_pairs_examined;
@@ -493,21 +486,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
   }
   aggregated.degraded = !failed_shards.empty();
   aggregated.failed_shards = failed_shards;
-  if (params.collect_source_costs) {
-    // Each shard's samples already carry global ids (RunShard remaps and
-    // filters them); shards own disjoint source sets, so a plain merge +
-    // sort restores the single-engine ascending order.
-    for (QueryStats& shard : shard_stats) {
-      for (SourceCostSample& sample : shard.source_costs) {
-        aggregated.source_costs.push_back(sample);
-      }
-    }
-    std::sort(aggregated.source_costs.begin(),
-              aggregated.source_costs.end(),
-              [](const SourceCostSample& a, const SourceCostSample& b) {
-                return a.source < b.source;
-              });
-  }
   aggregated.answers = merged.size();
   aggregated.total_seconds = total_timer.ElapsedSeconds();
 
@@ -575,53 +553,15 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         // top-k before the filter below removes it.
         QueryParams shard_params = params;
         shard_params.top_k = 0;
-        // Every sub-query attributes its wall-clock to the sources it
-        // touched — that breakdown is what feeds the measured cost model,
-        // whether or not the caller asked for it.
-        shard_params.collect_source_costs = true;
+        // No per-source breakdown: its ids would be shard-local, and this
+        // engine leaves QueryStats::source_costs empty.
+        shard_params.collect_source_costs = false;
         QueryStats local_stats;
         Result<std::vector<QueryMatch>> local = replica.engine.QueryWithGraph(
             query_graph, shard_params, &local_stats, control);
         if (!local.ok()) return local.status();
-        // Feed the measured cost registry: one sample per source this
-        // query's partition map assigns to this shard, EXPLICITLY zero for
-        // sources the traversal never surfaced — the EWMA must converge to
-        // the expected per-query seconds under the live mix, and a source
-        // the workload ignores is genuinely cheap. The shared lock both
-        // pins local_to_global and excludes RemoveSource's Retire() (which
-        // runs after deactivating under every replica's write lock), so no
-        // sample lands after a source is retired. Replicas mirror the same
-        // active set, so WHICH replica records does not change which
-        // globals get samples.
-        std::vector<SourceCostSample> sample_of(
-            replica.local_to_global.size());
-        for (const SourceCostSample& sample : local_stats.source_costs) {
-          IMGRN_CHECK_LT(sample.source, sample_of.size());
-          sample_of[sample.source] = sample;
-        }
-        for (size_t i = 0; i < replica.local_to_global.size(); ++i) {
-          if (!replica.active[i]) continue;
-          const SourceId global = replica.local_to_global[i];
-          if (!topology.Owns(shard_index, global)) {
-            continue;  // A migrating duplicate; its owner records it.
-          }
-          SourceCostSample& sample = sample_of[i];
-          sample.source = global;
-          measured_.Record(global, source_meter_ != nullptr
-                                       ? source_meter_(sample)
-                                       : sample.seconds);
-        }
-        // The sub-query's permutation-cache fill time is shared overhead:
-        // real shard load, but attributable to no single source (which
-        // source pays it is pure layout luck — whoever refines a length
-        // first). It is subtracted from the per-source samples above (see
-        // imgrn_processor.cc) and recorded here against the SHARD, so the
-        // per-source EWMAs stay layout-independent while the shard's
-        // measured total still includes it.
-        shard_overhead_.Record(static_cast<SourceId>(shard_index),
-                               overhead_meter_ != nullptr
-                                   ? overhead_meter_(local_stats)
-                                   : local_stats.permutation_fill_seconds);
+        replica.busy_seconds.fetch_add(local_stats.total_seconds,
+                                       std::memory_order_relaxed);
         // Remap shard-local ids to global source ids while the reader lock
         // still pins local_to_global, and keep only the sources this
         // query's partition map assigns to this shard — a migrating source
@@ -645,28 +585,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
                   [](const QueryMatch& a, const QueryMatch& b) {
                     return a.source < b.source;
                   });
-        if (stats != nullptr) {
-          // Re-expose the cost breakdown with global ids (owned sources
-          // only), unless the caller never asked for it.
-          std::vector<SourceCostSample> remapped;
-          if (params.collect_source_costs) {
-            remapped.reserve(local_stats.source_costs.size());
-            for (SourceCostSample sample : local_stats.source_costs) {
-              const SourceId global =
-                  replica.local_to_global[sample.source];
-              if (!topology.Owns(shard_index, global)) continue;
-              sample.source = global;
-              remapped.push_back(sample);
-            }
-            std::sort(remapped.begin(), remapped.end(),
-                      [](const SourceCostSample& a,
-                         const SourceCostSample& b) {
-                        return a.source < b.source;
-                      });
-          }
-          local_stats.source_costs = std::move(remapped);
-          *stats = std::move(local_stats);
-        }
+        if (stats != nullptr) *stats = std::move(local_stats);
         return kept;
       }();
   if (!result.ok()) {
@@ -892,12 +811,6 @@ Status ShardedEngine::RemoveSource(SourceId source) {
   IMGRN_RETURN_IF_ERROR(RemoveFromReplicasLocked(
       set.replicas(), source, source_cost_[source], /*must_exist=*/true));
   retracted_[source] = true;
-  // Forget the measured cost after every replica was deactivated under its
-  // write lock: a sub-query records under a replica's shared lock, so any
-  // recording that could re-add a sample happened-before that replica's
-  // write lock above — and any sub-query starting now sees the source
-  // inactive on every replica.
-  measured_.Retire(source);
   update_generation_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
@@ -923,44 +836,6 @@ Status ShardedEngine::Rebalance(const PartitionPlan& plan) {
   return migrated;
 }
 
-std::vector<double> ShardedEngine::CalibratedCostsLocked() const {
-  // Retracted sources carry no load (and their registry entries were
-  // retired), so the plan packs only live cost.
-  std::vector<double> costs = source_cost_;
-  for (size_t i = 0; i < costs.size(); ++i) {
-    if (retracted_[i]) costs[i] = 0.0;
-  }
-  return CalibrateSourceCosts(costs, measured_, options_.calibration);
-}
-
-std::vector<double> ShardedEngine::CalibratedSourceCosts() const {
-  std::lock_guard<std::mutex> routing(update_mutex_);
-  return CalibratedCostsLocked();
-}
-
-Status ShardedEngine::Rebalance(double target_imbalance,
-                                size_t* moved_sources) {
-  std::lock_guard<std::mutex> routing(update_mutex_);
-  if (moved_sources != nullptr) *moved_sources = 0;
-  if (!built_) {
-    return Status::FailedPrecondition("BuildIndex() has not run");
-  }
-  const std::shared_ptr<const Topology> current = Current();
-  // Under update_mutex_ the published map always covers every source
-  // (AddSource extends it before releasing the lock).
-  PartitionPlan now;
-  now.num_shards = current->shards.size();
-  now.shard_of = current->shard_of;
-  size_t moved = 0;
-  PartitionPlan plan = PlanMinimalRebalance(
-      CalibratedCostsLocked(), now, target_imbalance, &moved);
-  if (moved_sources != nullptr) *moved_sources = moved;
-  if (moved == 0) return Status::Ok();
-  Status migrated = MigrateLocked(current->shards, std::move(plan.shard_of));
-  update_generation_.fetch_add(1, std::memory_order_release);
-  return migrated;
-}
-
 Status ShardedEngine::Resize(size_t new_num_shards) {
   std::lock_guard<std::mutex> routing(update_mutex_);
   if (new_num_shards == 0) {
@@ -969,10 +844,23 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  const std::shared_ptr<const Topology> current = Current();
+  // Retracted sources carry no load; zero them out so the plan packs only
+  // live cost (their map entries are still assigned, arbitrarily).
+  std::vector<double> costs = source_cost_;
+  for (size_t i = 0; i < costs.size(); ++i) {
+    if (retracted_[i]) costs[i] = 0.0;
+  }
+  PartitionPlan plan = partitioner_->Partition(costs, new_num_shards);
+  if (plan.num_shards != new_num_shards) {
+    return Status::InvalidArgument(
+        "partitioner planned " + std::to_string(plan.num_shards) +
+        " shards, resize asked for " + std::to_string(new_num_shards));
+  }
+  IMGRN_RETURN_IF_ERROR(plan.Validate(next_source_));
   // Shards keep their identity below min(K, K'): the partitioner decides
   // placement, the migration moves only what it reassigns. New shards get
   // the published replica count.
+  const std::shared_ptr<const Topology> current = Current();
   const size_t kept = std::min(current->shards.size(), new_num_shards);
   std::vector<std::shared_ptr<ReplicaSet>> target_shards(
       current->shards.begin(),
@@ -980,30 +868,9 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   while (target_shards.size() < new_num_shards) {
     target_shards.push_back(MakeReplicaSet(current->shards.front()->size()));
   }
-  // Retracted sources carry no load; zero them out so the plan packs only
-  // live cost (their map entries are still assigned, arbitrarily). A
-  // measured-cost policy plans over the calibrated blend instead.
-  std::vector<double> costs;
-  if (partitioner_->wants_measured_costs()) {
-    costs = CalibratedCostsLocked();
-  } else {
-    costs = source_cost_;
-    for (size_t i = 0; i < costs.size(); ++i) {
-      if (retracted_[i]) costs[i] = 0.0;
-    }
-  }
-  PartitionPlan plan = partitioner_->Partition(costs, new_num_shards);
-  IMGRN_RETURN_IF_ERROR(plan.Validate(next_source_));
   Status migrated =
       MigrateLocked(std::move(target_shards), std::move(plan.shard_of));
   update_generation_.fetch_add(1, std::memory_order_release);
-  // Dropped shard indices may be reborn by a future grow; their overhead
-  // EWMAs must not leak into the new shard's measurement. Key on the
-  // published count, not the Status: a fault after the commit point fails
-  // the call but leaves the smaller topology published.
-  for (size_t s = num_shards(); s < current->shards.size(); ++s) {
-    shard_overhead_.Retire(static_cast<SourceId>(s));
-  }
   return migrated;
 }
 
@@ -1365,27 +1232,15 @@ ResultCacheStats ShardedEngine::CacheStats() const {
   return cache_ != nullptr ? cache_->Stats() : ResultCacheStats{};
 }
 
-void ShardedEngine::SetCostMeterForTesting(
-    double (*source_seconds)(const SourceCostSample&),
-    double (*overhead_seconds)(const QueryStats&)) {
-  source_meter_ = source_seconds;
-  overhead_meter_ = overhead_seconds;
-}
-
 ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
   TopologyPin topology(*this);
   ShardedEngineStatsSnapshot snapshot;
   snapshot.shards.reserve(topology->shards.size());
   snapshot.replicas = topology->shards.front()->size();
-  // Measured load per shard: sum of the per-source EWMAs under the pinned
-  // map (retired sources read 0; a source added after this topology was
-  // published is missed until the next publish — a gauge, not a ledger).
-  std::vector<double> measured(topology->shards.size(), 0.0);
-  for (SourceId global = 0; global < topology->shard_of.size(); ++global) {
-    measured[topology->shard_of[global]] += measured_.Ewma(global);
-  }
   std::vector<double> costs;
+  std::vector<double> measured;
   costs.reserve(topology->shards.size());
+  measured.reserve(topology->shards.size());
   for (size_t s = 0; s < topology->shards.size(); ++s) {
     const ReplicaSet& set = *topology->shards[s];
     ShardStats stats;
@@ -1395,13 +1250,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
     stats.sources = set.primary().active_sources.load(
         std::memory_order_relaxed);
     stats.cost = set.primary().cost.load(std::memory_order_relaxed);
-    // Fold the shard's shared-overhead EWMA (permutation-cache fills) back
-    // into its measured load: the shard really pays it per query, it just
-    // belongs to no single source.
-    stats.overhead_seconds =
-        shard_overhead_.Ewma(static_cast<SourceId>(s));
-    measured[s] += stats.overhead_seconds;
-    stats.measured_seconds = measured[s];
     stats.replicas.reserve(set.size());
     for (size_t r = 0; r < set.size(); ++r) {
       const ShardReplica& replica = *set.replica(r);
@@ -1419,18 +1267,16 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
       stats.sub_queries += replica_stats.sub_queries;
       stats.sub_query_errors += replica_stats.sub_query_errors;
       stats.in_flight += replica_stats.in_flight;
+      stats.measured_seconds +=
+          replica.busy_seconds.load(std::memory_order_relaxed);
       stats.replicas.push_back(replica_stats);
     }
     costs.push_back(stats.cost);
+    measured.push_back(stats.measured_seconds);
     snapshot.shards.push_back(std::move(stats));
   }
   snapshot.imbalance = MaxMeanImbalance(costs);
-  // A cold registry (no queries yet) measures every shard at zero, which
-  // plain max/mean reads as "perfectly balanced" — exactly wrong for the
-  // auto-rebalance loop, which would then never fire on a skewed cold
-  // cluster. Fall back to the static estimate until real measurements
-  // arrive.
-  snapshot.measured_imbalance = MaxMeanImbalanceWithFallback(measured, costs);
+  snapshot.measured_imbalance = MaxMeanImbalance(measured);
   snapshot.cache = CacheStats();
   if (maintenance_ != nullptr) {
     snapshot.maintenance = maintenance_->Stats();

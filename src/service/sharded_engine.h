@@ -12,7 +12,6 @@
 
 #include "core/query_engine.h"
 #include "service/circuit_breaker.h"
-#include "service/cost_model.h"
 #include "service/maintenance.h"
 #include "service/partitioner.h"
 #include "service/replica_set.h"
@@ -78,11 +77,6 @@ struct ShardedEngineOptions {
   /// `engine.storage`.
   std::string storage_dir;
 
-  /// How the measured per-source EWMA is blended with the static estimate
-  /// wherever the engine re-plans (auto Rebalance; Resize under a
-  /// partitioner with wants_measured_costs()). See service/cost_model.h.
-  CostCalibrationOptions calibration;
-
   /// Per-sub-query retry/backoff for transient shard failures.
   ShardRetryOptions retry;
 
@@ -97,16 +91,14 @@ struct ShardedEngineOptions {
   /// Whole-query result cache (see service/result_cache.h). capacity 0
   /// (the default) disables it. Hits skip the fan-out entirely and are
   /// bit-identical to a fresh evaluation; any source update or topology
-  /// change invalidates every prior entry (generation-keyed keys). Note a
-  /// hit also skips the measured-cost sampling, so warm the cost model
-  /// with distinct queries (or a disabled cache) before auto-Rebalance.
+  /// change invalidates every prior entry (generation-keyed keys). A hit
+  /// runs no sub-query, so it adds nothing to the busy-time gauges.
   ResultCacheOptions cache;
 
   /// Self-healing maintenance plane (see service/maintenance.h): a daemon
   /// thread that scrubs page checksums, quarantines + rebuilds corrupt
-  /// replicas from healthy peers, reclaims storage stranded by index
-  /// rebuilds, and auto-fires Rebalance on measured imbalance with
-  /// hysteresis. Off by default (`maintenance.enabled = false`).
+  /// replicas from healthy peers, and reclaims storage stranded by index
+  /// rebuilds. Off by default (`maintenance.enabled = false`).
   MaintenanceOptions maintenance;
 };
 
@@ -127,14 +119,10 @@ struct ShardStats {
   size_t shard = 0;
   size_t sources = 0;            ///< Active (added minus removed) sources.
   double cost = 0.0;             ///< Estimated load (EstimateSourceCost sum).
-  double measured_seconds = 0.0; ///< Measured load: sum of the per-source
-                                 ///< query-time EWMAs of this shard's live
-                                 ///< sources plus the shard's shared
-                                 ///< overhead EWMA (0 until queries ran).
-  double overhead_seconds = 0.0; ///< The shared-overhead part of
-                                 ///< measured_seconds: per-query work not
-                                 ///< attributable to any one source
-                                 ///< (permutation-cache fills).
+  double measured_seconds = 0.0; ///< Measured load: the summed busy time
+                                 ///< (QueryStats::total_seconds) of the
+                                 ///< sub-queries its current replicas
+                                 ///< served (0 until queries ran).
   uint64_t sub_queries = 0;      ///< Finished per-shard sub-queries.
   uint64_t sub_query_errors = 0; ///< Of those, non-OK (incl. cancelled).
   uint64_t in_flight = 0;        ///< Sub-queries running right now.
@@ -152,12 +140,11 @@ struct ShardedEngineStatsSnapshot {
   /// the hottest shard, so this is the skew penalty a rebalance removes.
   double imbalance = 1.0;
 
-  /// The same max/mean ratio over the MEASURED per-shard load
-  /// (ShardStats::measured_seconds). 1.0 while the registry is cold; once
-  /// traffic has touched the database this is the imbalance queries
-  /// actually experience, which can disagree with the estimate in either
-  /// direction (e.g. a giant source the index prunes perfectly inflates
-  /// the estimate but costs nothing measured).
+  /// The same max/mean ratio over the MEASURED per-shard busy time
+  /// (ShardStats::measured_seconds). 1.0 before any sub-query ran; after
+  /// that, the imbalance queries actually experienced, which can disagree
+  /// with the estimate in either direction (e.g. a giant source the index
+  /// prunes perfectly inflates the estimate but costs little measured).
   double measured_imbalance = 1.0;
 
   /// Result-cache counters (capacity 0 = no cache configured).
@@ -242,6 +229,12 @@ struct ShardedEngineStatsSnapshot {
 /// block; updates (AddSource/RemoveSource) serialize with a change in
 /// progress.
 ///
+/// Load accounting is static plus one measurement: placement and Resize
+/// pack the genes² × samples estimates (ShardStats::cost), and each
+/// replica sums the QueryStats::total_seconds of the sub-queries it serves
+/// (ShardStats::measured_seconds). Sub-queries skip the per-source
+/// breakdown, so QueryStats::source_costs stays empty here.
+///
 /// Fan-out runs on the ThreadPool passed at construction (pass null to run
 /// sub-queries sequentially on the calling thread). The pool may be shared
 /// with the QueryService that owns this engine: gathering uses
@@ -323,26 +316,15 @@ class ShardedEngine : public QueryEngine {
   /// step is actively copying into or deleting from.
   Status Rebalance(const PartitionPlan& plan);
 
-  /// Auto mode: computes a minimum-movement plan over the CALIBRATED
-  /// per-source costs (static estimate blended with the measured EWMA the
-  /// engine collects while serving — see service/cost_model.h) and
-  /// executes it through the same migration protocol as Rebalance(plan).
-  /// Only the few sources needed to bring max/mean under
-  /// `target_imbalance` move (see PlanMinimalRebalance); a full
-  /// BalancedPartitioner re-plan would typically relocate far more. If
-  /// `moved_sources` is non-null it receives the number of sources
-  /// migrated (0 when already under target). Bare Rebalance() targets
-  /// kDefaultRebalanceTarget.
-  Status Rebalance(double target_imbalance = kDefaultRebalanceTarget,
-                   size_t* moved_sources = nullptr);
-
-  static constexpr double kDefaultRebalanceTarget = 1.25;
-
   /// Re-partitions the database across `new_num_shards` shards (grow or
-  /// shrink) using the configured partitioner, without a reload. Shards
-  /// keep their identity below min(K, K'); dropped shards are retired once
-  /// the last in-flight query pinned to them drains; new shards get the
-  /// current replica count. Same blocking behavior as Rebalance.
+  /// shrink) using the configured partitioner over the static cost
+  /// estimates, without a reload. Shards keep their identity below
+  /// min(K, K'); dropped shards are retired once the last in-flight query
+  /// pinned to them drains; new shards get the current replica count.
+  /// InvalidArgument, with nothing changed, when the partitioner's plan
+  /// does not cover every source over `new_num_shards` shards (an
+  /// ExplicitPartitioner's fixed plan after AddSource or for another
+  /// shard count). Same blocking behavior as Rebalance.
   Status Resize(size_t new_num_shards);
 
   /// Changes the per-shard replica count at runtime, without a reload and
@@ -386,28 +368,6 @@ class ShardedEngine : public QueryEngine {
   /// Result-cache counters; all-zero (capacity 0) when no cache is
   /// configured.
   ResultCacheStats CacheStats() const;
-
-  /// The calibrated per-source costs an auto Rebalance would plan over
-  /// right now: static estimates (retracted sources zeroed) blended with
-  /// the measured EWMAs per ShardedEngineOptions::calibration. Indexed by
-  /// global source id.
-  std::vector<double> CalibratedSourceCosts() const;
-
-  /// The live measured-cost registry (read-only): per-source query-time
-  /// EWMAs and sample counts, written lock-free by every sub-query.
-  const MeasuredCostRegistry& measured_costs() const { return measured_; }
-
-  /// Test hook: replaces the wall-clock seconds the measured cost model
-  /// records, so tests can assert on measured imbalance without timing
-  /// noise. Every sub-query records `source_seconds(sample)` for each live
-  /// source it owns (`sample` carries the global id; a zero sample when
-  /// the traversal never surfaced the source) and
-  /// `overhead_seconds(sub_query_stats)` in its shard's overhead bucket.
-  /// Null restores wall-clock recording. Set before traffic runs (plain
-  /// members, not synchronized against queries).
-  void SetCostMeterForTesting(
-      double (*source_seconds)(const SourceCostSample& sample),
-      double (*overhead_seconds)(const QueryStats& sub_query_stats));
 
   /// One bounded step of the checksum scrubber (the maintenance daemon's
   /// tick body; public so tests drive it deterministically). Resumes at
@@ -586,9 +546,6 @@ class ShardedEngine : public QueryEngine {
   Status RemoveFromReplicasLocked(ReplicaSpan replicas, SourceId global,
                                   double cost, bool must_exist);
 
-  /// CalibratedSourceCosts() body; caller holds update_mutex_.
-  std::vector<double> CalibratedCostsLocked() const;
-
   /// Creates one ShardReplica with the configured engine options, giving
   /// it a fresh backing file under options_.storage_dir when one is set.
   /// Caller must hold update_mutex_ or be in a setup-phase call.
@@ -636,24 +593,6 @@ class ShardedEngine : public QueryEngine {
 
   /// Null when options_.cache.capacity == 0.
   mutable std::unique_ptr<ResultCache> cache_;
-
-  /// Measured per-source query cost, fed by RunShard on every sub-query
-  /// (one sample per live source of the shard, zero for untouched ones, so
-  /// the EWMA tracks the expected per-query seconds under the live mix).
-  /// Lock-free; mutable because recording happens on the const query path.
-  mutable MeasuredCostRegistry measured_;
-
-  /// Per-SHARD (not per-source) shared overhead EWMA, keyed by shard
-  /// index: the permutation-cache fill seconds of each sub-query. Kept out
-  /// of measured_ so layout cannot bias the per-source EWMAs — the shard
-  /// that happens to refine a length first would otherwise eat the fill
-  /// cost in whichever source ran first. Folded back into
-  /// ShardStats::measured_seconds (the whole shard really did pay it).
-  mutable MeasuredCostRegistry shard_overhead_;
-
-  /// SetCostMeterForTesting's meters; null = wall-clock seconds.
-  double (*source_meter_)(const SourceCostSample&) = nullptr;
-  double (*overhead_meter_)(const QueryStats&) = nullptr;
 
   /// Declared LAST: the daemon's thread calls back into everything above,
   /// so it must be destroyed (joined) first. Null unless

@@ -136,14 +136,6 @@ test -s "$WORKDIR/k1"  # The skewed query must actually match something.
 diff "$WORKDIR/k1" "$WORKDIR/km"
 diff "$WORKDIR/k1" "$WORKDIR/kb"
 
-# The calibrated strategy is accepted and, like the others, answers
-# bit-identically to the unsharded engine.
-"$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=4 --partition=calibrated 2>/dev/null \
-    > "$WORKDIR/skew_cal.out"
-grep '^match' "$WORKDIR/skew_cal.out" > "$WORKDIR/kc" || true
-diff "$WORKDIR/k1" "$WORKDIR/kc"
-
 # Unknown partition strategies are rejected with a diagnosable message
 # naming the valid strategies (not a crash on a null partitioner).
 if "$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
@@ -160,22 +152,25 @@ grep -q "bogus" "$WORKDIR/badpart.err"
     --shards=4 --gamma=0.5 --alpha=0.1 > "$WORKDIR/rebalance.out"
 grep -q "rebalance verified:" "$WORKDIR/rebalance.out"
 grep -q "imbalance=" "$WORKDIR/rebalance.out"
-
-# Auto mode: warm the measured cost model with a few queries, then move
-# only as many sources as the target requires (minimum-movement planner).
-# Bit-identity across the migration is again checked by the subcommand.
-"$IMGRN" rebalance --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
-    --shards=4 --gamma=0.5 --alpha=0.1 --auto=1 --target-imbalance=1.25 \
-    --warmup=4 > "$WORKDIR/auto_rebalance.out"
-grep -q "warmed the measured cost model" "$WORKDIR/auto_rebalance.out"
-grep -q "auto-rebalance moved" "$WORKDIR/auto_rebalance.out"
-grep -q "rebalance verified:" "$WORKDIR/auto_rebalance.out"
-grep -q "measured_imbalance=" "$WORKDIR/auto_rebalance.out"
+grep -q "measured_imbalance=" "$WORKDIR/rebalance.out"
 
 "$IMGRN" infer --matrix="$WORKDIR/q.txt" --gamma=0.5 \
     | grep -q "inferred GRN"
 "$IMGRN" infer --matrix="$WORKDIR/q.txt" --measure=correlation \
     --gamma=0.5 | grep -q "edges above"
+
+# Numbers parse strictly: a negative count, a non-number and trailing
+# garbage each exit 2 naming the flag, before any work runs.
+for bad in --shards=-1 --gamma=abc --shards=2x; do
+  status=0
+  "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" "$bad" \
+      > /dev/null 2> "$WORKDIR/badnum.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 on $bad, got $status" >&2
+    exit 1
+  fi
+  grep -q -- "${bad%%=*}" "$WORKDIR/badnum.err"
+done
 
 # Error paths exit non-zero.
 if "$IMGRN" query --db="/nonexistent" --query="$WORKDIR/q.txt" \

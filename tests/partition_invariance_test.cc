@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -330,20 +329,14 @@ TEST_F(PartitionInvarianceTest, ResizeKeepsBitExactness) {
 
 TEST_F(PartitionInvarianceTest, FaultedShrinkStillRetiresDroppedOverhead) {
   // A shrink that faults after its commit point (the second migrate.drain
-  // evaluation) fails, yet leaves the smaller topology published. The
-  // dropped shards' overhead EWMAs must be retired all the same, or a later
-  // grow that reuses their indices starts from stale measurements.
+  // evaluation) fails, yet leaves the smaller topology published, and a
+  // later grow back to four shards still succeeds.
   ShardedEngineOptions options;
   options.num_shards = 4;
   ShardedEngine sharded(options, nullptr);
-  sharded.SetCostMeterForTesting(nullptr,
-                                 [](const QueryStats&) { return 1e-3; });
   sharded.LoadDatabase(MakeDatabase(8));
   ASSERT_TRUE(sharded.BuildIndex().ok());
   ASSERT_TRUE(sharded.Query(ClusterQueryMatrix(9550), DefaultParams()).ok());
-  for (const ShardStats& shard : sharded.StatsSnapshot().shards) {
-    ASSERT_GT(shard.overhead_seconds, 0.0) << "shard " << shard.shard;
-  }
   {
     ScopedFaultInjection scoped({{.site = fault_sites::kMigrateDrain,
                                   .every_nth = 2,
@@ -352,10 +345,6 @@ TEST_F(PartitionInvarianceTest, FaultedShrinkStillRetiresDroppedOverhead) {
   }
   ASSERT_EQ(sharded.num_shards(), 2u);  // Rolled forward.
   ASSERT_TRUE(sharded.Resize(4).ok());
-  const ShardedEngineStatsSnapshot snapshot = sharded.StatsSnapshot();
-  for (size_t s = 2; s < 4; ++s) {
-    EXPECT_EQ(snapshot.shards[s].overhead_seconds, 0.0) << "shard " << s;
-  }
 }
 
 TEST_F(PartitionInvarianceTest, RebalanceAfterRemovalSkipsRetractedSources) {
@@ -414,6 +403,40 @@ TEST_F(PartitionInvarianceTest, RebalanceAndResizeValidateArguments) {
             StatusCode::kInvalidArgument);
 
   EXPECT_EQ(sharded.Resize(0).code(), StatusCode::kInvalidArgument);
+
+  // An ExplicitPartitioner's fixed plan fits one shard count and one
+  // source count: Resize to another count, or after AddSource, is
+  // rejected with the topology and the answers unchanged.
+  PartitionPlan fixed;
+  fixed.num_shards = 2;
+  fixed.shard_of = {0, 1, 1, 0, 0, 1};
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  options.partitioner = std::make_shared<ExplicitPartitioner>(fixed);
+  ShardedEngine pinned(options, nullptr);
+  pinned.LoadDatabase(MakeDatabase(6));
+  ASSERT_TRUE(pinned.BuildIndex().ok());
+  const QueryParams params = DefaultParams();
+  const GeneMatrix query = ClusterQueryMatrix(9650);
+  auto expect_unchanged = [&](const std::vector<QueryMatch>& answers,
+                              const std::string& context) {
+    EXPECT_EQ(pinned.num_shards(), 2u) << context;
+    for (SourceId i = 0; i < fixed.shard_of.size(); ++i) {
+      EXPECT_EQ(pinned.ShardOf(i), fixed.shard_of[i]) << context;
+    }
+    ExpectIdentical(*pinned.Query(query, params), answers, context);
+  };
+
+  const std::vector<QueryMatch> answers = *pinned.Query(query, params);
+  EXPECT_EQ(pinned.Resize(3).code(), StatusCode::kInvalidArgument);
+  expect_unchanged(answers, "Resize(3) of a 2-shard plan");
+
+  ASSERT_TRUE(pinned.AddSource(ClusterMatrix(6)).ok());
+  const size_t added_to = pinned.ShardOf(6);
+  const std::vector<QueryMatch> grown = *pinned.Query(query, params);
+  EXPECT_EQ(pinned.Resize(2).code(), StatusCode::kInvalidArgument);
+  expect_unchanged(grown, "Resize(2) of a 6-source plan over 7 sources");
+  EXPECT_EQ(pinned.ShardOf(6), added_to);
 }
 
 TEST_F(PartitionInvarianceTest, BalancedPartitionerRelievesSkewedDatabase) {
@@ -471,84 +494,6 @@ TEST_F(PartitionInvarianceTest, BalancedPartitionerRelievesSkewedDatabase) {
                   "post-rebalance skew");
 }
 
-TEST_F(PartitionInvarianceTest, AutoRebalanceMovesFewSourcesToMeasuredTarget) {
-  // The PR's acceptance bar: starting from a layout that is badly
-  // imbalanced by MEASURED load, the no-plan Rebalance(target) — greedy
-  // minimal movement over the calibrated cost model — must (a) bring the
-  // measured imbalance under 1.25, (b) relocate strictly fewer sources
-  // than a full LPT re-plan would, and (c) leave every answer
-  // bit-identical across the migration.
-  const size_t kSources = 20;
-  BuildReference(MakeSkewedDatabase(kSources));
-  const QueryParams params = DefaultParams();
-  const GeneMatrix query = ClusterQueryMatrix(9800);
-  const std::vector<QueryMatch> expected = ReferenceQuery(query, params);
-  ASSERT_EQ(expected.size(), kSources);
-
-  // 14 sources piled on shard 0 (including 4 of the 5 giants), the rest in
-  // pairs: heavily imbalanced both by estimate and by measurement.
-  PartitionPlan initial;
-  initial.num_shards = 4;
-  for (size_t i = 0; i < kSources; ++i) {
-    initial.shard_of.push_back(
-        i < 14 ? 0u : static_cast<uint32_t>(1 + (i - 14) / 2));
-  }
-  ShardedEngineOptions options;
-  options.num_shards = 4;
-  options.partitioner = std::make_shared<ExplicitPartitioner>(initial);
-  // Trust the EWMA from the first sample: the warmup below feeds every
-  // source well past any reasonable min_samples anyway.
-  options.calibration.min_samples = 1;
-  ShardedEngine sharded(options, nullptr);
-  testing_util::UseCandidatePairCostMeter(&sharded);
-  sharded.LoadDatabase(MakeSkewedDatabase(kSources));
-  ASSERT_TRUE(sharded.BuildIndex().ok());
-
-  // Warm the measured cost model: every query records one sample per
-  // active source (zero for untouched ones), so 8 rounds x 4 queries gives
-  // every source a 32-sample EWMA of its expected per-query cost.
-  for (int round = 0; round < 8; ++round) {
-    for (uint64_t q = 0; q < 4; ++q) {
-      ASSERT_TRUE(sharded.Query(ClusterQueryMatrix(9800 + q), params).ok());
-    }
-  }
-  const ShardedEngineStatsSnapshot before = sharded.StatsSnapshot();
-  EXPECT_GE(before.measured_imbalance, 2.0);  // 14-of-20 on one shard.
-  ExpectIdentical(*sharded.Query(query, params), expected, "pre-rebalance");
-
-  // What a full re-plan on the same calibrated costs would churn.
-  const PartitionPlan full_replan =
-      BalancedPartitioner().Partition(sharded.CalibratedSourceCosts(), 4);
-  size_t full_moved = 0;
-  for (size_t i = 0; i < kSources; ++i) {
-    if (full_replan.shard_of[i] != initial.shard_of[i]) ++full_moved;
-  }
-
-  // Target 1.15 on the calibrated gauge: the calibrated costs retain a
-  // small static residual (weight 1/(n+1)), so planning a notch below the
-  // 1.25 acceptance bar guarantees the MEASURED ratio clears it.
-  size_t moved = 0;
-  ASSERT_TRUE(sharded.Rebalance(/*target_imbalance=*/1.15, &moved).ok());
-  EXPECT_GE(moved, 5u);          // A real repair, not a no-op...
-  EXPECT_LT(moved, full_moved);  // ...but far less churn than a re-plan.
-
-  const ShardedEngineStatsSnapshot after = sharded.StatsSnapshot();
-  EXPECT_LE(after.measured_imbalance, 1.25);
-  ExpectIdentical(*sharded.Query(query, params), expected, "post-rebalance");
-
-  // Moved-source accounting matches the live map.
-  size_t live_moved = 0;
-  for (SourceId i = 0; i < kSources; ++i) {
-    if (sharded.ShardOf(i) != initial.shard_of[i]) ++live_moved;
-  }
-  EXPECT_EQ(moved, live_moved);
-
-  // A second auto pass is (near-)idempotent: already under target.
-  size_t moved_again = 99;
-  ASSERT_TRUE(sharded.Rebalance(1.25, &moved_again).ok());
-  EXPECT_EQ(moved_again, 0u);
-}
-
 TEST_F(PartitionInvarianceTest, CostGaugesTrackLiveSourcesExactlyAfterRemovals) {
   // The per-shard cost gauge must equal the EstimateSourceCost sum over
   // the shard's LIVE sources exactly — removals subtract the precise
@@ -600,105 +545,6 @@ TEST_F(PartitionInvarianceTest, CostGaugesTrackLiveSourcesExactlyAfterRemovals) 
   live.push_back(true);
   static_costs.push_back(EstimateSourceCost(ClusterMatrix(10)));
   check_gauges(live, "after re-add");
-}
-
-TEST_F(PartitionInvarianceTest, MeasuredImbalanceSeesSkewTheEstimateCannot) {
-  // Satellite convergence claim: on a database whose sources all have the
-  // same static cost (~uniform genes x samples) but where the query mix
-  // only ever touches a clump of "hot" sources pinned to one shard, the
-  // estimated imbalance reads ~1.0 while the measured imbalance exposes
-  // the real skew — and iterating measure -> auto-rebalance (the loop an
-  // operator cron would run) spreads the hot sources until the measured
-  // ratio converges under target.
-  const size_t kSources = 32;
-  const size_t kHot = 8;  // Sources 0..7 carry the queried cluster.
-  auto hot_cold_matrix = [](SourceId source) {
-    Rng rng(2500 + source);
-    const bool hot = source < kHot;
-    std::vector<GeneId> filler;
-    for (size_t g = 0; g < 7; ++g) {
-      filler.push_back(static_cast<GeneId>(1000 + 100 * source + g));
-    }
-    // Same gene count and near-same sample counts either way -> near-
-    // uniform static cost; only hot sources contain the cluster the
-    // queries ask about. Sample counts VARY across sources so the
-    // permutation-cache fill is paid per source, not absorbed by whichever
-    // source a shard happens to refine first (which would pin a per-shard
-    // overhead onto one source's measured cost).
-    const std::vector<std::vector<GeneId>> cluster = {
-        hot ? std::vector<GeneId>{1, 2, 3} : std::vector<GeneId>{201, 202, 203}};
-    const size_t num_samples = 28 + 2 * (source % 5);
-    return MakePlantedMatrix(source, num_samples, cluster, filler, 0.97, &rng);
-  };
-  auto make_database = [&] {
-    GeneDatabase database;
-    for (SourceId i = 0; i < kSources; ++i) database.Add(hot_cold_matrix(i));
-    return database;
-  };
-
-  BuildReference(make_database());
-  const QueryParams params = DefaultParams();
-  const GeneMatrix query = ClusterQueryMatrix(9900);
-  const std::vector<QueryMatch> expected = ReferenceQuery(query, params);
-  ASSERT_EQ(expected.size(), kHot);  // Cold sources are pruned entirely.
-
-  // All eight hot sources pinned to shard 0; 8 cold sources on each other
-  // shard. By source count and static cost this looks perfectly balanced.
-  PartitionPlan clumped;
-  clumped.num_shards = 4;
-  for (size_t i = 0; i < kSources; ++i) {
-    clumped.shard_of.push_back(
-        i < kHot ? 0u : static_cast<uint32_t>(1 + (i - kHot) / 8));
-  }
-  ShardedEngineOptions options;
-  options.num_shards = 4;
-  options.partitioner = std::make_shared<ExplicitPartitioner>(clumped);
-  options.calibration.min_samples = 1;
-  ShardedEngine sharded(options, nullptr);
-  testing_util::UseCandidatePairCostMeter(&sharded);
-  sharded.LoadDatabase(make_database());
-  ASSERT_TRUE(sharded.BuildIndex().ok());
-
-  auto run_queries = [&] {
-    for (int round = 0; round < 8; ++round) {
-      ASSERT_TRUE(
-          sharded.Query(ClusterQueryMatrix(9900 + round % 3), params).ok());
-    }
-  };
-  run_queries();
-
-  const ShardedEngineStatsSnapshot before = sharded.StatsSnapshot();
-  EXPECT_NEAR(before.imbalance, 1.0, 0.05);   // The estimate is blind...
-  EXPECT_GE(before.measured_imbalance, 3.0);  // ...to the real skew.
-
-  size_t moved = 0;
-  ASSERT_TRUE(sharded.Rebalance(1.25, &moved).ok());
-  EXPECT_GE(moved, 3u);  // The hot clump had to be broken up.
-
-  // Keep iterating measure -> rebalance (the loop an operator cron runs):
-  // each pass plans on EWMAs recorded under the PREVIOUS layout (per-shard
-  // effects like cache locality follow the layout, not the source, and the
-  // EWMA needs fresh samples to shed them), so convergence takes a few
-  // touch-up rounds. It must land under target within a small, bounded
-  // number of iterations — divergence or oscillation here would mean the
-  // measured costs don't actually describe the load being balanced.
-  run_queries();
-  run_queries();
-  double converged = sharded.StatsSnapshot().measured_imbalance;
-  for (int pass = 0; pass < 6 && converged > 1.25; ++pass) {
-    ASSERT_TRUE(sharded.Rebalance(1.25).ok());
-    run_queries();
-    run_queries();
-    converged = sharded.StatsSnapshot().measured_imbalance;
-  }
-  EXPECT_LE(converged, 1.25);
-  // The hot sources now span several shards.
-  std::set<size_t> hot_shards;
-  for (SourceId i = 0; i < kHot; ++i) hot_shards.insert(sharded.ShardOf(i));
-  EXPECT_GE(hot_shards.size(), 3u);
-
-  ExpectIdentical(*sharded.Query(query, params), expected,
-                  "hot/cold post-rebalance");
 }
 
 TEST(PartitionerTest, PlanValidationCatchesMalformedPlans) {
@@ -832,6 +678,13 @@ TEST(PartitionerTest, FactoryAndPlacement) {
   EXPECT_STREQ(MakePartitioner("modulo")->name(), "modulo");
   EXPECT_STREQ(MakePartitioner("balanced")->name(), "balanced");
   EXPECT_EQ(MakePartitioner("hash-ring"), nullptr);
+  EXPECT_EQ(MakePartitioner("calibrated"), nullptr);
+  const Result<std::shared_ptr<const Partitioner>> calibrated =
+      ParsePartitioner("calibrated");
+  EXPECT_EQ(calibrated.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(calibrated.status().message().find("modulo, balanced"),
+            std::string::npos)
+      << calibrated.status().message();
 
   // Modulo places by id; the cost-aware default places least-loaded.
   const std::vector<double> loads = {5.0, 1.0, 3.0};

@@ -1,6 +1,7 @@
 // Coverage of the QueryStats counters the benches report: every counter
-// must be populated consistently by the Fig.-4 traversal, and the
-// generator's planted edges must be statistically recoverable end-to-end.
+// must be populated consistently by the Fig.-4 traversal, the per-source
+// breakdown must list exactly the refined candidates, and the generator's
+// planted edges must be statistically recoverable end-to-end.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <string>
 
 #include "common/random.h"
+#include "core/engine.h"
 #include "datagen/synthetic.h"
 #include "inference/grn_inference.h"
 #include "query/imgrn_processor.h"
+#include "service/sharded_engine.h"
 #include "tests/test_util.h"
 
 namespace imgrn {
@@ -102,6 +105,86 @@ TEST_F(QueryStatsTest, UnknownAnchorPrunesEverythingAtNodeLevel) {
   EXPECT_TRUE(matches->empty());
   EXPECT_EQ(stats.candidate_pairs, 0u);
   EXPECT_EQ(stats.leaf_pairs_examined, 0u);
+}
+
+// --- Per-source breakdown --------------------------------------------------
+//
+// perfbench's traced replay reads the candidate sources of a query from
+// QueryStats::source_costs, so its contract is pinned here: with
+// collect_source_costs set, ImGrnEngine lists every refined candidate
+// matrix exactly once, in ascending source order; without it the list is
+// empty; and ShardedEngine, which does not attribute, leaves it empty
+// either way.
+
+// Even sources carry the queried cluster {1, 2, 3}; odd sources carry an
+// unrelated cluster, so the traversal prunes some sources entirely.
+GeneDatabase MakeMixedDatabase() {
+  GeneDatabase database;
+  for (SourceId s = 0; s < 8; ++s) {
+    Rng rng(4100 + s);
+    const GeneId base = s % 2 == 0 ? 1 : 201;
+    database.Add(MakePlantedMatrix(
+        s, 28 + 2 * (s % 3), {{base, base + 1, base + 2}},
+        {static_cast<GeneId>(400 + 2 * s), static_cast<GeneId>(401 + 2 * s)},
+        0.97, &rng));
+  }
+  return database;
+}
+
+TEST(SourceCostsTest, EngineListsEachRefinedCandidateOnceAscending) {
+  ImGrnEngine engine;
+  engine.LoadDatabase(MakeMixedDatabase());
+  ASSERT_TRUE(engine.BuildIndex().ok());
+  const GeneMatrix query = testing_util::MakeClusterQueryMatrix(4200);
+  QueryParams params = testing_util::DefaultClusterParams();
+
+  QueryStats plain;
+  Result<std::vector<QueryMatch>> expected =
+      engine.Query(query, params, &plain);
+  ASSERT_TRUE(expected.ok());
+  EXPECT_TRUE(plain.source_costs.empty());
+
+  params.collect_source_costs = true;
+  QueryStats costed;
+  Result<std::vector<QueryMatch>> matches =
+      engine.Query(query, params, &costed);
+  ASSERT_TRUE(matches.ok());
+  testing_util::ExpectIdenticalMatches(*matches, *expected, "costed");
+  EXPECT_GT(costed.candidate_matrices, 0u);
+  EXPECT_LT(costed.candidate_matrices, engine.database().size());
+  ASSERT_EQ(costed.source_costs.size(), costed.candidate_matrices);
+  for (size_t i = 0; i < costed.source_costs.size(); ++i) {
+    const SourceCostSample& sample = costed.source_costs[i];
+    if (i > 0) {
+      EXPECT_LT(costed.source_costs[i - 1].source, sample.source);
+    }
+    EXPECT_GT(sample.candidate_pairs, 0u) << "source " << sample.source;
+    EXPECT_GE(sample.seconds, 0.0) << "source " << sample.source;
+  }
+  // Every answer was refined, so it is listed.
+  for (const QueryMatch& match : *matches) {
+    EXPECT_TRUE(std::any_of(
+        costed.source_costs.begin(), costed.source_costs.end(),
+        [&match](const SourceCostSample& sample) {
+          return sample.source == match.source;
+        }))
+        << "answer " << match.source;
+  }
+}
+
+TEST(SourceCostsTest, ShardedEngineLeavesTheBreakdownEmpty) {
+  ShardedEngine sharded(testing_util::MakeShardedOptions(/*num_shards=*/3));
+  sharded.LoadDatabase(MakeMixedDatabase());
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+  const GeneMatrix query = testing_util::MakeClusterQueryMatrix(4200);
+  QueryParams params = testing_util::DefaultClusterParams();
+  for (const bool collect : {false, true}) {
+    params.collect_source_costs = collect;
+    QueryStats stats;
+    ASSERT_TRUE(sharded.Query(query, params, &stats).ok());
+    EXPECT_GT(stats.candidate_matrices, 0u) << "collect=" << collect;
+    EXPECT_TRUE(stats.source_costs.empty()) << "collect=" << collect;
+  }
 }
 
 // --- Traversal counters pinned to exact totals ----------------------------

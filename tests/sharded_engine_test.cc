@@ -354,6 +354,47 @@ TEST_F(ShardedEngineTest, StatsAggregateAcrossShards) {
   EXPECT_NE(snapshot.DebugString().find("shard0"), std::string::npos);
 }
 
+// ShardStats::measured_seconds is each shard's summed sub-query busy time
+// (QueryStats::total_seconds per sub-query), and measured_imbalance is
+// max/mean over those sums.
+TEST_F(ShardedEngineTest, MeasuredSecondsSumSubQueryBusyTime) {
+  // Four shards over three sources, modulo: shard 3 stays empty.
+  ShardedEngine sharded(Opts(4), nullptr);
+  sharded.LoadDatabase(MakeDatabase(3));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+  auto measured = [&sharded] {
+    std::vector<double> seconds;
+    for (const ShardStats& shard : sharded.StatsSnapshot().shards) {
+      seconds.push_back(shard.measured_seconds);
+    }
+    return seconds;
+  };
+  EXPECT_EQ(measured(), std::vector<double>(4, 0.0));
+  EXPECT_EQ(sharded.StatsSnapshot().measured_imbalance, 1.0);
+
+  ASSERT_TRUE(sharded.Query(ClusterQueryMatrix(7750), DefaultParams()).ok());
+  const ShardedEngineStatsSnapshot snapshot = sharded.StatsSnapshot();
+  std::vector<double> after_query;
+  for (const ShardStats& shard : snapshot.shards) {
+    if (shard.sources > 0) {
+      EXPECT_GT(shard.measured_seconds, 0.0) << "shard " << shard.shard;
+    } else {
+      EXPECT_EQ(shard.measured_seconds, 0.0) << "shard " << shard.shard;
+    }
+    after_query.push_back(shard.measured_seconds);
+  }
+  EXPECT_EQ(snapshot.measured_imbalance, MaxMeanImbalance(after_query));
+
+  // New replicas start idle: each shard's sum is unchanged.
+  ASSERT_TRUE(sharded.SetReplicas(2).ok());
+  EXPECT_EQ(measured(), after_query);
+
+  // A fresh database starts a fresh measurement.
+  sharded.LoadDatabase(MakeDatabase(3));
+  EXPECT_EQ(measured(), std::vector<double>(4, 0.0));
+  EXPECT_EQ(sharded.StatsSnapshot().measured_imbalance, 1.0);
+}
+
 TEST_F(ShardedEngineTest, ErrorStatusesMatchSingleEnginePreconditions) {
   ShardedEngine sharded(Opts(2), nullptr);
   const GeneMatrix query = ClusterQueryMatrix(7800);

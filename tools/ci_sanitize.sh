@@ -5,11 +5,10 @@
 # the thread-heavy test binaries, and runs everything carrying the ctest
 # labels in $LABELS: "concurrency" (thread pool, query service, sharded
 # engine, shard stress, lock-free histogram, parallel index build) and
-# "partitioning" (the
-# differential partition-invariance suite, whose Rebalance/Resize paths
-# migrate data while queries run, plus the lock-free measured-cost
-# registry the query path writes concurrently — exactly the races a
-# sanitizer should see) and "robustness" (fault injection, circuit
+# "partitioning" (the differential partition-invariance suite, whose
+# Rebalance/Resize paths copy, publish and drain replicas while the
+# per-replica busy-time and traffic gauges are written by the query path
+# and read by StatsSnapshot) and "robustness" (fault injection, circuit
 # breaker, degraded queries, and fault-killed migrations: the
 # rollback/roll-forward paths normal traffic never reaches, where leaks
 # and races hide) and "replication" (the replica-set + result-cache
@@ -17,10 +16,10 @@
 # failover, and generation-keyed cache eviction/replacement — run under
 # BOTH kinds, races on the routing side and leaks on the eviction side)
 # and "maintenance" (the self-healing plane: the daemon thread scrubbing
-# every replica's store and firing rebalances while queries and topology
-# changes race it — TSan territory — and the quarantine/rebuild path
-# replacing whole replicas and reclaiming stranded pages — ASan/leak
-# territory; also run under BOTH kinds);
+# every replica's store while queries and topology changes race it — TSan
+# territory — and the quarantine/rebuild path replacing whole replicas and
+# reclaiming stranded pages — ASan/leak territory; also run under BOTH
+# kinds);
 # see tests/CMakeLists.txt. The ASan run additionally
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw
@@ -99,8 +98,7 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DIMGRN_UBSAN="$UBSAN"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
-         partition_invariance_test \
-         cost_model_test fault_injection_test replication_test \
+         partition_invariance_test fault_injection_test replication_test \
          result_cache_test maintenance_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \

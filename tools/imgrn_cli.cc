@@ -8,7 +8,7 @@
 //   imgrn query --db=db.txt --query=q.txt
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
 //               [--replicas=1] [--store=mem|disk:FILE]
-//               [--partition=modulo|balanced|calibrated]
+//               [--partition=modulo|balanced]
 //               [--fault=SPEC] [--fault-seed=N] [--allow-partial=0|1]
 //       Build the index and run one IM-GRN query; q.txt is a gene matrix
 //       file (matrix_io.h). To query a persisted index, use
@@ -21,9 +21,9 @@
 //       --shards=K > 1 partitions the database across K in-memory engines
 //       and fans the query out (service/sharded_engine.h); the matches are
 //       identical to --shards=1 by construction for EVERY --partition
-//       strategy (modulo: source id mod K; balanced: cost-based LPT bin
-//       packing; calibrated: LPT over measured-cost-blended estimates —
-//       see service/partitioner.h and service/cost_model.h).
+//       strategy (modulo: source id mod K; balanced: LPT bin packing over
+//       the static genes² × samples cost estimates — see
+//       service/partitioner.h).
 //       --replicas=R > 1 mirrors every shard across R replicas
 //       (service/replica_set.h): updates apply to all replicas in lock
 //       step and each sub-query is served by one replica picked
@@ -56,25 +56,21 @@
 //       the rest hit and skip the fan-out entirely), then dump the final
 //       cache counters. Every run's matches are bit-identical by the
 //       cache-key determinism contract.
-//   imgrn rebalance --db=db.txt --query=q.txt [--shards=4] [--auto=1]
-//               [--target-imbalance=1.25] [--warmup=4] ...
+//   imgrn rebalance --db=db.txt --query=q.txt [--shards=4] ...
 //       Demo/diagnostic for online rebalancing: load the database
 //       modulo-sharded, report the per-shard load and imbalance (estimated
-//       AND measured), migrate while the engine stays queryable, report
-//       the new loads, and verify the query answers are bit-identical
-//       before and after. Default mode migrates to a full balanced (LPT)
-//       plan; --auto=1 instead warms the measured cost model with
-//       --warmup queries and runs the minimum-movement auto-rebalance
-//       (ShardedEngine::Rebalance(target)), which moves only the few
-//       sources needed to bring max/mean under --target-imbalance.
+//       from the cost proxy AND measured as sub-query busy time), migrate
+//       to the balanced (LPT) plan while the engine stays queryable,
+//       report the new loads, and verify the query answers are
+//       bit-identical before and after.
 //   imgrn maintenance status --db=db.txt --query=q.txt [--shards=2]
 //               [--replicas=2] [--ticks=8] [--scrub-pages=64] [--fault=...]
 //       Demo/diagnostic for the self-healing maintenance plane
 //       (service/maintenance.h): build a sharded+replicated engine with
 //       the daemon in deterministic mode, interleave --ticks maintenance
 //       ticks with queries, and dump the maintenance counters — pages
-//       scrubbed, corruption found, replicas rebuilt, storage reclaimed,
-//       rebalance fires. --fault can inject disk corruption (e.g.
+//       scrubbed, corruption found, replicas rebuilt, storage reclaimed.
+//       --fault can inject disk corruption (e.g.
 //       --fault=disk.read=p1:x1:code=dataloss) to watch the scrubber
 //       detect it and the rebuild path heal the replica, with the query
 //       answers verified bit-identical throughout.
@@ -92,8 +88,14 @@
 //
 // Databases and queries are the plain-text format of matrix_io.h; a built
 // index persists only as a snapshot (index/snapshot.h).
+//
+// Every flag is --key=value. A numeric value must parse completely and be
+// in range, and counts, sizes and seeds must not be negative; otherwise
+// the command exits 2 naming the flag, like an unknown flag.
 
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -112,7 +114,8 @@ namespace imgrn {
 namespace cli {
 namespace {
 
-/// --key=value parser with defaults; unknown keys are fatal.
+/// --key=value parser with defaults; unknown keys and malformed numbers
+/// are fatal.
 class Args {
  public:
   Args(int argc, char** argv, int first,
@@ -136,17 +139,48 @@ class Args {
   }
 
   std::string Get(const std::string& key) const { return values_.at(key); }
+
+  /// The value as a finite double.
   double GetDouble(const std::string& key) const {
-    return std::strtod(values_.at(key).c_str(), nullptr);
+    const std::string& text = values_.at(key);
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(value)) {
+      BadValue(key);
+    }
+    return value;
   }
+
+  /// The value as a base-10 int64.
   int64_t GetInt(const std::string& key) const {
-    return std::strtoll(values_.at(key).c_str(), nullptr, 10);
+    const std::string& text = values_.at(key);
+    char* end = nullptr;
+    errno = 0;
+    const long long value = std::strtoll(text.c_str(), &end, 10);
+    if (text.empty() || *end != '\0' || errno == ERANGE) BadValue(key);
+    return value;
   }
+
+  /// GetInt for counts, sizes and seeds: negative values are rejected too.
+  uint64_t GetCount(const std::string& key) const {
+    const int64_t value = GetInt(key);
+    if (value < 0) BadValue(key);
+    return static_cast<uint64_t>(value);
+  }
+
   bool Has(const std::string& key) const {
     return !values_.at(key).empty();
   }
 
  private:
+  [[noreturn]] void BadValue(const std::string& key) const {
+    std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
+                 values_.at(key).c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -171,17 +205,17 @@ int CmdGenerate(int argc, char** argv) {
     return 2;
   }
   SyntheticConfig config;
-  config.num_matrices = static_cast<size_t>(args.GetInt("n_matrices"));
-  config.genes_min = static_cast<size_t>(args.GetInt("genes_min"));
-  config.genes_max = static_cast<size_t>(args.GetInt("genes_max"));
-  config.samples_min = static_cast<size_t>(args.GetInt("samples_min"));
-  config.samples_max = static_cast<size_t>(args.GetInt("samples_max"));
+  config.num_matrices = args.GetCount("n_matrices");
+  config.genes_min = args.GetCount("genes_min");
+  config.genes_max = args.GetCount("genes_max");
+  config.samples_min = args.GetCount("samples_min");
+  config.samples_max = args.GetCount("samples_max");
   config.gene_universe =
-      static_cast<GeneId>(args.GetInt("gene_universe"));
+      static_cast<GeneId>(args.GetCount("gene_universe"));
   config.weight_distribution = args.Get("dist") == "Gau"
                                    ? EdgeWeightDistribution::kGaussian
                                    : EdgeWeightDistribution::kUniform;
-  config.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  config.seed = args.GetCount("seed");
   GeneDatabase database = GenerateSyntheticDatabase(config);
   Status status = SaveGeneDatabase(database, args.Get("out"));
   if (!status.ok()) return Fail(status);
@@ -227,12 +261,12 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "--store: %s\n", store.status().message().c_str());
     return 2;
   }
-  const size_t shards = static_cast<size_t>(args.GetInt("shards"));
+  const size_t shards = args.GetCount("shards");
   if (shards == 0) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
   }
-  const size_t replicas = static_cast<size_t>(args.GetInt("replicas"));
+  const size_t replicas = args.GetCount("replicas");
   if (replicas == 0) {
     std::fprintf(stderr, "--replicas must be >= 1\n");
     return 2;
@@ -253,8 +287,8 @@ int CmdQuery(int argc, char** argv) {
   QueryParams params;
   params.gamma = args.GetDouble("gamma");
   params.alpha = args.GetDouble("alpha");
-  params.top_k = static_cast<size_t>(args.GetInt("top_k"));
-  params.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  params.top_k = args.GetCount("top_k");
+  params.seed = args.GetCount("seed");
   params.allow_partial = args.GetInt("allow-partial") != 0;
 
   if (args.Has("fault")) {
@@ -265,7 +299,7 @@ int CmdQuery(int argc, char** argv) {
       return 2;
     }
     FaultInjector::Global().Seed(
-        static_cast<uint64_t>(args.GetInt("fault-seed")));
+        args.GetCount("fault-seed"));
     for (FaultRule& rule : *rules) {
       FaultInjector::Global().Enable(std::move(rule));
     }
@@ -358,10 +392,10 @@ int CmdCache(int argc, char** argv) {
     std::fprintf(stderr, "cache stats requires --db=FILE --query=FILE\n");
     return 2;
   }
-  const size_t shards = static_cast<size_t>(args.GetInt("shards"));
-  const size_t replicas = static_cast<size_t>(args.GetInt("replicas"));
-  const size_t capacity = static_cast<size_t>(args.GetInt("capacity"));
-  const size_t repeat = static_cast<size_t>(args.GetInt("repeat"));
+  const size_t shards = args.GetCount("shards");
+  const size_t replicas = args.GetCount("replicas");
+  const size_t capacity = args.GetCount("capacity");
+  const size_t repeat = args.GetCount("repeat");
   if (shards == 0 || replicas == 0 || repeat == 0) {
     std::fprintf(stderr, "--shards/--replicas/--repeat must be >= 1\n");
     return 2;
@@ -378,8 +412,8 @@ int CmdCache(int argc, char** argv) {
   QueryParams params;
   params.gamma = args.GetDouble("gamma");
   params.alpha = args.GetDouble("alpha");
-  params.top_k = static_cast<size_t>(args.GetInt("top_k"));
-  params.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  params.top_k = args.GetCount("top_k");
+  params.seed = args.GetCount("seed");
 
   ThreadPool pool;
   ShardedEngineOptions options;
@@ -422,9 +456,6 @@ int CmdRebalance(int argc, char** argv) {
             {{"db", ""},
              {"query", ""},
              {"shards", "4"},
-             {"auto", "0"},
-             {"target-imbalance", "1.25"},
-             {"warmup", "4"},
              {"gamma", "0.5"},
              {"alpha", "0.5"},
              {"top_k", "0"},
@@ -433,8 +464,7 @@ int CmdRebalance(int argc, char** argv) {
     std::fprintf(stderr, "rebalance requires --db=FILE --query=FILE\n");
     return 2;
   }
-  const bool auto_mode = args.GetInt("auto") != 0;
-  const size_t shards = static_cast<size_t>(args.GetInt("shards"));
+  const size_t shards = args.GetCount("shards");
   if (shards == 0) {
     std::fprintf(stderr, "--shards must be >= 1\n");
     return 2;
@@ -447,8 +477,8 @@ int CmdRebalance(int argc, char** argv) {
   QueryParams params;
   params.gamma = args.GetDouble("gamma");
   params.alpha = args.GetDouble("alpha");
-  params.top_k = static_cast<size_t>(args.GetInt("top_k"));
-  params.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  params.top_k = args.GetCount("top_k");
+  params.seed = args.GetCount("seed");
 
   // Start from the worst case the balanced plan fixes: modulo placement.
   const std::vector<double> costs = EstimateSourceCosts(*database);
@@ -460,6 +490,8 @@ int CmdRebalance(int argc, char** argv) {
   Status status = engine.BuildIndex();
   if (!status.ok()) return Fail(status);
 
+  // Measured seconds are cumulative busy time, so "after" includes the
+  // query answered before the migration.
   auto print_loads = [&engine](const char* tag) {
     const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
     for (const ShardStats& shard : snapshot.shards) {
@@ -470,42 +502,20 @@ int CmdRebalance(int argc, char** argv) {
     std::printf("%s imbalance=%.3f measured_imbalance=%.3f "
                 "(max/mean shard load)\n",
                 tag, snapshot.imbalance, snapshot.measured_imbalance);
-    return snapshot.imbalance;
   };
-  if (auto_mode) {
-    // Feed the measured cost model before planning: every query attributes
-    // its wall-clock to the sources it touched.
-    const size_t warmup = static_cast<size_t>(args.GetInt("warmup"));
-    for (size_t i = 0; i < warmup; ++i) {
-      Result<std::vector<QueryMatch>> r = engine.Query(*query_matrix, params);
-      if (!r.ok()) return Fail(r.status());
-    }
-    std::printf("warmed the measured cost model with %zu queries\n", warmup);
-  }
-  print_loads("before");
   Result<std::vector<QueryMatch>> before = engine.Query(*query_matrix, params);
   if (!before.ok()) return Fail(before.status());
+  print_loads("before");
 
-  if (auto_mode) {
-    // Minimum-movement auto-rebalance over the calibrated cost model.
-    const double target = args.GetDouble("target-imbalance");
-    size_t moved = 0;
-    status = engine.Rebalance(target, &moved);
-    if (!status.ok()) return Fail(status);
-    std::printf("auto-rebalance moved %zu of %zu sources "
-                "(target imbalance %.2f)\n",
-                moved, engine.num_sources(), target);
-  } else {
-    // Migrate to the LPT plan while the engine stays live (queries on
-    // untouched shards would keep running throughout).
-    const PartitionPlan plan = BalancedPartitioner().Partition(costs, shards);
-    status = engine.Rebalance(plan);
-    if (!status.ok()) return Fail(status);
-  }
-  print_loads("after");
+  // Migrate to the LPT plan while the engine stays live (queries on
+  // untouched shards would keep running throughout).
+  const PartitionPlan plan = BalancedPartitioner().Partition(costs, shards);
+  status = engine.Rebalance(plan);
+  if (!status.ok()) return Fail(status);
 
   Result<std::vector<QueryMatch>> after = engine.Query(*query_matrix, params);
   if (!after.ok()) return Fail(after.status());
+  print_loads("after");
   if (after->size() != before->size()) {
     std::fprintf(stderr, "rebalance changed the answer count: %zu vs %zu\n",
                  before->size(), after->size());
@@ -557,9 +567,9 @@ int CmdMaintenance(int argc, char** argv) {
                  "maintenance status requires --db=FILE --query=FILE\n");
     return 2;
   }
-  const size_t shards = static_cast<size_t>(args.GetInt("shards"));
-  const size_t replicas = static_cast<size_t>(args.GetInt("replicas"));
-  const size_t ticks = static_cast<size_t>(args.GetInt("ticks"));
+  const size_t shards = args.GetCount("shards");
+  const size_t replicas = args.GetCount("replicas");
+  const size_t ticks = args.GetCount("ticks");
   if (shards == 0 || replicas == 0) {
     std::fprintf(stderr, "--shards/--replicas must be >= 1\n");
     return 2;
@@ -572,8 +582,8 @@ int CmdMaintenance(int argc, char** argv) {
   QueryParams params;
   params.gamma = args.GetDouble("gamma");
   params.alpha = args.GetDouble("alpha");
-  params.top_k = static_cast<size_t>(args.GetInt("top_k"));
-  params.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  params.top_k = args.GetCount("top_k");
+  params.seed = args.GetCount("seed");
 
   ThreadPool pool;
   ShardedEngineOptions options;
@@ -585,7 +595,7 @@ int CmdMaintenance(int argc, char** argv) {
   // explicitly, so the output is reproducible run to run.
   options.maintenance.tick_interval_micros = 0;
   options.maintenance.scrub_pages_per_tick =
-      static_cast<size_t>(args.GetInt("scrub-pages"));
+      args.GetCount("scrub-pages");
   ShardedEngine engine(options, &pool);
   engine.LoadDatabase(std::move(*database));
   Status status = engine.BuildIndex();
@@ -604,7 +614,7 @@ int CmdMaintenance(int argc, char** argv) {
       return 2;
     }
     FaultInjector::Global().Seed(
-        static_cast<uint64_t>(args.GetInt("fault-seed")));
+        args.GetCount("fault-seed"));
     for (FaultRule& rule : *rules) {
       FaultInjector::Global().Enable(std::move(rule));
     }
@@ -646,12 +656,9 @@ int CmdMaintenance(int argc, char** argv) {
               static_cast<unsigned long long>(m.replicas_rebuilt),
               static_cast<unsigned long long>(m.rebuild_failures),
               static_cast<unsigned long long>(m.scrub_errors));
-  std::printf("maintenance: pages_reclaimed=%llu slots_truncated=%llu "
-              "rebalance_fires=%llu sources_moved=%llu\n",
+  std::printf("maintenance: pages_reclaimed=%llu slots_truncated=%llu\n",
               static_cast<unsigned long long>(m.pages_reclaimed),
-              static_cast<unsigned long long>(m.slots_truncated),
-              static_cast<unsigned long long>(m.rebalance_fires),
-              static_cast<unsigned long long>(m.sources_moved));
+              static_cast<unsigned long long>(m.slots_truncated));
   std::printf("imbalance: estimated=%.3f measured=%.3f (max/mean)\n",
               snapshot.imbalance, snapshot.measured_imbalance);
   std::printf("answers: %zu, bit-identical across all %zu ticks\n",
@@ -676,8 +683,8 @@ int CmdSnapshotSave(int argc, char** argv) {
   if (!database.ok()) return Fail(database.status());
 
   EngineOptions options;
-  options.index.num_pivots = static_cast<size_t>(args.GetInt("pivots"));
-  options.index.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  options.index.num_pivots = args.GetCount("pivots");
+  options.index.seed = args.GetCount("seed");
   options.storage = *store;
   ImGrnEngine engine(options);
   engine.LoadDatabase(std::move(*database));
@@ -730,8 +737,8 @@ int CmdSnapshotLoad(int argc, char** argv) {
   QueryParams params;
   params.gamma = args.GetDouble("gamma");
   params.alpha = args.GetDouble("alpha");
-  params.top_k = static_cast<size_t>(args.GetInt("top_k"));
-  params.seed = static_cast<uint64_t>(args.GetInt("seed"));
+  params.top_k = args.GetCount("top_k");
+  params.seed = args.GetCount("seed");
   QueryStats stats;
   Result<std::vector<QueryMatch>> matches =
       engine.Query(*query_matrix, params, &stats);
@@ -771,9 +778,9 @@ int CmdExtractQuery(int argc, char** argv) {
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
   if (!database.ok()) return Fail(database.status());
   QueryGenConfig config;
-  config.num_genes = static_cast<size_t>(args.GetInt("genes"));
+  config.num_genes = args.GetCount("genes");
   config.gamma = args.GetDouble("gamma");
-  Rng rng(static_cast<uint64_t>(args.GetInt("seed")));
+  Rng rng(args.GetCount("seed"));
   Result<GeneMatrix> query = ExtractQueryMatrix(*database, config, &rng);
   if (!query.ok()) return Fail(query.status());
   Status status = SaveGeneMatrix(*query, args.Get("out"));
@@ -802,8 +809,8 @@ int CmdInfer(int argc, char** argv) {
 
   if (args.Get("measure") == "imgrn") {
     GrnInferenceOptions options;
-    options.num_samples = static_cast<size_t>(args.GetInt("samples"));
-    options.seed = static_cast<uint64_t>(args.GetInt("seed"));
+    options.num_samples = args.GetCount("samples");
+    options.seed = args.GetCount("seed");
     GrnInferenceStats stats;
     const ProbGraph grn = InferGrn(*matrix, gamma, options, &stats);
     std::printf("inferred GRN: %zu vertices, %zu edges (%zu of %zu pairs "
