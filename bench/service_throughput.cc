@@ -22,11 +22,9 @@
 // recorded across PRs.
 //
 // --replicas=R > 1 mirrors every shard R times with round-robin routing
-// (read scaling; only meaningful on the sharded path) and --cache=C > 0
-// enables the generation-keyed query-result cache with capacity C. The
-// workload replays the same query set --rounds times, so with a cache
-// every round after the first hits; sharded JSON lines then carry
-// "replicas", "qps_per_replica" and the observed "cache_hit_rate".
+// (read scaling; only meaningful on the sharded path); every JSON line
+// carries "replicas" and "qps_per_replica". The workload replays the same
+// query set --rounds times, and every replay is evaluated afresh.
 //
 // --maintenance=1 runs the self-healing maintenance daemon
 // (service/maintenance.h) in the background during every sharded pass —
@@ -78,8 +76,6 @@ int Main(int argc, char** argv) {
                {"shards", "1 | comma-separated shard counts (1 = unsharded)"},
                {"replicas",
                 "1 | replicas per shard (read scaling; sharded path only)"},
-               {"cache",
-                "0 | query-result cache capacity (0 = disabled)"},
                {"partition", "modulo | shard placement: modulo or balanced"},
                {"zipf",
                 "0 | Zipf exponent for skewed matrix sizes (0 = uniform)"},
@@ -120,7 +116,6 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "--replicas must be >= 1\n");
     return 1;
   }
-  const size_t cache_capacity = static_cast<size_t>(flags.GetInt("cache"));
 
   QueryParams params;
   params.gamma = flags.GetDouble("gamma");
@@ -166,8 +161,7 @@ int Main(int argc, char** argv) {
                   " queries=" + std::to_string(num_queries) +
                   " rounds=" + std::to_string(rounds) + " partition=" +
                   partition + " zipf=" + flags.GetString("zipf") +
-                  " replicas=" + std::to_string(num_replicas) +
-                  " cache=" + std::to_string(cache_capacity));
+                  " replicas=" + std::to_string(num_replicas));
 
   GeneDatabase database = make_database();
   ImGrnEngine engine;
@@ -204,7 +198,7 @@ int Main(int argc, char** argv) {
   double qps_at_1 = 0.0;
   auto run_setting = [&](QueryService& service, size_t num_threads,
                          size_t num_shards, size_t replicas,
-                         double imbalance, const ShardedEngine* sharded,
+                         double imbalance,
                          const std::function<std::string()>& extra_fn =
                              nullptr) {
     // One warmup pass (buffer pools, first-touch) outside the clock.
@@ -229,14 +223,6 @@ int Main(int argc, char** argv) {
     if (num_threads == 1 && num_shards == 1) qps_at_1 = qps;
 
     const ServiceMetricsSnapshot snapshot = service.MetricsSnapshot();
-    // The cache hit rate counts the warmup pass too (its misses fill the
-    // cache); with --cache > 0 the timed rounds are all hits by design.
-    char cache_field[64] = "";
-    if (sharded != nullptr && cache_capacity > 0) {
-      std::snprintf(cache_field, sizeof(cache_field),
-                    ",\"cache_hit_rate\":%.3f",
-                    sharded->CacheStats().hit_rate());
-    }
     const std::string extra = extra_fn ? extra_fn() : std::string();
     char line[832];
     std::snprintf(
@@ -245,12 +231,12 @@ int Main(int argc, char** argv) {
         "\"replicas\":%zu,\"queries\":%zu,\"failed\":%zu,\"qps\":%.1f,"
         "\"qps_per_replica\":%.1f,"
         "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"speedup_vs_1\":%.2f,"
-        "\"partition\":\"%s\",\"imbalance\":%.3f%s%s}\n",
+        "\"partition\":\"%s\",\"imbalance\":%.3f%s}\n",
         num_threads, num_shards, replicas, total, failed, qps,
         qps / static_cast<double>(replicas), snapshot.latency_p50_ms,
         snapshot.latency_p95_ms, qps_at_1 > 0 ? qps / qps_at_1 : 0.0,
         num_shards > 1 ? partition.c_str() : "none", imbalance,
-        cache_field, extra.c_str());
+        extra.c_str());
     std::fputs(line, stdout);
     std::fflush(stdout);
     if (json_file != nullptr) {
@@ -268,7 +254,7 @@ int Main(int argc, char** argv) {
         // The unsharded baseline: one engine, one buffer pool, whole-index
         // write lock.
         QueryService service(&engine, options);
-        run_setting(service, num_threads, 1, 1, 1.0, nullptr);
+        run_setting(service, num_threads, 1, 1, 1.0);
         continue;
       }
       // One pool shared by the service (request parallelism) and the
@@ -279,7 +265,6 @@ int Main(int argc, char** argv) {
       ShardedEngineOptions sharded_options;
       sharded_options.num_shards = num_shards;
       sharded_options.num_replicas = num_replicas;
-      sharded_options.cache.capacity = cache_capacity;
       sharded_options.partitioner = partitioner;
       if (run_maintenance) {
         sharded_options.maintenance.enabled = true;
@@ -318,8 +303,7 @@ int Main(int argc, char** argv) {
         };
       }
       run_setting(service, num_threads, num_shards, num_replicas,
-                  sharded.StatsSnapshot().imbalance, &sharded,
-                  maintenance_extra);
+                  sharded.StatsSnapshot().imbalance, maintenance_extra);
     }
   }
   if (json_file != nullptr) std::fclose(json_file);

@@ -1,5 +1,7 @@
 #include "core/engine.h"
 
+#include <string>
+
 #include "common/logging.h"
 #include "index/snapshot.h"
 
@@ -28,6 +30,10 @@ Status ImGrnEngine::BuildIndex() {
   if (database_.empty()) {
     return Status::FailedPrecondition("no database loaded");
   }
+  for (const GeneMatrix& matrix : database_.matrices()) {
+    IMGRN_RETURN_IF_ERROR(ValidateGeneMatrix(
+        matrix, "source " + std::to_string(matrix.source_id())));
+  }
   IMGRN_RETURN_IF_ERROR(EnsureStorage());
   ImGrnIndexOptions index_options = options_.index;
   index_options.storage = store_.get();
@@ -47,6 +53,8 @@ Status ImGrnEngine::AddMatrix(GeneMatrix matrix) {
         "new matrix's source id must equal database().size()");
   }
   const SourceId source = matrix.source_id();
+  IMGRN_RETURN_IF_ERROR(
+      ValidateGeneMatrix(matrix, "source " + std::to_string(source)));
   database_.Add(std::move(matrix));
   return index_->AddMatrix(source);
 }

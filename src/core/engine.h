@@ -63,12 +63,15 @@ class ImGrnEngine {
   GeneDatabase& mutable_database() { return database_; }
 
   /// Builds the pivot embedding + R*-tree index (Sections 4-5). Must be
-  /// called after LoadDatabase and before Query.
+  /// called after LoadDatabase and before Query. InvalidArgument, with
+  /// nothing built, when a matrix fails ValidateGeneMatrix (no genes, or a
+  /// NaN or ±Inf value).
   Status BuildIndex();
 
   /// Appends a new data source and indexes it incrementally (no rebuild).
   /// `matrix.source_id()` must equal database().size(). Requires a built
-  /// index.
+  /// index. InvalidArgument, with the database unchanged, when the matrix
+  /// fails ValidateGeneMatrix.
   Status AddMatrix(GeneMatrix matrix);
 
   /// Removes a data source from query results (its index entries are

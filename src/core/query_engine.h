@@ -50,14 +50,10 @@ class QueryEngine {
   /// without internal redundancy (SingleEngine) ignore allow_partial and
   /// fail whole.
   ///
-  /// Caching contract: an implementation MAY answer from a result cache,
-  /// and if it does it MUST set stats->cache_hit and keep the answer —
-  /// matches AND stats — bit-identical to what a fresh evaluation against
-  /// the engine's CURRENT source set would return (i.e. any AddSource/
-  /// RemoveSource invalidates affected entries before it returns).
-  /// stats->cache_hit and stats->replica_failovers are the only fields
-  /// whose values may depend on serving topology rather than the query
-  /// itself; differential tests mask exactly these.
+  /// Every query is evaluated against the engine's current source set.
+  /// stats->replica_failovers is the only field whose value may depend on
+  /// serving topology rather than the query itself; differential tests
+  /// mask exactly it.
   virtual Result<std::vector<QueryMatch>> Query(
       const GeneMatrix& query_matrix, const QueryParams& params,
       QueryStats* stats = nullptr,

@@ -1,6 +1,8 @@
 #include "matrix/gene_matrix.h"
 
 #include <algorithm>
+#include <cmath>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
@@ -70,6 +72,23 @@ Result<GeneMatrix> GeneMatrix::ExtractColumns(
   }
   sub.standardized_ = standardized_;
   return sub;
+}
+
+Status ValidateGeneMatrix(const GeneMatrix& matrix, std::string_view name) {
+  if (matrix.num_genes() == 0) {
+    return Status::InvalidArgument(std::string(name) + " has no genes");
+  }
+  for (size_t k = 0; k < matrix.num_genes(); ++k) {
+    const std::span<const double> column = matrix.Column(k);
+    for (size_t j = 0; j < column.size(); ++j) {
+      if (!std::isfinite(column[j])) {
+        return Status::InvalidArgument(
+            std::string(name) + ": gene " + std::to_string(matrix.gene_id(k)) +
+            " has a non-finite value at sample " + std::to_string(j));
+      }
+    }
+  }
+  return Status::Ok();
 }
 
 void GeneDatabase::Add(GeneMatrix matrix) {

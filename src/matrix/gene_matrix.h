@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -96,6 +97,13 @@ class GeneMatrix {
   std::vector<double> data_;  // Column-major.
   bool standardized_ = false;
 };
+
+/// kInvalidArgument when `matrix` has no gene or holds a NaN or ±Inf value
+/// (the message starts with `name`, e.g. "source 7", and names the gene
+/// and sample). Standardization, pivot selection and the Monte Carlo tests
+/// all assume finite values, so the engine checks every matrix it ingests
+/// or queries with this first.
+Status ValidateGeneMatrix(const GeneMatrix& matrix, std::string_view name);
 
 /// The gene feature database D (Definition 1): N gene feature matrices of
 /// possibly different shapes, one per data source.

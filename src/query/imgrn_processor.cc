@@ -77,12 +77,7 @@ ImGrnQueryProcessor::ImGrnQueryProcessor(const ImGrnIndex* index)
 Result<std::vector<QueryMatch>> ImGrnQueryProcessor::Query(
     const GeneMatrix& query_matrix, const QueryParams& params,
     QueryStats* stats, const QueryControl* control) const {
-  if (params.gamma < 0.0 || params.gamma >= 1.0) {
-    return Status::InvalidArgument("gamma must be in [0, 1)");
-  }
-  if (params.alpha < 0.0 || params.alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in [0, 1)");
-  }
+  IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params, &query_matrix));
   if (control != nullptr) {
     IMGRN_RETURN_IF_ERROR(control->Check());
   }
@@ -106,12 +101,7 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::Query(
 Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
     const ProbGraph& query_graph, const QueryParams& params,
     QueryStats* stats, const QueryControl* control) const {
-  if (params.gamma < 0.0 || params.gamma >= 1.0) {
-    return Status::InvalidArgument("gamma must be in [0, 1)");
-  }
-  if (params.alpha < 0.0 || params.alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in [0, 1)");
-  }
+  IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params));
   if (query_graph.num_vertices() == 0) {
     return Status::InvalidArgument("query graph has no vertices");
   }

@@ -33,7 +33,8 @@ class ImGrnQueryProcessor {
   explicit ImGrnQueryProcessor(const ImGrnIndex* index);
 
   /// Full pipeline: infers Q from the query gene feature matrix, then
-  /// matches. Returns InvalidArgument for out-of-range gamma/alpha.
+  /// matches. Returns InvalidArgument when ValidateQueryParams rejects the
+  /// parameters or the query matrix (query/query_types.h).
   ///
   /// `control`, when non-null, is polled at the pipeline checkpoints
   /// (before inference, per R*-tree pair pop, per refined matrix); an

@@ -4,6 +4,23 @@
 
 namespace imgrn {
 
+Status ValidateQueryParams(const QueryParams& params,
+                           const GeneMatrix* query_matrix) {
+  // Written so that NaN, which fails every comparison, is rejected too.
+  if (!(params.gamma >= 0.0 && params.gamma < 1.0)) {
+    return Status::InvalidArgument("gamma must be in [0, 1)");
+  }
+  if (!(params.alpha >= 0.0 && params.alpha < 1.0)) {
+    return Status::InvalidArgument("alpha must be in [0, 1)");
+  }
+  if (params.query_num_samples == 0 || params.refine_num_samples == 0) {
+    return Status::InvalidArgument(
+        "query_num_samples and refine_num_samples must be >= 1");
+  }
+  if (query_matrix == nullptr) return Status::Ok();
+  return ValidateGeneMatrix(*query_matrix, "query matrix");
+}
+
 void FinalizeMatches(size_t top_k, std::vector<QueryMatch>* matches) {
   if (top_k == 0) return;
   std::sort(matches->begin(), matches->end(),

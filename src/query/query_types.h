@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/status.h"
 #include "matrix/gene_matrix.h"
 
 namespace imgrn {
@@ -55,6 +56,13 @@ struct QueryParams {
 
   uint64_t seed = 99;
 };
+
+/// kInvalidArgument unless gamma and alpha lie in [0, 1) (NaN does not) and
+/// both sample counts are positive; given a `query_matrix`, also unless it
+/// passes ValidateGeneMatrix. Every query entry point (ImGrnQueryProcessor,
+/// ShardedEngine) checks this before any work.
+Status ValidateQueryParams(const QueryParams& params,
+                           const GeneMatrix* query_matrix = nullptr);
 
 /// One IM-GRN answer: matrix M_i matched the query.
 struct QueryMatch {
@@ -144,17 +152,11 @@ struct QueryStats {
   /// path.
   uint64_t shard_retries = 0;
 
-  /// True when the answer (matches AND the counters above) was served from
-  /// the ShardedEngine's result cache instead of a fresh fan-out. By the
-  /// engine's determinism a hit is bit-identical to the evaluation it
-  /// stands in for, so this flag (plus replica_failovers) is the only
-  /// stats field a cache may legitimately change — the differential suite
-  /// masks exactly these.
-  bool cache_hit = false;
-
   /// Replicas the round-robin router skipped past (quarantined breaker)
   /// or abandoned after a failure, summed across all shards' sub-queries.
-  /// 0 when every shard's first-choice replica answered.
+  /// 0 when every shard's first-choice replica answered. The only field
+  /// whose value may depend on serving topology rather than the query
+  /// itself; the differential suites mask it.
   uint64_t replica_failovers = 0;
 };
 

@@ -22,8 +22,6 @@ struct ServiceMetricsSnapshot {
   uint64_t failed = 0;             // Any other non-OK completion.
   uint64_t degraded = 0;           // Of served: partial results (some
                                    // shards down, allow_partial set).
-  uint64_t cache_hits = 0;         // Of served: answered from the engine's
-                                   // result cache (no fan-out ran).
   size_t queue_depth = 0;          // Admitted but unfinished right now.
 
   double latency_mean_ms = 0.0;    // Over served (OK) queries only.
@@ -61,12 +59,6 @@ class ServiceMetrics {
   /// answers without treating them as failures.
   void OnDegraded() { degraded_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// A query completed OK straight from the result cache
-  /// (QueryStats::cache_hit): counted in `served` as usual AND here. Its
-  /// latency still enters the histogram — hit latency IS the serving
-  /// latency dashboards should see.
-  void OnCacheHit() { cache_hits_.fetch_add(1, std::memory_order_relaxed); }
-
   uint64_t submitted() const {
     return submitted_.load(std::memory_order_relaxed);
   }
@@ -84,9 +76,6 @@ class ServiceMetrics {
   uint64_t degraded() const {
     return degraded_.load(std::memory_order_relaxed);
   }
-  uint64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
 
   const LatencyHistogram& latency() const { return latency_; }
 
@@ -102,7 +91,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> failed_{0};
   std::atomic<uint64_t> degraded_{0};
-  std::atomic<uint64_t> cache_hits_{0};
   LatencyHistogram latency_;
 };
 

@@ -90,9 +90,6 @@ QueryService::PendingQuery QueryService::SubmitWithControl(
         if (result.ok() && stats.degraded) {
           metrics_.OnDegraded();
         }
-        if (result.ok() && stats.cache_hit) {
-          metrics_.OnCacheHit();
-        }
         FinishOne();
         return result;
       });

@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <future>
-#include <optional>
 #include <thread>
 #include <utility>
 
@@ -17,16 +16,6 @@
 namespace imgrn {
 
 namespace {
-
-Status ValidateParams(const QueryParams& params) {
-  if (params.gamma < 0.0 || params.gamma >= 1.0) {
-    return Status::InvalidArgument("gamma must be in [0, 1)");
-  }
-  if (params.alpha < 0.0 || params.alpha >= 1.0) {
-    return Status::InvalidArgument("alpha must be in [0, 1)");
-  }
-  return Status::Ok();
-}
 
 /// Index of `global`'s active entry in replica.local_to_global, or -1.
 int64_t ActiveLocalOf(const ShardReplica& replica, SourceId global) {
@@ -84,15 +73,6 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
                 "load, estimated / measured)\n",
                 imbalance, measured_imbalance);
   out += line;
-  if (cache.capacity > 0) {
-    char cache_line[160];
-    std::snprintf(cache_line, sizeof(cache_line),
-                  "cache: size=%zu/%zu hits=%" PRIu64 " misses=%" PRIu64
-                  " evictions=%" PRIu64 " hit_rate=%.3f\n",
-                  cache.size, cache.capacity, cache.hits, cache.misses,
-                  cache.evictions, cache.hit_rate());
-    out += cache_line;
-  }
   if (maintenance.enabled) {
     char line1[224];
     std::snprintf(line1, sizeof(line1),
@@ -131,9 +111,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
       pool_(pool) {
   IMGRN_CHECK_GE(options_.num_shards, 1u);
   IMGRN_CHECK_GE(options_.num_replicas, 1u);
-  if (options_.cache.capacity > 0) {
-    cache_ = std::make_unique<ResultCache>(options_.cache);
-  }
   auto topology = std::make_shared<Topology>();
   topology->shards.reserve(options_.num_shards);
   for (size_t i = 0; i < options_.num_shards; ++i) {
@@ -274,7 +251,6 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
   next_source_ = total;
   built_ = false;
   Publish(std::move(next));
-  update_generation_.fetch_add(1, std::memory_order_release);
 }
 
 Status ShardedEngine::BuildIndex() {
@@ -282,6 +258,15 @@ Status ShardedEngine::BuildIndex() {
     return Status::FailedPrecondition("no database loaded");
   }
   TopologyPin topology(*this);
+  // The replicas' engines check too, but would name shard-local ids.
+  for (const std::shared_ptr<ReplicaSet>& set : topology->shards) {
+    const ShardReplica& primary = set->primary();
+    for (size_t local = 0; local < primary.local_to_global.size(); ++local) {
+      IMGRN_RETURN_IF_ERROR(ValidateGeneMatrix(
+          primary.engine.database().matrix(static_cast<SourceId>(local)),
+          "source " + std::to_string(primary.local_to_global[local])));
+    }
+  }
   // Build every populated replica's index; the builds are independent, so
   // fan them out when a pool is available.
   std::vector<ShardReplica*> pending;
@@ -322,7 +307,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::Query(
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  IMGRN_RETURN_IF_ERROR(ValidateParams(params));
+  IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params, &query_matrix));
   if (control != nullptr) {
     IMGRN_RETURN_IF_ERROR(control->Check());
   }
@@ -352,7 +337,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  IMGRN_RETURN_IF_ERROR(ValidateParams(params));
+  IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params));
   if (query_graph.num_vertices() == 0) {
     return Status::InvalidArgument("query graph has no vertices");
   }
@@ -361,28 +346,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
   }
 
   Stopwatch total_timer;
-  // Read the update generation BEFORE consulting the cache or pinning a
-  // topology. Every mutation bumps the generation as its LAST step, so a
-  // result keyed at `generation` was computed against state no older than
-  // the bump that produced `generation` — serving it is linearizable.
-  const uint64_t generation =
-      update_generation_.load(std::memory_order_acquire);
-  std::string cache_key;
-  if (cache_ != nullptr) {
-    cache_key = ResultCache::EncodeKey(generation, query_graph, params);
-    std::optional<CachedResult> hit = cache_->Lookup(cache_key);
-    if (hit.has_value()) {
-      if (stats != nullptr) {
-        // Serve the stored stats verbatim — timings included — so a hit is
-        // byte-identical to the fresh evaluation that filled it; cache_hit
-        // is the one field that tells them apart.
-        *stats = hit->stats;
-        stats->cache_hit = true;
-      }
-      return std::move(hit->matches);
-    }
-  }
-
   // Pin one topology for the whole fan-out: a consistent shard list and
   // partition map even while a Rebalance/Resize runs concurrently (its
   // delete phase waits for this pin to drop).
@@ -459,8 +422,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
             });
   FinalizeMatches(params.top_k, &merged);
 
-  // Aggregate even when the caller passed no stats: a cache insert stores
-  // the full stats so a later hit can serve them.
+  if (stats == nullptr) return merged;
   QueryStats aggregated;
   aggregated.query_vertices = query_graph.num_vertices();
   aggregated.query_edges = query_graph.num_edges();
@@ -488,20 +450,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
   aggregated.failed_shards = failed_shards;
   aggregated.answers = merged.size();
   aggregated.total_seconds = total_timer.ElapsedSeconds();
-
-  if (cache_ != nullptr && failed_shards.empty() &&
-      update_generation_.load(std::memory_order_acquire) == generation) {
-    // Insert only what a future hit may legitimately stand in for: a FULL
-    // answer (degraded results silently drop shards; a later hit could
-    // then serve the gap forever) computed against state no mutation
-    // raced. If a mutation was mid-flight during the fan-out, its final
-    // generation bump makes the == fail and the result is simply not
-    // cached — the conservative side of the race.
-    cache_->Insert(cache_key, merged, aggregated);
-  }
-  if (stats != nullptr) {
-    *stats = std::move(aggregated);
-  }
+  *stats = std::move(aggregated);
   return merged;
 }
 
@@ -515,7 +464,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryShard(
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  IMGRN_RETURN_IF_ERROR(ValidateParams(params));
+  IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params));
   return RunShard(*topology, shard, /*replica_index=*/0, query_graph, params,
                   stats, control);
 }
@@ -758,6 +707,9 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
         "new matrix's source id must equal num_sources()");
   }
   const SourceId global = matrix.source_id();
+  // The replicas' engines check too, but would name a shard-local id.
+  IMGRN_RETURN_IF_ERROR(
+      ValidateGeneMatrix(matrix, "source " + std::to_string(global)));
   const double cost = EstimateSourceCost(matrix);
   const std::shared_ptr<const Topology> current = Current();
   std::vector<double> shard_costs;
@@ -767,16 +719,8 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   }
   const size_t s = partitioner_->PlaceSource(global, cost, shard_costs);
   IMGRN_CHECK_LT(s, current->shards.size());
-  Status append = AppendToAllReplicasLocked(current->shards[s]->replicas(),
-                                            matrix, global, cost);
-  if (!append.ok()) {
-    // The rolled-back append may have been briefly visible on the earlier
-    // replicas (the new source passes the map filter while unpublished);
-    // bump the generation so any result cached during that window can
-    // never be served.
-    update_generation_.fetch_add(1, std::memory_order_release);
-    return append;
-  }
+  IMGRN_RETURN_IF_ERROR(AppendToAllReplicasLocked(
+      current->shards[s]->replicas(), matrix, global, cost));
   source_cost_.push_back(cost);
   retracted_.push_back(false);
   ++next_source_;
@@ -785,10 +729,6 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   std::vector<uint32_t> shard_of = current->shard_of;
   shard_of.push_back(static_cast<uint32_t>(s));
   Publish(std::make_shared<Topology>(current->shards, std::move(shard_of)));
-  // The generation bump is the LAST step: from here every cache key minted
-  // before this AddSource is unservable, and any result computed while the
-  // append was in flight fails the insert-time generation check.
-  update_generation_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -811,7 +751,6 @@ Status ShardedEngine::RemoveSource(SourceId source) {
   IMGRN_RETURN_IF_ERROR(RemoveFromReplicasLocked(
       set.replicas(), source, source_cost_[source], /*must_exist=*/true));
   retracted_[source] = true;
-  update_generation_.fetch_add(1, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -827,13 +766,7 @@ Status ShardedEngine::Rebalance(const PartitionPlan& plan) {
         std::to_string(current->shards.size()));
   }
   IMGRN_RETURN_IF_ERROR(plan.Validate(next_source_));
-  Status migrated = MigrateLocked(current->shards, plan.shard_of);
-  // Bump regardless of outcome: a migration that faulted after its commit
-  // point has already changed ownership (rolled forward), and a pure
-  // ownership change cannot alter answers anyway — invalidating is just
-  // the conservative side.
-  update_generation_.fetch_add(1, std::memory_order_release);
-  return migrated;
+  return MigrateLocked(current->shards, plan.shard_of);
 }
 
 Status ShardedEngine::Resize(size_t new_num_shards) {
@@ -868,10 +801,7 @@ Status ShardedEngine::Resize(size_t new_num_shards) {
   while (target_shards.size() < new_num_shards) {
     target_shards.push_back(MakeReplicaSet(current->shards.front()->size()));
   }
-  Status migrated =
-      MigrateLocked(std::move(target_shards), std::move(plan.shard_of));
-  update_generation_.fetch_add(1, std::memory_order_release);
-  return migrated;
+  return MigrateLocked(std::move(target_shards), std::move(plan.shard_of));
 }
 
 Status ShardedEngine::SetReplicas(size_t num_replicas) {
@@ -890,8 +820,7 @@ Status ShardedEngine::SetReplicas(size_t num_replicas) {
   // sets are supersets of the old, so every older pin stays servable.
   // Shrinking copies nothing and drains the queries that could still route
   // to a dropped replica, which then dies with its last shared_ptr (its
-  // spill file unlinks with it). No generation bump: replica membership
-  // cannot change answers, so the result cache stays warm.
+  // spill file unlinks with it).
   auto next = std::make_shared<Topology>();
   next->shard_of = current->shard_of;
   std::vector<SourceCopy> copies;
@@ -1198,8 +1127,6 @@ Status ShardedEngine::RebuildReplica(size_t shard, size_t replica) {
   // file, closed breaker) in the sick one's place, publish, and drain:
   // queries pinned to the old topology finish against the old replica,
   // and the last pin to unwind retires it — spill file unlinked with it.
-  // No generation bump: replica membership cannot change answers, so the
-  // result cache deliberately stays warm through a rebuild.
   std::vector<std::shared_ptr<ShardReplica>> replicas = set.replicas();
   replicas[replica] = MakeReplica();
   auto next = std::make_shared<Topology>(current->shards, current->shard_of);
@@ -1226,10 +1153,6 @@ size_t ShardedEngine::ShardOf(SourceId source) const {
   const std::shared_ptr<const Topology> current = Current();
   IMGRN_CHECK_LT(source, current->shard_of.size());
   return current->shard_of[source];
-}
-
-ResultCacheStats ShardedEngine::CacheStats() const {
-  return cache_ != nullptr ? cache_->Stats() : ResultCacheStats{};
 }
 
 ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
@@ -1277,7 +1200,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
   }
   snapshot.imbalance = MaxMeanImbalance(costs);
   snapshot.measured_imbalance = MaxMeanImbalance(measured);
-  snapshot.cache = CacheStats();
   if (maintenance_ != nullptr) {
     snapshot.maintenance = maintenance_->Stats();
   }

@@ -15,7 +15,6 @@
 #include "service/maintenance.h"
 #include "service/partitioner.h"
 #include "service/replica_set.h"
-#include "service/result_cache.h"
 #include "service/thread_pool.h"
 
 namespace imgrn {
@@ -88,13 +87,6 @@ struct ShardedEngineOptions {
   /// quarantined does the shard surface kUnavailable.
   CircuitBreakerOptions breaker;
 
-  /// Whole-query result cache (see service/result_cache.h). capacity 0
-  /// (the default) disables it. Hits skip the fan-out entirely and are
-  /// bit-identical to a fresh evaluation; any source update or topology
-  /// change invalidates every prior entry (generation-keyed keys). A hit
-  /// runs no sub-query, so it adds nothing to the busy-time gauges.
-  ResultCacheOptions cache;
-
   /// Self-healing maintenance plane (see service/maintenance.h): a daemon
   /// thread that scrubs page checksums, quarantines + rebuilds corrupt
   /// replicas from healthy peers, and reclaims storage stranded by index
@@ -147,9 +139,6 @@ struct ShardedEngineStatsSnapshot {
   /// prunes perfectly inflates the estimate but costs little measured).
   double measured_imbalance = 1.0;
 
-  /// Result-cache counters (capacity 0 = no cache configured).
-  ResultCacheStats cache;
-
   /// Maintenance-plane counters; `maintenance.enabled` is false when the
   /// engine runs without a daemon (all counters then zero).
   MaintenanceStats maintenance;
@@ -157,19 +146,18 @@ struct ShardedEngineStatsSnapshot {
   /// One line per shard, e.g. "shard0: sources=3 load=1.2e5
   /// measured=2.1e-3s sub_queries=17 errors=0 in_flight=0", each followed
   /// by one line per replica with its counters and breaker, then an
-  /// "imbalance=" summary line reporting both ratios and a "cache:" line
-  /// when one exists.
+  /// "imbalance=" summary line reporting both ratios.
   std::string DebugString() const;
 };
 
 /// A database partitioned across K independent ImGrnEngine instances,
-/// each optionally mirrored across R replicas, queried with fan-out/merge
-/// in front of an optional whole-query result cache. The partition map is
-/// pluggable (see ShardedEngineOptions::partitioner) and can be changed
-/// while the engine serves: Rebalance(plan) migrates sources between
-/// shards, Resize(K') changes the shard count, SetReplicas(R') the
-/// replica count — all without a reload and without ever perturbing query
-/// results.
+/// each optionally mirrored across R replicas. A query is validated, pins
+/// one topology, fans out one sub-query per shard and merges them. The
+/// partition map is pluggable (see ShardedEngineOptions::partitioner) and
+/// can be changed while the engine serves: Rebalance(plan) migrates
+/// sources between shards, Resize(K') changes the shard count,
+/// SetReplicas(R') the replica count — all without a reload and without
+/// ever perturbing query results.
 ///
 /// Why: the single-engine QueryService write-locks the WHOLE index for
 /// every AddMatrix/RemoveMatrix, and all queries contend on one buffer
@@ -179,12 +167,11 @@ struct ShardedEngineStatsSnapshot {
 /// Sharding splits the data; replication multiplies READ capacity: R
 /// replicas serve R sub-queries of the same shard concurrently (reads
 /// take shared locks, but each replica has its own buffer pool and
-/// engine, so they do not contend), and the result cache short-circuits
-/// hot queries entirely.
+/// engine, so they do not contend).
 ///
 /// Query semantics are bit-identical to a single ImGrnEngine over the
-/// unpartitioned database, for every shard count, every replica count,
-/// every partition map, and with or without the cache:
+/// unpartitioned database, for every shard count, every replica count and
+/// every partition map:
 ///   - the query GRN is inferred ONCE (same seed, same stream), then fanned
 ///     out to each shard as a sub-query over that shard's sources;
 ///   - refinement probabilities are per-source deterministic regardless of
@@ -196,14 +183,11 @@ struct ShardedEngineStatsSnapshot {
 ///     is applied once to the merged set (sub-queries run with top_k
 ///     disabled so per-shard truncation can never hide a global winner);
 ///   - index pruning only ever discards non-answers, so different per-shard
-///     pivots change work, not results;
-///   - a cache hit returns the stored matches and stats of the fresh
-///     evaluation that filled it (same engine state — the key embeds the
-///     update generation), flagged with QueryStats::cache_hit.
+///     pivots change work, not results.
 /// tests/sharded_engine_test.cc enforces this differentially across shard
 /// counts; tests/partition_invariance_test.cc for arbitrary partition
 /// maps and across live Rebalance/Resize; tests/replication_test.cc
-/// across replica counts, cache hits, and breaker-tripped failover.
+/// across replica counts and breaker-tripped failover.
 ///
 /// Topology changes: the shard list (one ReplicaSet per shard) and the
 /// partition map live in one immutable Topology object published behind a
@@ -256,8 +240,7 @@ struct ShardedEngineStatsSnapshot {
 /// InvalidArgument) always fail the whole query, as does every shard
 /// failing at once. All sub-queries are always gathered first — no
 /// orphaned tasks. A cancelled/expired QueryControl fans out to every
-/// shard, so all sub-queries unwind at their next checkpoint. Degraded
-/// and failed results are never cached.
+/// shard, so all sub-queries unwind at their next checkpoint.
 ///
 /// Thread safety: Query/QueryWithGraph/AddSource/RemoveSource/Rebalance/
 /// Resize/SetReplicas/StatsSnapshot are safe from any thread once
@@ -283,7 +266,8 @@ class ShardedEngine : public QueryEngine {
 
   /// Builds every non-empty shard replica's index, in parallel when a
   /// pool is available. Must be called after LoadDatabase and before
-  /// Query.
+  /// Query. InvalidArgument, with nothing built, when a matrix fails
+  /// ValidateGeneMatrix.
   Status BuildIndex();
 
   Result<std::vector<QueryMatch>> Query(
@@ -300,7 +284,8 @@ class ShardedEngine : public QueryEngine {
   /// num_sources(). The partitioner picks the owning shard (modulo: id mod
   /// K; cost-based policies: the least-loaded shard); the matrix is
   /// appended to every replica of that shard (lock step), and only those
-  /// replicas are write-locked.
+  /// replicas are write-locked. InvalidArgument, with nothing changed, when
+  /// the matrix fails ValidateGeneMatrix.
   Status AddSource(GeneMatrix matrix) override;
 
   /// Retracts a source from query results. Write-locks only the owning
@@ -332,8 +317,7 @@ class ShardedEngine : public QueryEngine {
   /// into fresh replicas (bit-exact copies through the same append path
   /// migrations use) before publishing them; shrinking publishes sets
   /// without the tail replicas and drains the queries that could still
-  /// route to them, after which they are destroyed. Does NOT invalidate
-  /// the result cache: replica membership cannot change answers.
+  /// route to them, after which they are destroyed.
   Status SetReplicas(size_t num_replicas);
 
   size_t num_shards() const;
@@ -364,10 +348,6 @@ class ShardedEngine : public QueryEngine {
       const QueryControl* control = nullptr) const;
 
   ShardedEngineStatsSnapshot StatsSnapshot() const;
-
-  /// Result-cache counters; all-zero (capacity 0) when no cache is
-  /// configured.
-  ResultCacheStats CacheStats() const;
 
   /// One bounded step of the checksum scrubber (the maintenance daemon's
   /// tick body; public so tests drive it deterministically). Resumes at
@@ -581,18 +561,6 @@ class ShardedEngine : public QueryEngine {
   /// Set by BuildIndex, cleared by LoadDatabase. Atomic: the maintenance
   /// daemon polls it from its own thread to sit out the setup phase.
   std::atomic<bool> built_{false};
-
-  /// The result cache's invalidation clock: bumped by every mutation that
-  /// can change answers (LoadDatabase, AddSource, RemoveSource, and every
-  /// Rebalance/Resize — conservatively, since a pure migration cannot).
-  /// Cache keys embed the generation they were computed at, so bumping
-  /// makes every prior entry unservable. SetReplicas and RebuildReplica
-  /// deliberately do NOT bump: replica membership never changes answers,
-  /// so the cache stays warm through replica changes.
-  mutable std::atomic<uint64_t> update_generation_{0};
-
-  /// Null when options_.cache.capacity == 0.
-  mutable std::unique_ptr<ResultCache> cache_;
 
   /// Declared LAST: the daemon's thread calls back into everything above,
   /// so it must be destroyed (joined) first. Null unless

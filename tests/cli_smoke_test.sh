@@ -59,27 +59,27 @@ diff "$WORKDIR/s1" "$WORKDIR/r43"
 grep '^match' "$WORKDIR/replicas12.out" > "$WORKDIR/r12" || true
 diff "$WORKDIR/s1" "$WORKDIR/r12"
 
-# The result cache: the first run misses and fills, the rest hit; the
-# counters must agree and the hit rate is printed.
-"$IMGRN" cache stats --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=2 --replicas=2 --capacity=8 \
-    --repeat=3 > "$WORKDIR/cache.out"
-grep -q "run 1: cache_hit=false" "$WORKDIR/cache.out"
-grep -q "run 2: cache_hit=true" "$WORKDIR/cache.out"
-grep -q "run 3: cache_hit=true" "$WORKDIR/cache.out"
-grep -q "hits=2 misses=1 insertions=1" "$WORKDIR/cache.out"
-
-# Invalid replica/cache arguments are rejected up front.
+# Invalid replica arguments are rejected up front.
 if "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
     --replicas=0 2>/dev/null; then
   echo "expected failure on --replicas=0" >&2
   exit 1
 fi
-if "$IMGRN" cache stats --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
-    --capacity=0 2>/dev/null; then
-  echo "expected failure on --capacity=0" >&2
-  exit 1
-fi
+
+# A disk store serves the single-engine path only: with --shards > 1 or
+# --replicas > 1 it exits 2 naming --store, and creates no file.
+for topology in --shards=2 --replicas=2; do
+  status=0
+  "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
+      "$topology" --store="disk:$WORKDIR/sharded.pages" \
+      > /dev/null 2> "$WORKDIR/store.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 on $topology --store=disk, got $status" >&2
+    exit 1
+  fi
+  grep -q -- "--store" "$WORKDIR/store.err"
+  test ! -e "$WORKDIR/sharded.pages"
+done
 
 # Fault injection: a shard that fails every sub-query attempt
 # (shard.subquery#1=n1 — every evaluation on shard 1) fails the whole
@@ -178,9 +178,14 @@ if "$IMGRN" query --db="/nonexistent" --query="$WORKDIR/q.txt" \
   echo "expected failure on missing database" >&2
   exit 1
 fi
-if "$IMGRN" bogus-subcommand 2>/dev/null; then
-  echo "expected failure on bogus subcommand" >&2
-  exit 1
-fi
+for command in bogus-subcommand cache; do
+  status=0
+  "$IMGRN" "$command" stats 2> "$WORKDIR/usage.err" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "expected exit 2 on unknown subcommand $command, got $status" >&2
+    exit 1
+  fi
+  grep -q "^usage: imgrn" "$WORKDIR/usage.err"
+done
 
 echo "cli smoke test passed"

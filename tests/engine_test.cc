@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -31,6 +32,28 @@ TEST(EngineTest, QueryBeforeBuildFails) {
 TEST(EngineTest, BuildWithoutDatabaseFails) {
   ImGrnEngine engine;
   EXPECT_FALSE(engine.BuildIndex().ok());
+}
+
+// A matrix holding a NaN or ±Inf value, or no gene at all, fails the build
+// with kInvalidArgument naming its source, before anything is built.
+TEST(EngineTest, BuildIndexRejectsMatricesItCannotIndex) {
+  for (int variant = 0; variant < 4; ++variant) {
+    GeneDatabase database = MakeDatabase(1);
+    GeneMatrix bad(3, 30, {30, 31});
+    if (variant == 0) bad.At(4, 1) = std::numeric_limits<double>::quiet_NaN();
+    if (variant == 1) bad.At(0, 0) = std::numeric_limits<double>::infinity();
+    if (variant == 2) bad.At(29, 1) = -std::numeric_limits<double>::infinity();
+    if (variant == 3) bad = GeneMatrix(3, 30, {});
+    database.Add(std::move(bad));
+    ImGrnEngine engine;
+    engine.LoadDatabase(std::move(database));
+    const Status status = engine.BuildIndex();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "variant " << variant;
+    EXPECT_NE(status.message().find("source 3"), std::string::npos)
+        << status.message();
+    EXPECT_FALSE(engine.has_index());
+  }
 }
 
 TEST(EngineTest, BuildAndQueryEndToEnd) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -58,6 +59,27 @@ TEST_F(EngineUpdateTest, AddMatrixBecomesQueryable) {
 TEST_F(EngineUpdateTest, AddMatrixRejectsWrongSourceId) {
   EXPECT_FALSE(engine_.AddMatrix(ClusterMatrix(5, 103, 70)).ok());
   EXPECT_EQ(engine_.database().size(), 2u);
+}
+
+// A matrix holding a NaN or ±Inf value, or no gene at all, is rejected with
+// kInvalidArgument naming its source before the database changes: the
+// answers stay the same and the id stays free for a valid matrix.
+TEST_F(EngineUpdateTest, AddMatrixRejectsMatricesItCannotIndex) {
+  std::vector<GeneMatrix> bad(3, ClusterMatrix(2, 102, 70));
+  bad[0].At(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  bad[1].At(31, 4) = std::numeric_limits<double>::infinity();
+  bad[2] = GeneMatrix(2, 32, {});
+  for (GeneMatrix& matrix : bad) {
+    const Status status = engine_.AddMatrix(std::move(matrix));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("source 2"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(engine_.database().size(), 2u);
+    EXPECT_EQ(QuerySources(), (std::set<SourceId>{0, 1}));
+  }
+  ASSERT_TRUE(engine_.AddMatrix(ClusterMatrix(2, 102, 70)).ok());
+  EXPECT_EQ(QuerySources(), (std::set<SourceId>{0, 1, 2}));
+  EXPECT_TRUE(engine_.index().rtree().Validate().ok());
 }
 
 TEST_F(EngineUpdateTest, RemoveMatrixDisappearsFromResults) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "common/random.h"
@@ -175,6 +176,36 @@ TEST_F(ProcessorTest, InvalidParamsRejected) {
   ProbGraph empty;
   params.alpha = 0.5;
   EXPECT_FALSE(processor_->QueryWithGraph(empty, params).ok());
+
+  // NaN lies outside [0, 1), and a Monte Carlo test needs a sample. Each
+  // is rejected by both entry points.
+  Rng rng(11);
+  const GeneMatrix query_matrix =
+      MakePlantedMatrix(0, 40, {{1, 2, 3}}, {}, kStrong, &rng);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int variant = 0; variant < 4; ++variant) {
+    QueryParams bad;
+    if (variant == 0) bad.gamma = nan;
+    if (variant == 1) bad.alpha = nan;
+    if (variant == 2) bad.query_num_samples = 0;
+    if (variant == 3) bad.refine_num_samples = 0;
+    EXPECT_EQ(processor_->QueryWithGraph(query, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << "variant " << variant;
+    EXPECT_EQ(processor_->Query(query_matrix, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << "variant " << variant;
+  }
+
+  // So is a query matrix holding a NaN or ±Inf value.
+  for (double value : {nan, std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+    GeneMatrix bad = query_matrix;
+    bad.At(3, 1) = value;
+    EXPECT_EQ(processor_->Query(bad, QueryParams{}).status().code(),
+              StatusCode::kInvalidArgument)
+        << value;
+  }
 }
 
 TEST_F(ProcessorTest, PruningTogglesPreserveAnswers) {

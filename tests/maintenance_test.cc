@@ -88,8 +88,7 @@ class MaintenanceTest : public testing_util::ReferenceEngineFixture {
 TEST_F(MaintenanceTest, ScrubberDetectsCorruptionAndRebuildsFromPeer) {
   TempStorageDir dir("scrub_rebuild");
   ShardedEngineOptions options =
-      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path());
+      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2, dir.path());
   options.maintenance.enabled = true;
   options.maintenance.tick_interval_micros = 0;  // Deterministic: no thread.
   options.maintenance.scrub_pages_per_tick = 64;
@@ -152,8 +151,7 @@ TEST_F(MaintenanceTest, RebuildReplicaKeepsAnswersBitIdentical) {
   TempStorageDir dir("rebuild_direct");
   auto engine = MakeLoadedShardedEngine(
       kConfig, kSources,
-      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path()));
+      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2, dir.path()));
   const GeneMatrix query = MakeClusterQueryMatrix(9201);
   const std::vector<QueryMatch> expected = ReferenceQuery(query, params_);
 
@@ -186,8 +184,7 @@ TEST_F(MaintenanceTest, ScrubStepClampsStaleCursors) {
   TempStorageDir dir("cursor_clamp");
   auto engine = MakeLoadedShardedEngine(
       kConfig, kSources,
-      MakeShardedOptions(/*num_shards=*/3, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path()));
+      MakeShardedOptions(/*num_shards=*/3, /*num_replicas=*/2, dir.path()));
 
   ScrubCursor cursor;
   cursor.shard = 99;  // Past the end: reset to the first replica.
@@ -287,8 +284,7 @@ TEST_F(MaintenanceTest, DaemonStartStopIsIdempotent) {
 TEST_F(MaintenanceTest, DaemonRacesQueriesAndTopologyChanges) {
   TempStorageDir dir("daemon_races");
   ShardedEngineOptions options =
-      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2,
-                         /*cache_capacity=*/0, dir.path());
+      MakeShardedOptions(/*num_shards=*/2, /*num_replicas=*/2, dir.path());
   options.maintenance.enabled = true;
   options.maintenance.tick_interval_micros = 200;
   options.maintenance.scrub_pages_per_tick = 128;

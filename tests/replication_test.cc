@@ -1,14 +1,12 @@
-// The replication + result-cache contract of service/sharded_engine.h,
-// locked down differentially: for every (shard count K, replica count R)
-// in a grid, the replicated engine's matches are byte-identical to a
-// single unsharded ImGrnEngine, and its QueryStats counters are identical
-// to the same engine at R=1 — the ONLY stats fields serving topology may
-// change are cache_hit and replica_failovers (plus wall-clock). On top of
-// the grid: round-robin routing spreads sub-queries evenly, a cache hit
-// is bit-identical to the evaluation it stands in for and any source
-// update drops it, a quarantined replica sheds its load onto peers with
-// NO degradation, and SetReplicas scales a live engine without perturbing
-// answers or the (still valid) cache.
+// The replication contract of service/sharded_engine.h, locked down
+// differentially: for every (shard count K, replica count R) in a grid,
+// the replicated engine's matches are byte-identical to a single
+// unsharded ImGrnEngine, and its QueryStats counters are identical to the
+// same engine at R=1 — the ONLY stats field serving topology may change
+// is replica_failovers (plus wall-clock). On top of the grid: round-robin
+// routing spreads sub-queries evenly, a quarantined replica sheds its
+// load onto peers with NO degradation, and SetReplicas scales a live
+// engine without perturbing answers.
 
 #include <cstdint>
 #include <memory>
@@ -40,13 +38,12 @@ using testing_util::MakeShardedOptions;
 constexpr ClusterDatabaseConfig kConfig = {.seed_base = 3100};
 
 // The replication contract on QueryStats: every counter is bit-identical
-// across serving topologies. cache_hit and replica_failovers are asserted
-// separately by each test (they are the two fields topology MAY change),
-// the four *_seconds fields and source_costs hold wall-clock, and
-// page_accesses (physical buffer-pool misses) additionally depends on
-// which replica's pool served the PREVIOUS queries — so the first query
-// of a fresh engine compares it (every pool cold, cursor at replica 0)
-// and later queries mask it.
+// across serving topologies. replica_failovers is asserted separately by
+// each test (the one field topology MAY change), the four *_seconds
+// fields and source_costs hold wall-clock, and page_accesses (physical
+// buffer-pool misses) additionally depends on which replica's pool served
+// the PREVIOUS queries — so the first query of a fresh engine compares it
+// (every pool cold, cursor at replica 0) and later queries mask it.
 void ExpectSameCounters(const QueryStats& actual, const QueryStats& baseline,
                         bool include_page_accesses,
                         const std::string& context) {
@@ -141,7 +138,6 @@ TEST_F(ReplicationTest, GridDifferentialBitExactAcrossShardsAndReplicas) {
           sharded->Query(initial_query, params_, &initial_stats);
       ASSERT_TRUE(initial_result.ok()) << initial_result.status().ToString();
       ExpectIdenticalMatches(*initial_result, expected_initial, "initial");
-      EXPECT_FALSE(initial_stats.cache_hit);
       EXPECT_EQ(initial_stats.replica_failovers, 0u);
 
       // Mid-stream updates while replicated: every mutation applies to all
@@ -153,7 +149,6 @@ TEST_F(ReplicationTest, GridDifferentialBitExactAcrossShardsAndReplicas) {
           sharded->Query(updated_query, params_, &updated_stats);
       ASSERT_TRUE(updated_result.ok()) << updated_result.status().ToString();
       ExpectIdenticalMatches(*updated_result, expected_updated, "updated");
-      EXPECT_FALSE(updated_stats.cache_hit);
 
       if (!have_baseline) {
         initial_baseline = initial_stats;
@@ -210,68 +205,6 @@ TEST_F(ReplicationTest, RoundRobinSpreadsSubQueriesEvenly) {
       EXPECT_EQ(replica.breaker, CircuitBreaker::State::kClosed);
     }
   }
-}
-
-// A cache hit is bit-identical to the miss that filled it — matches AND
-// counters — and ANY source update (add or remove) drops it.
-TEST_F(ReplicationTest, CacheHitBitIdenticalAndInvalidatedByUpdates) {
-  const GeneMatrix query = MakeClusterQueryMatrix(8200);
-  ThreadPool pool(2);
-  std::unique_ptr<ShardedEngine> sharded = MakeLoadedShardedEngine(
-      kConfig, kSources, MakeShardedOptions(2, 2, /*cache_capacity=*/8),
-      &pool);
-
-  QueryStats miss_stats;
-  Result<std::vector<QueryMatch>> first =
-      sharded->Query(query, params_, &miss_stats);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_FALSE(miss_stats.cache_hit);
-  ExpectIdenticalMatches(*first, ReferenceQuery(query, params_), "miss");
-
-  QueryStats hit_stats;
-  Result<std::vector<QueryMatch>> second =
-      sharded->Query(query, params_, &hit_stats);
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_TRUE(hit_stats.cache_hit);
-  ExpectIdenticalMatches(*second, *first, "hit vs miss");
-  ExpectSameCounters(hit_stats, miss_stats, /*include_page_accesses=*/true,
-                     "hit counters");
-  EXPECT_EQ(hit_stats.replica_failovers, miss_stats.replica_failovers);
-
-  ResultCacheStats cache = sharded->CacheStats();
-  EXPECT_EQ(cache.hits, 1u);
-  EXPECT_EQ(cache.misses, 1u);
-  EXPECT_EQ(cache.insertions, 1u);
-  EXPECT_EQ(cache.size, 1u);
-
-  // Adding a source drops the entry...
-  ASSERT_TRUE(sharded->AddSource(MakeClusterMatrix(kConfig, kSources)).ok());
-  ASSERT_TRUE(reference_.AddMatrix(MakeClusterMatrix(kConfig, kSources)).ok());
-  QueryStats after_add;
-  Result<std::vector<QueryMatch>> third =
-      sharded->Query(query, params_, &after_add);
-  ASSERT_TRUE(third.ok()) << third.status().ToString();
-  EXPECT_FALSE(after_add.cache_hit);
-  ExpectIdenticalMatches(*third, ReferenceQuery(query, params_), "after add");
-
-  // ...the refill serves hits again...
-  QueryStats rehit;
-  Result<std::vector<QueryMatch>> fourth =
-      sharded->Query(query, params_, &rehit);
-  ASSERT_TRUE(fourth.ok()) << fourth.status().ToString();
-  EXPECT_TRUE(rehit.cache_hit);
-  ExpectIdenticalMatches(*fourth, *third, "rehit");
-
-  // ...and a removal drops it too.
-  ASSERT_TRUE(sharded->RemoveSource(0).ok());
-  ASSERT_TRUE(reference_.RemoveMatrix(0).ok());
-  QueryStats after_remove;
-  Result<std::vector<QueryMatch>> fifth =
-      sharded->Query(query, params_, &after_remove);
-  ASSERT_TRUE(fifth.ok()) << fifth.status().ToString();
-  EXPECT_FALSE(after_remove.cache_hit);
-  ExpectIdenticalMatches(*fifth, ReferenceQuery(query, params_),
-                         "after remove");
 }
 
 // Replica 0 of every shard fails persistently: its breaker trips after
@@ -393,64 +326,50 @@ TEST_F(ReplicationTest, AllReplicasQuarantinedDegradesLikeShardFailure) {
 
 // SetReplicas scales a LIVE engine: grown clones answer bit-exact (they
 // hold the same sources in compacted local-id order), shrinking keeps
-// answering, and — because replica membership cannot change any answer —
-// scaling does NOT invalidate the result cache. Source updates still do.
-TEST_F(ReplicationTest, SetReplicasScalesLiveAndKeepsCacheWarm) {
+// answering, and a source update after the scaling is seen by every
+// replica.
+TEST_F(ReplicationTest, SetReplicasScalesLiveWithBitExactAnswers) {
   ThreadPool pool(2);
   std::unique_ptr<ShardedEngine> sharded = MakeLoadedShardedEngine(
-      kConfig, kSources, MakeShardedOptions(3, 1, /*cache_capacity=*/4),
-      &pool);
+      kConfig, kSources, MakeShardedOptions(3, 1), &pool);
   const GeneMatrix query = MakeClusterQueryMatrix(8400);
   const std::vector<QueryMatch> expected = ReferenceQuery(query, params_);
 
-  QueryStats stats;
-  Result<std::vector<QueryMatch>> result =
-      sharded->Query(query, params_, &stats);
+  Result<std::vector<QueryMatch>> result = sharded->Query(query, params_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(stats.cache_hit);
-  ExpectIdenticalMatches(*result, expected, "R=1 miss");
+  ExpectIdenticalMatches(*result, expected, "R=1");
 
   ASSERT_TRUE(sharded->SetReplicas(3).ok());
   EXPECT_EQ(sharded->num_replicas(), 3u);
-
-  // The pre-scaling entry still hits: no generation bump on SetReplicas.
-  QueryStats warm;
-  result = sharded->Query(query, params_, &warm);
+  result = sharded->Query(query, params_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(warm.cache_hit);
-  ExpectIdenticalMatches(*result, expected, "warm hit after grow");
+  ExpectIdenticalMatches(*result, expected, "after grow");
 
-  // A query over a DIFFERENT gene set misses (the cache keys on the
-  // inferred query graph, so it must differ in vertices, not just matrix
-  // bytes) and fans out through the grown topology — the cursor has
-  // advanced past replica 0, so a clone serves it.
+  // The grown sets' cursors have advanced past replica 0, so the next
+  // query's sub-queries are all served by clones.
   Rng fresh_rng(8401);
   const GeneMatrix fresh =
       MakePlantedMatrix(0, 32, {{2, 3}}, {}, 0.97, &fresh_rng);
-  QueryStats fresh_stats;
-  result = sharded->Query(fresh, params_, &fresh_stats);
+  result = sharded->Query(fresh, params_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(fresh_stats.cache_hit);
   ExpectIdenticalMatches(*result, ReferenceQuery(fresh, params_),
-                         "clone-served miss");
+                         "clone-served");
+  for (const ShardStats& shard : sharded->StatsSnapshot().shards) {
+    EXPECT_EQ(shard.replicas[1].sub_queries, 1u) << "shard " << shard.shard;
+  }
 
   ASSERT_TRUE(sharded->SetReplicas(2).ok());
   EXPECT_EQ(sharded->num_replicas(), 2u);
-  QueryStats still_warm;
-  result = sharded->Query(query, params_, &still_warm);
+  result = sharded->Query(query, params_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(still_warm.cache_hit);
-  ExpectIdenticalMatches(*result, expected, "warm hit after shrink");
+  ExpectIdenticalMatches(*result, expected, "after shrink");
 
-  // A source update is what invalidates.
   ASSERT_TRUE(sharded->AddSource(MakeClusterMatrix(kConfig, kSources)).ok());
   ASSERT_TRUE(reference_.AddMatrix(MakeClusterMatrix(kConfig, kSources)).ok());
-  QueryStats after_add;
-  result = sharded->Query(query, params_, &after_add);
+  result = sharded->Query(query, params_);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(after_add.cache_hit);
   ExpectIdenticalMatches(*result, ReferenceQuery(query, params_),
-                         "post-update recompute");
+                         "post-update");
 
   const ShardedEngineStatsSnapshot snapshot = sharded->StatsSnapshot();
   EXPECT_EQ(snapshot.replicas, 2u);

@@ -537,18 +537,15 @@ TEST(ShardStressTest, QueriesRaceFaultKilledMigrationsWithExactlyOnceVisibility)
 TEST(ShardStressTest, QueriesRaceReplicaScalingAndStayBitExact) {
   // Replica creation/teardown under live traffic: a SetReplicas storm
   // (grow, shrink, grow again) races streaming queries over a FIXED
-  // source set, with the result cache enabled so hits race the replica
-  // churn too. Every query — served by an old replica about to be
-  // retired, a freshly cloned one, or the cache — must be bit-identical
-  // to the single engine. Replica membership can never change answers;
-  // any deviation means a clone was published half-built or a retired
-  // replica served after its data was torn down.
+  // source set. Every query — served by an old replica about to be
+  // retired or by a freshly cloned one — must be bit-identical to the
+  // single engine. Replica membership can never change answers; any
+  // deviation means a clone was published half-built or a retired replica
+  // served after its data was torn down.
   const size_t kSources = 10;
   const size_t kShards = 3;
   ThreadPool pool(4);
-  ShardedEngineOptions options = testing_util::MakeShardedOptions(
-      kShards, /*num_replicas=*/1, /*cache_capacity=*/4);
-  ShardedEngine sharded(options, &pool);
+  ShardedEngine sharded(testing_util::MakeShardedOptions(kShards), &pool);
   sharded.LoadDatabase(MakeDatabase(kSources));
   ASSERT_TRUE(sharded.BuildIndex().ok());
 
@@ -625,152 +622,6 @@ TEST(ShardStressTest, QueriesRaceReplicaScalingAndStayBitExact) {
   for (size_t i = 0; i < expected->size(); ++i) {
     EXPECT_EQ((*final_result)[i].source, (*expected)[i].source);
     EXPECT_EQ((*final_result)[i].probability, (*expected)[i].probability);
-  }
-}
-
-TEST(ShardStressTest, QueriesRaceCacheInvalidationWithExactlyOnceVisibility) {
-  // The cached twin of QueriesRaceUpdatesWithoutLostUpdatesOrTornShards:
-  // with the result cache enabled, queries racing an update storm must
-  // still observe only valid per-shard states — a hit replays a full
-  // snapshot that WAS valid when cached, and the generation key must keep
-  // any answer computed before an update from being served after it. A
-  // stale hit would surface here as a projection (or final answer) no
-  // recorded state matches.
-  const size_t kInitial = 8;
-  const size_t kShards = 4;
-  ThreadPool pool(4);
-  ShardedEngineOptions options = testing_util::MakeShardedOptions(
-      kShards, /*num_replicas=*/1, /*cache_capacity=*/8);
-  ShardedEngine sharded(options, &pool);
-  sharded.LoadDatabase(MakeDatabase(kInitial));
-  ASSERT_TRUE(sharded.BuildIndex().ok());
-
-  std::atomic<bool> stop{false};
-  std::atomic<size_t> queries_ok{0};
-  const QueryParams params = DefaultParams();
-
-  std::mutex states_mutex;
-  std::set<SourceId> active;
-  for (SourceId i = 0; i < kInitial; ++i) active.insert(i);
-  std::vector<std::vector<std::set<SourceId>>> valid(kShards);
-  auto snapshot_states = [&] {
-    std::lock_guard<std::mutex> lock(states_mutex);
-    for (size_t s = 0; s < kShards; ++s) {
-      std::set<SourceId> projection;
-      for (SourceId id : active) {
-        if (id % kShards == s) projection.insert(id);
-      }
-      if (valid[s].empty() || valid[s].back() != projection) {
-        valid[s].push_back(projection);
-      }
-    }
-  };
-  snapshot_states();
-
-  std::vector<std::thread> query_threads;
-  std::vector<std::set<SourceId>> observed;
-  std::mutex observed_mutex;
-  for (size_t t = 0; t < 3; ++t) {
-    query_threads.emplace_back([&, t] {
-      // Each thread repeats ONE query, so cache hits are the common case
-      // between invalidations.
-      const GeneMatrix query = ClusterQueryMatrix(6900 + t);
-      while (!stop.load(std::memory_order_relaxed)) {
-        Result<std::vector<QueryMatch>> result = sharded.Query(query, params);
-        ASSERT_TRUE(result.ok()) << result.status().ToString();
-        queries_ok.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(observed_mutex);
-        observed.push_back(Sources(*result));
-      }
-    });
-  }
-
-  // The update storm (every step bumps the cache generation).
-  const std::vector<SourceId> removes = {1, 8, 4, 11};
-  size_t next_remove = 0;
-  for (SourceId id = kInitial; id < kInitial + 8; ++id) {
-    ASSERT_TRUE(sharded.AddSource(ClusterMatrix(id)).ok());
-    active.insert(id);
-    snapshot_states();
-    if (next_remove < removes.size() && removes[next_remove] < id) {
-      ASSERT_TRUE(sharded.RemoveSource(removes[next_remove]).ok());
-      active.erase(removes[next_remove]);
-      ++next_remove;
-      snapshot_states();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  while (next_remove < removes.size()) {
-    ASSERT_TRUE(sharded.RemoveSource(removes[next_remove]).ok());
-    active.erase(removes[next_remove]);
-    ++next_remove;
-    snapshot_states();
-  }
-
-  // Let the threads run on the now-stable generation so the storm is
-  // followed by guaranteed hit traffic (first query per thread refills,
-  // the rest hit).
-  const size_t settled = queries_ok.load();
-  for (size_t spin = 0; queries_ok.load() < settled + 9 && spin < 20000;
-       ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  stop.store(true);
-  for (std::thread& thread : query_threads) thread.join();
-  EXPECT_GT(queries_ok.load(), 0u);
-  EXPECT_GT(sharded.CacheStats().hits, 0u);  // The cache actually served.
-
-  // Every observed result (hit or miss) projects per shard onto a recorded
-  // valid state — no torn view, no stale cached answer.
-  for (const std::set<SourceId>& sources : observed) {
-    for (size_t s = 0; s < kShards; ++s) {
-      std::set<SourceId> projection;
-      for (SourceId id : sources) {
-        if (id % kShards == s) projection.insert(id);
-      }
-      bool matched = false;
-      for (const std::set<SourceId>& state : valid[s]) {
-        if (state == projection) {
-          matched = true;
-          break;
-        }
-      }
-      EXPECT_TRUE(matched) << "shard " << s << " observed a torn or stale "
-                           << "state of " << projection.size() << " sources";
-    }
-  }
-
-  // Exactly-once visibility at the end: the engine differentially equals a
-  // single engine with the same history, and fresh (post-storm) lookups of
-  // each thread's query are cache-correct.
-  ImGrnEngine reference;
-  reference.LoadDatabase(MakeDatabase(kInitial));
-  ASSERT_TRUE(reference.BuildIndex().ok());
-  next_remove = 0;
-  for (SourceId id = kInitial; id < kInitial + 8; ++id) {
-    ASSERT_TRUE(reference.AddMatrix(ClusterMatrix(id)).ok());
-    if (next_remove < removes.size() && removes[next_remove] < id) {
-      ASSERT_TRUE(reference.RemoveMatrix(removes[next_remove]).ok());
-      ++next_remove;
-    }
-  }
-  while (next_remove < removes.size()) {
-    ASSERT_TRUE(reference.RemoveMatrix(removes[next_remove]).ok());
-    ++next_remove;
-  }
-  for (size_t t = 0; t < 3; ++t) {
-    const GeneMatrix query = ClusterQueryMatrix(6900 + t);
-    Result<std::vector<QueryMatch>> expected = reference.Query(query, params);
-    ASSERT_TRUE(expected.ok());
-    QueryStats stats;
-    Result<std::vector<QueryMatch>> actual =
-        sharded.Query(query, params, &stats);
-    ASSERT_TRUE(actual.ok());
-    ASSERT_EQ(actual->size(), expected->size());
-    for (size_t i = 0; i < expected->size(); ++i) {
-      EXPECT_EQ((*actual)[i].source, (*expected)[i].source);
-      EXPECT_EQ((*actual)[i].probability, (*expected)[i].probability);
-    }
   }
 }
 

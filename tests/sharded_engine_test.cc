@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -418,6 +419,95 @@ TEST_F(ShardedEngineTest, ErrorStatusesMatchSingleEnginePreconditions) {
   ProbGraph empty_graph;
   EXPECT_EQ(sharded.QueryWithGraph(empty_graph, params).status().code(),
             StatusCode::kInvalidArgument);
+
+  // NaN parameters, zero sample counts and non-finite query values: the
+  // single engine and the sharded one both return kInvalidArgument.
+  BuildReference(4);
+  const ProbGraph graph = testing_util::MakePathQuery({1, 2, 3});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int variant = 0; variant < 7; ++variant) {
+    QueryParams bad = DefaultParams();
+    GeneMatrix bad_query = query;
+    if (variant == 0) bad.gamma = nan;
+    if (variant == 1) bad.alpha = nan;
+    if (variant == 2) bad.query_num_samples = 0;
+    if (variant == 3) bad.refine_num_samples = 0;
+    if (variant == 4) bad_query.At(0, 0) = nan;
+    if (variant == 5) {
+      bad_query.At(7, 2) = std::numeric_limits<double>::infinity();
+    }
+    if (variant == 6) {
+      bad_query.At(1, 1) = -std::numeric_limits<double>::infinity();
+    }
+    const std::string context = "variant " + std::to_string(variant);
+    EXPECT_EQ(reference_.Query(bad_query, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+    EXPECT_EQ(sharded.Query(bad_query, bad).status().code(),
+              StatusCode::kInvalidArgument)
+        << context;
+    if (variant < 4) {
+      EXPECT_EQ(reference_.QueryWithGraph(graph, bad).status().code(),
+                StatusCode::kInvalidArgument)
+          << context;
+      EXPECT_EQ(sharded.QueryWithGraph(graph, bad).status().code(),
+                StatusCode::kInvalidArgument)
+          << context;
+    }
+  }
+}
+
+// BuildIndex rejects a matrix it cannot index under the source's GLOBAL
+// id, although its shard holds it at another local id.
+TEST_F(ShardedEngineTest, BuildIndexRejectionNamesTheGlobalSource) {
+  GeneDatabase database = MakeDatabase(5);
+  database.mutable_matrix(3).At(2, 0) =
+      std::numeric_limits<double>::quiet_NaN();
+  ShardedEngine sharded(MakeShardedOptions(2, 2), nullptr);
+  sharded.LoadDatabase(std::move(database));
+  ASSERT_EQ(sharded.ShardOf(3), 1u);  // Local id 1 on shard 1.
+  const Status status = sharded.BuildIndex();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("source 3"), std::string::npos)
+      << status.message();
+  EXPECT_FALSE(sharded.has_index());
+}
+
+// A matrix holding a NaN or ±Inf value, or no gene at all, is rejected
+// with kInvalidArgument before anything changes: the source count and
+// every answer stay as they were, and the id stays free for a valid
+// matrix.
+TEST_F(ShardedEngineTest, RejectedAddSourceChangesNothing) {
+  const size_t kSources = 5;
+  BuildReference(kSources);
+  ShardedEngine sharded(MakeShardedOptions(2, 2), nullptr);
+  sharded.LoadDatabase(MakeDatabase(kSources));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+  const QueryParams params = DefaultParams();
+  const GeneMatrix query = ClusterQueryMatrix(7900);
+  const std::vector<QueryMatch> before = ReferenceQuery(query, params);
+
+  std::vector<GeneMatrix> bad(3, ClusterMatrix(kSources));
+  bad[0].At(0, 0) = std::numeric_limits<double>::quiet_NaN();
+  bad[1].At(5, 1) = std::numeric_limits<double>::infinity();
+  bad[2] = GeneMatrix(kSources, 30, {});
+  for (GeneMatrix& matrix : bad) {
+    const Status status = sharded.AddSource(std::move(matrix));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find("source 5"), std::string::npos)
+        << status.message();
+    EXPECT_EQ(sharded.num_sources(), kSources);
+    Result<std::vector<QueryMatch>> result = sharded.Query(query, params);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ExpectIdentical(*result, before, "after a rejected AddSource");
+  }
+
+  ASSERT_TRUE(sharded.AddSource(ClusterMatrix(kSources)).ok());
+  ASSERT_TRUE(reference_.AddMatrix(ClusterMatrix(kSources)).ok());
+  EXPECT_EQ(sharded.num_sources(), kSources + 1);
+  Result<std::vector<QueryMatch>> result = sharded.Query(query, params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectIdentical(*result, ReferenceQuery(query, params), "after a valid add");
 }
 
 }  // namespace

@@ -70,14 +70,14 @@ inline ProbGraph MakePathQuery(const std::vector<GeneId>& genes) {
 //
 // The service-layer differential suites (sharded_engine_test,
 // partition_invariance_test, fault_injection_test, shard_stress_test,
-// replication_test, result_cache_test) all build the same shape of
-// database: cluster {1, 2, 3} planted in every source (so every source
-// answers the cluster query) plus per-source filler genes. They differ
-// only in seeds, sample-count formulas, and filler gene ids — and those
-// differences are part of each suite's pinned expectations, so the
-// generator is parameterized rather than unified. Changing a config
-// changes what a suite's goldens mean; the defaults below reproduce the
-// historical partition_invariance_test matrices bit-for-bit.
+// replication_test) all build the same shape of database: cluster
+// {1, 2, 3} planted in every source (so every source answers the cluster
+// query) plus per-source filler genes. They differ only in seeds,
+// sample-count formulas, and filler gene ids — and those differences are
+// part of each suite's pinned expectations, so the generator is
+// parameterized rather than unified. Changing a config changes what a
+// suite's goldens mean; the defaults below reproduce the historical
+// partition_invariance_test matrices bit-for-bit.
 
 struct ClusterDatabaseConfig {
   /// Source s draws from Rng(seed_base + s).
@@ -148,12 +148,10 @@ inline QueryParams DefaultClusterParams() {
 /// remaining knobs keep their defaults; callers adjust them on the result.
 inline ShardedEngineOptions MakeShardedOptions(size_t num_shards,
                                                size_t num_replicas = 1,
-                                               size_t cache_capacity = 0,
                                                std::string storage_dir = "") {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   options.num_replicas = num_replicas;
-  options.cache.capacity = cache_capacity;
   options.storage_dir = std::move(storage_dir);
   return options;
 }
@@ -170,8 +168,8 @@ inline std::unique_ptr<ShardedEngine> MakeLoadedShardedEngine(
 }
 
 /// Byte-exact match comparison — the differential suites' core assertion.
-/// EXPECT_EQ on the probability doubles on purpose: sharding, replication,
-/// partitioning, and caching must not perturb a single bit.
+/// EXPECT_EQ on the probability doubles on purpose: sharding, replication
+/// and partitioning must not perturb a single bit.
 inline void ExpectIdenticalMatches(const std::vector<QueryMatch>& actual,
                                    const std::vector<QueryMatch>& expected,
                                    const std::string& context) {

@@ -11,10 +11,10 @@
 # and read by StatsSnapshot) and "robustness" (fault injection, circuit
 # breaker, degraded queries, and fault-killed migrations: the
 # rollback/roll-forward paths normal traffic never reaches, where leaks
-# and races hide) and "replication" (the replica-set + result-cache
-# differential suites: round-robin routing over lock-free cursors, breaker
-# failover, and generation-keyed cache eviction/replacement — run under
-# BOTH kinds, races on the routing side and leaks on the eviction side)
+# and races hide) and "replication" (the replica-set differential suite:
+# round-robin routing over lock-free cursors, breaker failover, and
+# SetReplicas cloning and retiring whole replicas — run under BOTH kinds,
+# races on the routing side and leaks on the retirement side)
 # and "maintenance" (the self-healing plane: the daemon thread scrubbing
 # every replica's store while queries and topology changes race it — TSan
 # territory — and the quarantine/rebuild path replacing whole replicas and
@@ -99,7 +99,7 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
          partition_invariance_test fault_injection_test replication_test \
-         result_cache_test maintenance_test"
+         maintenance_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
            imgrn_processor_test query_stats_test processor_fuzz_test"

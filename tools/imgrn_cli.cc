@@ -16,8 +16,9 @@
 //       --store selects the page-store backend of the engine's index
 //       (storage/storage_manager.h): "mem" (default) keeps pages in RAM;
 //       "disk:FILE" puts them in a crash-safe paged file. Results are
-//       bit-identical either way. Only meaningful with --shards=1 (the
-//       sharded path manages its own per-shard spill files).
+//       bit-identical either way. "disk:FILE" requires --shards=1
+//       --replicas=1 and exits 2 otherwise: the sharded path serves from
+//       in-memory shards.
 //       --shards=K > 1 partitions the database across K in-memory engines
 //       and fans the query out (service/sharded_engine.h); the matches are
 //       identical to --shards=1 by construction for EVERY --partition
@@ -47,15 +48,6 @@
 //       restores everything WITHOUT re-ingesting or re-building — the
 //       instant-cold-start path — then optionally answers a query against
 //       the restored engine.
-//   imgrn cache stats --db=db.txt --query=q.txt [--shards=2] [--replicas=1]
-//               [--capacity=64] [--repeat=3] [--gamma=0.5] ...
-//       Demo/diagnostic for the whole-query result cache
-//       (service/result_cache.h): run the same query --repeat times
-//       against a sharded engine with a --capacity-entry cache, print
-//       each run's cache_hit flag and wall-clock (run 1 misses and fills,
-//       the rest hit and skip the fan-out entirely), then dump the final
-//       cache counters. Every run's matches are bit-identical by the
-//       cache-key determinism contract.
 //   imgrn rebalance --db=db.txt --query=q.txt [--shards=4] ...
 //       Demo/diagnostic for online rebalancing: load the database
 //       modulo-sharded, report the per-shard load and imbalance (estimated
@@ -279,6 +271,12 @@ int CmdQuery(int argc, char** argv) {
     return 2;
   }
   const bool sharded_path = shards > 1 || replicas > 1;
+  if (sharded_path && store->backend == StorageBackend::kDisk) {
+    std::fprintf(stderr,
+                 "--store=disk:FILE requires --shards=1 --replicas=1 (the "
+                 "sharded path serves from in-memory shards)\n");
+    return 2;
+  }
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
   if (!database.ok()) return Fail(database.status());
   Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
@@ -363,91 +361,6 @@ int CmdQuery(int argc, char** argv) {
               static_cast<unsigned long long>(stats.page_accesses),
               stats.candidate_pairs, matches->size());
   PrintMatches(*matches);
-  return 0;
-}
-
-// Demo/diagnostic for the whole-query result cache: run one query
-// --repeat times and show the miss-then-hit pattern plus the final cache
-// counters. See the header comment for the contract.
-int CmdCache(int argc, char** argv) {
-  if (argc < 3 || std::strcmp(argv[2], "stats") != 0) {
-    std::fprintf(stderr,
-                 "usage: imgrn cache stats --db=FILE --query=FILE "
-                 "[--shards=2] [--replicas=1] [--capacity=64] [--repeat=3] "
-                 "[--gamma=0.5] [--alpha=0.5] [--top_k=0] [--seed=99]\n");
-    return 2;
-  }
-  Args args(argc, argv, 3,
-            {{"db", ""},
-             {"query", ""},
-             {"shards", "2"},
-             {"replicas", "1"},
-             {"capacity", "64"},
-             {"repeat", "3"},
-             {"gamma", "0.5"},
-             {"alpha", "0.5"},
-             {"top_k", "0"},
-             {"seed", "99"}});
-  if (!args.Has("db") || !args.Has("query")) {
-    std::fprintf(stderr, "cache stats requires --db=FILE --query=FILE\n");
-    return 2;
-  }
-  const size_t shards = args.GetCount("shards");
-  const size_t replicas = args.GetCount("replicas");
-  const size_t capacity = args.GetCount("capacity");
-  const size_t repeat = args.GetCount("repeat");
-  if (shards == 0 || replicas == 0 || repeat == 0) {
-    std::fprintf(stderr, "--shards/--replicas/--repeat must be >= 1\n");
-    return 2;
-  }
-  if (capacity == 0) {
-    std::fprintf(stderr, "--capacity must be >= 1 (0 disables the cache)\n");
-    return 2;
-  }
-  Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
-  if (!database.ok()) return Fail(database.status());
-  Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
-  if (!query_matrix.ok()) return Fail(query_matrix.status());
-
-  QueryParams params;
-  params.gamma = args.GetDouble("gamma");
-  params.alpha = args.GetDouble("alpha");
-  params.top_k = args.GetCount("top_k");
-  params.seed = args.GetCount("seed");
-
-  ThreadPool pool;
-  ShardedEngineOptions options;
-  options.num_shards = shards;
-  options.num_replicas = replicas;
-  options.cache.capacity = capacity;
-  ShardedEngine engine(options, &pool);
-  engine.LoadDatabase(std::move(*database));
-  Status status = engine.BuildIndex();
-  if (!status.ok()) return Fail(status);
-
-  size_t answers = 0;
-  for (size_t run = 0; run < repeat; ++run) {
-    QueryStats stats;
-    Result<std::vector<QueryMatch>> matches =
-        engine.Query(*query_matrix, params, &stats);
-    if (!matches.ok()) return Fail(matches.status());
-    answers = matches->size();
-    std::printf("run %zu: cache_hit=%s %.6f s, %zu answers\n", run + 1,
-                stats.cache_hit ? "true" : "false", stats.total_seconds,
-                matches->size());
-  }
-  const ResultCacheStats cache = engine.CacheStats();
-  std::printf("cache: capacity=%zu size=%zu hits=%llu misses=%llu "
-              "insertions=%llu evictions=%llu hit_rate=%.3f\n",
-              cache.capacity, cache.size,
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses),
-              static_cast<unsigned long long>(cache.insertions),
-              static_cast<unsigned long long>(cache.evictions),
-              cache.hit_rate());
-  std::printf("answers: %zu (bit-identical across runs by the cache-key "
-              "determinism contract)\n",
-              answers);
   return 0;
 }
 
@@ -867,7 +780,7 @@ int CmdKernels(int argc, char** argv) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: imgrn <generate|extract-query|query|cache|rebalance|"
+      "usage: imgrn <generate|extract-query|query|rebalance|"
       "maintenance|snapshot|infer|kernels> [--flags]\n"
       "(see the header comment of tools/imgrn_cli.cc)\n");
   return 2;
@@ -878,7 +791,6 @@ int Main(int argc, char** argv) {
   const char* command = argv[1];
   if (std::strcmp(command, "generate") == 0) return CmdGenerate(argc, argv);
   if (std::strcmp(command, "query") == 0) return CmdQuery(argc, argv);
-  if (std::strcmp(command, "cache") == 0) return CmdCache(argc, argv);
   if (std::strcmp(command, "rebalance") == 0) return CmdRebalance(argc, argv);
   if (std::strcmp(command, "maintenance") == 0) {
     return CmdMaintenance(argc, argv);
