@@ -25,17 +25,8 @@
 // (read scaling; only meaningful on the sharded path); every JSON line
 // carries "replicas" and "qps_per_replica". The workload replays the same
 // query set --rounds times, and every replay is evaluated afresh.
-//
-// --maintenance=1 runs the self-healing maintenance daemon
-// (service/maintenance.h) in the background during every sharded pass —
-// the scrubber seal-verifies --scrub-pages pages per tick while the
-// workload hammers the same replicas — and the JSON line gains
-// "scrub_pages_per_sec", "pages_scrubbed" and "pages_reclaimed",
-// quantifying the scrub throughput the serving path sustains alongside
-// queries.
 
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -79,10 +70,6 @@ int Main(int argc, char** argv) {
                {"partition", "modulo | shard placement: modulo or balanced"},
                {"zipf",
                 "0 | Zipf exponent for skewed matrix sizes (0 = uniform)"},
-               {"maintenance",
-                "0 | 1 = run the maintenance daemon during sharded passes"},
-               {"scrub-pages",
-                "64 | maintenance scrub pages per tick (with --maintenance)"},
                {"json_out",
                 " | append every JSON line to this file as well"},
                {"gamma", "0.5 | inference threshold"},
@@ -136,9 +123,6 @@ int Main(int argc, char** argv) {
     return 1;
   }
   const std::shared_ptr<const Partitioner> partitioner = *parsed;
-  const bool run_maintenance = flags.GetInt("maintenance") != 0;
-  const size_t scrub_pages =
-      static_cast<size_t>(flags.GetInt("scrub-pages"));
   const std::string json_out = flags.GetString("json_out");
   std::FILE* json_file = nullptr;
   if (!json_out.empty()) {
@@ -192,15 +176,11 @@ int Main(int argc, char** argv) {
   }
 
   // Replays the workload through one service and prints the JSON line
-  // (and appends it to --json_out when given). `extra_fn` returns
-  // additional ,"key":value fields; a function so it can be evaluated
-  // AFTER the timed run (the maintenance counters only exist then).
+  // (and appends it to --json_out when given).
   double qps_at_1 = 0.0;
   auto run_setting = [&](QueryService& service, size_t num_threads,
                          size_t num_shards, size_t replicas,
-                         double imbalance,
-                         const std::function<std::string()>& extra_fn =
-                             nullptr) {
+                         double imbalance) {
     // One warmup pass (buffer pools, first-touch) outside the clock.
     (void)service.QueryBatch(queries, params);
 
@@ -223,7 +203,6 @@ int Main(int argc, char** argv) {
     if (num_threads == 1 && num_shards == 1) qps_at_1 = qps;
 
     const ServiceMetricsSnapshot snapshot = service.MetricsSnapshot();
-    const std::string extra = extra_fn ? extra_fn() : std::string();
     char line[832];
     std::snprintf(
         line, sizeof(line),
@@ -231,12 +210,11 @@ int Main(int argc, char** argv) {
         "\"replicas\":%zu,\"queries\":%zu,\"failed\":%zu,\"qps\":%.1f,"
         "\"qps_per_replica\":%.1f,"
         "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"speedup_vs_1\":%.2f,"
-        "\"partition\":\"%s\",\"imbalance\":%.3f%s}\n",
+        "\"partition\":\"%s\",\"imbalance\":%.3f}\n",
         num_threads, num_shards, replicas, total, failed, qps,
         qps / static_cast<double>(replicas), snapshot.latency_p50_ms,
         snapshot.latency_p95_ms, qps_at_1 > 0 ? qps / qps_at_1 : 0.0,
-        num_shards > 1 ? partition.c_str() : "none", imbalance,
-        extra.c_str());
+        num_shards > 1 ? partition.c_str() : "none", imbalance);
     std::fputs(line, stdout);
     std::fflush(stdout);
     if (json_file != nullptr) {
@@ -266,13 +244,6 @@ int Main(int argc, char** argv) {
       sharded_options.num_shards = num_shards;
       sharded_options.num_replicas = num_replicas;
       sharded_options.partitioner = partitioner;
-      if (run_maintenance) {
-        sharded_options.maintenance.enabled = true;
-        // Real background ticks: the point of the axis is what the scrub
-        // rate costs (and sustains) UNDER load, not a driven simulation.
-        sharded_options.maintenance.tick_interval_micros = 2000;
-        sharded_options.maintenance.scrub_pages_per_tick = scrub_pages;
-      }
       ShardedEngine sharded(sharded_options, &pool);
       sharded.LoadDatabase(make_database());
       const Status sharded_built = sharded.BuildIndex();
@@ -282,28 +253,8 @@ int Main(int argc, char** argv) {
         return 1;
       }
       QueryService service(&sharded, &pool, options);
-      std::function<std::string()> maintenance_extra;
-      if (run_maintenance) {
-        MaintenanceDaemon* daemon = sharded.maintenance();
-        maintenance_extra = [daemon, before = daemon->Stats(),
-                             timer = Stopwatch()]() {
-          const MaintenanceStats now = daemon->Stats();
-          const double seconds = timer.ElapsedSeconds();
-          const uint64_t scrubbed =
-              now.pages_scrubbed - before.pages_scrubbed;
-          char buf[160];
-          std::snprintf(
-              buf, sizeof(buf),
-              ",\"maintenance\":1,\"scrub_pages_per_sec\":%.1f,"
-              "\"pages_scrubbed\":%llu,\"pages_reclaimed\":%llu",
-              seconds > 0 ? static_cast<double>(scrubbed) / seconds : 0.0,
-              static_cast<unsigned long long>(now.pages_scrubbed),
-              static_cast<unsigned long long>(now.pages_reclaimed));
-          return std::string(buf);
-        };
-      }
       run_setting(service, num_threads, num_shards, num_replicas,
-                  sharded.StatsSnapshot().imbalance, maintenance_extra);
+                  sharded.StatsSnapshot().imbalance);
     }
   }
   if (json_file != nullptr) std::fclose(json_file);

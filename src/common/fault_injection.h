@@ -44,8 +44,8 @@ inline constexpr char kShardSubQuery[] = "shard.subquery";
 inline constexpr char kReplicaSubQuery[] = "shard.replica";
 inline constexpr int64_t kReplicaDetailStride = 1000;
 /// The steps of every ShardedEngine topology change (Rebalance, Resize,
-/// SetReplicas, RebuildReplica): copy, publish, drain, and for Rebalance
-/// and Resize delete. `detail` is the global source id for copy/delete
+/// SetReplicas): copy, publish, drain, and for Rebalance and Resize
+/// delete. `detail` is the global source id for copy/delete
 /// and, for publish/drain, the shard count of the topology being
 /// published.
 inline constexpr char kMigrateCopy[] = "migrate.copy";

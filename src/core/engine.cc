@@ -93,81 +93,6 @@ Status ImGrnEngine::LoadSnapshot() {
   return Status::Ok();
 }
 
-Status ImGrnEngine::ScrubPages(size_t* cursor, size_t max_pages,
-                               size_t* scrubbed) const {
-  *scrubbed = 0;
-  if (store_ == nullptr) {
-    *cursor = 0;
-    return Status::Ok();
-  }
-  StorageManager* store = store_.get();
-  Page scratch(store->page_size());
-  const size_t end = store->num_pages();
-  while (*cursor < end && *scrubbed < max_pages) {
-    const PageId id = static_cast<PageId>(*cursor);
-    if (store->IsLivePage(id)) {
-      Result<Page*> page = store->Read(id, &scratch);
-      if (!page.ok()) return page.status();  // Cursor stays at the bad page.
-      ++*scrubbed;
-    }
-    ++*cursor;
-  }
-  return Status::Ok();
-}
-
-Status ImGrnEngine::ReclaimStorage(size_t* reclaimed_pages,
-                                   size_t* truncated_slots) {
-  if (reclaimed_pages != nullptr) *reclaimed_pages = 0;
-  if (truncated_slots != nullptr) *truncated_slots = 0;
-  if (store_ == nullptr) return Status::Ok();
-  StorageManager* store = store_.get();
-  std::vector<bool> live(store->num_pages(), false);
-  if (has_index() && index_->options().storage == store) {
-    for (PageId page : index_->rtree().ExportMeta().node_pages) {
-      if (page != kInvalidPageId) live[page] = true;
-    }
-  }
-  if (store->app_root() != kInvalidPageId) {
-    std::vector<PageId> snapshot_pages;
-    Status walked = CollectSnapshotPages(store, &snapshot_pages);
-    // An unwalkable snapshot means the live set is unknowable: reclaim
-    // nothing rather than deallocate a page the snapshot might reference.
-    if (!walked.ok()) return walked;
-    for (PageId page : snapshot_pages) {
-      // The snapshot's tree meta is raw disk data; a page id past the
-      // store is corrupt, and a corrupt live set must not license reuse.
-      if (page >= live.size()) {
-        return Status::DataLoss("snapshot references page past store end");
-      }
-      live[page] = true;
-    }
-  }
-  size_t reclaimed = 0;
-  for (PageId id = 0; id < live.size(); ++id) {
-    if (store->IsLivePage(id) && !live[id]) {
-      store->Deallocate(id);
-      ++reclaimed;
-    }
-  }
-  if (reclaimed_pages != nullptr) *reclaimed_pages = reclaimed;
-  if (reclaimed == 0) {
-    // Still try the truncation: an earlier reclaim's crash (or a failed
-    // ftruncate) may have left a reusable tail behind.
-    const size_t released = store->ShrinkToFit();
-    if (truncated_slots != nullptr) *truncated_slots = released;
-    if (released > 0) IMGRN_RETURN_IF_ERROR(store->Sync());
-    return Status::Ok();
-  }
-  // First Sync commits the Deallocates (their physical slots leave every
-  // durable state), then the tail truncation, then a second Sync so the
-  // durable header's slot count agrees with the shortened file.
-  IMGRN_RETURN_IF_ERROR(store->Sync());
-  const size_t released = store->ShrinkToFit();
-  if (truncated_slots != nullptr) *truncated_slots = released;
-  if (released > 0) IMGRN_RETURN_IF_ERROR(store->Sync());
-  return Status::Ok();
-}
-
 const ImGrnIndex& ImGrnEngine::index() const {
   IMGRN_CHECK(index_ != nullptr) << "BuildIndex() has not run";
   return *index_;

@@ -82,7 +82,10 @@ class ImGrnEngine {
   /// into the engine's backing store and makes them durable (see
   /// index/snapshot.h, the one persistence format of a built index). On a
   /// disk-backed engine the snapshot survives a crash at any point: the
-  /// file always reopens to the last successful SaveSnapshot.
+  /// file always reopens to the last successful SaveSnapshot. A save over
+  /// an earlier snapshot frees that snapshot's pages, the node pages of a
+  /// tree BuildIndex replaced included, so rebuild-and-save cycles reuse
+  /// pages instead of growing the store.
   Status SaveSnapshot();
 
   /// Reopens the state written by SaveSnapshot from the engine's backing
@@ -93,32 +96,6 @@ class ImGrnEngine {
 
   /// The engine's backing store (opened lazily; null until first use).
   const StorageManager* storage() const { return store_.get(); }
-
-  /// Checksum scrub: reads (and thereby seal-verifies) up to `max_pages`
-  /// live pages of the backing store starting at `*cursor`, advancing the
-  /// cursor past every page visited and counting the live ones in
-  /// `*scrubbed`. Dead pages are skipped for free. Returns the first
-  /// failing read's status with the cursor parked AT the failing page — a
-  /// kDataLoss here means a page the store considers committed no longer
-  /// verifies, i.e. real rot/tearing (or its injected stand-in). An
-  /// engine without a store scrubs nothing and resets the cursor. Const
-  /// and safe under the same shared locking as queries: the read path of
-  /// both backends mutates no shared state (the scrub bypasses the buffer
-  /// pool entirely).
-  Status ScrubPages(size_t* cursor, size_t max_pages, size_t* scrubbed) const;
-
-  /// Reclaims pages stranded in the backing store by index rebuilds (a
-  /// tree destroyed over a long-lived store leaves its pages allocated —
-  /// see RTreeOptions::storage). Live set = the current tree's node pages
-  /// plus, when a snapshot is anchored, everything the snapshot references
-  /// (CollectSnapshotPages); every other live page is deallocated, the
-  /// shrunken state is Sync()ed, and the store's trailing free slots are
-  /// truncated off the file (ShrinkToFit + final Sync). `reclaimed_pages`/
-  /// `truncated_slots` (either may be null) receive the counts. A store
-  /// whose snapshot walk fails reclaims nothing (a partial live set must
-  /// never license a Deallocate). Requires exclusive access, like every
-  /// non-const call.
-  Status ReclaimStorage(size_t* reclaimed_pages, size_t* truncated_slots);
 
   bool has_index() const { return index_ != nullptr && index_->is_built(); }
   const ImGrnIndex& index() const;

@@ -22,6 +22,23 @@ RecordRef DecodeRecordRef(uint64_t handle) {
   return ref;
 }
 
+RTreeOptions IndexTreeOptions(const ImGrnIndexOptions& options) {
+  const size_t sig_bytes =
+      ByteSignatureLayout{options.signature_bits, options.signature_hashes}
+          .num_bytes();
+  RTreeOptions tree;
+  tree.dims = 2 * options.num_pivots + 1;
+  tree.payload_size = 2 * sig_bytes;
+  tree.payload_merge = [sig_bytes](uint8_t* dst, const uint8_t* src) {
+    ByteSignatureMerge(dst, src, 2 * sig_bytes);
+  };
+  tree.page_size = options.page_size;
+  tree.max_entries = options.rtree_max_entries;
+  tree.buffer_pool_pages = options.buffer_pool_pages;
+  tree.storage = options.storage;
+  return tree;
+}
+
 ImGrnIndex::ImGrnIndex(ImGrnIndexOptions options)
     : options_(std::move(options)) {
   IMGRN_CHECK_GE(options_.num_pivots, 1u);
@@ -38,20 +55,7 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
   Stopwatch timer;
   database_ = database;
   database_->StandardizeAll();
-
-  const size_t sig_bytes = signature_layout().num_bytes();
-  RTreeOptions rtree_options;
-  rtree_options.dims = dims();
-  rtree_options.payload_size = 2 * sig_bytes;
-  rtree_options.payload_merge = [sig_bytes](uint8_t* dst,
-                                            const uint8_t* src) {
-    ByteSignatureMerge(dst, src, 2 * sig_bytes);
-  };
-  rtree_options.page_size = options_.page_size;
-  rtree_options.max_entries = options_.rtree_max_entries;
-  rtree_options.buffer_pool_pages = options_.buffer_pool_pages;
-  rtree_options.storage = options_.storage;
-  rtree_ = std::make_unique<RTree>(std::move(rtree_options));
+  rtree_ = std::make_unique<RTree>(IndexTreeOptions(options_));
 
   pivot_sets_.clear();
   embeddings_.clear();
@@ -260,18 +264,7 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
     }
   }
 
-  RTreeOptions rtree_options;
-  rtree_options.dims = index->dims();
-  rtree_options.payload_size = 2 * sig_bytes;
-  rtree_options.payload_merge = [sig_bytes](uint8_t* dst,
-                                            const uint8_t* src) {
-    ByteSignatureMerge(dst, src, 2 * sig_bytes);
-  };
-  rtree_options.page_size = index->options_.page_size;
-  rtree_options.max_entries = index->options_.rtree_max_entries;
-  rtree_options.buffer_pool_pages = index->options_.buffer_pool_pages;
-  rtree_options.storage = index->options_.storage;
-  index->rtree_ = std::make_unique<RTree>(std::move(rtree_options));
+  index->rtree_ = std::make_unique<RTree>(IndexTreeOptions(index->options_));
 
   const size_t d = index->options_.num_pivots;
   for (SourceId i = 0; i < n; ++i) {

@@ -67,6 +67,10 @@ struct RecordRef {
 uint64_t EncodeRecordRef(RecordRef ref);
 RecordRef DecodeRecordRef(uint64_t handle);
 
+/// The options of the R*-tree an index with `options` builds or restores:
+/// (2d+1)-dimensional entries whose payload is V_f || V_d, OR-merged.
+RTreeOptions IndexTreeOptions(const ImGrnIndexOptions& options);
+
 /// The IM-GRN index over a gene feature database (Section 5.1):
 ///  - per matrix: cost-model-selected pivots and the 2d-dim embedding of
 ///    every gene feature vector (Section 4);

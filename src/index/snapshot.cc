@@ -104,22 +104,6 @@ auto ReadSection(StorageManager* store, PageStreamRef ref, Parse parse) {
   return value;
 }
 
-/// Returns a previous stream's pages to the store's free list. Best
-/// effort: an unreadable link leaks the chain's tail rather than failing
-/// the new snapshot. Bounded by the store size against corrupt cycles.
-void FreeChain(StorageManager* store, PageId head) {
-  Page scratch(store->page_size());
-  PageId id = head;
-  for (uint64_t hops = store->num_pages(); id != kInvalidPageId && hops > 0;
-       --hops) {
-    Result<Page*> page = store->Read(id, &scratch);
-    if (!page.ok()) return;
-    const PageId next = (*page)->ReadAt<PageId>(0);
-    store->Deallocate(id);
-    id = next;
-  }
-}
-
 // --- Database section ---
 
 Status WriteDatabase(const GeneDatabase& database, PageStreamWriter* writer) {
@@ -239,15 +223,17 @@ Result<PersistedIndexParts> ReadIndexParts(PageStreamReader* reader,
   }
   IMGRN_RETURN_IF_ERROR(ReadPod(reader, &options.signature_hashes));
   IMGRN_RETURN_IF_ERROR(ReadPod(reader, &options.seed));
-  // What ImGrnIndex, its buffer pool and its permutation cache would
-  // otherwise CHECK. d and the signature width size records below (every
-  // built index has an inverted-file entry), so they must fit too.
+  // What ImGrnIndex, its R*-tree, its buffer pool and its permutation
+  // cache would otherwise CHECK. d and the signature width size records
+  // below (every built index has an inverted-file entry), so they must fit
+  // too; with them bounded, the tree's node capacity is safe to compute.
   const size_t d = options.num_pivots;
   if (d == 0 || d > reader->remaining() / sizeof(double) ||
       options.signature_bits < 8 ||
       options.signature_bits / 8 > reader->remaining() ||
       options.signature_hashes < 1 || options.embed_samples == 0 ||
-      options.buffer_pool_pages == 0) {
+      options.buffer_pool_pages == 0 ||
+      RTreeNodeCapacity(IndexTreeOptions(options)) < kMinNodeCapacity) {
     return Inconsistent("index options");
   }
 
@@ -335,6 +321,44 @@ Result<RTreeMeta> ReadTreeMeta(PageStreamReader* reader) {
   return meta;
 }
 
+/// Frees the pages the store's snapshot, about to be replaced, holds
+/// alone: its three stream chains and the node pages of its tree that
+/// `tree`, the tree being saved, does not use. A tree rebuilt over the
+/// store strands its predecessor's pages until this runs. Best effort: an
+/// unreadable directory, section or link leaks what lies behind it rather
+/// than failing the new snapshot, and an id that is past the store end,
+/// not live, already freed, the directory's or the new tree's is skipped,
+/// so a forged directory leaks pages instead of aborting.
+void FreeReplacedSnapshot(StorageManager* store, const RTreeMeta& tree) {
+  SectionRefs old;
+  if (!ReadDirectory(store, &old).ok()) return;
+  std::vector<bool> kept(store->num_pages(), false);
+  kept[store->app_root()] = true;  // Rewritten in place.
+  for (PageId page : tree.node_pages) {
+    if (page < kept.size()) kept[page] = true;
+  }
+  const auto freeable = [&](PageId id) {
+    return store->IsLivePage(id) && !kept[id];
+  };
+  // Parsed before its own chain is freed below.
+  Result<RTreeMeta> old_tree = ReadSection(store, old[2], ReadTreeMeta);
+  Page scratch(store->page_size());
+  for (const PageStreamRef& ref : old) {
+    // A freed page is no longer live, so a cyclic chain ends too.
+    for (PageId id = ref.head; freeable(id);) {
+      Result<Page*> page = store->Read(id, &scratch);
+      if (!page.ok()) break;
+      const PageId next = (*page)->ReadAt<PageId>(0);
+      store->Deallocate(id);
+      id = next;
+    }
+  }
+  if (!old_tree.ok()) return;
+  for (PageId page : old_tree->node_pages) {
+    if (freeable(page)) store->Deallocate(page);
+  }
+}
+
 }  // namespace
 
 Status WriteSnapshot(const GeneDatabase& database, ImGrnIndex* index,
@@ -351,17 +375,13 @@ Status WriteSnapshot(const GeneDatabase& database, ImGrnIndex* index,
         "pages live elsewhere");
   }
 
-  // Recycle the previous snapshot's stream pages (the tree's node pages
-  // are live and stay put). If the old directory is unreadable, leak its
-  // chains instead of failing the new snapshot.
+  // The directory page is rewritten in place; everything else the old
+  // snapshot held alone is recycled.
   PageId directory = store->app_root();
   if (directory == kInvalidPageId) {
     directory = store->Allocate();
   } else {
-    SectionRefs old;
-    if (ReadDirectory(store, &old).ok()) {
-      for (const PageStreamRef& ref : old) FreeChain(store, ref.head);
-    }
+    FreeReplacedSnapshot(store, index->rtree().ExportMeta());
   }
 
   // Tree nodes first: every live node reaches its page, sealed.
@@ -399,42 +419,6 @@ Status WriteSnapshot(const GeneDatabase& database, ImGrnIndex* index,
   // The commit point: on disk the header flip makes directory, streams and
   // tree pages durable together or not at all.
   return store->Sync();
-}
-
-Status CollectSnapshotPages(StorageManager* store,
-                            std::vector<PageId>* pages) {
-  if (store == nullptr) {
-    return Status::InvalidArgument("no store to walk");
-  }
-  SectionRefs refs;
-  IMGRN_RETURN_IF_ERROR(ReadDirectory(store, &refs));
-  pages->push_back(store->app_root());
-  // Walk each section's page chain (first 4 bytes of every stream page
-  // link to the next one), bounded by the store size against corrupt
-  // cycles.
-  Page scratch(store->page_size());
-  for (const PageStreamRef& ref : refs) {
-    PageId id = ref.head;
-    for (uint64_t hops = store->num_pages();
-         id != kInvalidPageId && hops > 0; --hops) {
-      pages->push_back(id);
-      Result<Page*> page = store->Read(id, &scratch);
-      IMGRN_RETURN_IF_ERROR(page.status());
-      id = (*page)->ReadAt<PageId>(0);
-    }
-    if (id != kInvalidPageId) {
-      return Status::DataLoss("snapshot page chain cycles");
-    }
-  }
-  // The snapshot's tree is pinned too: its meta section names the node
-  // pages LoadSnapshot would restore from, which may differ from the
-  // current in-memory tree's after a rebuild that has not re-snapshotted.
-  Result<RTreeMeta> meta = ReadSection(store, refs[2], ReadTreeMeta);
-  IMGRN_RETURN_IF_ERROR(meta.status());
-  for (PageId page : meta->node_pages) {
-    if (page != kInvalidPageId) pages->push_back(page);
-  }
-  return Status::Ok();
 }
 
 Result<SnapshotContents> ReadSnapshot(StorageManager* store) {

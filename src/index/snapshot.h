@@ -76,26 +76,17 @@ struct SnapshotContents {
 /// Serializes `database` + the built `index` into `store` and Sync()s.
 /// `index` must have been built with `options.storage == store` (its tree
 /// pages must live in the store being snapshotted); anything else is
-/// kInvalidArgument. A previous snapshot's pages are recycled. The index
-/// is non-const because its tree nodes are serialized to their pages.
+/// kInvalidArgument. A previous snapshot's pages are recycled: its
+/// directory page is rewritten, and its stream pages and the node pages of
+/// its tree that `index`'s tree does not use are freed, so a save after a
+/// rebuild reuses the replaced tree's pages. The index is non-const
+/// because its tree nodes are serialized to their pages.
 Status WriteSnapshot(const GeneDatabase& database, ImGrnIndex* index,
                      StorageManager* store);
 
 /// Reads back the snapshot written by WriteSnapshot, validating the
 /// directory and every section.
 Result<SnapshotContents> ReadSnapshot(StorageManager* store);
-
-/// Appends every page the store's snapshot references — the directory
-/// page, the three section stream chains, and the snapshot's tree node
-/// pages — to `pages`. This is the snapshot's share of the live set for
-/// storage reclamation (ImGrnEngine::ReclaimStorage): any live page
-/// reachable from neither here nor the current index's tree is stranded
-/// garbage (typically the node pages of a tree that was rebuilt over the
-/// same store). kNotFound when the store holds no snapshot; a walk that
-/// fails partway returns the error with `pages` in an undefined state —
-/// callers must then skip reclamation rather than trust a partial set.
-Status CollectSnapshotPages(StorageManager* store,
-                            std::vector<PageId>* pages);
 
 }  // namespace imgrn
 

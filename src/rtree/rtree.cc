@@ -9,6 +9,21 @@
 
 namespace imgrn {
 
+namespace {
+
+/// R*'s minimum node fill m, as a percentage of the capacity M.
+constexpr size_t kMinFillPercent = 40;
+
+}  // namespace
+
+size_t RTreeNodeCapacity(const RTreeOptions& options) {
+  if (options.max_entries > 0) return options.max_entries;
+  const size_t header = SerializedNodeHeaderSize();
+  if (options.page_size < header) return 0;
+  return (options.page_size - header) /
+         SerializedEntrySize(options.dims, options.payload_size);
+}
+
 RTree::RTree(RTreeOptions options) : options_(std::move(options)) {
   IMGRN_CHECK_GE(options_.dims, 1u);
   if (options_.payload_size > 0) {
@@ -24,19 +39,10 @@ RTree::RTree(RTreeOptions options) : options_(std::move(options)) {
   }
   pool_ = std::make_unique<BufferPool>(store_, options_.buffer_pool_pages);
 
-  if (options_.max_entries > 0) {
-    max_entries_ = options_.max_entries;
-  } else {
-    const size_t entry_size =
-        SerializedEntrySize(options_.dims, options_.payload_size);
-    const size_t available = options_.page_size - SerializedNodeHeaderSize();
-    max_entries_ = available / entry_size;
-    IMGRN_CHECK_GE(max_entries_, 4u)
-        << "page too small for R*-tree nodes at dims=" << options_.dims;
-  }
-  min_entries_ =
-      std::max<size_t>(2, max_entries_ * options_.min_fill_percent / 100);
-  IMGRN_CHECK_LE(min_entries_, max_entries_ / 2);
+  max_entries_ = RTreeNodeCapacity(options_);
+  IMGRN_CHECK_GE(max_entries_, kMinNodeCapacity)
+      << "R*-tree node capacity too small at dims=" << options_.dims;
+  min_entries_ = std::max<size_t>(2, max_entries_ * kMinFillPercent / 100);
   reinsert_count_ =
       std::min(max_entries_ * options_.reinsert_percent / 100,
                max_entries_ + 1 - min_entries_);

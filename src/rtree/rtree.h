@@ -30,11 +30,9 @@ struct RTreeOptions {
   size_t page_size = kDefaultPageSize;
 
   /// Node capacity M. 0 derives the largest M whose serialized node fits a
-  /// page. Tests pass small values to force deep trees.
+  /// page. Tests pass small values to force deep trees. The minimum fill
+  /// is m = max(2, 40% of M), as R* recommends.
   size_t max_entries = 0;
-
-  /// Minimum fill m as a percentage of M (R* recommends 40%).
-  size_t min_fill_percent = 40;
 
   /// Fraction of M removed by forced reinsertion on first overflow (R*
   /// recommends 30%). 0 disables forced reinsertion.
@@ -54,6 +52,17 @@ struct RTreeOptions {
   /// a long-lived store strands the old tree's pages.
   StorageManager* storage = nullptr;
 };
+
+/// The smallest node capacity M an RTree accepts: a split needs the
+/// minimum fill m = max(2, 40% of M) to be at most M/2, which holds
+/// exactly from M = 4 on.
+inline constexpr size_t kMinNodeCapacity = 4;
+
+/// The node capacity M of a tree with `options`: `max_entries` when
+/// non-zero, else the largest M whose serialized node fits a page (0 when
+/// not even the node header fits). RTree CHECKs M >= kMinNodeCapacity;
+/// snapshot parsing checks persisted options with this first.
+size_t RTreeNodeCapacity(const RTreeOptions& options);
 
 /// An R*-tree (Beckmann, Kriegel, Schneider, Seeger — SIGMOD 1990 [1]) over
 /// runtime-dimensioned points/rectangles, with:

@@ -9,7 +9,6 @@ namespace imgrn {
 CircuitBreaker::CircuitBreaker(CircuitBreakerOptions options)
     : options_(std::move(options)) {
   IMGRN_CHECK_GE(options_.failure_threshold, 1u);
-  IMGRN_CHECK_GE(options_.half_open_successes, 1u);
 }
 
 int64_t CircuitBreaker::NowMicros() const {
@@ -31,7 +30,6 @@ bool CircuitBreaker::AllowRequest() {
       }
       // Cooldown over: let exactly one probe through.
       state_ = State::kHalfOpen;
-      half_open_successes_ = 0;
       probe_in_flight_ = true;
       return true;
     case State::kHalfOpen:
@@ -53,10 +51,8 @@ void CircuitBreaker::RecordSuccess() {
       consecutive_failures_ = 0;
       break;
     case State::kHalfOpen:
-      if (++half_open_successes_ >= options_.half_open_successes) {
-        state_ = State::kClosed;
-        consecutive_failures_ = 0;
-      }
+      state_ = State::kClosed;
+      consecutive_failures_ = 0;
       break;
     case State::kOpen:
       // A straggler from before the breaker opened; the cooldown stands.
@@ -88,17 +84,6 @@ void CircuitBreaker::RecordNeutral() {
   std::lock_guard<std::mutex> lock(mutex_);
   // Releases a half-open probe without judging the shard; in the closed
   // state the consecutive-failure streak is also left untouched.
-  probe_in_flight_ = false;
-}
-
-void CircuitBreaker::Trip() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  state_ = State::kOpen;
-  open_until_micros_ = NowMicros() + options_.open_duration_micros;
-  consecutive_failures_ = 0;
-  // Any probe claimed before the trip is moot: its verdict lands in the
-  // open state (a harmless straggler), and holding the slot would only
-  // delay the post-cooldown probe.
   probe_in_flight_ = false;
 }
 

@@ -15,9 +15,6 @@ struct CircuitBreakerOptions {
   /// How long an open breaker rejects before letting a probe through.
   int64_t open_duration_micros = 50'000;
 
-  /// Consecutive successful probes needed to close from half-open.
-  size_t half_open_successes = 1;
-
   /// Monotonic clock in microseconds; null uses std::chrono::steady_clock.
   /// Tests inject a fake to step through open->half-open deterministically.
   std::function<int64_t()> clock_micros;
@@ -27,7 +24,7 @@ struct CircuitBreakerOptions {
 ///
 ///   closed ──(failure_threshold consecutive failures)──> open
 ///   open ──(open_duration elapses)──> half-open (one probe at a time)
-///   half-open ──(probe succeeds x half_open_successes)──> closed
+///   half-open ──(probe succeeds)──> closed
 ///   half-open ──(probe fails)──> open (cooldown restarts)
 ///
 /// The point: a shard that fails every sub-query otherwise eats
@@ -109,14 +106,6 @@ class CircuitBreaker {
   void RecordFailure();
   void RecordNeutral();
 
-  /// Forces the breaker open for a fresh cooldown, regardless of state —
-  /// the quarantine entry point for verdicts that arrive OUTSIDE the
-  /// AllowRequest/Record cycle (the maintenance scrubber finding a corrupt
-  /// page indicts the replica definitively; no failure streak needed).
-  /// Releases any half-open probe slot so the post-cooldown probe is not
-  /// blocked by an attempt that predates the trip.
-  void Trip();
-
   State state() const;
 
   /// Attempts turned away (open, or half-open with a probe already out).
@@ -131,7 +120,6 @@ class CircuitBreaker {
   mutable std::mutex mutex_;
   State state_ = State::kClosed;
   size_t consecutive_failures_ = 0;
-  size_t half_open_successes_ = 0;
   bool probe_in_flight_ = false;
   int64_t open_until_micros_ = 0;
   uint64_t rejections_ = 0;

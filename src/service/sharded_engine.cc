@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <future>
 #include <thread>
@@ -73,23 +72,6 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
                 "load, estimated / measured)\n",
                 imbalance, measured_imbalance);
   out += line;
-  if (maintenance.enabled) {
-    char line1[224];
-    std::snprintf(line1, sizeof(line1),
-                  "maintenance: ticks=%" PRIu64 " scrubbed=%" PRIu64
-                  " corrupt=%" PRIu64 " rebuilt=%" PRIu64 " (failures=%" PRIu64
-                  ") scrub_errors=%" PRIu64 "\n",
-                  maintenance.ticks, maintenance.pages_scrubbed,
-                  maintenance.corrupt_pages, maintenance.replicas_rebuilt,
-                  maintenance.rebuild_failures, maintenance.scrub_errors);
-    out += line1;
-    char line2[128];
-    std::snprintf(line2, sizeof(line2),
-                  "maintenance: reclaimed_pages=%" PRIu64
-                  " truncated_slots=%" PRIu64 "\n",
-                  maintenance.pages_reclaimed, maintenance.slots_truncated);
-    out += line2;
-  }
   return out;
 }
 
@@ -117,32 +99,10 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
     topology->shards.push_back(MakeReplicaSet(options_.num_replicas));
   }
   topology_ = std::move(topology);
-  if (options_.maintenance.enabled) {
-    maintenance_ =
-        std::make_unique<MaintenanceDaemon>(this, options_.maintenance);
-    maintenance_->Start();
-  }
 }
 
-ShardedEngine::~ShardedEngine() {
-  // Join the daemon's thread before any member it reaches into goes away,
-  // maintenance_ included: a tick reads it (StatsSnapshot), and reset()
-  // nulls it before the daemon's destructor gets to join.
-  if (maintenance_ != nullptr) maintenance_->Stop();
-  maintenance_.reset();
-}
-
-std::shared_ptr<ShardReplica> ShardedEngine::MakeReplica() {
-  EngineOptions engine_options = options_.engine;
-  if (!options_.storage_dir.empty()) {
-    engine_options.storage.backend = StorageBackend::kDisk;
-    engine_options.storage.path = options_.storage_dir + "/shard-" +
-                                  std::to_string(shard_files_created_++) +
-                                  ".pages";
-    // Spill space, not a durability domain: the file dies with the replica.
-    engine_options.storage.unlink_on_close = true;
-  }
-  return std::make_shared<ShardReplica>(engine_options, options_.breaker);
+std::shared_ptr<ShardReplica> ShardedEngine::MakeReplica() const {
+  return std::make_shared<ShardReplica>(options_.engine, options_.breaker);
 }
 
 std::shared_ptr<ReplicaSet> ShardedEngine::MakeReplicaSet(
@@ -620,8 +580,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShardWithRecovery(
       continue;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_micros));
-    backoff_micros =
-        static_cast<int64_t>(backoff_micros * retry.backoff_multiplier);
+    backoff_micros *= 2;
   }
 }
 
@@ -819,8 +778,7 @@ Status ShardedEngine::SetReplicas(size_t num_replicas) {
   // clones each primary into the fresh tail and does not drain: the new
   // sets are supersets of the old, so every older pin stays servable.
   // Shrinking copies nothing and drains the queries that could still route
-  // to a dropped replica, which then dies with its last shared_ptr (its
-  // spill file unlinks with it).
+  // to a dropped replica, which then dies with its last shared_ptr.
   auto next = std::make_shared<Topology>();
   next->shard_of = current->shard_of;
   std::vector<SourceCopy> copies;
@@ -832,10 +790,16 @@ Status ShardedEngine::SetReplicas(size_t num_replicas) {
     while (replicas.size() < num_replicas) replicas.push_back(MakeReplica());
     next->shards.push_back(std::make_shared<ReplicaSet>(std::move(replicas)));
     if (num_replicas > have) {
-      ListActiveSources(
-          set->primary(),
-          ReplicaSpan(next->shards.back()->replicas()).subspan(have),
-          &copies);
+      // Skipping inactive entries compacts the clones' local ids; matches
+      // are unaffected because local ids never leave a sub-query.
+      const ShardReplica& donor = set->primary();
+      const ReplicaSpan tail =
+          ReplicaSpan(next->shards.back()->replicas()).subspan(have);
+      for (size_t i = 0; i < donor.local_to_global.size(); ++i) {
+        if (!donor.active[i]) continue;
+        copies.push_back({&donor, static_cast<SourceId>(i),
+                          donor.local_to_global[i], tail});
+      }
     }
   }
   return ApplyTopologyChange(copies, std::move(next),
@@ -887,18 +851,6 @@ Status ShardedEngine::ApplyTopologyChange(
                                    static_cast<int64_t>(next->shards.size())));
   DrainOlder(*next);
   return Status::Ok();
-}
-
-void ShardedEngine::ListActiveSources(const ShardReplica& donor,
-                                      ReplicaSpan to,
-                                      std::vector<SourceCopy>* copies) {
-  // Skipping inactive entries compacts the clone's local ids; matches are
-  // unaffected because local ids never leave a sub-query.
-  for (size_t i = 0; i < donor.local_to_global.size(); ++i) {
-    if (!donor.active[i]) continue;
-    copies->push_back({&donor, static_cast<SourceId>(i),
-                       donor.local_to_global[i], to});
-  }
 }
 
 Status ShardedEngine::MigrateLocked(
@@ -998,146 +950,6 @@ Status ShardedEngine::MigrateLocked(
   return Status::Ok();
 }
 
-Status ShardedEngine::ScrubStep(ScrubCursor* cursor, size_t max_pages,
-                                bool reclaim, ScrubReport* report) const {
-  *report = ScrubReport{};
-  if (!built_.load(std::memory_order_acquire)) return Status::Ok();
-  TopologyPin topology(*this);
-  const size_t num_shards = topology->shards.size();
-  size_t total_replicas = 0;
-  for (const std::shared_ptr<ReplicaSet>& set : topology->shards) {
-    total_replicas += set->size();
-  }
-  if (total_replicas == 0) return Status::Ok();
-  // The cursor may point past a shrunken topology (Resize/SetReplicas ran
-  // since the last step); clamp rather than guess a mapping.
-  if (cursor->shard >= num_shards) *cursor = ScrubCursor{};
-  if (cursor->replica >= topology->shards[cursor->shard]->size()) {
-    cursor->replica = 0;
-    cursor->page = 0;
-  }
-  // Odometer advance: next replica, wrapping to the next shard and back to
-  // the first — the scrubber eventually revisits everything forever.
-  auto advance = [&] {
-    cursor->page = 0;
-    if (++cursor->replica >= topology->shards[cursor->shard]->size()) {
-      cursor->replica = 0;
-      if (++cursor->shard >= num_shards) cursor->shard = 0;
-    }
-  };
-  size_t budget = max_pages;
-  size_t completed = 0;
-  // `completed` bounds the walk to one full lap: with every store empty
-  // the budget never shrinks, and this loop must still terminate.
-  while (budget > 0 && completed <= total_replicas) {
-    ShardReplica& replica =
-        *topology->shards[cursor->shard]->replica(cursor->replica);
-    size_t scrubbed = 0;
-    bool store_done = false;
-    Status status;
-    {
-      // Shared lock: the scrub read path mutates nothing queries share, so
-      // concurrent sub-queries on this replica proceed undisturbed.
-      std::shared_lock<std::shared_mutex> lock(replica.mutex);
-      status = replica.engine.ScrubPages(&cursor->page, budget, &scrubbed);
-      if (status.ok()) {
-        const StorageManager* store = replica.engine.storage();
-        store_done =
-            store == nullptr || cursor->page >= store->num_pages();
-      }
-    }
-    report->pages_scrubbed += scrubbed;
-    budget -= scrubbed;
-    if (!status.ok()) {
-      if (status.code() == StatusCode::kDataLoss) {
-        // Rot (or its injected stand-in). Report it for quarantine +
-        // rebuild and move the cursor off the doomed replica — its store
-        // is about to be replaced wholesale.
-        report->corrupt = true;
-        report->corrupt_shard = cursor->shard;
-        report->corrupt_replica = cursor->replica;
-        advance();
-        return Status::Ok();
-      }
-      // A non-data-loss read error (I/O): surface it, stepping past the
-      // failing page so the next tick does not wedge on it forever.
-      ++cursor->page;
-      return status;
-    }
-    if (store_done) {
-      if (reclaim) {
-        // The store just verified clean end-to-end — the safe moment to
-        // drop pages stranded by index rebuilds. Mutates the store, so
-        // exclusive lock (queries briefly wait, exactly like an update).
-        size_t reclaimed = 0;
-        size_t truncated = 0;
-        Status reclaim_status;
-        {
-          std::unique_lock<std::shared_mutex> lock(replica.mutex);
-          reclaim_status =
-              replica.engine.ReclaimStorage(&reclaimed, &truncated);
-        }
-        report->pages_reclaimed += reclaimed;
-        report->slots_truncated += truncated;
-        if (!reclaim_status.ok()) {
-          advance();
-          return reclaim_status;
-        }
-      }
-      advance();
-      ++completed;
-    }
-  }
-  return Status::Ok();
-}
-
-void ShardedEngine::QuarantineReplica(size_t shard, size_t replica) {
-  TopologyPin topology(*this);
-  IMGRN_CHECK_LT(shard, topology->shards.size());
-  IMGRN_CHECK_LT(replica, topology->shards[shard]->size());
-  topology->shards[shard]->replica(replica)->breaker.Trip();
-}
-
-Status ShardedEngine::RebuildReplica(size_t shard, size_t replica) {
-  std::lock_guard<std::mutex> routing(update_mutex_);
-  if (!built_) {
-    return Status::FailedPrecondition("BuildIndex() has not run");
-  }
-  const std::shared_ptr<const Topology> current = Current();
-  if (shard >= current->shards.size()) {
-    return Status::InvalidArgument("shard index out of range");
-  }
-  const ReplicaSet& set = *current->shards[shard];
-  if (replica >= set.size()) {
-    return Status::InvalidArgument("replica index out of range");
-  }
-  // Donor: the lowest-numbered peer that is not quarantined. With no such
-  // peer, the sick replica donates to its own replacement — its resident
-  // side tables and database are intact even when its backing STORE is
-  // not (the store holds tree pages; the matrices live in memory).
-  const ShardReplica* donor = set.replica(replica).get();
-  for (size_t r = 0; r < set.size(); ++r) {
-    if (r != replica &&
-        set.replica(r)->breaker.state() != CircuitBreaker::State::kOpen) {
-      donor = set.replica(r).get();
-      break;
-    }
-  }
-  // Clone the donor into a fresh replica (fresh engine, fresh backing
-  // file, closed breaker) in the sick one's place, publish, and drain:
-  // queries pinned to the old topology finish against the old replica,
-  // and the last pin to unwind retires it — spill file unlinked with it.
-  std::vector<std::shared_ptr<ShardReplica>> replicas = set.replicas();
-  replicas[replica] = MakeReplica();
-  auto next = std::make_shared<Topology>(current->shards, current->shard_of);
-  next->shards[shard] = std::make_shared<ReplicaSet>(std::move(replicas));
-  std::vector<SourceCopy> copies;
-  ListActiveSources(
-      *donor, ReplicaSpan(next->shards[shard]->replicas()).subspan(replica, 1),
-      &copies);
-  return ApplyTopologyChange(copies, std::move(next), /*drain=*/true);
-}
-
 size_t ShardedEngine::num_shards() const { return Current()->shards.size(); }
 
 size_t ShardedEngine::num_replicas() const {
@@ -1200,9 +1012,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
   }
   snapshot.imbalance = MaxMeanImbalance(costs);
   snapshot.measured_imbalance = MaxMeanImbalance(measured);
-  if (maintenance_ != nullptr) {
-    snapshot.maintenance = maintenance_->Stats();
-  }
   return snapshot;
 }
 

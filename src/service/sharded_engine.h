@@ -12,7 +12,6 @@
 
 #include "core/query_engine.h"
 #include "service/circuit_breaker.h"
-#include "service/maintenance.h"
 #include "service/partitioner.h"
 #include "service/replica_set.h"
 #include "service/thread_pool.h"
@@ -29,14 +28,12 @@ struct ShardRetryOptions {
   /// just failed.
   size_t max_attempts = 3;
 
-  /// Sleep before the first retry; doubles (backoff_multiplier) per
-  /// further retry. Kept short: a sub-query holds no locks while backing
-  /// off, but the caller's latency budget is ticking. Skipped when the
-  /// retry fails over to a DIFFERENT replica — backoff buys a sick
-  /// replica time to recover, a healthy peer needs none.
+  /// Sleep before the first retry; doubles per further retry. Kept
+  /// short: a sub-query holds no locks while backing off, but the
+  /// caller's latency budget is ticking. Skipped when the retry fails over
+  /// to a DIFFERENT replica — backoff buys a sick replica time to recover,
+  /// a healthy peer needs none.
   int64_t initial_backoff_micros = 100;
-
-  double backoff_multiplier = 2.0;
 };
 
 /// Knobs of a ShardedEngine.
@@ -61,20 +58,10 @@ struct ShardedEngineOptions {
   /// See service/partitioner.h; partitioning never affects query results.
   std::shared_ptr<const Partitioner> partitioner;
 
-  /// Engine/index options applied to every shard replica.
+  /// Engine/index options applied to every shard replica, verbatim. Keep
+  /// `engine.storage` in memory (the default): a disk path would be opened
+  /// by every replica at once.
   EngineOptions engine;
-
-  /// When non-empty, every shard replica's engine runs disk-backed: files
-  /// are created in this directory as "shard-<n>.pages" (n from a
-  /// monotonic counter, so files never collide across the shard
-  /// generations LoadDatabase, Resize and SetReplicas create). These
-  /// files are spill space owned by the engine — created on demand,
-  /// unlinked when their replica is destroyed — not a durability domain:
-  /// the sharded engine re-partitions on reload. Durable single-store
-  /// snapshots are the plain ImGrnEngine's SaveSnapshot. Empty (default)
-  /// = in-memory shards, the historical behavior. Overrides
-  /// `engine.storage`.
-  std::string storage_dir;
 
   /// Per-sub-query retry/backoff for transient shard failures.
   ShardRetryOptions retry;
@@ -86,12 +73,6 @@ struct ShardedEngineOptions {
   /// load onto its peers; only when EVERY replica of a shard is
   /// quarantined does the shard surface kUnavailable.
   CircuitBreakerOptions breaker;
-
-  /// Self-healing maintenance plane (see service/maintenance.h): a daemon
-  /// thread that scrubs page checksums, quarantines + rebuilds corrupt
-  /// replicas from healthy peers, and reclaims storage stranded by index
-  /// rebuilds. Off by default (`maintenance.enabled = false`).
-  MaintenanceOptions maintenance;
 };
 
 /// Per-replica counters inside one ShardStats.
@@ -139,10 +120,6 @@ struct ShardedEngineStatsSnapshot {
   /// prunes perfectly inflates the estimate but costs little measured).
   double measured_imbalance = 1.0;
 
-  /// Maintenance-plane counters; `maintenance.enabled` is false when the
-  /// engine runs without a daemon (all counters then zero).
-  MaintenanceStats maintenance;
-
   /// One line per shard, e.g. "shard0: sources=3 load=1.2e5
   /// measured=2.1e-3s sub_queries=17 errors=0 in_flight=0", each followed
   /// by one line per replica with its counters and breaker, then an
@@ -167,7 +144,9 @@ struct ShardedEngineStatsSnapshot {
 /// Sharding splits the data; replication multiplies READ capacity: R
 /// replicas serve R sub-queries of the same shard concurrently (reads
 /// take shared locks, but each replica has its own buffer pool and
-/// engine, so they do not contend).
+/// engine, so they do not contend). The engine persists nothing: a
+/// durable index is a plain ImGrnEngine's snapshot, and a sharded engine
+/// re-partitions on load.
 ///
 /// Query semantics are bit-identical to a single ImGrnEngine over the
 /// unpartitioned database, for every shard count, every replica count and
@@ -195,11 +174,10 @@ struct ShardedEngineStatsSnapshot {
 /// pin count on the topology object) and filters each shard's matches
 /// through the pinned map, so a query is answered by exactly one owner per
 /// source even while sources are in flight between shards. Rebalance,
-/// Resize, SetReplicas and RebuildReplica share one copy -> publish ->
-/// drain step: copy the listed sources into their destination replicas
-/// (under those replicas' write locks), publish the successor topology,
-/// then optionally wait for every query pinned to an older topology to
-/// finish. A migration runs it twice (a cutover that keeps ownership, then
+/// Resize and SetReplicas share one copy -> publish -> drain step: copy
+/// the listed sources into their destination replicas (under those
+/// replicas' write locks), publish the successor topology, then
+/// optionally wait for every query pinned to an older topology to finish. A migration runs it twice (a cutover that keeps ownership, then
 /// the moving sources) and deletes the moved sources from their old shards
 /// afterwards. Between the copy and the delete a moving source is
 /// materialized on two shards, but the map filter guarantees each query
@@ -207,11 +185,10 @@ struct ShardedEngineStatsSnapshot {
 /// (whose data outlives them), new-topology queries on the new.
 /// SetReplicas grows by cloning each primary into fresh replicas (no
 /// drain: older pins stay servable) and shrinks by publishing sets without
-/// the tail replicas, then draining; RebuildReplica clones a peer into a
-/// fresh replica and drains. A replica that leaves the topology dies with
-/// its last shared_ptr. Queries on shards untouched by a change never
-/// block; updates (AddSource/RemoveSource) serialize with a change in
-/// progress.
+/// the tail replicas, then draining. A replica that leaves the topology
+/// dies with its last shared_ptr. Queries on shards untouched by a change
+/// never block; updates (AddSource/RemoveSource) serialize with a change
+/// in progress.
 ///
 /// Load accounting is static plus one measurement: placement and Resize
 /// pack the genes² × samples estimates (ShardStats::cost), and each
@@ -250,10 +227,6 @@ class ShardedEngine : public QueryEngine {
  public:
   explicit ShardedEngine(ShardedEngineOptions options = {},
                          ThreadPool* pool = nullptr);
-
-  /// Stops the maintenance daemon (joining its thread) before any engine
-  /// state is torn down.
-  ~ShardedEngine();
 
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
@@ -348,43 +321,6 @@ class ShardedEngine : public QueryEngine {
       const QueryControl* control = nullptr) const;
 
   ShardedEngineStatsSnapshot StatsSnapshot() const;
-
-  /// One bounded step of the checksum scrubber (the maintenance daemon's
-  /// tick body; public so tests drive it deterministically). Resumes at
-  /// `*cursor`, seal-verifies up to `max_pages` live pages across the
-  /// replica stores it reaches, and advances the cursor (wrapping shard /
-  /// replica / page like an odometer). Scrubbing runs under each replica's
-  /// SHARED lock — concurrent queries are undisturbed. When a replica's
-  /// store finishes clean and `reclaim` is set, stranded pages are
-  /// reclaimed under that replica's EXCLUSIVE lock (see
-  /// ImGrnEngine::ReclaimStorage). A kDataLoss seal failure is reported in
-  /// `*report` (not the return Status): the cursor skips to the next
-  /// replica and the caller is expected to QuarantineReplica +
-  /// RebuildReplica. Non-data-loss read errors return the Status with the
-  /// cursor just past the failing page.
-  Status ScrubStep(ScrubCursor* cursor, size_t max_pages, bool reclaim,
-                   ScrubReport* report) const;
-
-  /// Forces the breaker of `shard`/`replica` open (fresh cooldown), so the
-  /// router sheds its traffic onto peer replicas immediately. Used by the
-  /// maintenance daemon the instant the scrubber proves a replica's store
-  /// corrupt.
-  void QuarantineReplica(size_t shard, size_t replica);
-
-  /// Re-synthesizes `shard`/`replica` from a healthy peer: a fresh replica
-  /// is built by copying every active source out of the lowest-numbered
-  /// non-quarantined peer (falling back to the sick replica's own
-  /// memory-resident tables when no peer exists), published in the
-  /// topology in the old replica's place, and the old replica retired once
-  /// every query pinned to it drains — the same copy -> publish -> drain
-  /// protocol migrations use, so queries never block and answers never
-  /// change. The rebuilt replica starts with a closed breaker and a fresh
-  /// backing store.
-  Status RebuildReplica(size_t shard, size_t replica);
-
-  /// The maintenance daemon; null unless maintenance.enabled was set in the
-  /// ShardedEngineOptions. Tests use it for TickForTesting()/Stats().
-  MaintenanceDaemon* maintenance() const { return maintenance_.get(); }
 
   /// Test/instrumentation hook: the reader-writer lock of one shard
   /// replica, e.g. to pin a replica in the "update in progress" state and
@@ -494,11 +430,6 @@ class ShardedEngine : public QueryEngine {
                              std::shared_ptr<const Topology> next,
                              bool drain);
 
-  /// Lists every active source of `donor`, in local-id order, for copying
-  /// into `to`: the clone step of SetReplicas and RebuildReplica.
-  static void ListActiveSources(const ShardReplica& donor, ReplicaSpan to,
-                                std::vector<SourceCopy>* copies);
-
   /// Shared migration machinery of Rebalance and Resize: moves every
   /// active source to target_map's shard, over the target_shards list
   /// (which reuses the current ReplicaSet objects for indices they
@@ -526,10 +457,8 @@ class ShardedEngine : public QueryEngine {
   Status RemoveFromReplicasLocked(ReplicaSpan replicas, SourceId global,
                                   double cost, bool must_exist);
 
-  /// Creates one ShardReplica with the configured engine options, giving
-  /// it a fresh backing file under options_.storage_dir when one is set.
-  /// Caller must hold update_mutex_ or be in a setup-phase call.
-  std::shared_ptr<ShardReplica> MakeReplica();
+  /// Creates one ShardReplica with the configured engine options.
+  std::shared_ptr<ShardReplica> MakeReplica() const;
 
   /// A fresh ReplicaSet of `num_replicas` empty replicas.
   std::shared_ptr<ReplicaSet> MakeReplicaSet(size_t num_replicas);
@@ -554,19 +483,11 @@ class ShardedEngine : public QueryEngine {
   /// shard, via the replica mutexes.
   mutable std::mutex update_mutex_;
   size_t next_source_ = 0;
-  size_t shard_files_created_ = 0;  ///< Names the next per-replica file.
   std::vector<double> source_cost_;  ///< Per global source, for replanning.
   std::vector<bool> retracted_;      ///< RemoveSource'd global ids.
 
-  /// Set by BuildIndex, cleared by LoadDatabase. Atomic: the maintenance
-  /// daemon polls it from its own thread to sit out the setup phase.
-  std::atomic<bool> built_{false};
-
-  /// Declared LAST: the daemon's thread calls back into everything above,
-  /// so it must be destroyed (joined) first. Null unless
-  /// options_.maintenance.enabled. The explicit destructor resets it
-  /// before anything else regardless.
-  std::unique_ptr<MaintenanceDaemon> maintenance_;
+  /// Set by BuildIndex, cleared by LoadDatabase.
+  bool built_ = false;
 };
 
 }  // namespace imgrn

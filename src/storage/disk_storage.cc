@@ -529,30 +529,6 @@ Status DiskStorageManager::Sync() {
   return Status::Ok();
 }
 
-size_t DiskStorageManager::ShrinkToFit() {
-  if (num_slots_ == 0 || slot_free_.empty()) return 0;
-  std::vector<bool> reusable(num_slots_, false);
-  for (SlotId slot : slot_free_) reusable[slot] = true;
-  size_t new_num_slots = num_slots_;
-  while (new_num_slots > 0 && reusable[new_num_slots - 1]) --new_num_slots;
-  if (new_num_slots == num_slots_) return 0;
-  const size_t released = num_slots_ - new_num_slots;
-  slot_free_.erase(
-      std::remove_if(slot_free_.begin(), slot_free_.end(),
-                     [new_num_slots](SlotId slot) {
-                       return static_cast<size_t>(slot) >= new_num_slots;
-                     }),
-      slot_free_.end());
-  num_slots_ = new_num_slots;
-  // Best effort: a failed truncate leaves a long file whose tail no state
-  // references — wasteful but harmless, and the next reclaim retries.
-  while (::ftruncate(fd_, static_cast<off_t>(SlotOffset(
-             static_cast<SlotId>(new_num_slots)))) != 0 &&
-         errno == EINTR) {
-  }
-  return released;
-}
-
 Status DiskStorageManager::PReadFull(iovec* iov, int iovcnt,
                                      size_t offset) const {
   while (iovcnt > 0) {

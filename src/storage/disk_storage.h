@@ -94,16 +94,6 @@ class DiskStorageManager final : public StorageManager {
   void SetAppRoot(PageId id) override { app_root_ = id; }
   PageId app_root() const override { return app_root_; }
 
-  /// Truncates the trailing run of reusable-now slots (slot_free_) off the
-  /// file and shrinks the slot high-water mark. Only slots in NO durable
-  /// state are eligible, so call after the Sync that committed the
-  /// Deallocates which freed them: the newest durable header then
-  /// references kept slots only, and recovery from it never reads past the
-  /// shortened file (an older header might, but it is only consulted when
-  /// the newest one is itself corrupt). Returns slots released; callers
-  /// should Sync afterwards so the durable num_slots matches the file.
-  size_t ShrinkToFit() override;
-
   // --- Introspection (tests, bench) ---
 
   const std::string& path() const { return path_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 
@@ -68,6 +69,10 @@ Result<PageStreamRef> PageStreamWriter::Finish() {
 }
 
 Status PageStreamReader::LoadPage(PageId id) {
+  if (!store_->IsLivePage(id)) {
+    return Status::DataLoss("page stream links to dead page " +
+                            std::to_string(id));
+  }
   Result<Page*> page = store_->Read(id, &scratch_);
   IMGRN_RETURN_IF_ERROR(page.status());
   if (*page != &scratch_) {

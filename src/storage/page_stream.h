@@ -51,7 +51,8 @@ class PageStreamWriter {
 
 /// Reads a byte stream written by PageStreamWriter. Every page access goes
 /// through StorageManager::Read, so corruption surfaces as kDataLoss and
-/// the disk.* fault sites apply.
+/// the disk.* fault sites apply. A head or link naming a page that is not
+/// live (freed, or past the store end) is kDataLoss too.
 class PageStreamReader {
  public:
   PageStreamReader(StorageManager* store, PageStreamRef ref);

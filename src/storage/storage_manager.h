@@ -33,8 +33,8 @@ struct StorageOptions {
   size_t page_size = kDefaultPageSize;
 
   /// Disk backend only: unlink the backing file when the manager is
-  /// destroyed. For ephemeral stores (per-shard spill files) whose
-  /// lifetime is the owning engine's, not a durability domain.
+  /// destroyed. For ephemeral stores (scratch files of benches and tests)
+  /// that are not a durability domain.
   bool unlink_on_close = false;
 };
 
@@ -102,20 +102,11 @@ class StorageManager {
   virtual Page* DirectFrame(PageId id) = 0;
 
   /// True when `id` is an allocated, not-deallocated logical page — i.e.
-  /// Read(id) is legal. The maintenance scrubber walks ids 0..num_pages()
-  /// with this filter so it can verify every live page's seal without
-  /// tripping the dead-page CHECK in Read.
+  /// Read(id) and Deallocate(id) are legal. Any id, even one past
+  /// num_pages(), may be asked: page ids read back from stored bytes
+  /// (stream links, a snapshot's tree meta) are checked with this before
+  /// they reach the CHECKed calls.
   virtual bool IsLivePage(PageId id) const = 0;
-
-  /// Gives unreferenced physical capacity back to the backing medium:
-  /// after stranded pages have been Deallocate()d and a Sync has made the
-  /// shrunken state durable, a disk store truncates the trailing run of
-  /// free slots off the file. Returns the number of physical slots
-  /// released (0 when the tail is in use). Backends without reclaimable
-  /// physical space (memory) keep this default no-op. Callers should Sync
-  /// again afterwards so the durable header agrees with the shrunken
-  /// file.
-  virtual size_t ShrinkToFit() { return 0; }
 
   /// One well-known "application root" page id the store persists with its
   /// header (kInvalidPageId when unset). The snapshot layer anchors its

@@ -1,6 +1,7 @@
 #!/bin/sh
 # End-to-end smoke test of the imgrn CLI prototype: generate a database,
-# build the index and persist it as a snapshot, extract a query, run it
+# build the index and persist it as a snapshot (three times into one file,
+# which must stop growing after the second save), extract a query, run it
 # (from the reopened snapshot and from an in-memory index), and run
 # single-matrix inference. Invoked by ctest with the CLI binary path as $1.
 set -eu
@@ -15,6 +16,19 @@ trap 'rm -rf "$WORKDIR"' EXIT
 
 "$IMGRN" snapshot save --db="$WORKDIR/db.txt" \
     --store="disk:$WORKDIR/db.pages" | grep -q "snapshot saved: 30 matrices"
+
+# A save over a snapshot replaces it and reuses its pages, those of the
+# tree it held included: from the second save on, the file stops growing.
+"$IMGRN" snapshot save --db="$WORKDIR/db.txt" \
+    --store="disk:$WORKDIR/db.pages" > /dev/null
+size2=$(wc -c < "$WORKDIR/db.pages")
+"$IMGRN" snapshot save --db="$WORKDIR/db.txt" \
+    --store="disk:$WORKDIR/db.pages" > /dev/null
+size3=$(wc -c < "$WORKDIR/db.pages")
+if [ "$size3" -ne "$size2" ]; then
+  echo "third save grew the snapshot file: $size2 -> $size3 bytes" >&2
+  exit 1
+fi
 
 "$IMGRN" extract-query --db="$WORKDIR/db.txt" --out="$WORKDIR/q.txt" \
     --genes=3 --gamma=0.6 | grep -q "3-gene query"
@@ -178,7 +192,7 @@ if "$IMGRN" query --db="/nonexistent" --query="$WORKDIR/q.txt" \
   echo "expected failure on missing database" >&2
   exit 1
 fi
-for command in bogus-subcommand cache; do
+for command in bogus-subcommand cache maintenance; do
   status=0
   "$IMGRN" "$command" stats 2> "$WORKDIR/usage.err" || status=$?
   if [ "$status" -ne 2 ]; then

@@ -366,55 +366,6 @@ TEST(CircuitBreakerTest, ProbeGuardFailureReopensLikeRecordFailure) {
   EXPECT_TRUE(f.breaker.AllowRequest());
 }
 
-// Trip() is the quarantine entry point for out-of-band verdicts (the
-// maintenance scrubber proving a replica's store corrupt): it must force
-// open from EVERY state, start a fresh cooldown, and release a half-open
-// probe slot so the post-cooldown probe is not blocked by a pre-trip
-// attempt.
-TEST(CircuitBreakerTest, TripForcesOpenFromEveryState) {
-  // From closed.
-  {
-    BreakerFixture f;
-    f.breaker.Trip();
-    EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kOpen);
-    EXPECT_FALSE(f.breaker.AllowRequest());
-    f.now_micros = 1000;  // Cooldown from the trip.
-    EXPECT_TRUE(f.breaker.AllowRequest());
-  }
-  // From open: the cooldown restarts from the trip time.
-  {
-    BreakerFixture f;
-    ASSERT_TRUE(f.breaker.AllowRequest());
-    f.breaker.RecordFailure();
-    ASSERT_TRUE(f.breaker.AllowRequest());
-    f.breaker.RecordFailure();  // Open at t=0, until t=1000.
-    f.now_micros = 900;
-    f.breaker.Trip();  // Until t=1900 now.
-    f.now_micros = 1899;
-    EXPECT_FALSE(f.breaker.AllowRequest());
-    f.now_micros = 1900;
-    EXPECT_TRUE(f.breaker.AllowRequest());
-  }
-  // From half-open with a probe in flight: the stale probe's slot is
-  // released, so the post-cooldown probe is admitted.
-  {
-    BreakerFixture f;
-    ASSERT_TRUE(f.breaker.AllowRequest());
-    f.breaker.RecordFailure();
-    ASSERT_TRUE(f.breaker.AllowRequest());
-    f.breaker.RecordFailure();
-    f.now_micros = 1000;
-    ASSERT_TRUE(f.breaker.AllowRequest());  // Probe out, never resolved.
-    f.breaker.Trip();
-    EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kOpen);
-    f.now_micros = 2000;
-    EXPECT_TRUE(f.breaker.AllowRequest())
-        << "trip must release the pre-trip probe slot";
-    f.breaker.RecordSuccess();
-    EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kClosed);
-  }
-}
-
 // --- Serving-layer degradation ------------------------------------------
 
 // This suite's planted-cluster database (see tests/test_util.h): shorter
@@ -774,10 +725,6 @@ TEST(TopologyChangeFaultSitesTest, EvaluationCountsArePinned) {
   // Growing copies every shard's active sources and does not drain.
   EXPECT_EQ(MigrateEvaluations([&] { return sharded.SetReplicas(2); }),
             (std::vector<uint64_t>{kSources, 1, 0, 0}));
-  // A rebuild copies the donor's active sources and drains.
-  const uint64_t donor_sources = sharded.StatsSnapshot().shards[1].sources;
-  EXPECT_EQ(MigrateEvaluations([&] { return sharded.RebuildReplica(1, 0); }),
-            (std::vector<uint64_t>{donor_sources, 1, 1, 0}));
   // Shrinking copies nothing and drains.
   EXPECT_EQ(MigrateEvaluations([&] { return sharded.SetReplicas(1); }),
             (std::vector<uint64_t>{0, 1, 1, 0}));
@@ -826,30 +773,6 @@ TEST_F(ReplicaChangeFaultTest, GrowKilledAtCopyRollsBack) {
   ASSERT_TRUE(sharded_->SetReplicas(2).ok());
   EXPECT_EQ(sharded_->num_replicas(), 2u);
   ExpectExactAnswers("after the retried grow");
-}
-
-TEST_F(ReplicaChangeFaultTest, RebuildKilledAtCopyRollsBack) {
-  ShardedEngineOptions options;
-  options.num_replicas = 2;
-  Build(options);
-  const std::vector<std::vector<const void*>> before = PublishedReplicas();
-  {
-    // Shard 1 holds two sources: the second copy fails after the first
-    // landed, so the rollback has a copy to undo.
-    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateCopy,
-                                  .every_nth = 2,
-                                  .max_fires = 1}});
-    EXPECT_EQ(sharded_->RebuildReplica(1, 0).code(),
-              StatusCode::kUnavailable);
-  }
-  EXPECT_EQ(sharded_->num_replicas(), 2u);
-  EXPECT_EQ(PublishedReplicas(), before);
-  ExpectExactAnswers("after a killed rebuild");
-
-  ASSERT_TRUE(sharded_->RebuildReplica(1, 0).ok());
-  EXPECT_NE(PublishedReplicas()[1][0], before[1][0]);  // Replaced.
-  EXPECT_EQ(PublishedReplicas()[1][1], before[1][1]);
-  ExpectExactAnswers("after the retried rebuild");
 }
 
 TEST_F(ReplicaChangeFaultTest, ShrinkKilledAtDrainRollsForward) {

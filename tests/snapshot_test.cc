@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "core/engine.h"
@@ -92,6 +93,23 @@ void ExpectSameMatches(const std::vector<QueryMatch>& a,
     EXPECT_EQ(a[i].probability, b[i].probability);
     EXPECT_EQ(a[i].mapping, b[i].mapping);
   }
+}
+
+// The matches of the 1-2-3 path query, which MakeDatabase plants.
+std::vector<QueryMatch> PathMatches(const ImGrnEngine& engine) {
+  Result<std::vector<QueryMatch>> matches =
+      engine.QueryWithGraph(MakePathQuery({1, 2, 3}), TestParams());
+  EXPECT_TRUE(matches.ok()) << matches.status().ToString();
+  return matches.ok() ? *matches : std::vector<QueryMatch>{};
+}
+
+// Cold-starts a fresh engine from the snapshot in the file at `path` and
+// expects it to answer the path query exactly as `saved`.
+void ExpectColdStartMatches(const std::string& path,
+                            const std::vector<QueryMatch>& saved) {
+  ImGrnEngine engine(DiskEngineOptions(path));
+  ASSERT_TRUE(engine.LoadSnapshot().ok());
+  ExpectSameMatches(saved, PathMatches(engine));
 }
 
 TEST(SnapshotTest, SaveBeforeBuildFails) {
@@ -208,20 +226,112 @@ TEST(SnapshotTest, SecondSaveReplacesFirst) {
 }
 
 TEST(SnapshotTest, RepeatedSavesDoNotLeakPagesWithoutBound) {
-  // Each save frees the previous snapshot's stream chains, so saving the
-  // same state N times must not grow the store by N snapshots.
+  // Each save frees the previous snapshot's stream chains, and the node
+  // pages of its tree once BuildIndex has replaced that tree. So neither
+  // saving the same state N times nor N rebuild-and-save rounds may grow
+  // the store by N snapshots or N trees.
   TempStoreFile file("recycle");
+  std::vector<QueryMatch> saved_matches;
+  {
+    ImGrnEngine engine(DiskEngineOptions(file.path()));
+    engine.LoadDatabase(MakeDatabase(6));
+    ASSERT_TRUE(engine.BuildIndex().ok());
+    ASSERT_TRUE(engine.SaveSnapshot().ok());
+    const size_t pages_after_first = engine.storage()->num_pages();
+    for (int i = 0; i < 5; ++i) {
+      ASSERT_TRUE(engine.SaveSnapshot().ok());
+    }
+    // Identical logical state: page ids freed by the chain recycling are
+    // reused, so the logical high-water mark stays flat.
+    EXPECT_EQ(engine.storage()->num_pages(), pages_after_first);
+
+    // A rebuilt tree takes fresh pages while the saved tree still holds
+    // its own, so the first rebuild grows the store by one tree. Its save
+    // frees the replaced tree, which makes room for the next rebuild: from
+    // then on the high-water mark stays flat.
+    size_t pages_after_rebuild = 0;
+    for (int round = 0; round < 4; ++round) {
+      SCOPED_TRACE(round);
+      ASSERT_TRUE(engine.BuildIndex().ok());
+      ASSERT_TRUE(engine.SaveSnapshot().ok());
+      if (round == 0) {
+        pages_after_rebuild = engine.storage()->num_pages();
+        EXPECT_GT(pages_after_rebuild, pages_after_first);
+      }
+      EXPECT_EQ(engine.storage()->num_pages(), pages_after_rebuild);
+    }
+    saved_matches = PathMatches(engine);
+    EXPECT_FALSE(saved_matches.empty());
+  }
+  // Nothing the last snapshot needs was freed: it cold-starts and answers
+  // as the engine that saved it did.
+  ExpectColdStartMatches(file.path(), saved_matches);
+}
+
+size_t LivePages(const StorageManager& store) {
+  size_t live = 0;
+  for (PageId id = 0; id < store.num_pages(); ++id) {
+    if (store.IsLivePage(id)) ++live;
+  }
+  return live;
+}
+
+// A rebuild gives the index a new tree on fresh pages and strands the
+// saved tree's pages. The save that replaces the snapshot must free every
+// one of them: the same database rebuilds the same tree and streams, so
+// the live page count returns to its value after the first save. The
+// store still answers the same from its reloaded snapshot.
+TEST(MaintenanceReclaimTest, ReclaimFreesStrandedRebuildPages) {
+  TempStoreFile file("reclaim");
   ImGrnEngine engine(DiskEngineOptions(file.path()));
-  engine.LoadDatabase(MakeDatabase(6));
+  engine.LoadDatabase(MakeDatabase(5));
   ASSERT_TRUE(engine.BuildIndex().ok());
   ASSERT_TRUE(engine.SaveSnapshot().ok());
-  const size_t pages_after_first = engine.storage()->num_pages();
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(engine.SaveSnapshot().ok());
+  const size_t live_after_first = LivePages(*engine.storage());
+
+  ASSERT_TRUE(engine.BuildIndex().ok());
+  EXPECT_GT(LivePages(*engine.storage()), live_after_first)
+      << "the rebuild strands the first tree's pages";
+  ASSERT_TRUE(engine.SaveSnapshot().ok());
+  EXPECT_EQ(LivePages(*engine.storage()), live_after_first)
+      << "the replacing save frees the first tree's pages";
+
+  const std::vector<QueryMatch> before = PathMatches(engine);
+  EXPECT_FALSE(before.empty());
+  ASSERT_TRUE(engine.LoadSnapshot().ok());
+  ExpectSameMatches(before, PathMatches(engine));
+
+  // A save over the snapshot of the same tree has nothing to free.
+  ASSERT_TRUE(engine.SaveSnapshot().ok());
+  EXPECT_EQ(LivePages(*engine.storage()), live_after_first);
+}
+
+TEST(SnapshotTest, FailedReplacingSaveCanBeRetried) {
+  // A save that fails midway has already freed the old snapshot's pages in
+  // memory, and some of those ids may have been handed out again. The
+  // retry reads the same old directory: it must skip what is gone and
+  // commit, and the file must reopen to the retried snapshot.
+  TempStoreFile file("retry_replace");
+  for (uint64_t nth : {1, 2, 5}) {
+    SCOPED_TRACE(nth);
+    std::vector<QueryMatch> saved_matches;
+    {
+      ImGrnEngine engine(DiskEngineOptions(file.path()));
+      engine.LoadDatabase(MakeDatabase(9));
+      ASSERT_TRUE(engine.BuildIndex().ok());
+      ASSERT_TRUE(engine.SaveSnapshot().ok());
+      ASSERT_TRUE(engine.BuildIndex().ok());
+      {
+        ScopedFaultInjection faults({{.site = fault_sites::kDiskWrite,
+                                      .every_nth = nth,
+                                      .max_fires = 1}});
+        EXPECT_EQ(engine.SaveSnapshot().code(), StatusCode::kUnavailable);
+      }
+      ASSERT_TRUE(engine.SaveSnapshot().ok());
+      saved_matches = PathMatches(engine);
+    }
+    ExpectColdStartMatches(file.path(), saved_matches);
   }
-  // Identical logical state: page ids freed by the chain recycling are
-  // reused, so the logical high-water mark stays flat.
-  EXPECT_EQ(engine.storage()->num_pages(), pages_after_first);
 }
 
 TEST(SnapshotTest, WriteSnapshotRejectsForeignStore) {
@@ -528,6 +638,7 @@ TEST(SnapshotTest, ForgedCountsRejected) {
       {"signature_bits", kPartsSection, 8, 1ull << 40},
       {"embed_samples zero", kPartsSection, 16, 0},
       {"page_size", kPartsSection, 24, 4096},
+      {"rtree_max_entries 3", kPartsSection, 32, 3},
       {"buffer_pool_pages zero", kPartsSection, 40, 0},
       {"source count 1e8", kPartsSection, kPartsSourceCount, 100000000},
       {"source count 2^40", kPartsSection, kPartsSourceCount, 1ull << 40},
@@ -569,6 +680,40 @@ TEST(SnapshotTest, ForgedCountsRejected) {
     const Status status = engine.LoadSnapshot();
     EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
   }
+}
+
+TEST(SnapshotTest, ForgedOldTreePageIsSkippedByTheNextSave) {
+  // A save over a snapshot frees the node pages its tree meta names. An id
+  // there past the store end must be skipped, not passed to Deallocate: a
+  // rebuild plus a save over the forged snapshot succeeds, and the new
+  // snapshot loads.
+  TempStoreFile file("forged_old_tree");
+  {
+    ImGrnEngine engine(DiskEngineOptions(file.path()));
+    engine.LoadDatabase(MakeDatabase(23));
+    ASSERT_TRUE(engine.BuildIndex().ok());
+    ASSERT_TRUE(engine.SaveSnapshot().ok());
+  }
+  {
+    StorageOptions store_options;
+    store_options.backend = StorageBackend::kDisk;
+    store_options.path = file.path();
+    Result<std::unique_ptr<StorageManager>> store = OpenStorage(store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // Tree meta: root u32, record count u64, node count u64, node pages.
+    const PageId past_end = static_cast<PageId>((*store)->num_pages() + 7);
+    ASSERT_TRUE(PatchField(store->get(), kTreeSection, 20, past_end).ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+  std::vector<QueryMatch> saved_matches;
+  {
+    ImGrnEngine engine(DiskEngineOptions(file.path()));
+    engine.LoadDatabase(MakeDatabase(23));
+    ASSERT_TRUE(engine.BuildIndex().ok());
+    ASSERT_TRUE(engine.SaveSnapshot().ok());
+    saved_matches = PathMatches(engine);
+  }
+  ExpectColdStartMatches(file.path(), saved_matches);
 }
 
 TEST(SnapshotTest, VersionOneDirectoryRejectedAsInvalidArgument) {

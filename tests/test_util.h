@@ -147,12 +147,10 @@ inline QueryParams DefaultClusterParams() {
 /// ShardedEngineOptions builder covering the axes the suites sweep. The
 /// remaining knobs keep their defaults; callers adjust them on the result.
 inline ShardedEngineOptions MakeShardedOptions(size_t num_shards,
-                                               size_t num_replicas = 1,
-                                               std::string storage_dir = "") {
+                                               size_t num_replicas = 1) {
   ShardedEngineOptions options;
   options.num_shards = num_shards;
   options.num_replicas = num_replicas;
-  options.storage_dir = std::move(storage_dir);
   return options;
 }
 

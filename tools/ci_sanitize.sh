@@ -14,12 +14,7 @@
 # and races hide) and "replication" (the replica-set differential suite:
 # round-robin routing over lock-free cursors, breaker failover, and
 # SetReplicas cloning and retiring whole replicas — run under BOTH kinds,
-# races on the routing side and leaks on the retirement side)
-# and "maintenance" (the self-healing plane: the daemon thread scrubbing
-# every replica's store while queries and topology changes race it — TSan
-# territory — and the quarantine/rebuild path replacing whole replicas and
-# reclaiming stranded pages — ASan/leak territory; also run under BOTH
-# kinds);
+# races on the routing side and leaks on the retirement side);
 # see tests/CMakeLists.txt. The ASan run additionally
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw
@@ -98,8 +93,7 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DIMGRN_UBSAN="$UBSAN"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
-         partition_invariance_test fault_injection_test replication_test \
-         maintenance_test"
+         partition_invariance_test fault_injection_test replication_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
            imgrn_processor_test query_stats_test processor_fuzz_test"
@@ -118,7 +112,7 @@ fi
 
 # One ctest invocation per label (gtest_discover_tests supports only one
 # label per binary, so the gate's coverage is the union of these runs).
-LABELS="concurrency partitioning robustness replication maintenance"
+LABELS="concurrency partitioning robustness replication"
 if [ "$KIND" = address ]; then
   LABELS="$LABELS storage query"
 fi

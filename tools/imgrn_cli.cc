@@ -47,7 +47,9 @@
 //       store with a crash-safe commit; `load` reopens the store and
 //       restores everything WITHOUT re-ingesting or re-building — the
 //       instant-cold-start path — then optionally answers a query against
-//       the restored engine.
+//       the restored engine. A `save` into a file that already holds a
+//       snapshot replaces it and reuses its pages, so saving again does
+//       not grow the file.
 //   imgrn rebalance --db=db.txt --query=q.txt [--shards=4] ...
 //       Demo/diagnostic for online rebalancing: load the database
 //       modulo-sharded, report the per-shard load and imbalance (estimated
@@ -55,17 +57,6 @@
 //       to the balanced (LPT) plan while the engine stays queryable,
 //       report the new loads, and verify the query answers are
 //       bit-identical before and after.
-//   imgrn maintenance status --db=db.txt --query=q.txt [--shards=2]
-//               [--replicas=2] [--ticks=8] [--scrub-pages=64] [--fault=...]
-//       Demo/diagnostic for the self-healing maintenance plane
-//       (service/maintenance.h): build a sharded+replicated engine with
-//       the daemon in deterministic mode, interleave --ticks maintenance
-//       ticks with queries, and dump the maintenance counters — pages
-//       scrubbed, corruption found, replicas rebuilt, storage reclaimed.
-//       --fault can inject disk corruption (e.g.
-//       --fault=disk.read=p1:x1:code=dataloss) to watch the scrubber
-//       detect it and the rebuild path heal the replica, with the query
-//       answers verified bit-identical throughout.
 //   imgrn extract-query --db=db.txt --out=q.txt [--genes=5] [--gamma=0.5]
 //       Extract a connected query matrix from the database (for demos).
 //   imgrn infer --matrix=m.txt [--measure=imgrn] [--gamma=0.5]
@@ -449,136 +440,6 @@ int CmdRebalance(int argc, char** argv) {
   return 0;
 }
 
-// Demo/diagnostic for the self-healing maintenance plane: run the daemon
-// in deterministic mode (driven tick by tick), interleaved with queries,
-// and dump the counters. See the header comment for the contract.
-int CmdMaintenance(int argc, char** argv) {
-  if (argc < 3 || std::strcmp(argv[2], "status") != 0) {
-    std::fprintf(stderr,
-                 "usage: imgrn maintenance status --db=FILE --query=FILE "
-                 "[--shards=2] [--replicas=2] [--ticks=8] [--scrub-pages=64] "
-                 "[--storage-dir=DIR] [--fault=SPEC] [--fault-seed=1234] "
-                 "[--gamma=0.5] [--alpha=0.5] [--top_k=0] [--seed=99]\n");
-    return 2;
-  }
-  Args args(argc, argv, 3,
-            {{"db", ""},
-             {"query", ""},
-             {"shards", "2"},
-             {"replicas", "2"},
-             {"ticks", "8"},
-             {"scrub-pages", "64"},
-             {"storage-dir", ""},
-             {"fault", ""},
-             {"fault-seed", "1234"},
-             {"gamma", "0.5"},
-             {"alpha", "0.5"},
-             {"top_k", "0"},
-             {"seed", "99"}});
-  if (!args.Has("db") || !args.Has("query")) {
-    std::fprintf(stderr,
-                 "maintenance status requires --db=FILE --query=FILE\n");
-    return 2;
-  }
-  const size_t shards = args.GetCount("shards");
-  const size_t replicas = args.GetCount("replicas");
-  const size_t ticks = args.GetCount("ticks");
-  if (shards == 0 || replicas == 0) {
-    std::fprintf(stderr, "--shards/--replicas must be >= 1\n");
-    return 2;
-  }
-  Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
-  if (!database.ok()) return Fail(database.status());
-  Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
-  if (!query_matrix.ok()) return Fail(query_matrix.status());
-
-  QueryParams params;
-  params.gamma = args.GetDouble("gamma");
-  params.alpha = args.GetDouble("alpha");
-  params.top_k = args.GetCount("top_k");
-  params.seed = args.GetCount("seed");
-
-  ThreadPool pool;
-  ShardedEngineOptions options;
-  options.num_shards = shards;
-  options.num_replicas = replicas;
-  options.storage_dir = args.Get("storage-dir");
-  options.maintenance.enabled = true;
-  // Deterministic mode: no background thread; every tick below is driven
-  // explicitly, so the output is reproducible run to run.
-  options.maintenance.tick_interval_micros = 0;
-  options.maintenance.scrub_pages_per_tick =
-      args.GetCount("scrub-pages");
-  ShardedEngine engine(options, &pool);
-  engine.LoadDatabase(std::move(*database));
-  Status status = engine.BuildIndex();
-  if (!status.ok()) return Fail(status);
-
-  // Baseline answer before any fault is armed, to verify self-healing
-  // never perturbs results.
-  Result<std::vector<QueryMatch>> before = engine.Query(*query_matrix, params);
-  if (!before.ok()) return Fail(before.status());
-
-  if (args.Has("fault")) {
-    Result<std::vector<FaultRule>> rules = ParseFaultSpec(args.Get("fault"));
-    if (!rules.ok()) {
-      std::fprintf(stderr, "--fault: %s\n",
-                   rules.status().message().c_str());
-      return 2;
-    }
-    FaultInjector::Global().Seed(
-        args.GetCount("fault-seed"));
-    for (FaultRule& rule : *rules) {
-      FaultInjector::Global().Enable(std::move(rule));
-    }
-    std::fprintf(stderr, "(fault injection armed: %s)\n",
-                 args.Get("fault").c_str());
-  }
-
-  MaintenanceDaemon* daemon = engine.maintenance();
-  for (size_t tick = 0; tick < ticks; ++tick) {
-    daemon->TickForTesting();
-    Result<std::vector<QueryMatch>> now = engine.Query(*query_matrix, params);
-    if (!now.ok()) return Fail(now.status());
-    if (now->size() != before->size()) {
-      std::fprintf(stderr,
-                   "maintenance changed the answer count: %zu vs %zu\n",
-                   before->size(), now->size());
-      return 1;
-    }
-    for (size_t i = 0; i < before->size(); ++i) {
-      if ((*now)[i].source != (*before)[i].source ||
-          (*now)[i].probability != (*before)[i].probability ||
-          (*now)[i].mapping != (*before)[i].mapping) {
-        std::fprintf(stderr, "maintenance changed match %zu (source %u)\n",
-                     i, (*before)[i].source);
-        return 1;
-      }
-    }
-  }
-  FaultInjector::Global().Clear();
-
-  const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
-  const MaintenanceStats& m = snapshot.maintenance;
-  std::printf("maintenance: ticks=%llu pages_scrubbed=%llu "
-              "corrupt_pages=%llu replicas_rebuilt=%llu "
-              "rebuild_failures=%llu scrub_errors=%llu\n",
-              static_cast<unsigned long long>(m.ticks),
-              static_cast<unsigned long long>(m.pages_scrubbed),
-              static_cast<unsigned long long>(m.corrupt_pages),
-              static_cast<unsigned long long>(m.replicas_rebuilt),
-              static_cast<unsigned long long>(m.rebuild_failures),
-              static_cast<unsigned long long>(m.scrub_errors));
-  std::printf("maintenance: pages_reclaimed=%llu slots_truncated=%llu\n",
-              static_cast<unsigned long long>(m.pages_reclaimed),
-              static_cast<unsigned long long>(m.slots_truncated));
-  std::printf("imbalance: estimated=%.3f measured=%.3f (max/mean)\n",
-              snapshot.imbalance, snapshot.measured_imbalance);
-  std::printf("answers: %zu, bit-identical across all %zu ticks\n",
-              before->size(), ticks);
-  return 0;
-}
-
 int CmdSnapshotSave(int argc, char** argv) {
   Args args(argc, argv, 3,
             {{"db", ""}, {"store", ""}, {"pivots", "2"}, {"seed", "7"}});
@@ -780,8 +641,8 @@ int CmdKernels(int argc, char** argv) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: imgrn <generate|extract-query|query|rebalance|"
-      "maintenance|snapshot|infer|kernels> [--flags]\n"
+      "usage: imgrn <generate|extract-query|query|rebalance|snapshot|"
+      "infer|kernels> [--flags]\n"
       "(see the header comment of tools/imgrn_cli.cc)\n");
   return 2;
 }
@@ -792,9 +653,6 @@ int Main(int argc, char** argv) {
   if (std::strcmp(command, "generate") == 0) return CmdGenerate(argc, argv);
   if (std::strcmp(command, "query") == 0) return CmdQuery(argc, argv);
   if (std::strcmp(command, "rebalance") == 0) return CmdRebalance(argc, argv);
-  if (std::strcmp(command, "maintenance") == 0) {
-    return CmdMaintenance(argc, argv);
-  }
   if (std::strcmp(command, "snapshot") == 0) return CmdSnapshot(argc, argv);
   if (std::strcmp(command, "extract-query") == 0) {
     return CmdExtractQuery(argc, argv);
