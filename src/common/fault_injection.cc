@@ -1,5 +1,6 @@
 #include "common/fault_injection.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <functional>
 
@@ -112,6 +113,35 @@ std::vector<std::string> Split(const std::string& text, char sep) {
   }
 }
 
+// Parses all of `text` as a base-10 integer. False on an empty string,
+// trailing characters, or a value strtoll clamps to its range.
+bool ParseInteger(const std::string& text, long long* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtoll(text.c_str(), &end, 10);
+  return !text.empty() && *end == '\0' && errno != ERANGE;
+}
+
+// Whether `site` is a wired site, or a trailing-'*' prefix of one.
+bool NamesWiredSite(const std::string& site) {
+  const bool wildcard = site.back() == '*';
+  const std::string_view pattern(site.data(),
+                                 site.size() - (wildcard ? 1 : 0));
+  for (std::string_view wired : fault_sites::kWired) {
+    if (wildcard ? wired.starts_with(pattern) : wired == pattern) return true;
+  }
+  return false;
+}
+
+std::string WiredSiteList() {
+  std::string list;
+  for (const char* wired : fault_sites::kWired) {
+    if (!list.empty()) list += ", ";
+    list += wired;
+  }
+  return list;
+}
+
 Status ParseOneRule(const std::string& text, FaultRule* rule) {
   size_t eq = text.find('=');
   if (eq == std::string::npos || eq == 0) {
@@ -121,10 +151,8 @@ Status ParseOneRule(const std::string& text, FaultRule* rule) {
   std::string site = text.substr(0, eq);
   size_t hash = site.find('#');
   if (hash != std::string::npos) {
-    const std::string detail_text = site.substr(hash + 1);
-    char* end = nullptr;
-    long long detail = std::strtoll(detail_text.c_str(), &end, 10);
-    if (detail_text.empty() || *end != '\0' || detail < 0) {
+    long long detail = 0;
+    if (!ParseInteger(site.substr(hash + 1), &detail) || detail < 0) {
       return Status::InvalidArgument("fault rule '" + text +
                                      "' has a bad #detail (want a "
                                      "non-negative integer)");
@@ -136,6 +164,12 @@ Status ParseOneRule(const std::string& text, FaultRule* rule) {
     return Status::InvalidArgument("fault rule '" + text +
                                    "' has an empty site");
   }
+  if (!NamesWiredSite(site)) {
+    return Status::InvalidArgument("fault rule '" + text + "': no code "
+                                   "evaluates site '" + site +
+                                   "' (wired sites: " + WiredSiteList() +
+                                   ")");
+  }
   rule->site = std::move(site);
 
   std::vector<std::string> parts = Split(text.substr(eq + 1), ':');
@@ -146,18 +180,19 @@ Status ParseOneRule(const std::string& text, FaultRule* rule) {
         "fault rule '" + text +
         "' needs a trigger pFLOAT (probability) or nINT (every Nth)");
   }
-  char* end = nullptr;
   if (trigger[0] == 'p') {
+    char* end = nullptr;
     double p = std::strtod(trigger.c_str() + 1, &end);
-    if (*end != '\0' || p <= 0.0 || p > 1.0) {
+    // Written so that NaN fails it too.
+    if (*end != '\0' || !(p > 0.0 && p <= 1.0)) {
       return Status::InvalidArgument("fault rule '" + text +
                                      "' has a bad probability (want 0 < p "
                                      "<= 1)");
     }
     rule->probability = p;
   } else {
-    long long n = std::strtoll(trigger.c_str() + 1, &end, 10);
-    if (*end != '\0' || n <= 0) {
+    long long n = 0;
+    if (!ParseInteger(trigger.substr(1), &n) || n <= 0) {
       return Status::InvalidArgument("fault rule '" + text +
                                      "' has a bad period (want n >= 1)");
     }
@@ -167,8 +202,8 @@ Status ParseOneRule(const std::string& text, FaultRule* rule) {
   for (size_t i = 1; i < parts.size(); ++i) {
     const std::string& opt = parts[i];
     if (opt.size() >= 2 && opt[0] == 'x') {
-      long long x = std::strtoll(opt.c_str() + 1, &end, 10);
-      if (*end != '\0' || x <= 0) {
+      long long x = 0;
+      if (!ParseInteger(opt.substr(1), &x) || x <= 0) {
         return Status::InvalidArgument("fault rule '" + text +
                                        "' has a bad xN limit (want N >= 1)");
       }

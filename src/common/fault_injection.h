@@ -17,9 +17,11 @@ namespace imgrn {
 /// one of these named sites, so a test (or the CLI's --fault= flag) can
 /// target a single layer of the stack deterministically.
 namespace fault_sites {
-/// PagedFile::Read — a page read off the (simulated) disk.
+/// MemoryStorageManager::Read — a page read from the in-memory store.
+/// `detail` = page id.
 inline constexpr char kPagedFileRead[] = "paged_file.read";
-/// PagedFile::Commit — a page write reaching the (simulated) disk.
+/// MemoryStorageManager::Commit — a page write sealing an in-memory page.
+/// `detail` = page id.
 inline constexpr char kPagedFileWrite[] = "paged_file.write";
 /// BufferPool::Fetch — every accounted page access. `detail` = page id.
 inline constexpr char kBufferPoolFetch[] = "buffer_pool.fetch";
@@ -33,16 +35,6 @@ inline constexpr char kDiskWrite[] = "disk.write";
 /// `detail` = protocol step (see DiskStorageManager::SyncStep), so a test
 /// can simulate a crash at each fsync point individually.
 inline constexpr char kDiskSync[] = "disk.sync";
-/// One per-shard sub-query of a ShardedEngine fan-out. `detail` = shard.
-/// Fires on whichever replica serves the sub-query, so a persistent rule
-/// here models the whole shard (every replica) being down.
-inline constexpr char kShardSubQuery[] = "shard.subquery";
-/// The same sub-query, keyed to the individual replica that serves it:
-/// `detail` = shard * kReplicaDetailStride + replica. A persistent rule
-/// here models ONE replica being sick; the round-robin router fails over
-/// to its peers and the replica's breaker eventually quarantines it.
-inline constexpr char kReplicaSubQuery[] = "shard.replica";
-inline constexpr int64_t kReplicaDetailStride = 1000;
 /// The steps of every ShardedEngine topology change (Rebalance, Resize,
 /// SetReplicas): copy, publish, drain, and for Rebalance and Resize
 /// delete. `detail` is the global source id for copy/delete
@@ -52,6 +44,14 @@ inline constexpr char kMigrateCopy[] = "migrate.copy";
 inline constexpr char kMigratePublish[] = "migrate.publish";
 inline constexpr char kMigrateDrain[] = "migrate.drain";
 inline constexpr char kMigrateDelete[] = "migrate.delete";
+
+/// Every site above: the ones some code evaluates. ParseFaultSpec accepts
+/// only these (or a `prefix*` matching one of them), so a spec cannot arm
+/// a rule that never fires.
+inline constexpr const char* kWired[] = {
+    kPagedFileRead, kPagedFileWrite, kBufferPoolFetch, kDiskRead,
+    kDiskWrite,     kDiskSync,       kMigrateCopy,     kMigratePublish,
+    kMigrateDrain,  kMigrateDelete};
 }  // namespace fault_sites
 
 /// One injection rule: where it applies, when it triggers, what it injects.
@@ -77,11 +77,11 @@ struct FaultRule {
   uint64_t every_nth = 0;
 
   /// Stop firing after this many faults (0 = unlimited). `n1:x2` models a
-  /// transient outage that a bounded retry rides out.
+  /// transient outage: two failures, then the site works again.
   uint64_t max_fires = 0;
 
   /// Status injected when the rule fires. kUnavailable models a transient
-  /// fault (retried); kDataLoss models corruption (not retried).
+  /// I/O fault; kDataLoss models corruption.
   StatusCode code = StatusCode::kUnavailable;
 };
 
@@ -99,9 +99,12 @@ struct FaultSiteStats {
 /// Usage (tests prefer the ScopedFaultInjection RAII below):
 ///
 ///   FaultInjector::Global().Enable(
-///       {.site = fault_sites::kShardSubQuery, .detail = 2, .every_nth = 1});
-///   ... // every sub-query on shard 2 now fails with kUnavailable
+///       {.site = fault_sites::kBufferPoolFetch, .detail = 2, .every_nth = 1});
+///   ... // every buffer-pool fetch of page 2 now fails with kUnavailable
 ///   FaultInjector::Global().Clear();
+///
+/// Enable installs any site, wired or not (tests use "test.site");
+/// ParseFaultSpec is the checked entry point for specs from outside.
 ///
 /// Thread safety: Enable/Clear/Evaluate/SiteStats may be called from any
 /// thread. Rules are evaluated under one mutex — fault evaluation is a
@@ -172,9 +175,14 @@ inline Status CheckFault(const char* site,
 ///   option  := 'x' INT            stop after INT fires
 ///            | "code=" NAME       unavailable | dataloss | internal
 ///
+/// kInvalidArgument, naming the rule, for anything it cannot honour: a site
+/// not in fault_sites::kWired (a trailing '*' must prefix one), a
+/// probability outside (0, 1] or NaN, a #detail below 0, a period or xN
+/// limit below 1, or an integer outside the int64 range.
+///
 /// Examples:
-///   shard.subquery#2=n1            every sub-query on shard 2 fails
-///   buffer_pool.fetch=p0.01:code=dataloss
+///   buffer_pool.fetch#2=n1         every fetch of page 2 fails
+///   paged_file.read=p0.01:code=dataloss
 ///   migrate.copy=n1:x1,migrate.delete=n2
 Result<std::vector<FaultRule>> ParseFaultSpec(const std::string& spec);
 

@@ -19,14 +19,11 @@ enum class StatusCode {
   kDeadlineExceeded,
   kResourceExhausted,
   kCancelled,
-  /// A transient infrastructure failure (flaky I/O, a shard that is down
-  /// or quarantined). Retry-safe: the operation may succeed if repeated,
-  /// and the serving layer's retry/partial-result machinery treats exactly
-  /// this code as "try again / degrade", never as a caller bug.
+  /// A transient infrastructure failure (flaky I/O). The operation may
+  /// succeed if the caller repeats it.
   kUnavailable,
-  /// Unrecoverable corruption (e.g. a page failing its CRC32C check).
-  /// NOT retry-safe: the bytes are wrong and will stay wrong; the serving
-  /// layer degrades around the lost shard instead of retrying into it.
+  /// Unrecoverable corruption (e.g. a page failing its CRC32C check). The
+  /// bytes are wrong and will stay wrong, so repeating cannot help.
   kDataLoss,
 };
 

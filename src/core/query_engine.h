@@ -41,19 +41,8 @@ class QueryEngine {
   /// query/query_types.h). SingleEngine passes ImGrnEngine's breakdown
   /// through; engines without one, ShardedEngine included, leave it empty.
   ///
-  /// Degradation contract: when QueryParams::allow_partial is set, an
-  /// implementation MAY return an OK-but-incomplete answer after an
-  /// infrastructure failure, and if it does it MUST (a) set
-  /// stats->degraded and enumerate stats->failed_shards, and (b) keep the
-  /// returned matches bit-exact for every source it did cover — partiality
-  /// only ever removes sources, never perturbs the survivors. Engines
-  /// without internal redundancy (SingleEngine) ignore allow_partial and
-  /// fail whole.
-  ///
-  /// Every query is evaluated against the engine's current source set.
-  /// stats->replica_failovers is the only field whose value may depend on
-  /// serving topology rather than the query itself; differential tests
-  /// mask exactly it.
+  /// Every query is evaluated against the engine's current source set,
+  /// and fails whole: either every match, or an error Status and none.
   virtual Result<std::vector<QueryMatch>> Query(
       const GeneMatrix& query_matrix, const QueryParams& params,
       QueryStats* stats = nullptr,

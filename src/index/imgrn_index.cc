@@ -52,6 +52,13 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
     return Status::InvalidArgument("cannot build an index over an empty "
                                    "database");
   }
+  if (RTreeNodeCapacity(IndexTreeOptions(options_)) < kMinNodeCapacity) {
+    return Status::InvalidArgument(
+        "rtree_max_entries=" + std::to_string(options_.rtree_max_entries) +
+        " with page_size=" + std::to_string(options_.page_size) +
+        ": an R*-tree node must hold at least " +
+        std::to_string(kMinNodeCapacity) + " entries and fit one page");
+  }
   Stopwatch timer;
   database_ = database;
   database_->StandardizeAll();

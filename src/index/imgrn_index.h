@@ -86,7 +86,9 @@ class ImGrnIndex {
 
   /// Builds the index over `database`. The database must outlive the index
   /// (the index stores no gene data, only embeddings). Matrices are
-  /// standardized in place. Returns InvalidArgument for an empty database.
+  /// standardized in place. Returns InvalidArgument, with nothing built,
+  /// for an empty database or for options whose R*-tree node capacity
+  /// (RTreeNodeCapacity) is below kMinNodeCapacity or above one page.
   Status Build(GeneDatabase* database);
 
   /// --- Incremental maintenance ---

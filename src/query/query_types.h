@@ -43,17 +43,6 @@ struct QueryParams {
   /// ShardedEngine ignores the flag.
   bool collect_source_costs = false;
 
-  /// Degradation policy for fan-out engines (ShardedEngine). When set, a
-  /// query whose sub-queries fail on SOME shards with an infrastructure
-  /// error (kUnavailable after retries are exhausted, kDataLoss, or a
-  /// quarantined shard) still succeeds, returning the surviving shards'
-  /// matches — bit-exact for every source a surviving shard owns — with
-  /// QueryStats::degraded set and the failed shards listed. When unset
-  /// (default), any shard failure fails the whole query. Caller-attributed
-  /// errors (cancellation, deadline, invalid arguments) always fail the
-  /// query, and so does every shard failing at once.
-  bool allow_partial = false;
-
   uint64_t seed = 99;
 };
 
@@ -139,24 +128,10 @@ struct QueryStats {
   /// traversal pruned entirely do not appear.
   std::vector<SourceCostSample> source_costs;
 
-  /// True when QueryParams::allow_partial let the query succeed without
-  /// some shards: the answer is complete for every source owned by a shard
-  /// in neither of the lists below, and silent about the rest.
-  bool degraded = false;
-
-  /// The shards whose sub-queries failed (ascending), when degraded.
-  std::vector<size_t> failed_shards;
-
-  /// Sub-query retry attempts this query spent riding out transient
-  /// (kUnavailable) shard failures, across all shards. 0 on the happy
-  /// path.
+  /// Always 0: no engine retries a sub-query or fails over to another
+  /// replica; a query fails whole. They remain only because perfbench
+  /// reports them as `service.retries` and `service.failovers`.
   uint64_t shard_retries = 0;
-
-  /// Replicas the round-robin router skipped past (quarantined breaker)
-  /// or abandoned after a failure, summed across all shards' sub-queries.
-  /// 0 when every shard's first-choice replica answered. The only field
-  /// whose value may depend on serving topology rather than the query
-  /// itself; the differential suites mask it.
   uint64_t replica_failovers = 0;
 };
 

@@ -17,11 +17,13 @@ constexpr size_t kMinFillPercent = 40;
 }  // namespace
 
 size_t RTreeNodeCapacity(const RTreeOptions& options) {
-  if (options.max_entries > 0) return options.max_entries;
   const size_t header = SerializedNodeHeaderSize();
   if (options.page_size < header) return 0;
-  return (options.page_size - header) /
-         SerializedEntrySize(options.dims, options.payload_size);
+  const size_t page_capacity =
+      (options.page_size - header) /
+      SerializedEntrySize(options.dims, options.payload_size);
+  if (options.max_entries == 0) return page_capacity;
+  return options.max_entries <= page_capacity ? options.max_entries : 0;
 }
 
 RTree::RTree(RTreeOptions options) : options_(std::move(options)) {
@@ -41,7 +43,7 @@ RTree::RTree(RTreeOptions options) : options_(std::move(options)) {
 
   max_entries_ = RTreeNodeCapacity(options_);
   IMGRN_CHECK_GE(max_entries_, kMinNodeCapacity)
-      << "R*-tree node capacity too small at dims=" << options_.dims;
+      << "R*-tree node capacity out of range at dims=" << options_.dims;
   min_entries_ = std::max<size_t>(2, max_entries_ * kMinFillPercent / 100);
   reinsert_count_ =
       std::min(max_entries_ * options_.reinsert_percent / 100,

@@ -59,9 +59,10 @@ struct RTreeOptions {
 inline constexpr size_t kMinNodeCapacity = 4;
 
 /// The node capacity M of a tree with `options`: `max_entries` when
-/// non-zero, else the largest M whose serialized node fits a page (0 when
-/// not even the node header fits). RTree CHECKs M >= kMinNodeCapacity;
-/// snapshot parsing checks persisted options with this first.
+/// non-zero, else the largest M whose serialized node fits a page. 0 when
+/// `max_entries` exceeds that page capacity, or not even the node header
+/// fits. RTree CHECKs M >= kMinNodeCapacity; ImGrnIndex::Build and
+/// snapshot parsing check their options with this first.
 size_t RTreeNodeCapacity(const RTreeOptions& options);
 
 /// An R*-tree (Beckmann, Kriegel, Schneider, Seeger — SIGMOD 1990 [1]) over

@@ -30,7 +30,6 @@ ServiceMetricsSnapshot ServiceMetrics::Snapshot(size_t queue_depth) const {
   snapshot.deadline_expired = deadline_expired();
   snapshot.cancelled = cancelled();
   snapshot.failed = failed();
-  snapshot.degraded = degraded();
   snapshot.queue_depth = queue_depth;
   snapshot.latency_mean_ms = latency_.MeanSeconds() * 1e3;
   snapshot.latency_p50_ms = latency_.Percentile(0.50) * 1e3;
@@ -43,12 +42,11 @@ std::string ServiceMetricsSnapshot::DebugString() const {
   char buffer[384];
   std::snprintf(
       buffer, sizeof(buffer),
-      "submitted=%llu served=%llu (degraded=%llu) "
+      "submitted=%llu served=%llu "
       "rejected=%llu deadline=%llu cancelled=%llu failed=%llu depth=%zu "
       "latency{mean=%.3fms p50=%.3fms p95=%.3fms p99=%.3fms}",
       static_cast<unsigned long long>(submitted),
       static_cast<unsigned long long>(served),
-      static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(rejected),
       static_cast<unsigned long long>(deadline_expired),
       static_cast<unsigned long long>(cancelled),

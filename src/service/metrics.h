@@ -20,8 +20,6 @@ struct ServiceMetricsSnapshot {
   uint64_t deadline_expired = 0;   // Unwound with DeadlineExceeded.
   uint64_t cancelled = 0;          // Unwound with Cancelled.
   uint64_t failed = 0;             // Any other non-OK completion.
-  uint64_t degraded = 0;           // Of served: partial results (some
-                                   // shards down, allow_partial set).
   size_t queue_depth = 0;          // Admitted but unfinished right now.
 
   double latency_mean_ms = 0.0;    // Over served (OK) queries only.
@@ -54,11 +52,6 @@ class ServiceMetrics {
   /// latency (admission to completion).
   void OnFinished(const Status& status, double seconds);
 
-  /// A query completed OK but degraded (QueryStats::degraded): counted in
-  /// `served` as usual AND here, so dashboards can alarm on partial
-  /// answers without treating them as failures.
-  void OnDegraded() { degraded_.fetch_add(1, std::memory_order_relaxed); }
-
   uint64_t submitted() const {
     return submitted_.load(std::memory_order_relaxed);
   }
@@ -73,9 +66,6 @@ class ServiceMetrics {
     return cancelled_.load(std::memory_order_relaxed);
   }
   uint64_t failed() const { return failed_.load(std::memory_order_relaxed); }
-  uint64_t degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
 
   const LatencyHistogram& latency() const { return latency_; }
 
@@ -90,7 +80,6 @@ class ServiceMetrics {
   std::atomic<uint64_t> deadline_expired_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> degraded_{0};
   LatencyHistogram latency_;
 };
 

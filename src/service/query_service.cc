@@ -83,13 +83,9 @@ QueryService::PendingQuery QueryService::SubmitWithControl(
       [this, matrix = std::move(query_matrix), params,
        control]() -> QueryResult {
         Stopwatch timer;
-        QueryStats stats;
         QueryResult result =
-            engine_->Query(matrix, params, &stats, control.get());
+            engine_->Query(matrix, params, /*stats=*/nullptr, control.get());
         metrics_.OnFinished(result.status(), timer.ElapsedSeconds());
-        if (result.ok() && stats.degraded) {
-          metrics_.OnDegraded();
-        }
         FinishOne();
         return result;
       });

@@ -8,13 +8,12 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "service/circuit_breaker.h"
 
 namespace imgrn {
 
 /// One physical replica of a logical shard: its own ImGrnEngine (own
 /// index, own R*-tree paged file, own buffer pool), the local<->global id
-/// tables, health gauges, and a circuit breaker. Replicas of one shard are
+/// tables and its traffic gauges. Replicas of one shard are
 /// bit-exact mirrors of each other's ACTIVE sources: every update applies
 /// to all of them in lock step, so any replica answers any sub-query with
 /// the identical matches (refinement is per-source deterministic — see
@@ -23,9 +22,7 @@ namespace imgrn {
 /// order; matches are still identical because local ids never leak out of
 /// a sub-query.
 struct ShardReplica {
-  ShardReplica(const EngineOptions& options,
-               const CircuitBreakerOptions& breaker_options)
-      : engine(options), breaker(breaker_options) {}
+  explicit ShardReplica(const EngineOptions& options) : engine(options) {}
 
   /// Readers = sub-queries, writer = the update or migration step routed
   /// to this replica.
@@ -60,11 +57,6 @@ struct ShardReplica {
   /// served: its measured busy time, the ShardStats::measured_seconds
   /// gauge.
   mutable std::atomic<double> busy_seconds{0.0};
-
-  /// Quarantine gate for this replica's sub-queries. Travels with the
-  /// ShardReplica object across Rebalance/Resize/SetReplicas (a sick
-  /// replica stays quarantined through a topology change).
-  mutable CircuitBreaker breaker;
 };
 
 /// The replicas of one logical shard, plus the round-robin routing cursor.
@@ -72,13 +64,6 @@ struct ShardReplica {
 /// (SetReplicas publishes a NEW set sharing the surviving ShardReplica
 /// objects); the cursor is shared across topologies that share the set, so
 /// routing stays spread even while updates publish successor topologies.
-///
-/// Routing folds in the per-replica circuit breaker: PickReplica walks the
-/// ring starting at the cursor and returns the first replica whose breaker
-/// admits the request, so a quarantined replica sheds its share of the
-/// load onto its peers instead of failing the sub-query. Only when EVERY
-/// replica is quarantined does the sub-query surface kUnavailable (and
-/// from there the usual degradation policy applies).
 class ReplicaSet {
  public:
   explicit ReplicaSet(std::vector<std::shared_ptr<ShardReplica>> replicas)
@@ -102,11 +87,10 @@ class ReplicaSet {
   /// one of them could answer; pinning to 0 keeps snapshots stable).
   ShardReplica& primary() const { return *replicas_.front(); }
 
-  /// Round-robin pick of the next replica whose breaker admits a request.
-  /// Returns -1 when every replica is quarantined. `skipped`, when
-  /// non-null, receives how many replicas the breaker turned away before
-  /// one accepted — the caller's failover counter.
-  int64_t PickReplica(uint64_t* skipped = nullptr) const;
+  /// The replica that serves the next sub-query: strict round robin.
+  size_t PickReplica() const {
+    return cursor_.fetch_add(1, std::memory_order_relaxed) % replicas_.size();
+  }
 
  private:
   std::vector<std::shared_ptr<ShardReplica>> replicas_;

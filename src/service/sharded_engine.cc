@@ -57,13 +57,7 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
       out += "  replica" + std::to_string(replica.replica) +
              ": sub_queries=" + std::to_string(replica.sub_queries) +
              " errors=" + std::to_string(replica.sub_query_errors) +
-             " in_flight=" + std::to_string(replica.in_flight) +
-             " breaker=" + CircuitBreaker::StateName(replica.breaker);
-      if (replica.breaker_rejections > 0) {
-        out += "(" + std::to_string(replica.breaker_rejections) +
-               " rejected)";
-      }
-      out += "\n";
+             " in_flight=" + std::to_string(replica.in_flight) + "\n";
     }
   }
   char line[96];
@@ -102,7 +96,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
 }
 
 std::shared_ptr<ShardReplica> ShardedEngine::MakeReplica() const {
-  return std::make_shared<ShardReplica>(options_.engine, options_.breaker);
+  return std::make_shared<ShardReplica>(options_.engine);
 }
 
 std::shared_ptr<ReplicaSet> ShardedEngine::MakeReplicaSet(
@@ -323,11 +317,12 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
     std::vector<std::future<Result<std::vector<QueryMatch>>>> futures;
     futures.reserve(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
+      const size_t replica = topology->shards[s]->PickReplica();
       futures.push_back(pool_->Submit(
-          [this, &topology = *topology, s, &query_graph, &params,
+          [this, &topology = *topology, s, replica, &query_graph, &params,
            local_stats = &shard_stats[s], control] {
-            return RunShardWithRecovery(topology, s, query_graph, params,
-                                        local_stats, control);
+            return RunShard(topology, s, replica, query_graph, params,
+                            local_stats, control);
           }));
     }
     for (size_t s = 0; s < num_shards; ++s) {
@@ -336,42 +331,21 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
     }
   } else {
     for (size_t s = 0; s < num_shards; ++s) {
-      results[s] = RunShardWithRecovery(*topology, s, query_graph, params,
-                                        &shard_stats[s], control);
+      results[s] = RunShard(*topology, s, topology->shards[s]->PickReplica(),
+                            query_graph, params, &shard_stats[s], control);
     }
   }
 
-  // Failure policy. A non-degradable error (the caller's doing: cancel,
-  // deadline, bad request) fails the query outright. Degradable
-  // infrastructure errors (kUnavailable after retries, kDataLoss,
-  // quarantine) fail the query unless allow_partial is set, in which case
-  // the failed shards are dropped from the merge — but if EVERY shard
-  // failed there is nothing to degrade to, and the earliest error
-  // propagates.
-  std::vector<size_t> failed_shards;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (results[s].ok()) continue;
-    const StatusCode code = results[s].status().code();
-    const bool degradable = code == StatusCode::kUnavailable ||
-                            code == StatusCode::kDataLoss;
-    if (!params.allow_partial || !degradable) {
-      return results[s].status();
-    }
-    failed_shards.push_back(s);
-  }
-  if (!failed_shards.empty() && failed_shards.size() == num_shards) {
-    return results[failed_shards.front()].status();
+  // Fail whole: the lowest-numbered failing shard's error is the query's.
+  for (const Result<std::vector<QueryMatch>>& result : results) {
+    if (!result.ok()) return result.status();
   }
 
-  // Merge the surviving shards: a plain sort restores the single-engine
-  // source order, then the top_k policy is applied ONCE over the merged
-  // set (sub-queries ran with top_k disabled, so nothing was truncated per
-  // shard). Each surviving shard's matches are bit-exact for the sources
-  // it owns, so a degraded answer is the full answer restricted to the
-  // surviving shards' sources.
+  // Merge: a plain sort restores the single-engine source order, then the
+  // top_k policy is applied ONCE over the merged set (sub-queries ran with
+  // top_k disabled, so nothing was truncated per shard).
   std::vector<QueryMatch> merged;
   for (Result<std::vector<QueryMatch>>& result : results) {
-    if (!result.ok()) continue;
     for (QueryMatch& match : *result) {
       merged.push_back(std::move(match));
     }
@@ -403,11 +377,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
     aggregated.candidate_pairs += shard.candidate_pairs;
     aggregated.candidate_matrices += shard.candidate_matrices;
     aggregated.matrices_pruned_graph += shard.matrices_pruned_graph;
-    aggregated.shard_retries += shard.shard_retries;
-    aggregated.replica_failovers += shard.replica_failovers;
   }
-  aggregated.degraded = !failed_shards.empty();
-  aggregated.failed_shards = failed_shards;
   aggregated.answers = merged.size();
   aggregated.total_seconds = total_timer.ElapsedSeconds();
   *stats = std::move(aggregated);
@@ -439,19 +409,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
   Result<std::vector<QueryMatch>> result = [&]() ->
       Result<std::vector<QueryMatch>> {
         std::shared_lock<std::shared_mutex> lock(replica.mutex);
-        // The sub-query fault points, evaluated under the reader lock so an
-        // injected outage behaves exactly like a failure of the replica's
-        // own query path. "shard.subquery" (detail = shard) fires on
-        // whichever replica serves — the whole shard is down;
-        // "shard.replica" (detail = shard * stride + replica) targets ONE
-        // replica, so failover to its peers is observable.
-        IMGRN_RETURN_IF_ERROR(CheckFault(fault_sites::kShardSubQuery,
-                                         static_cast<int64_t>(shard_index)));
-        IMGRN_RETURN_IF_ERROR(CheckFault(
-            fault_sites::kReplicaSubQuery,
-            static_cast<int64_t>(shard_index) *
-                    fault_sites::kReplicaDetailStride +
-                static_cast<int64_t>(replica_index)));
         if (!replica.built) {
           return std::vector<QueryMatch>{};  // Empty shard: no matches.
         }
@@ -502,86 +459,6 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
   }
   replica.sub_queries_finished.fetch_add(1, std::memory_order_relaxed);
   return result;
-}
-
-Result<std::vector<QueryMatch>> ShardedEngine::RunShardWithRecovery(
-    const Topology& topology, size_t shard_index,
-    const ProbGraph& query_graph, const QueryParams& params,
-    QueryStats* stats, const QueryControl* control) const {
-  const ReplicaSet& set = *topology.shards[shard_index];
-  const ShardRetryOptions& retry = options_.retry;
-  uint64_t retries = 0;
-  uint64_t failovers = 0;
-  int64_t backoff_micros = retry.initial_backoff_micros;
-  auto finish = [&](Result<std::vector<QueryMatch>> result) {
-    if (stats != nullptr) {
-      stats->shard_retries = retries;
-      stats->replica_failovers = failovers;
-    }
-    return result;
-  };
-  for (size_t attempt = 1;; ++attempt) {
-    // Route this attempt: the round-robin pick skips quarantined replicas
-    // (counted as failovers) and claims the half-open probe slot of a
-    // recovering one, so the chosen replica must receive exactly one
-    // health verdict below. A breaker that opened because of THIS
-    // sub-query's earlier failures is skipped by the remaining retries
-    // too.
-    const int64_t picked = set.PickReplica(&failovers);
-    if (picked < 0) {
-      return finish(Status::Unavailable(
-          "shard " + std::to_string(shard_index) + " is quarantined (all " +
-          std::to_string(set.size()) + " replica circuit breakers open)"));
-    }
-    ShardReplica& replica = *set.replica(static_cast<size_t>(picked));
-    // PickReplica admitted this attempt (and may have claimed the
-    // replica's half-open probe slot), so exactly one verdict is owed.
-    // The guard makes that structural: every exit from this iteration —
-    // including an exception out of RunShard or a future early return —
-    // delivers one, so a dropped probe can never wedge the breaker
-    // half-open (probe_in_flight_ stuck true, all future probes
-    // rejected, the replica unrecoverable).
-    CircuitBreaker::ProbeGuard probe(&replica.breaker);
-    Result<std::vector<QueryMatch>> result =
-        RunShard(topology, shard_index, static_cast<size_t>(picked),
-                 query_graph, params, stats, control);
-    if (result.ok()) {
-      probe.Success();
-      return finish(std::move(result));
-    }
-    const StatusCode code = result.status().code();
-    if (code == StatusCode::kCancelled ||
-        code == StatusCode::kDeadlineExceeded ||
-        code == StatusCode::kInvalidArgument ||
-        code == StatusCode::kFailedPrecondition) {
-      // The caller's doing (cancel, deadline, bad request), not the
-      // replica's: no health verdict, no retry.
-      probe.Neutral();
-      return finish(std::move(result));
-    }
-    probe.Failure();
-    if (code != StatusCode::kUnavailable || attempt >= retry.max_attempts) {
-      // kDataLoss/kInternal persist — retrying re-reads the same corrupt
-      // bytes; and a transient error out of attempts gives up too.
-      return finish(std::move(result));
-    }
-    ++retries;
-    if (control != nullptr) {
-      // Don't sleep through a deadline that already expired.
-      Status cancelled = control->Check();
-      if (!cancelled.ok()) return finish(std::move(cancelled));
-    }
-    if (set.size() > 1) {
-      // The retry fails over: the round-robin cursor has moved past the
-      // replica that just failed, so the next attempt lands on a peer.
-      // Backoff buys a sick replica time to recover — a healthy peer
-      // needs none, so failover retries go out immediately.
-      ++failovers;
-      continue;
-    }
-    std::this_thread::sleep_for(std::chrono::microseconds(backoff_micros));
-    backoff_micros *= 2;
-  }
 }
 
 Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
@@ -997,8 +874,6 @@ ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {
       replica_stats.sub_query_errors =
           replica.sub_query_errors.load(std::memory_order_relaxed);
       replica_stats.in_flight = started - replica_stats.sub_queries;
-      replica_stats.breaker = replica.breaker.state();
-      replica_stats.breaker_rejections = replica.breaker.rejections();
       stats.sub_queries += replica_stats.sub_queries;
       stats.sub_query_errors += replica_stats.sub_query_errors;
       stats.in_flight += replica_stats.in_flight;

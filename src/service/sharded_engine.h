@@ -11,30 +11,11 @@
 #include <vector>
 
 #include "core/query_engine.h"
-#include "service/circuit_breaker.h"
 #include "service/partitioner.h"
 #include "service/replica_set.h"
 #include "service/thread_pool.h"
 
 namespace imgrn {
-
-/// Retry policy for one per-shard sub-query. Only transient failures
-/// (kUnavailable) are retried — kDataLoss means the bytes are corrupt and
-/// will stay corrupt, so retrying it only burns the latency budget.
-struct ShardRetryOptions {
-  /// Total attempts per sub-query (1 = no retries). With replicas, each
-  /// attempt is routed independently, so a retry usually lands on a peer
-  /// replica (immediate failover) rather than re-probing the one that
-  /// just failed.
-  size_t max_attempts = 3;
-
-  /// Sleep before the first retry; doubles per further retry. Kept
-  /// short: a sub-query holds no locks while backing off, but the
-  /// caller's latency budget is ticking. Skipped when the retry fails over
-  /// to a DIFFERENT replica — backoff buys a sick replica time to recover,
-  /// a healthy peer needs none.
-  int64_t initial_backoff_micros = 100;
-};
 
 /// Knobs of a ShardedEngine.
 struct ShardedEngineOptions {
@@ -47,8 +28,7 @@ struct ShardedEngineOptions {
   /// Replicas per shard (1 = no replication, the historical behavior).
   /// Every replica is a bit-exact mirror of its shard: updates apply to
   /// all replicas in lock step, and each sub-query is served by ONE
-  /// replica picked round-robin (skipping quarantined ones), so read
-  /// capacity scales with R while answers stay byte-identical.
+  /// replica picked round-robin, so answers stay byte-identical.
   /// SetReplicas() can change the count at runtime.
   size_t num_replicas = 1;
 
@@ -62,17 +42,6 @@ struct ShardedEngineOptions {
   /// `engine.storage` in memory (the default): a disk path would be opened
   /// by every replica at once.
   EngineOptions engine;
-
-  /// Per-sub-query retry/backoff for transient shard failures.
-  ShardRetryOptions retry;
-
-  /// Per-replica circuit breaker quarantining replicas that keep failing
-  /// (see service/circuit_breaker.h). The defaults never trip on a
-  /// healthy replica: only counted failures (kUnavailable/kDataLoss/
-  /// kInternal) move the state machine. A quarantined replica sheds its
-  /// load onto its peers; only when EVERY replica of a shard is
-  /// quarantined does the shard surface kUnavailable.
-  CircuitBreakerOptions breaker;
 };
 
 /// Per-replica counters inside one ShardStats.
@@ -81,13 +50,11 @@ struct ReplicaStats {
   uint64_t sub_queries = 0;      ///< Finished sub-queries this replica served.
   uint64_t sub_query_errors = 0; ///< Of those, non-OK (incl. cancelled).
   uint64_t in_flight = 0;        ///< Sub-queries running right now.
-  CircuitBreaker::State breaker = CircuitBreaker::State::kClosed;
-  uint64_t breaker_rejections = 0; ///< Requests this breaker turned away.
 };
 
 /// Per-shard counters of one StatsSnapshot() call. The sub-query counters
 /// are sums over the shard's replicas; `replicas` holds the per-replica
-/// split, breakers included.
+/// split.
 struct ShardStats {
   size_t shard = 0;
   size_t sources = 0;            ///< Active (added minus removed) sources.
@@ -122,7 +89,7 @@ struct ShardedEngineStatsSnapshot {
 
   /// One line per shard, e.g. "shard0: sources=3 load=1.2e5
   /// measured=2.1e-3s sub_queries=17 errors=0 in_flight=0", each followed
-  /// by one line per replica with its counters and breaker, then an
+  /// by one line per replica with its counters, then an
   /// "imbalance=" summary line reporting both ratios.
   std::string DebugString() const;
 };
@@ -166,7 +133,7 @@ struct ShardedEngineStatsSnapshot {
 /// tests/sharded_engine_test.cc enforces this differentially across shard
 /// counts; tests/partition_invariance_test.cc for arbitrary partition
 /// maps and across live Rebalance/Resize; tests/replication_test.cc
-/// across replica counts and breaker-tripped failover.
+/// across replica counts.
 ///
 /// Topology changes: the shard list (one ReplicaSet per shard) and the
 /// partition map live in one immutable Topology object published behind a
@@ -177,8 +144,9 @@ struct ShardedEngineStatsSnapshot {
 /// Resize and SetReplicas share one copy -> publish -> drain step: copy
 /// the listed sources into their destination replicas (under those
 /// replicas' write locks), publish the successor topology, then
-/// optionally wait for every query pinned to an older topology to finish. A migration runs it twice (a cutover that keeps ownership, then
-/// the moving sources) and deletes the moved sources from their old shards
+/// optionally wait for every query pinned to an older topology to finish.
+/// A migration runs it twice (a cutover that keeps ownership, then the
+/// moving sources) and deletes the moved sources from their old shards
 /// afterwards. Between the copy and the delete a moving source is
 /// materialized on two shards, but the map filter guarantees each query
 /// counts it exactly once — old-topology queries see it on the old owner
@@ -202,22 +170,13 @@ struct ShardedEngineStatsSnapshot {
 /// ThreadPool::WaitReady, so a worker blocked on its sub-queries executes
 /// queued tasks itself instead of deadlocking the pool.
 ///
-/// Error semantics: each sub-query attempt is routed to one replica
-/// (round-robin, skipping replicas whose circuit breaker is open) and
-/// retried with bounded backoff for transient (kUnavailable) failures —
-/// a retry after a replica failure moves straight to a peer replica, so
-/// one sick replica degrades nothing as long as a peer survives. If a
-/// shard still fails (all replicas quarantined, or retries exhausted),
-/// the query returns the error Status of the lowest-numbered failing
-/// shard — unless QueryParams::allow_partial is set and the failure is an
-/// infrastructure error (kUnavailable/kDataLoss), in which case the query
-/// degrades: it merges the surviving shards' matches (bit-exact for every
-/// source they own) and reports QueryStats::degraded plus the failed shard
-/// list. Caller-attributed errors (Cancelled, DeadlineExceeded,
-/// InvalidArgument) always fail the whole query, as does every shard
-/// failing at once. All sub-queries are always gathered first — no
-/// orphaned tasks. A cancelled/expired QueryControl fans out to every
-/// shard, so all sub-queries unwind at their next checkpoint.
+/// Error semantics: a query fails whole, like one ImGrnEngine. Each
+/// sub-query runs once, on the replica the round-robin cursor picks; there
+/// is no retry, no failover and no partial answer. Every sub-query is
+/// gathered first (no orphaned tasks), then the query returns the error
+/// Status of the lowest-numbered failing shard, or the merged matches
+/// when every shard answered. A cancelled/expired QueryControl fans out
+/// to every shard, so all sub-queries unwind at their next checkpoint.
 ///
 /// Thread safety: Query/QueryWithGraph/AddSource/RemoveSource/Rebalance/
 /// Resize/SetReplicas/StatsSnapshot are safe from any thread once
@@ -380,10 +339,9 @@ class ShardedEngine : public QueryEngine {
     std::shared_ptr<const Topology> topology_;
   };
 
-  /// QueryShard body without the public bounds check. `topology` is the
-  /// pinned snapshot whose map filters the shard's matches. Raw: one
-  /// attempt on the given replica, no breaker — the fan-out path wraps it
-  /// in RunShardWithRecovery.
+  /// QueryShard body without the public bounds check: one sub-query on
+  /// the given replica. `topology` is the pinned snapshot whose map
+  /// filters the shard's matches.
   Result<std::vector<QueryMatch>> RunShard(const Topology& topology,
                                            size_t shard_index,
                                            size_t replica_index,
@@ -391,17 +349,6 @@ class ShardedEngine : public QueryEngine {
                                            const QueryParams& params,
                                            QueryStats* stats,
                                            const QueryControl* control) const;
-
-  /// RunShard behind the replica circuit breakers with round-robin
-  /// routing, immediate failover to a peer replica after a failure, and
-  /// bounded retry/exponential backoff for kUnavailable (options_.retry).
-  /// Reports retry spend in stats->shard_retries and replicas skipped or
-  /// abandoned in stats->replica_failovers. This is what Query's fan-out
-  /// runs per shard.
-  Result<std::vector<QueryMatch>> RunShardWithRecovery(
-      const Topology& topology, size_t shard_index,
-      const ProbGraph& query_graph, const QueryParams& params,
-      QueryStats* stats, const QueryControl* control) const;
 
   /// The published topology.
   std::shared_ptr<const Topology> Current() const;

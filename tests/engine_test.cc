@@ -56,6 +56,18 @@ TEST(EngineTest, BuildIndexRejectsMatricesItCannotIndex) {
   }
 }
 
+// A node capacity above what one page holds would build, then abort in the
+// first snapshot save whose node outgrows its page; the build rejects it.
+TEST(EngineTest, BuildIndexRejectsNodeCapacityAboveAPage) {
+  EngineOptions options;
+  options.index.rtree_max_entries = 4000;
+  ImGrnEngine engine(options);
+  engine.LoadDatabase(MakeDatabase(7));
+  const Status status = engine.BuildIndex();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_FALSE(engine.has_index());
+}
+
 TEST(EngineTest, BuildAndQueryEndToEnd) {
   ImGrnEngine engine;
   engine.LoadDatabase(MakeDatabase(1));

@@ -1,27 +1,22 @@
-// The fault-injection registry (common/fault_injection.h), the per-shard
-// circuit breaker (service/circuit_breaker.h), and the serving-layer
-// degradation contract they enable: transient shard faults are retried to
-// success, persistent faults either fail the query or degrade it per
-// QueryParams::allow_partial (survivors bit-exact), quarantined shards are
-// skipped instantly, a migration killed at any protocol step leaves
-// every source visible exactly once, and a killed replica change rolls
-// back or forward without changing an answer. This binary is the
-// "robustness" ctest label: tools/ci_sanitize.sh runs it under both TSan
-// and ASan.
+// The fault-injection registry (common/fault_injection.h) and its spec
+// parser, and the serving-layer contracts it checks: a failed sub-query
+// fails the whole sharded query and leaves the engine answering exactly,
+// a migration killed at any protocol step leaves every source visible
+// exactly once, and a killed replica change rolls back or forward without
+// changing an answer. This binary is the "robustness" ctest label:
+// tools/ci_sanitize.sh runs it under both TSan and ASan+UBSan.
 
 #include "common/fault_injection.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <functional>
 #include <set>
-#include <stdexcept>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
 #include "core/engine.h"
-#include "service/circuit_breaker.h"
 #include "service/sharded_engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/memory_storage.h"
@@ -48,10 +43,10 @@ TEST(ParseFaultSpecTest, ProbabilityRule) {
 
 TEST(ParseFaultSpecTest, EveryNthWithDetailAndOptions) {
   Result<std::vector<FaultRule>> rules =
-      ParseFaultSpec("shard.subquery#2=n3:x5:code=dataloss");
+      ParseFaultSpec("disk.read#2=n3:x5:code=dataloss");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   ASSERT_EQ(rules->size(), 1u);
-  EXPECT_EQ((*rules)[0].site, "shard.subquery");
+  EXPECT_EQ((*rules)[0].site, "disk.read");
   EXPECT_EQ((*rules)[0].detail, 2);
   EXPECT_EQ((*rules)[0].every_nth, 3u);
   EXPECT_EQ((*rules)[0].max_fires, 5u);
@@ -75,14 +70,99 @@ TEST(ParseFaultSpecTest, EmptySpecMeansNoRules) {
 }
 
 TEST(ParseFaultSpecTest, MalformedSpecsRejected) {
-  EXPECT_FALSE(ParseFaultSpec("no-equals").ok());
-  EXPECT_FALSE(ParseFaultSpec("=n1").ok());            // Empty site.
-  EXPECT_FALSE(ParseFaultSpec("s=q1").ok());           // Unknown trigger.
-  EXPECT_FALSE(ParseFaultSpec("s=p").ok());            // Missing number.
-  EXPECT_FALSE(ParseFaultSpec("s=n0").ok());           // Zero period.
-  EXPECT_FALSE(ParseFaultSpec("s#abc=n1").ok());       // Bad detail.
-  EXPECT_FALSE(ParseFaultSpec("s=n1:code=bogus").ok());
-  EXPECT_FALSE(ParseFaultSpec("s=n1:y7").ok());        // Unknown option.
+  const char* const kMalformed[] = {
+      "no-equals",
+      "=n1",                        // Empty site.
+      "disk.read=q1",               // Unknown trigger.
+      "disk.read=p",                // Missing number.
+      "disk.read=n0",               // Zero period.
+      "disk.read#abc=n1",           // Bad detail.
+      "disk.read=n1:code=bogus",
+      "disk.read=n1:y7",            // Unknown option.
+      "buffer_pool.fetc=n1",        // A site no code evaluates.
+      "nosuch.*=n1",                // A prefix matching no site.
+      "shard.subquery#1=n1",        // A site that is no longer wired.
+      "buffer_pool.fetch=pnan",     // NaN passes p <= 0 and p > 1.
+      "buffer_pool.fetch=n99999999999999999999",   // strtoll clamps these
+      "buffer_pool.fetch#99999999999999999999=n1", // to LLONG_MAX.
+  };
+  for (const char* spec : kMalformed) {
+    const Result<std::vector<FaultRule>> rules = ParseFaultSpec(spec);
+    EXPECT_EQ(rules.status().code(), StatusCode::kInvalidArgument) << spec;
+  }
+  // The message names the rule, and for an unwired site the site too.
+  const Status unwired = ParseFaultSpec("shard.subquery#1=n1").status();
+  EXPECT_NE(unwired.message().find("'shard.subquery'"), std::string::npos)
+      << unwired.message();
+}
+
+// True when `site` is wired, or a trailing-'*' prefix of a wired site.
+bool NamesWiredSite(const std::string& site) {
+  const bool wildcard = !site.empty() && site.back() == '*';
+  const std::string_view pattern(site.data(),
+                                 site.size() - (wildcard ? 1 : 0));
+  for (std::string_view wired : fault_sites::kWired) {
+    if (wildcard ? wired.starts_with(pattern) : wired == pattern) return true;
+  }
+  return false;
+}
+
+// Seeded mutation fuzzing of the spec parser: every mutant of a few valid
+// specs (characters inserted, deleted and replaced from the grammar's
+// alphabet) either parses into rules the injector can honour or is
+// kInvalidArgument — never another code, a crash or UB (the robustness
+// label runs this under ASan+UBSan).
+TEST(ParseFaultSpecTest, SeededMutationsParseOrReject) {
+  const std::vector<std::string> kSeeds = {
+      "buffer_pool.fetch=p0.25",
+      "disk.read#2=n3:x5:code=dataloss",
+      "migrate.copy=n1:x1,migrate.delete=n2",
+      "paged_file.*=p1:code=internal",
+      "disk.sync#4=n1:x2:code=unavailable"};
+  for (const std::string& seed : kSeeds) {
+    ASSERT_TRUE(ParseFaultSpec(seed).ok()) << seed;
+  }
+  const std::string kAlphabet =
+      "abcdefghijklmnopqrstuvwxyz_.*#=:,0123456789-+E ";
+  constexpr int kMutants = 12000;
+  Rng rng(20261018);
+  int accepted = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    std::string spec = kSeeds[rng.UniformUint64(kSeeds.size())];
+    const int edits = 1 + static_cast<int>(rng.UniformUint64(2));
+    for (int e = 0; e < edits; ++e) {
+      const char c = kAlphabet[rng.UniformUint64(kAlphabet.size())];
+      const size_t op = rng.UniformUint64(3);
+      if (op == 0 || spec.empty()) {
+        spec.insert(spec.begin() +
+                        static_cast<ptrdiff_t>(
+                            rng.UniformUint64(spec.size() + 1)),
+                    c);
+      } else if (op == 1) {
+        spec.erase(rng.UniformUint64(spec.size()), 1);
+      } else {
+        spec[rng.UniformUint64(spec.size())] = c;
+      }
+    }
+    const Result<std::vector<FaultRule>> rules = ParseFaultSpec(spec);
+    if (!rules.ok()) {
+      ASSERT_EQ(rules.status().code(), StatusCode::kInvalidArgument) << spec;
+      continue;
+    }
+    ++accepted;
+    for (const FaultRule& rule : *rules) {
+      EXPECT_TRUE(NamesWiredSite(rule.site)) << spec;
+      EXPECT_TRUE(rule.every_nth >= 1 ||
+                  (rule.probability > 0.0 && rule.probability <= 1.0))
+          << spec;
+      EXPECT_TRUE(rule.detail == FaultRule::kAnyDetail || rule.detail >= 0)
+          << spec;
+    }
+  }
+  // Both outcomes occur often enough to matter: about 2% of these mutants
+  // parse, most edits landing in a site name.
+  EXPECT_GT(accepted, kMutants / 100);
+  EXPECT_LT(accepted, kMutants - kMutants / 100);
 }
 
 // --- FaultInjector -------------------------------------------------------
@@ -117,7 +197,7 @@ TEST(FaultInjectorTest, PrefixWildcardMatchesSiteFamily) {
   ScopedFaultInjection scoped({{.site = "migrate.*", .every_nth = 1}});
   EXPECT_FALSE(CheckFault(fault_sites::kMigrateCopy, 0).ok());
   EXPECT_FALSE(CheckFault(fault_sites::kMigrateDelete, 0).ok());
-  EXPECT_TRUE(CheckFault(fault_sites::kShardSubQuery, 0).ok());
+  EXPECT_TRUE(CheckFault(fault_sites::kBufferPoolFetch, 0).ok());
 }
 
 TEST(FaultInjectorTest, MaxFiresModelsATransientOutage) {
@@ -210,163 +290,7 @@ TEST(StorageFaultTest, BufferPoolFetchFaultIsNotCached) {
   EXPECT_TRUE(pool.IsResident(id));
 }
 
-// --- CircuitBreaker ------------------------------------------------------
-
-// A breaker on a hand-cranked clock, threshold 2, 1ms cooldown.
-struct BreakerFixture {
-  std::atomic<int64_t> now_micros{0};
-  CircuitBreaker breaker;
-
-  BreakerFixture()
-      : breaker([this] {
-          CircuitBreakerOptions options;
-          options.failure_threshold = 2;
-          options.open_duration_micros = 1000;
-          options.clock_micros = [this] { return now_micros.load(); };
-          return options;
-        }()) {}
-};
-
-TEST(CircuitBreakerTest, StaysClosedBelowThresholdAndSuccessResets) {
-  BreakerFixture f;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordSuccess();  // Streak broken.
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kClosed);
-}
-
-TEST(CircuitBreakerTest, TripsOpenAtThresholdAndRejects) {
-  BreakerFixture f;
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(f.breaker.AllowRequest());
-    f.breaker.RecordFailure();
-  }
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kOpen);
-  EXPECT_FALSE(f.breaker.AllowRequest());
-  EXPECT_FALSE(f.breaker.AllowRequest());
-  EXPECT_EQ(f.breaker.rejections(), 2u);
-}
-
-TEST(CircuitBreakerTest, CooldownAdmitsOneProbeThenCloses) {
-  BreakerFixture f;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();  // Open at t=0, until t=1000.
-  f.now_micros = 999;
-  EXPECT_FALSE(f.breaker.AllowRequest());
-  f.now_micros = 1000;
-  EXPECT_TRUE(f.breaker.AllowRequest());  // The probe.
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_FALSE(f.breaker.AllowRequest());  // Only one probe at a time.
-  f.breaker.RecordSuccess();
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(f.breaker.AllowRequest());
-}
-
-TEST(CircuitBreakerTest, FailedProbeReopensWithFreshCooldown) {
-  BreakerFixture f;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  f.now_micros = 1500;
-  ASSERT_TRUE(f.breaker.AllowRequest());  // Probe...
-  f.breaker.RecordFailure();              // ...still sick.
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kOpen);
-  f.now_micros = 2499;  // New cooldown runs from t=1500.
-  EXPECT_FALSE(f.breaker.AllowRequest());
-  f.now_micros = 2500;
-  EXPECT_TRUE(f.breaker.AllowRequest());
-}
-
-TEST(CircuitBreakerTest, NeutralReleasesProbeWithoutVerdict) {
-  BreakerFixture f;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  f.now_micros = 1000;
-  ASSERT_TRUE(f.breaker.AllowRequest());  // Probe out.
-  f.breaker.RecordNeutral();              // Caller cancelled: no verdict.
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kHalfOpen);
-  EXPECT_TRUE(f.breaker.AllowRequest());  // Probe slot is free again.
-}
-
-// The probe-leak regression: an admitted half-open probe abandoned at ANY
-// unwind point (early return, exception, teardown) used to leave
-// probe_in_flight_ wedged true, after which every future probe was
-// rejected and the shard could never close again. ProbeGuard's destructor
-// now delivers the abandonment verdict. Each sub-case below drops the
-// guard at a different point of the verdict protocol.
-TEST(CircuitBreakerTest, AbandonedProbeGuardReleasesTheProbeSlot) {
-  BreakerFixture f;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();  // Open at t=0.
-  f.now_micros = 1000;
-
-  // Drop point 1: guard destroyed with no verdict at all (the caller
-  // unwound before the sub-query finished).
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  { CircuitBreaker::ProbeGuard guard(&f.breaker); }
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kHalfOpen);
-  ASSERT_TRUE(f.breaker.AllowRequest()) << "probe slot leaked at drop 1";
-
-  // Drop point 2: guard destroyed after an explicit Neutral (double
-  // delivery must not occur — the destructor sees delivered() and stays
-  // out).
-  {
-    CircuitBreaker::ProbeGuard guard(&f.breaker);
-    guard.Neutral();
-    EXPECT_TRUE(guard.delivered());
-  }
-  ASSERT_TRUE(f.breaker.AllowRequest()) << "probe slot leaked at drop 2";
-
-  // Drop point 3: guard destroyed by an exception unwinding through the
-  // attempt.
-  try {
-    CircuitBreaker::ProbeGuard guard(&f.breaker);
-    throw std::runtime_error("sub-query blew up");
-  } catch (const std::runtime_error&) {
-  }
-  ASSERT_TRUE(f.breaker.AllowRequest()) << "probe slot leaked at drop 3";
-
-  // Drop point 4: verdict delivered through the guard — Success closes
-  // the breaker exactly as a bare RecordSuccess would, and the destructor
-  // adds nothing on top.
-  {
-    CircuitBreaker::ProbeGuard guard(&f.breaker);
-    guard.Success();
-  }
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kClosed);
-  EXPECT_TRUE(f.breaker.AllowRequest());
-}
-
-TEST(CircuitBreakerTest, ProbeGuardFailureReopensLikeRecordFailure) {
-  BreakerFixture f;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  f.breaker.RecordFailure();
-  f.now_micros = 1000;
-  ASSERT_TRUE(f.breaker.AllowRequest());
-  {
-    CircuitBreaker::ProbeGuard guard(&f.breaker);
-    guard.Failure();
-  }
-  EXPECT_EQ(f.breaker.state(), CircuitBreaker::State::kOpen);
-  f.now_micros = 1999;  // Fresh cooldown from the failed probe.
-  EXPECT_FALSE(f.breaker.AllowRequest());
-  f.now_micros = 2000;
-  EXPECT_TRUE(f.breaker.AllowRequest());
-}
-
-// --- Serving-layer degradation ------------------------------------------
+// --- Serving-layer failures -----------------------------------------------
 
 // This suite's planted-cluster database (see tests/test_util.h): shorter
 // sample counts and different filler genes than the sharding suites, so a
@@ -399,9 +323,9 @@ class ServingFaultTest : public ::testing::Test {
   static constexpr size_t kSources = 6;
   static constexpr size_t kShards = 3;
 
-  void Build(ShardedEngineOptions options = {}) {
+  void Build(ShardedEngineOptions options = {}, ThreadPool* pool = nullptr) {
     options.num_shards = kShards;
-    sharded_ = std::make_unique<ShardedEngine>(options);
+    sharded_ = std::make_unique<ShardedEngine>(options, pool);
     sharded_->LoadDatabase(FaultDatabase(kSources));
     ASSERT_TRUE(sharded_->BuildIndex().ok());
 
@@ -419,133 +343,38 @@ class ServingFaultTest : public ::testing::Test {
   std::vector<QueryMatch> expected_;
 };
 
-TEST_F(ServingFaultTest, TransientShardFaultIsRetriedToTheExactAnswer) {
-  Build();
-  // Shard 1 fails its first two sub-query attempts, then heals — inside
-  // the default 3-attempt budget.
-  ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                .detail = 1,
-                                .every_nth = 1,
-                                .max_fires = 2}});
-  QueryStats stats;
-  Result<std::vector<QueryMatch>> result =
-      sharded_->Query(FaultQueryMatrix(), FaultParams(), &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSameMatches(*result, expected_, "retried");
-  EXPECT_EQ(stats.shard_retries, 2u);
-  EXPECT_FALSE(stats.degraded);
-}
-
-TEST_F(ServingFaultTest, PersistentFaultFailsTheQueryWithoutAllowPartial) {
-  Build();
-  ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                .detail = 1,
-                                .every_nth = 1}});
-  Result<std::vector<QueryMatch>> result =
-      sharded_->Query(FaultQueryMatrix(), FaultParams());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-}
-
-TEST_F(ServingFaultTest, AllowPartialDegradesToSurvivingShardsBitExact) {
-  Build();
-  const size_t kDownShard = 1;
-  ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                .detail = static_cast<int64_t>(kDownShard),
-                                .every_nth = 1}});
-  QueryParams params = FaultParams();
-  params.allow_partial = true;
-  QueryStats stats;
-  Result<std::vector<QueryMatch>> result =
-      sharded_->Query(FaultQueryMatrix(), params, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(stats.degraded);
-  EXPECT_EQ(stats.failed_shards, std::vector<size_t>{kDownShard});
-  // The degraded answer is the unsharded answer restricted to the sources
-  // owned by surviving shards.
-  std::vector<QueryMatch> surviving;
-  for (const QueryMatch& match : expected_) {
-    if (sharded_->ShardOf(match.source) != kDownShard) {
-      surviving.push_back(match);
-    }
-  }
-  ASSERT_LT(surviving.size(), expected_.size());  // The shard owned answers.
-  ExpectSameMatches(*result, surviving, "degraded");
-}
-
-TEST_F(ServingFaultTest, EveryShardDownFailsEvenWithAllowPartial) {
-  Build();
-  ScopedFaultInjection scoped(
-      {{.site = fault_sites::kShardSubQuery, .every_nth = 1}});
-  QueryParams params = FaultParams();
-  params.allow_partial = true;
-  Result<std::vector<QueryMatch>> result =
-      sharded_->Query(FaultQueryMatrix(), params);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
-}
-
-TEST_F(ServingFaultTest, DataLossDegradesButIsNeverRetried) {
-  Build();
-  ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                .detail = 2,
-                                .every_nth = 1,
-                                .code = StatusCode::kDataLoss}});
-  QueryParams params = FaultParams();
-  params.allow_partial = true;
-  QueryStats stats;
-  Result<std::vector<QueryMatch>> result =
-      sharded_->Query(FaultQueryMatrix(), params, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(stats.degraded);
-  EXPECT_EQ(stats.shard_retries, 0u);  // Corruption is not transient.
-}
-
-TEST_F(ServingFaultTest, BreakerQuarantinesThenRecovers) {
-  std::atomic<int64_t> now_micros{0};
+// A sharded query fails whole, like one engine: a single failed fetch in
+// one sub-query makes the query kUnavailable. The sub-query is not retried
+// on its shard's other replica and no partial answer comes back; every
+// sub-query is gathered first, and the next query answers exactly.
+TEST_F(ServingFaultTest, OneFailedSubQueryFailsTheWholeQuery) {
+  ThreadPool pool(2);
   ShardedEngineOptions options;
-  options.retry.max_attempts = 1;  // Isolate the breaker's behavior.
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_duration_micros = 1000;
-  options.breaker.clock_micros = [&now_micros] { return now_micros.load(); };
-  Build(options);
-
-  QueryParams params = FaultParams();
-  params.allow_partial = true;
+  options.num_replicas = 2;
+  Build(options, &pool);
   {
-    ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                  .detail = 0,
-                                  .every_nth = 1}});
-    // Two failing queries trip shard 0's breaker...
-    for (int i = 0; i < 2; ++i) {
-      QueryStats stats;
-      ASSERT_TRUE(sharded_->Query(FaultQueryMatrix(), params, &stats).ok());
-      EXPECT_TRUE(stats.degraded);
-    }
-    ShardedEngineStatsSnapshot snapshot = sharded_->StatsSnapshot();
-    EXPECT_EQ(snapshot.shards[0].replicas[0].breaker,
-              CircuitBreaker::State::kOpen);
-    // ...so the next query is turned away instantly (no attempt reaches
-    // the fault site) yet still degrades cleanly.
-    QueryStats stats;
-    ASSERT_TRUE(sharded_->Query(FaultQueryMatrix(), params, &stats).ok());
-    EXPECT_TRUE(stats.degraded);
-    EXPECT_EQ(stats.failed_shards, std::vector<size_t>{0});
-    EXPECT_GT(
-        sharded_->StatsSnapshot().shards[0].replicas[0].breaker_rejections,
-        0u);
+    ScopedFaultInjection scoped({{.site = fault_sites::kBufferPoolFetch,
+                                  .every_nth = 1,
+                                  .max_fires = 1}});
+    Result<std::vector<QueryMatch>> result =
+        sharded_->Query(FaultQueryMatrix(), FaultParams());
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
   }
-  // The shard heals and the cooldown expires: the probe query closes the
-  // breaker and the full bit-exact answer returns.
-  now_micros = 1000;
-  QueryStats stats;
-  Result<std::vector<QueryMatch>> result =
-      sharded_->Query(FaultQueryMatrix(), params, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_FALSE(stats.degraded);
-  ExpectSameMatches(*result, expected_, "recovered");
-  EXPECT_EQ(sharded_->StatsSnapshot().shards[0].replicas[0].breaker,
-            CircuitBreaker::State::kClosed);
+  uint64_t errors = 0;
+  for (const ShardStats& shard : sharded_->StatsSnapshot().shards) {
+    for (const ReplicaStats& replica : shard.replicas) {
+      EXPECT_EQ(replica.in_flight, 0u)
+          << "shard " << shard.shard << " replica " << replica.replica;
+      errors += replica.sub_query_errors;
+    }
+  }
+  EXPECT_EQ(errors, 1u);
+
+  Result<std::vector<QueryMatch>> next =
+      sharded_->Query(FaultQueryMatrix(), FaultParams());
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ExpectSameMatches(*next, expected_, "after the failed query");
 }
 
 // --- Crash-safe migration ------------------------------------------------

@@ -581,99 +581,6 @@ TEST(PartitionerTest, BalancedPlanIsDeterministicAndNearOptimal) {
   EXPECT_LE(MaxMeanImbalance(load), 4.0 / 3.0);
 }
 
-// --- Shard-fault differential: degradation restricted to survivors ------
-//
-// The allow_partial contract stated differentially: for ANY partition map
-// and ANY single down shard, the degraded answer must equal the unsharded
-// reference answer restricted to the sources the surviving shards own —
-// same sources, bit-identical probabilities and mappings.
-
-TEST_F(PartitionInvarianceTest, DegradedAnswerEqualsReferenceOfSurvivors) {
-  const size_t kSources = 10;
-  BuildReference(MakeDatabase(kSources));
-  QueryParams params = DefaultParams();
-  const GeneMatrix query = ClusterQueryMatrix(9300);
-  const std::vector<QueryMatch> expected = ReferenceQuery(query, params);
-  ASSERT_EQ(expected.size(), kSources);
-  params.allow_partial = true;
-
-  ThreadPool pool(4);
-  Rng rng(777);
-  for (size_t trial = 0; trial < 5; ++trial) {
-    const size_t num_shards = 2 + rng.UniformUint64(4);
-    PartitionPlan plan = RandomPlan(kSources, num_shards, &rng);
-    const size_t down = rng.UniformUint64(num_shards);
-
-    ShardedEngineOptions options;
-    options.num_shards = num_shards;
-    options.partitioner = std::make_shared<ExplicitPartitioner>(plan);
-    options.retry.initial_backoff_micros = 1;  // Don't sleep for real.
-    ShardedEngine sharded(options, &pool);
-    sharded.LoadDatabase(MakeDatabase(kSources));
-    ASSERT_TRUE(sharded.BuildIndex().ok());
-
-    ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                  .detail = static_cast<int64_t>(down),
-                                  .every_nth = 1}});
-    QueryStats stats;
-    Result<std::vector<QueryMatch>> result =
-        sharded.Query(query, params, &stats);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(stats.degraded);
-    EXPECT_EQ(stats.failed_shards, std::vector<size_t>{down});
-
-    std::vector<QueryMatch> survivors;
-    for (const QueryMatch& match : expected) {
-      if (plan.shard_of[match.source] != down) survivors.push_back(match);
-    }
-    ExpectIdentical(*result, survivors,
-                    "trial " + std::to_string(trial) + " down=" +
-                        std::to_string(down));
-  }
-}
-
-TEST_F(PartitionInvarianceTest, DegradedTopKRanksOverSurvivorsOnly) {
-  // top_k composes with degradation as "the top k of what was answerable":
-  // the merged survivor set is ranked and truncated exactly like
-  // FinalizeMatches over the restricted reference answer. A shard-local
-  // truncation (or ranking against ghosts of the down shard) would break
-  // this.
-  const size_t kSources = 10;
-  BuildReference(MakeDatabase(kSources));
-  QueryParams params = DefaultParams();
-  const GeneMatrix query = ClusterQueryMatrix(9400);
-  const std::vector<QueryMatch> full = ReferenceQuery(query, params);
-  ASSERT_EQ(full.size(), kSources);
-
-  const size_t kShards = 3;
-  const size_t kDown = 1;
-  ThreadPool pool(4);
-  ShardedEngineOptions options;
-  options.num_shards = kShards;
-  options.retry.initial_backoff_micros = 1;
-  ShardedEngine sharded(options, &pool);
-  sharded.LoadDatabase(MakeDatabase(kSources));
-  ASSERT_TRUE(sharded.BuildIndex().ok());
-
-  ScopedFaultInjection scoped({{.site = fault_sites::kShardSubQuery,
-                                .detail = static_cast<int64_t>(kDown),
-                                .every_nth = 1}});
-  params.allow_partial = true;
-  params.top_k = 4;
-  QueryStats stats;
-  Result<std::vector<QueryMatch>> result =
-      sharded.Query(query, params, &stats);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(stats.degraded);
-
-  std::vector<QueryMatch> survivors;
-  for (const QueryMatch& match : full) {
-    if (sharded.ShardOf(match.source) != kDown) survivors.push_back(match);
-  }
-  FinalizeMatches(params.top_k, &survivors);
-  ExpectIdentical(*result, survivors, "degraded top-k");
-}
-
 TEST(PartitionerTest, FactoryAndPlacement) {
   EXPECT_STREQ(MakePartitioner("modulo")->name(), "modulo");
   EXPECT_STREQ(MakePartitioner("balanced")->name(), "balanced");

@@ -2,10 +2,8 @@
 // differentially: for every (shard count K, replica count R) in a grid,
 // the replicated engine's matches are byte-identical to a single
 // unsharded ImGrnEngine, and its QueryStats counters are identical to the
-// same engine at R=1 — the ONLY stats field serving topology may change
-// is replica_failovers (plus wall-clock). On top of the grid: round-robin
-// routing spreads sub-queries evenly, a quarantined replica sheds its
-// load onto peers with NO degradation, and SetReplicas scales a live
+// same engine at R=1 (wall-clock aside). On top of the grid: round-robin
+// routing spreads sub-queries evenly, and SetReplicas scales a live
 // engine without perturbing answers.
 
 #include <cstdint>
@@ -15,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/fault_injection.h"
 #include "core/engine.h"
 #include "service/replica_set.h"
 #include "service/sharded_engine.h"
@@ -38,12 +35,11 @@ using testing_util::MakeShardedOptions;
 constexpr ClusterDatabaseConfig kConfig = {.seed_base = 3100};
 
 // The replication contract on QueryStats: every counter is bit-identical
-// across serving topologies. replica_failovers is asserted separately by
-// each test (the one field topology MAY change), the four *_seconds
-// fields and source_costs hold wall-clock, and page_accesses (physical
-// buffer-pool misses) additionally depends on which replica's pool served
-// the PREVIOUS queries — so the first query of a fresh engine compares it
-// (every pool cold, cursor at replica 0) and later queries mask it.
+// across serving topologies. The four *_seconds fields and source_costs
+// hold wall-clock, and page_accesses (physical buffer-pool misses)
+// additionally depends on which replica's pool served the PREVIOUS
+// queries — so the first query of a fresh engine compares it (every pool
+// cold, cursor at replica 0) and later queries mask it.
 void ExpectSameCounters(const QueryStats& actual, const QueryStats& baseline,
                         bool include_page_accesses,
                         const std::string& context) {
@@ -71,8 +67,6 @@ void ExpectSameCounters(const QueryStats& actual, const QueryStats& baseline,
   EXPECT_EQ(actual.matrices_pruned_graph, baseline.matrices_pruned_graph)
       << context;
   EXPECT_EQ(actual.answers, baseline.answers) << context;
-  EXPECT_EQ(actual.degraded, baseline.degraded) << context;
-  EXPECT_EQ(actual.failed_shards, baseline.failed_shards) << context;
   EXPECT_EQ(actual.shard_retries, baseline.shard_retries) << context;
 }
 
@@ -202,125 +196,7 @@ TEST_F(ReplicationTest, RoundRobinSpreadsSubQueriesEvenly) {
           << "shard " << shard.shard << " replica " << replica.replica;
       EXPECT_EQ(replica.sub_query_errors, 0u);
       EXPECT_EQ(replica.in_flight, 0u);
-      EXPECT_EQ(replica.breaker, CircuitBreaker::State::kClosed);
     }
-  }
-}
-
-// Replica 0 of every shard fails persistently: its breaker trips after
-// `failure_threshold` failures and the round-robin router sheds its share
-// onto the healthy peer. Queries complete bit-exact WITHOUT allow_partial
-// — no degraded flag, no failed shards — and the snapshot shows exactly
-// which replica is quarantined.
-TEST_F(ReplicationTest, QuarantinedReplicaShedsLoadToPeersWithoutDegrading) {
-  constexpr size_t kShards = 2;
-  constexpr size_t kReplicas = 2;
-  ShardedEngineOptions options = MakeShardedOptions(kShards, kReplicas);
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_duration_micros = 60'000'000;  // Stays open.
-  options.retry.initial_backoff_micros = 1;
-  std::unique_ptr<ShardedEngine> sharded =
-      MakeLoadedShardedEngine(kConfig, kSources, std::move(options));
-
-  std::vector<FaultRule> rules;
-  for (size_t shard = 0; shard < kShards; ++shard) {
-    rules.push_back(
-        {.site = fault_sites::kReplicaSubQuery,
-         .detail = static_cast<int64_t>(shard) *
-                   fault_sites::kReplicaDetailStride,
-         .every_nth = 1});
-  }
-  ScopedFaultInjection faults(rules);
-
-  uint64_t total_failovers = 0;
-  for (size_t q = 0; q < 6; ++q) {
-    const GeneMatrix query = MakeClusterQueryMatrix(8300 + q);
-    QueryStats stats;
-    Result<std::vector<QueryMatch>> result =
-        sharded->Query(query, params_, &stats);  // allow_partial NOT set.
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_FALSE(stats.degraded);
-    EXPECT_TRUE(stats.failed_shards.empty());
-    ExpectIdenticalMatches(*result, ReferenceQuery(query, params_),
-                           "query " + std::to_string(q));
-    total_failovers += stats.replica_failovers;
-  }
-  EXPECT_GT(total_failovers, 0u);
-
-  const ShardedEngineStatsSnapshot snapshot = sharded->StatsSnapshot();
-  for (const ShardStats& shard : snapshot.shards) {
-    ASSERT_EQ(shard.replicas.size(), kReplicas);
-    // Sequential routing: replica 0 served (and failed) exactly
-    // failure_threshold sub-queries before its breaker quarantined it;
-    // replica 1 absorbed everything, including the failovers.
-    EXPECT_EQ(shard.replicas[0].breaker, CircuitBreaker::State::kOpen);
-    EXPECT_EQ(shard.replicas[0].sub_queries, 2u);
-    EXPECT_EQ(shard.replicas[0].sub_query_errors, 2u);
-    EXPECT_GT(shard.replicas[0].breaker_rejections, 0u);
-    EXPECT_EQ(shard.replicas[1].breaker, CircuitBreaker::State::kClosed);
-    EXPECT_EQ(shard.replicas[1].sub_queries, 6u);
-    EXPECT_EQ(shard.replicas[1].sub_query_errors, 0u);
-  }
-}
-
-// Only when EVERY replica of a shard is quarantined does the shard fail —
-// fatally without allow_partial, as a bit-exact degraded answer with it.
-TEST_F(ReplicationTest, AllReplicasQuarantinedDegradesLikeShardFailure) {
-  constexpr size_t kShards = 2;
-  constexpr size_t kReplicas = 2;
-  constexpr size_t kSickShard = 1;
-  ShardedEngineOptions options = MakeShardedOptions(kShards, kReplicas);
-  options.breaker.failure_threshold = 1;
-  options.breaker.open_duration_micros = 60'000'000;
-  options.retry.initial_backoff_micros = 1;
-  std::unique_ptr<ShardedEngine> sharded =
-      MakeLoadedShardedEngine(kConfig, kSources, std::move(options));
-
-  std::vector<FaultRule> rules;
-  for (size_t replica = 0; replica < kReplicas; ++replica) {
-    rules.push_back(
-        {.site = fault_sites::kReplicaSubQuery,
-         .detail = static_cast<int64_t>(kSickShard) *
-                       fault_sites::kReplicaDetailStride +
-                   static_cast<int64_t>(replica),
-         .every_nth = 1});
-  }
-  ScopedFaultInjection faults(rules);
-
-  // Strict query: the whole-shard failure surfaces.
-  const GeneMatrix query = MakeClusterQueryMatrix(8350);
-  EXPECT_EQ(sharded->Query(query, params_).status().code(),
-            StatusCode::kUnavailable);
-
-  // Partial queries keep answering bit-exact for the surviving shard.
-  QueryParams partial = params_;
-  partial.allow_partial = true;
-  for (size_t q = 0; q < 2; ++q) {
-    const GeneMatrix partial_query = MakeClusterQueryMatrix(8351 + q);
-    std::vector<QueryMatch> expected_surviving;
-    for (const QueryMatch& match : ReferenceQuery(partial_query, params_)) {
-      if (sharded->ShardOf(match.source) != kSickShard) {
-        expected_surviving.push_back(match);
-      }
-    }
-    QueryStats stats;
-    Result<std::vector<QueryMatch>> result =
-        sharded->Query(partial_query, partial, &stats);
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_TRUE(stats.degraded);
-    EXPECT_EQ(stats.failed_shards, std::vector<size_t>{kSickShard});
-    ExpectIdenticalMatches(*result, expected_surviving,
-                           "degraded " + std::to_string(q));
-  }
-
-  const ShardedEngineStatsSnapshot snapshot = sharded->StatsSnapshot();
-  for (const ReplicaStats& replica :
-       snapshot.shards[kSickShard].replicas) {
-    EXPECT_EQ(replica.breaker, CircuitBreaker::State::kOpen);
-  }
-  for (const ReplicaStats& replica : snapshot.shards[0].replicas) {
-    EXPECT_EQ(replica.breaker, CircuitBreaker::State::kClosed);
-    EXPECT_EQ(replica.sub_query_errors, 0u);
   }
 }
 
@@ -393,55 +269,17 @@ TEST(ReplicationErrorsTest, SetReplicasValidation) {
   EXPECT_EQ(sharded->num_replicas(), 1u);
 }
 
-// The routing primitive itself: strict round robin while healthy, skip
-// (and count) quarantined replicas, -1 when the whole ring is quarantined.
-TEST(ReplicaSetTest, PickReplicaRoundRobinSkipsQuarantined) {
-  CircuitBreakerOptions breaker_options;
-  breaker_options.failure_threshold = 1;
-  breaker_options.open_duration_micros = 60'000'000;  // Stays open.
+// The routing primitive itself: strict round robin.
+TEST(ReplicaSetTest, PickReplicaIsRoundRobin) {
   std::vector<std::shared_ptr<ShardReplica>> replicas;
   for (int i = 0; i < 3; ++i) {
-    replicas.push_back(
-        std::make_shared<ShardReplica>(EngineOptions{}, breaker_options));
+    replicas.push_back(std::make_shared<ShardReplica>(EngineOptions{}));
   }
   ReplicaSet set(std::move(replicas));
   ASSERT_EQ(set.size(), 3u);
-
-  // Healthy ring: strict round robin, nothing skipped. `skipped` is an
-  // ACCUMULATOR (the caller passes its replica_failovers counter), so it
-  // must be left untouched on a first-try pick.
-  uint64_t accumulated = 0;
-  for (int64_t want : {0, 1, 2, 0, 1, 2}) {
-    EXPECT_EQ(set.PickReplica(&accumulated), want);
-    EXPECT_EQ(accumulated, 0u);
+  for (size_t want : {0, 1, 2, 0, 1, 2}) {
+    EXPECT_EQ(set.PickReplica(), want);
   }
-
-  // Trip replica 1: it is skipped (and the skip reported), its share
-  // landing on the next healthy peer; the cursor keeps advancing once per
-  // pick, so the post-trip pattern is periodic.
-  ASSERT_TRUE(set.replica(1)->breaker.AllowRequest());
-  set.replica(1)->breaker.RecordFailure();
-  ASSERT_EQ(set.replica(1)->breaker.state(), CircuitBreaker::State::kOpen);
-  const struct {
-    int64_t want;
-    uint64_t skips;
-  } kSteps[] = {{0, 0}, {2, 1}, {2, 0}, {0, 0}, {2, 1}, {2, 0}};
-  uint64_t expected_total = 0;
-  for (const auto& step : kSteps) {
-    EXPECT_EQ(set.PickReplica(&accumulated), step.want);
-    expected_total += step.skips;
-    EXPECT_EQ(accumulated, expected_total);
-  }
-  EXPECT_GT(set.replica(1)->breaker.rejections(), 0u);
-
-  // Quarantine the whole ring: no pick, every replica counted skipped.
-  for (size_t i : {0u, 2u}) {
-    ASSERT_TRUE(set.replica(i)->breaker.AllowRequest());
-    set.replica(i)->breaker.RecordFailure();
-  }
-  uint64_t skipped = 0;
-  EXPECT_EQ(set.PickReplica(&skipped), -1);
-  EXPECT_EQ(skipped, 3u);
 }
 
 }  // namespace

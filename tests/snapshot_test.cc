@@ -639,6 +639,7 @@ TEST(SnapshotTest, ForgedCountsRejected) {
       {"embed_samples zero", kPartsSection, 16, 0},
       {"page_size", kPartsSection, 24, 4096},
       {"rtree_max_entries 3", kPartsSection, 32, 3},
+      {"rtree_max_entries above a page", kPartsSection, 32, 4000},
       {"buffer_pool_pages zero", kPartsSection, 40, 0},
       {"source count 1e8", kPartsSection, kPartsSourceCount, 100000000},
       {"source count 2^40", kPartsSection, kPartsSourceCount, 1ull << 40},

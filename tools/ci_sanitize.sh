@@ -8,13 +8,14 @@
 # "partitioning" (the differential partition-invariance suite, whose
 # Rebalance/Resize paths copy, publish and drain replicas while the
 # per-replica busy-time and traffic gauges are written by the query path
-# and read by StatsSnapshot) and "robustness" (fault injection, circuit
-# breaker, degraded queries, and fault-killed migrations: the
+# and read by StatsSnapshot) and "robustness" (the fault injector and a
+# seeded mutation fuzzer of its spec parser, a query failed whole by a
+# faulted sub-query, and fault-killed migrations and replica changes: the
 # rollback/roll-forward paths normal traffic never reaches, where leaks
 # and races hide) and "replication" (the replica-set differential suite:
-# round-robin routing over lock-free cursors, breaker failover, and
-# SetReplicas cloning and retiring whole replicas — run under BOTH kinds,
-# races on the routing side and leaks on the retirement side);
+# round-robin routing over a lock-free cursor, and SetReplicas cloning
+# and retiring whole replicas — run under BOTH kinds, races on the
+# routing side and leaks on the retirement side);
 # see tests/CMakeLists.txt. The ASan run additionally
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw

@@ -9,7 +9,7 @@
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
 //               [--replicas=1] [--store=mem|disk:FILE]
 //               [--partition=modulo|balanced]
-//               [--fault=SPEC] [--fault-seed=N] [--allow-partial=0|1]
+//               [--fault=SPEC] [--fault-seed=N]
 //       Build the index and run one IM-GRN query; q.txt is a gene matrix
 //       file (matrix_io.h). To query a persisted index, use
 //       `snapshot load --query`.
@@ -29,14 +29,13 @@
 //       (service/replica_set.h): updates apply to all replicas in lock
 //       step and each sub-query is served by one replica picked
 //       round-robin, so the matches are identical to --replicas=1 by
-//       construction (read scaling, not a semantic knob). Implies the
-//       sharded path even with --shards=1.
-//       --fault= installs fault-injection rules for the run (grammar in
-//       common/fault_injection.h, e.g. --fault=shard.subquery#1=n1);
-//       --fault-seed seeds the probabilistic triggers. With
-//       --allow-partial=1 a query that loses shards degrades instead of
-//       failing: the surviving shards' matches are printed, a DEGRADED
-//       line names the failed shards, and the exit code stays 0.
+//       construction. Implies the sharded path even with --shards=1.
+//       --fault= installs fault-injection rules for the run (grammar and
+//       wired sites in common/fault_injection.h, e.g.
+//       --fault=buffer_pool.fetch=n1); a spec naming a site no code
+//       evaluates exits 2. --fault-seed seeds the probabilistic triggers.
+//       A failed sub-query fails the whole query, as on one engine: the
+//       command prints the error and exits 1.
 //   imgrn snapshot save --db=db.txt --store=disk:FILE [--pivots=2]
 //               [--seed=7]
 //   imgrn snapshot load --store=disk:FILE [--query=q.txt] [--gamma=0.5]
@@ -232,7 +231,6 @@ int CmdQuery(int argc, char** argv) {
              {"partition", "modulo"},
              {"fault", ""},
              {"fault-seed", "1234"},
-             {"allow-partial", "0"},
              {"store", "mem"},
              {"seed", "99"}});
   if (!args.Has("db") || !args.Has("query")) {
@@ -278,7 +276,6 @@ int CmdQuery(int argc, char** argv) {
   params.alpha = args.GetDouble("alpha");
   params.top_k = args.GetCount("top_k");
   params.seed = args.GetCount("seed");
-  params.allow_partial = args.GetInt("allow-partial") != 0;
 
   if (args.Has("fault")) {
     Result<std::vector<FaultRule>> rules = ParseFaultSpec(args.Get("fault"));
@@ -333,17 +330,6 @@ int CmdQuery(int argc, char** argv) {
   }
   if (!matches.ok()) return Fail(matches.status());
 
-  if (stats.degraded) {
-    std::string failed;
-    for (size_t shard : stats.failed_shards) {
-      if (!failed.empty()) failed += ",";
-      failed += std::to_string(shard);
-    }
-    std::printf("DEGRADED: shards %s failed (%llu retries spent); matches "
-                "below cover the surviving shards only\n",
-                failed.c_str(),
-                static_cast<unsigned long long>(stats.shard_retries));
-  }
   std::printf("query: %zu genes, %zu inferred edges (gamma=%.2f)\n",
               stats.query_vertices, stats.query_edges, params.gamma);
   std::printf("stats: %.4f s CPU, %llu page accesses, %zu candidates, "
