@@ -35,23 +35,13 @@ inline constexpr char kDiskWrite[] = "disk.write";
 /// `detail` = protocol step (see DiskStorageManager::SyncStep), so a test
 /// can simulate a crash at each fsync point individually.
 inline constexpr char kDiskSync[] = "disk.sync";
-/// The steps of every ShardedEngine topology change (Rebalance, Resize,
-/// SetReplicas): copy, publish, drain, and for Rebalance and Resize
-/// delete. `detail` is the global source id for copy/delete
-/// and, for publish/drain, the shard count of the topology being
-/// published.
-inline constexpr char kMigrateCopy[] = "migrate.copy";
-inline constexpr char kMigratePublish[] = "migrate.publish";
-inline constexpr char kMigrateDrain[] = "migrate.drain";
-inline constexpr char kMigrateDelete[] = "migrate.delete";
 
 /// Every site above: the ones some code evaluates. ParseFaultSpec accepts
 /// only these (or a `prefix*` matching one of them), so a spec cannot arm
 /// a rule that never fires.
-inline constexpr const char* kWired[] = {
-    kPagedFileRead, kPagedFileWrite, kBufferPoolFetch, kDiskRead,
-    kDiskWrite,     kDiskSync,       kMigrateCopy,     kMigratePublish,
-    kMigrateDrain,  kMigrateDelete};
+inline constexpr const char* kWired[] = {kPagedFileRead, kPagedFileWrite,
+                                         kBufferPoolFetch, kDiskRead,
+                                         kDiskWrite, kDiskSync};
 }  // namespace fault_sites
 
 /// One injection rule: where it applies, when it triggers, what it injects.
@@ -60,7 +50,7 @@ struct FaultRule {
   static constexpr int64_t kAnyDetail = -1;
 
   /// Site key (see fault_sites). A trailing '*' matches any site with the
-  /// preceding prefix, e.g. "migrate.*".
+  /// preceding prefix, e.g. "disk.*".
   std::string site;
 
   /// Restricts the rule to evaluations carrying this detail value (e.g.
@@ -183,7 +173,7 @@ inline Status CheckFault(const char* site,
 /// Examples:
 ///   buffer_pool.fetch#2=n1         every fetch of page 2 fails
 ///   paged_file.read=p0.01:code=dataloss
-///   migrate.copy=n1:x1,migrate.delete=n2
+///   disk.write=n1:x1,disk.sync=n2
 Result<std::vector<FaultRule>> ParseFaultSpec(const std::string& spec);
 
 /// RAII installer for tests: installs `rules` into the global injector on

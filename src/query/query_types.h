@@ -88,8 +88,13 @@ struct SourceCostSample {
 /// per-pruning-stage counters used by the ablation bench.
 struct QueryStats {
   double inference_seconds = 0.0;
+
+  /// Time in the index traversal and in refinement. ShardedEngine sums
+  /// them over its shards' sub-queries, which overlap in wall time, so
+  /// there they are CPU seconds and can exceed total_seconds.
   double traversal_seconds = 0.0;
   double refinement_seconds = 0.0;
+
   double total_seconds = 0.0;
 
   /// Physical page accesses (buffer-pool misses) during the query.

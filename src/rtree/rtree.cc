@@ -710,8 +710,14 @@ Status RTree::RestoreFromPages(const RTreeMeta& meta) {
         return Status::DataLoss("page " + std::to_string(node->page) +
                                 " is not a serialized R*-tree node");
       }
+      Result<RTreeNode> decoded =
+          DeserializeNode(**page, options_.dims, options_.payload_size);
+      if (!decoded.ok()) {
+        return Status::DataLoss("page " + std::to_string(node->page) + ": " +
+                                decoded.status().message());
+      }
       const PageId backing = node->page;
-      *node = DeserializeNode(**page, options_.dims, options_.payload_size);
+      *node = std::move(*decoded);
       node->page = backing;
       ++num_live_nodes_;
     }

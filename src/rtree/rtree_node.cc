@@ -1,5 +1,7 @@
 #include "rtree/rtree_node.h"
 
+#include <string>
+
 #include "common/logging.h"
 
 namespace imgrn {
@@ -54,14 +56,20 @@ bool IsSerializedNode(const Page& page) {
          page.ReadAt<uint32_t>(0) == kNodeMagic;
 }
 
-RTreeNode DeserializeNode(const Page& page, size_t dims,
-                          size_t payload_size) {
+Result<RTreeNode> DeserializeNode(const Page& page, size_t dims,
+                                  size_t payload_size) {
   PageCursor cursor(const_cast<Page*>(&page));
   const uint32_t magic = cursor.Read<uint32_t>();
   IMGRN_CHECK_EQ(magic, kNodeMagic) << "not a serialized R*-tree node";
   RTreeNode node;
   node.level = cursor.Read<int32_t>();
   const uint32_t count = cursor.Read<uint32_t>();
+  if (count > (page.size() - SerializedNodeHeaderSize()) /
+                  SerializedEntrySize(dims, payload_size)) {
+    return Status::DataLoss("R*-tree node page claims " +
+                            std::to_string(count) +
+                            " entries, more than the page holds");
+  }
   node.entries.reserve(count);
   for (uint32_t k = 0; k < count; ++k) {
     RTreeEntry entry;
@@ -69,6 +77,12 @@ RTreeNode DeserializeNode(const Page& page, size_t dims,
     std::vector<double> lo(dims), hi(dims);
     for (size_t i = 0; i < dims; ++i) lo[i] = cursor.Read<double>();
     for (size_t i = 0; i < dims; ++i) hi[i] = cursor.Read<double>();
+    for (size_t i = 0; i < dims; ++i) {
+      if (!(lo[i] <= hi[i])) {  // Also false when either bound is NaN.
+        return Status::DataLoss("R*-tree node entry " + std::to_string(k) +
+                                " has bounds that are NaN or inverted");
+      }
+    }
     entry.mbr = Mbr::FromBounds(std::move(lo), std::move(hi));
     entry.payload.resize(payload_size);
     if (payload_size > 0) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/status.h"
 #include "rtree/mbr.h"
 #include "storage/page.h"
 
@@ -50,8 +51,11 @@ void SerializeNode(const RTreeNode& node, size_t dims, size_t payload_size,
 bool IsSerializedNode(const Page& page);
 
 /// Inverse of SerializeNode. Checks the magic value (fatally; probe with
-/// IsSerializedNode first when the page provenance is untrusted).
-RTreeNode DeserializeNode(const Page& page, size_t dims, size_t payload_size);
+/// IsSerializedNode first when the page provenance is untrusted). A page
+/// that carries the magic but not a node is kDataLoss: an entry count
+/// past what the page holds, or bounds that are NaN or have lo > hi.
+Result<RTreeNode> DeserializeNode(const Page& page, size_t dims,
+                                  size_t payload_size);
 
 /// Bytes one serialized entry occupies.
 size_t SerializedEntrySize(size_t dims, size_t payload_size);

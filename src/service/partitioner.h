@@ -12,8 +12,8 @@
 namespace imgrn {
 
 /// A full assignment of global source ids to shards: source i lives on
-/// shard shard_of[i]. This is the unit ShardedEngine::Rebalance migrates
-/// to, and what a Partitioner produces.
+/// shard shard_of[i]. A Partitioner produces it, and
+/// ShardedEngine::LoadDatabase places each source by it for good.
 struct PartitionPlan {
   size_t num_shards = 0;
 
@@ -106,8 +106,8 @@ class ExplicitPartitioner : public Partitioner {
   const char* name() const override { return "explicit"; }
 
   /// Returns the stored plan whatever `costs` and `num_shards` ask for.
-  /// The engine checks the fit: LoadDatabase requires it, and Resize to
-  /// another shard count, or after AddSource, returns InvalidArgument.
+  /// ShardedEngine::LoadDatabase CHECKs the fit: the plan must cover the
+  /// database over the engine's shard count.
   PartitionPlan Partition(const std::vector<double>& costs,
                           size_t num_shards) const override;
 

@@ -12,35 +12,28 @@
 namespace imgrn {
 
 /// One physical replica of a logical shard: its own ImGrnEngine (own
-/// index, own R*-tree paged file, own buffer pool), the local<->global id
-/// tables and its traffic gauges. Replicas of one shard are
-/// bit-exact mirrors of each other's ACTIVE sources: every update applies
-/// to all of them in lock step, so any replica answers any sub-query with
-/// the identical matches (refinement is per-source deterministic — see
-/// inference/permutation_cache.h). Replicas created later (SetReplicas on
-/// a live engine) hold the same active sources in compacted local-id
-/// order; matches are still identical because local ids never leak out of
-/// a sub-query.
+/// index, own R*-tree paged file, own buffer pool), the local -> global id
+/// table and its traffic gauges. Replicas of one shard are bit-exact
+/// mirrors of each other: every update applies to all of them in lock
+/// step, so any replica answers any sub-query with the identical matches
+/// (refinement is per-source deterministic — see
+/// inference/permutation_cache.h).
 struct ShardReplica {
   explicit ShardReplica(const EngineOptions& options) : engine(options) {}
 
-  /// Readers = sub-queries, writer = the update or migration step routed
-  /// to this replica.
+  /// Readers = sub-queries, writer = the update routed to this replica.
   mutable std::shared_mutex mutex;
+
+  /// Holds a built index once the replica received a source; an empty
+  /// replica answers every sub-query with no matches.
   ImGrnEngine engine;
 
   /// local id i of this replica's engine holds global source
   /// local_to_global[i]. Entries are never erased (engine local ids are
-  /// never reused); active[i] is false once the source was retracted or
-  /// migrated away. A source that migrates away and later returns gets a
-  /// fresh local id, so a global id may appear twice with at most one
-  /// entry active.
+  /// never reused; a removed source is only deactivated), and a shard
+  /// receives its sources in ascending global order, so the table is
+  /// sorted and identical on every replica of the shard.
   std::vector<SourceId> local_to_global;
-  std::vector<bool> active;
-
-  /// Engine holds a database with a built index. False for a replica that
-  /// never received a source.
-  bool built = false;
 
   /// Count and estimated cost of active sources, mirrored atomically so
   /// StatsSnapshot never has to touch `mutex` (it stays callable while a
@@ -60,31 +53,26 @@ struct ShardReplica {
 };
 
 /// The replicas of one logical shard, plus the round-robin routing cursor.
-/// The replica list is immutable once the set is published in a topology
-/// (SetReplicas publishes a NEW set sharing the surviving ShardReplica
-/// objects); the cursor is shared across topologies that share the set, so
-/// routing stays spread even while updates publish successor topologies.
+/// The replica list is fixed at construction.
 class ReplicaSet {
  public:
-  explicit ReplicaSet(std::vector<std::shared_ptr<ShardReplica>> replicas)
-      : replicas_(std::move(replicas)) {}
+  ReplicaSet(size_t num_replicas, const EngineOptions& options) {
+    replicas_.reserve(num_replicas);
+    for (size_t r = 0; r < num_replicas; ++r) {
+      replicas_.push_back(std::make_unique<ShardReplica>(options));
+    }
+  }
 
   ReplicaSet(const ReplicaSet&) = delete;
   ReplicaSet& operator=(const ReplicaSet&) = delete;
 
   size_t size() const { return replicas_.size(); }
 
-  const std::shared_ptr<ShardReplica>& replica(size_t i) const {
-    return replicas_[i];
-  }
+  ShardReplica& replica(size_t i) const { return *replicas_[i]; }
 
-  const std::vector<std::shared_ptr<ShardReplica>>& replicas() const {
-    return replicas_;
-  }
-
-  /// Replica 0: the copy source for new replicas and the authority for
-  /// shard-level gauges (all replicas mirror the same active set, so any
-  /// one of them could answer; pinning to 0 keeps snapshots stable).
+  /// Replica 0: the authority for shard-level gauges and update checks
+  /// (all replicas mirror the same active set, so any one of them could
+  /// answer; pinning to 0 keeps snapshots stable).
   ShardReplica& primary() const { return *replicas_.front(); }
 
   /// The replica that serves the next sub-query: strict round robin.
@@ -93,7 +81,7 @@ class ReplicaSet {
   }
 
  private:
-  std::vector<std::shared_ptr<ShardReplica>> replicas_;
+  std::vector<std::unique_ptr<ShardReplica>> replicas_;
   mutable std::atomic<uint64_t> cursor_{0};
 };
 

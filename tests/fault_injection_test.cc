@@ -1,17 +1,13 @@
 // The fault-injection registry (common/fault_injection.h) and its spec
-// parser, and the serving-layer contracts it checks: a failed sub-query
-// fails the whole sharded query and leaves the engine answering exactly,
-// a migration killed at any protocol step leaves every source visible
-// exactly once, and a killed replica change rolls back or forward without
-// changing an answer. This binary is the "robustness" ctest label:
+// parser, the storage fault points, and the serving-layer contract it
+// checks: a failed sub-query fails the whole sharded query and leaves the
+// engine answering exactly. This binary is the "robustness" ctest label:
 // tools/ci_sanitize.sh runs it under both TSan and ASan+UBSan.
 
 #include "common/fault_injection.h"
 
 #include <gtest/gtest.h>
 
-#include <functional>
-#include <set>
 #include <string_view>
 #include <vector>
 
@@ -24,8 +20,6 @@
 
 namespace imgrn {
 namespace {
-
-using testing_util::MakePlantedMatrix;
 
 // --- ParseFaultSpec ------------------------------------------------------
 
@@ -55,11 +49,11 @@ TEST(ParseFaultSpecTest, EveryNthWithDetailAndOptions) {
 
 TEST(ParseFaultSpecTest, MultipleRules) {
   Result<std::vector<FaultRule>> rules =
-      ParseFaultSpec("migrate.copy=n1:x1,migrate.delete=n2");
+      ParseFaultSpec("disk.write=n1:x1,disk.sync=n2");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
   ASSERT_EQ(rules->size(), 2u);
-  EXPECT_EQ((*rules)[0].site, "migrate.copy");
-  EXPECT_EQ((*rules)[1].site, "migrate.delete");
+  EXPECT_EQ((*rules)[0].site, "disk.write");
+  EXPECT_EQ((*rules)[1].site, "disk.sync");
   EXPECT_EQ((*rules)[1].every_nth, 2u);
 }
 
@@ -81,7 +75,8 @@ TEST(ParseFaultSpecTest, MalformedSpecsRejected) {
       "disk.read=n1:y7",            // Unknown option.
       "buffer_pool.fetc=n1",        // A site no code evaluates.
       "nosuch.*=n1",                // A prefix matching no site.
-      "shard.subquery#1=n1",        // A site that is no longer wired.
+      "shard.subquery#1=n1",        // Sites that are no longer wired.
+      "migrate.copy=n1",
       "buffer_pool.fetch=pnan",     // NaN passes p <= 0 and p > 1.
       "buffer_pool.fetch=n99999999999999999999",   // strtoll clamps these
       "buffer_pool.fetch#99999999999999999999=n1", // to LLONG_MAX.
@@ -116,7 +111,7 @@ TEST(ParseFaultSpecTest, SeededMutationsParseOrReject) {
   const std::vector<std::string> kSeeds = {
       "buffer_pool.fetch=p0.25",
       "disk.read#2=n3:x5:code=dataloss",
-      "migrate.copy=n1:x1,migrate.delete=n2",
+      "disk.write=n1:x1,disk.sync=n2",
       "paged_file.*=p1:code=internal",
       "disk.sync#4=n1:x2:code=unavailable"};
   for (const std::string& seed : kSeeds) {
@@ -194,9 +189,9 @@ TEST(FaultInjectorTest, DetailRestrictsTheRule) {
 }
 
 TEST(FaultInjectorTest, PrefixWildcardMatchesSiteFamily) {
-  ScopedFaultInjection scoped({{.site = "migrate.*", .every_nth = 1}});
-  EXPECT_FALSE(CheckFault(fault_sites::kMigrateCopy, 0).ok());
-  EXPECT_FALSE(CheckFault(fault_sites::kMigrateDelete, 0).ok());
+  ScopedFaultInjection scoped({{.site = "disk.*", .every_nth = 1}});
+  EXPECT_FALSE(CheckFault(fault_sites::kDiskRead, 0).ok());
+  EXPECT_FALSE(CheckFault(fault_sites::kDiskSync, 0).ok());
   EXPECT_TRUE(CheckFault(fault_sites::kBufferPoolFetch, 0).ok());
 }
 
@@ -298,10 +293,6 @@ TEST(StorageFaultTest, BufferPoolFetchFaultIsNotCached) {
 constexpr testing_util::ClusterDatabaseConfig kFaultConfig = {
     .samples_base = 26, .samples_mod = 4, .filler_base = 40};
 
-GeneMatrix FaultClusterMatrix(SourceId source) {
-  return testing_util::MakeClusterMatrix(kFaultConfig, source);
-}
-
 GeneDatabase FaultDatabase(size_t num_sources) {
   return testing_util::MakeClusterDatabase(kFaultConfig, num_sources);
 }
@@ -375,255 +366,6 @@ TEST_F(ServingFaultTest, OneFailedSubQueryFailsTheWholeQuery) {
       sharded_->Query(FaultQueryMatrix(), FaultParams());
   ASSERT_TRUE(next.ok()) << next.status().ToString();
   ExpectSameMatches(*next, expected_, "after the failed query");
-}
-
-// --- Crash-safe migration ------------------------------------------------
-
-// A plan that moves every source one shard to the right.
-PartitionPlan RotatePlan(const ShardedEngine& engine) {
-  PartitionPlan plan;
-  plan.num_shards = engine.num_shards();
-  for (SourceId i = 0; i < engine.num_sources(); ++i) {
-    plan.shard_of.push_back(static_cast<uint32_t>(
-        (engine.ShardOf(i) + 1) % engine.num_shards()));
-  }
-  return plan;
-}
-
-class MigrationFaultTest : public ServingFaultTest {
- protected:
-  // Kills a rotate-everything Rebalance at `site`, then asserts the engine
-  // still answers bit-exactly (every source visible on exactly one shard)
-  // and that a subsequent clean Rebalance succeeds.
-  void RunKilledMigration(const char* site, bool expect_failure = true) {
-    Build();
-    {
-      ScopedFaultInjection scoped(
-          {{.site = site, .every_nth = 1, .max_fires = 1}});
-      Status status = sharded_->Rebalance(RotatePlan(*sharded_));
-      if (expect_failure) {
-        ASSERT_FALSE(status.ok()) << "fault at " << site << " not surfaced";
-        EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-      }
-    }
-    Result<std::vector<QueryMatch>> after =
-        sharded_->Query(FaultQueryMatrix(), FaultParams());
-    ASSERT_TRUE(after.ok()) << after.status().ToString();
-    ExpectSameMatches(*after, expected_, std::string("after fault at ") + site);
-
-    // The next migration (which runs the recovery sweep) must succeed and
-    // stay bit-exact too.
-    ASSERT_TRUE(sharded_->Rebalance(RotatePlan(*sharded_)).ok());
-    Result<std::vector<QueryMatch>> recovered =
-        sharded_->Query(FaultQueryMatrix(), FaultParams());
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ExpectSameMatches(*recovered, expected_,
-                      std::string("after recovery from ") + site);
-  }
-};
-
-TEST_F(MigrationFaultTest, KilledAtCopyRollsBack) {
-  RunKilledMigration(fault_sites::kMigrateCopy);
-}
-
-TEST_F(MigrationFaultTest, KilledAtPublishRollsBack) {
-  RunKilledMigration(fault_sites::kMigratePublish);
-}
-
-TEST_F(MigrationFaultTest, KilledAtDrainRollsForward) {
-  RunKilledMigration(fault_sites::kMigrateDrain);
-}
-
-TEST_F(MigrationFaultTest, KilledAtDeleteRollsForward) {
-  RunKilledMigration(fault_sites::kMigrateDelete);
-}
-
-TEST_F(MigrationFaultTest, KilledAtCommitPublishRollsBackTheCopies) {
-  // The publish site is evaluated twice per migration: before the
-  // unchanged-ownership cutover (step 1) and before the commit point
-  // (step 3). every_nth=2 skips the first and kills the second — after
-  // every copy landed but before the new map became visible, the sharpest
-  // rollback case.
-  Build();
-  const std::vector<uint32_t> before = [&] {
-    std::vector<uint32_t> owners;
-    for (SourceId i = 0; i < sharded_->num_sources(); ++i) {
-      owners.push_back(static_cast<uint32_t>(sharded_->ShardOf(i)));
-    }
-    return owners;
-  }();
-  {
-    ScopedFaultInjection scoped({{.site = fault_sites::kMigratePublish,
-                                  .every_nth = 2,
-                                  .max_fires = 1}});
-    ASSERT_FALSE(sharded_->Rebalance(RotatePlan(*sharded_)).ok());
-  }
-  for (SourceId i = 0; i < sharded_->num_sources(); ++i) {
-    EXPECT_EQ(sharded_->ShardOf(i), before[i]);  // Ownership untouched.
-  }
-  Result<std::vector<QueryMatch>> after =
-      sharded_->Query(FaultQueryMatrix(), FaultParams());
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ExpectSameMatches(*after, expected_, "after commit-publish fault");
-}
-
-TEST_F(MigrationFaultTest, KilledAfterCommitRollsForwardToTheNewMap) {
-  // The drain site's second evaluation sits right after Publish(next):
-  // the commit point has passed, so the fault must roll FORWARD — the new
-  // ownership stands and the stale old copies stay invisible.
-  Build();
-  const PartitionPlan plan = RotatePlan(*sharded_);
-  {
-    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateDrain,
-                                  .every_nth = 2,
-                                  .max_fires = 1}});
-    ASSERT_FALSE(sharded_->Rebalance(plan).ok());
-  }
-  for (SourceId i = 0; i < sharded_->num_sources(); ++i) {
-    EXPECT_EQ(sharded_->ShardOf(i), plan.shard_of[i]);  // New map stands.
-  }
-  Result<std::vector<QueryMatch>> after =
-      sharded_->Query(FaultQueryMatrix(), FaultParams());
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ExpectSameMatches(*after, expected_, "after post-commit fault");
-  // The next migration sweeps the strays and stays bit-exact.
-  ASSERT_TRUE(sharded_->Rebalance(RotatePlan(*sharded_)).ok());
-  Result<std::vector<QueryMatch>> swept =
-      sharded_->Query(FaultQueryMatrix(), FaultParams());
-  ASSERT_TRUE(swept.ok());
-  ExpectSameMatches(*swept, expected_, "after sweep");
-}
-
-TEST_F(MigrationFaultTest, MidCopyFaultRollsBackLaterSources) {
-  // Fail the copy of the THIRD moving source: the first two copies must be
-  // rolled back, not left as duplicate owners.
-  Build();
-  {
-    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateCopy,
-                                  .every_nth = 3,
-                                  .max_fires = 1}});
-    ASSERT_FALSE(sharded_->Rebalance(RotatePlan(*sharded_)).ok());
-  }
-  Result<std::vector<QueryMatch>> after =
-      sharded_->Query(FaultQueryMatrix(), FaultParams());
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
-  ExpectSameMatches(*after, expected_, "after mid-copy fault");
-}
-
-// --- Replica changes and the shared topology-change step ----------------
-
-// The four migrate.* sites in protocol order.
-const std::vector<const char*> kMigrateSites = {
-    fault_sites::kMigrateCopy, fault_sites::kMigratePublish,
-    fault_sites::kMigrateDrain, fault_sites::kMigrateDelete};
-
-// Runs `change` under rules that never fire and returns how often it
-// evaluated each migrate.* site, in kMigrateSites order.
-std::vector<uint64_t> MigrateEvaluations(
-    const std::function<Status()>& change) {
-  std::vector<FaultRule> rules;
-  for (const char* site : kMigrateSites) {
-    rules.push_back({.site = site, .every_nth = 1'000'000});
-  }
-  ScopedFaultInjection scoped(rules);
-  const Status status = change();
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  std::vector<uint64_t> counts;
-  for (const char* site : kMigrateSites) {
-    counts.push_back(FaultInjector::Global().SiteStats(site).evaluations);
-  }
-  return counts;
-}
-
-TEST(TopologyChangeFaultSitesTest, EvaluationCountsArePinned) {
-  // MigrationFaultTest and the stress suite pick evaluations by every_nth,
-  // so each change's count per site is part of its contract:
-  // copy, publish, drain, delete.
-  const size_t kSources = 12;
-  ShardedEngineOptions options;
-  options.num_shards = 3;
-  ShardedEngine sharded(options);
-  sharded.LoadDatabase(FaultDatabase(kSources));
-  ASSERT_TRUE(sharded.BuildIndex().ok());
-
-  // A rotation moves every source: a cutover publish and drain, a copy per
-  // source, the commit publish and drain, a delete per source.
-  EXPECT_EQ(MigrateEvaluations(
-                [&] { return sharded.Rebalance(RotatePlan(sharded)); }),
-            (std::vector<uint64_t>{kSources, 2, 2, kSources}));
-  // Growing copies every shard's active sources and does not drain.
-  EXPECT_EQ(MigrateEvaluations([&] { return sharded.SetReplicas(2); }),
-            (std::vector<uint64_t>{kSources, 1, 0, 0}));
-  // Shrinking copies nothing and drains.
-  EXPECT_EQ(MigrateEvaluations([&] { return sharded.SetReplicas(1); }),
-            (std::vector<uint64_t>{0, 1, 1, 0}));
-}
-
-// Replica changes killed by injected faults: before the publish they roll
-// back (the published replicas stay the very same objects), after it they
-// roll forward. Either way every replica keeps answering bit-exactly.
-class ReplicaChangeFaultTest : public ServingFaultTest {
- protected:
-  // The published replica objects, by shard (each named by its mutex).
-  std::vector<std::vector<const void*>> PublishedReplicas() const {
-    std::vector<std::vector<const void*>> replicas(sharded_->num_shards());
-    for (size_t s = 0; s < replicas.size(); ++s) {
-      for (size_t r = 0; r < sharded_->num_replicas(); ++r) {
-        replicas[s].push_back(&sharded_->shard_mutex_for_testing(s, r));
-      }
-    }
-    return replicas;
-  }
-
-  // One query per replica, so round-robin routing reaches each of them.
-  void ExpectExactAnswers(const std::string& context) {
-    for (size_t q = 0; q < sharded_->num_replicas(); ++q) {
-      Result<std::vector<QueryMatch>> result =
-          sharded_->Query(FaultQueryMatrix(), FaultParams());
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      ExpectSameMatches(*result, expected_, context);
-    }
-  }
-};
-
-TEST_F(ReplicaChangeFaultTest, GrowKilledAtCopyRollsBack) {
-  Build();
-  const std::vector<std::vector<const void*>> before = PublishedReplicas();
-  {
-    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateCopy,
-                                  .every_nth = 3,
-                                  .max_fires = 1}});
-    EXPECT_EQ(sharded_->SetReplicas(2).code(), StatusCode::kUnavailable);
-  }
-  EXPECT_EQ(sharded_->num_replicas(), 1u);
-  EXPECT_EQ(PublishedReplicas(), before);
-  ExpectExactAnswers("after a killed grow");
-
-  ASSERT_TRUE(sharded_->SetReplicas(2).ok());
-  EXPECT_EQ(sharded_->num_replicas(), 2u);
-  ExpectExactAnswers("after the retried grow");
-}
-
-TEST_F(ReplicaChangeFaultTest, ShrinkKilledAtDrainRollsForward) {
-  ShardedEngineOptions options;
-  options.num_replicas = 2;
-  Build(options);
-  {
-    ScopedFaultInjection scoped({{.site = fault_sites::kMigrateDrain,
-                                  .every_nth = 1,
-                                  .max_fires = 1}});
-    EXPECT_EQ(sharded_->SetReplicas(1).code(), StatusCode::kUnavailable);
-  }
-  // The publish had committed: the engine reads 1 replica everywhere, and
-  // a grow after it gives its new shard that count, not the pre-fault 2.
-  EXPECT_EQ(sharded_->num_replicas(), 1u);
-  ASSERT_TRUE(sharded_->Resize(kShards + 1).ok());
-  const ShardedEngineStatsSnapshot snapshot = sharded_->StatsSnapshot();
-  ASSERT_EQ(snapshot.shards.size(), kShards + 1);
-  for (const ShardStats& shard : snapshot.shards) {
-    EXPECT_EQ(shard.replicas.size(), 1u) << "shard " << shard.shard;
-  }
-  ExpectExactAnswers("after a rolled-forward shrink");
 }
 
 }  // namespace

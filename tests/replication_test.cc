@@ -3,8 +3,7 @@
 // the replicated engine's matches are byte-identical to a single
 // unsharded ImGrnEngine, and its QueryStats counters are identical to the
 // same engine at R=1 (wall-clock aside). On top of the grid: round-robin
-// routing spreads sub-queries evenly, and SetReplicas scales a live
-// engine without perturbing answers.
+// routing spreads sub-queries evenly.
 
 #include <cstdint>
 #include <memory>
@@ -28,7 +27,6 @@ using testing_util::MakeClusterDatabase;
 using testing_util::MakeClusterMatrix;
 using testing_util::MakeClusterQueryMatrix;
 using testing_util::MakeLoadedShardedEngine;
-using testing_util::MakePlantedMatrix;
 using testing_util::MakeShardedOptions;
 
 // This suite's planted-cluster database (see tests/test_util.h).
@@ -200,82 +198,9 @@ TEST_F(ReplicationTest, RoundRobinSpreadsSubQueriesEvenly) {
   }
 }
 
-// SetReplicas scales a LIVE engine: grown clones answer bit-exact (they
-// hold the same sources in compacted local-id order), shrinking keeps
-// answering, and a source update after the scaling is seen by every
-// replica.
-TEST_F(ReplicationTest, SetReplicasScalesLiveWithBitExactAnswers) {
-  ThreadPool pool(2);
-  std::unique_ptr<ShardedEngine> sharded = MakeLoadedShardedEngine(
-      kConfig, kSources, MakeShardedOptions(3, 1), &pool);
-  const GeneMatrix query = MakeClusterQueryMatrix(8400);
-  const std::vector<QueryMatch> expected = ReferenceQuery(query, params_);
-
-  Result<std::vector<QueryMatch>> result = sharded->Query(query, params_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectIdenticalMatches(*result, expected, "R=1");
-
-  ASSERT_TRUE(sharded->SetReplicas(3).ok());
-  EXPECT_EQ(sharded->num_replicas(), 3u);
-  result = sharded->Query(query, params_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectIdenticalMatches(*result, expected, "after grow");
-
-  // The grown sets' cursors have advanced past replica 0, so the next
-  // query's sub-queries are all served by clones.
-  Rng fresh_rng(8401);
-  const GeneMatrix fresh =
-      MakePlantedMatrix(0, 32, {{2, 3}}, {}, 0.97, &fresh_rng);
-  result = sharded->Query(fresh, params_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectIdenticalMatches(*result, ReferenceQuery(fresh, params_),
-                         "clone-served");
-  for (const ShardStats& shard : sharded->StatsSnapshot().shards) {
-    EXPECT_EQ(shard.replicas[1].sub_queries, 1u) << "shard " << shard.shard;
-  }
-
-  ASSERT_TRUE(sharded->SetReplicas(2).ok());
-  EXPECT_EQ(sharded->num_replicas(), 2u);
-  result = sharded->Query(query, params_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectIdenticalMatches(*result, expected, "after shrink");
-
-  ASSERT_TRUE(sharded->AddSource(MakeClusterMatrix(kConfig, kSources)).ok());
-  ASSERT_TRUE(reference_.AddMatrix(MakeClusterMatrix(kConfig, kSources)).ok());
-  result = sharded->Query(query, params_);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectIdenticalMatches(*result, ReferenceQuery(query, params_),
-                         "post-update");
-
-  const ShardedEngineStatsSnapshot snapshot = sharded->StatsSnapshot();
-  EXPECT_EQ(snapshot.replicas, 2u);
-  size_t total_sources = 0;
-  for (const ShardStats& shard : snapshot.shards) {
-    ASSERT_EQ(shard.replicas.size(), 2u);
-    EXPECT_EQ(shard.in_flight, 0u);
-    total_sources += shard.sources;
-  }
-  EXPECT_EQ(total_sources, kSources + 1);
-}
-
-TEST(ReplicationErrorsTest, SetReplicasValidation) {
-  ShardedEngine unbuilt(MakeShardedOptions(2), nullptr);
-  EXPECT_EQ(unbuilt.SetReplicas(2).code(), StatusCode::kFailedPrecondition);
-
-  std::unique_ptr<ShardedEngine> sharded =
-      MakeLoadedShardedEngine(kConfig, 4, MakeShardedOptions(2));
-  EXPECT_EQ(sharded->SetReplicas(0).code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(sharded->SetReplicas(1).ok());  // Same count: a no-op.
-  EXPECT_EQ(sharded->num_replicas(), 1u);
-}
-
 // The routing primitive itself: strict round robin.
 TEST(ReplicaSetTest, PickReplicaIsRoundRobin) {
-  std::vector<std::shared_ptr<ShardReplica>> replicas;
-  for (int i = 0; i < 3; ++i) {
-    replicas.push_back(std::make_shared<ShardReplica>(EngineOptions{}));
-  }
-  ReplicaSet set(std::move(replicas));
+  ReplicaSet set(3, EngineOptions{});
   ASSERT_EQ(set.size(), 3u);
   for (size_t want : {0, 1, 2, 0, 1, 2}) {
     EXPECT_EQ(set.PickReplica(), want);

@@ -274,13 +274,14 @@ TEST(RTreeTest, SerializationRoundTripsEveryNode) {
   // (We re-serialize a copy here to compare equality.)
   Page page(kDefaultPageSize);
   SerializeNode(root, 3, 2, &page);
-  RTreeNode round = DeserializeNode(page, 3, 2);
-  ASSERT_EQ(round.level, root.level);
-  ASSERT_EQ(round.entries.size(), root.entries.size());
+  Result<RTreeNode> round = DeserializeNode(page, 3, 2);
+  ASSERT_TRUE(round.ok()) << round.status().ToString();
+  ASSERT_EQ(round->level, root.level);
+  ASSERT_EQ(round->entries.size(), root.entries.size());
   for (size_t i = 0; i < root.entries.size(); ++i) {
-    EXPECT_EQ(round.entries[i].handle, root.entries[i].handle);
-    EXPECT_EQ(round.entries[i].mbr, root.entries[i].mbr);
-    EXPECT_EQ(round.entries[i].payload, root.entries[i].payload);
+    EXPECT_EQ(round->entries[i].handle, root.entries[i].handle);
+    EXPECT_EQ(round->entries[i].mbr, root.entries[i].mbr);
+    EXPECT_EQ(round->entries[i].payload, root.entries[i].payload);
   }
 }
 

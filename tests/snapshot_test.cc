@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -876,6 +877,55 @@ TEST(IndexIoTest, GarbageRejected) {
   }
   store->SetAppRoot(directory);
   EXPECT_TRUE(ReadSnapshot(store.get()).ok());
+}
+
+TEST(IndexIoTest, ForgedNodePageRejectedAsDataLoss) {
+  // A node page named by the tree meta, forged but re-sealed so its CRC
+  // passes: restoring the tree is kDataLoss, not an abort in the node
+  // decoder. Node layout: magic u32, level i32, entry count u32, then per
+  // entry a handle u64, lo[dims] f64, hi[dims] f64 and the payload.
+  constexpr size_t kEntryCount = 8;
+  constexpr size_t kFirstLo = 12 + 8;
+  auto restore_after = [](auto patch) -> Status {
+    std::unique_ptr<StorageManager> store = MemorySnapshot(26);
+    Result<SnapshotContents> contents = ReadSnapshot(store.get());
+    IMGRN_RETURN_IF_ERROR(contents.status());
+    const RTreeMeta& tree = contents->tree_meta;
+    IMGRN_RETURN_IF_ERROR(patch(store.get(), tree.node_pages[tree.root]));
+    GeneDatabase database = std::move(contents->database);
+    contents->parts.options.storage = store.get();
+    return ImGrnIndex::Restore(std::move(contents->parts.options), &database,
+                               std::move(contents->parts.pivot_sets),
+                               std::move(contents->parts.embeddings),
+                               std::move(contents->parts.active),
+                               std::move(contents->parts.inverted_file),
+                               tree)
+        .status();
+  };
+  EXPECT_TRUE(restore_after([](StorageManager*, PageId) {
+                return Status::Ok();
+              }).ok());
+  // 2^16 entries fit in memory but not in a page; 2^32 - 1 fit in neither.
+  for (uint32_t count : {1u << 16, 0xFFFFFFFFu}) {
+    const Status forged_count =
+        restore_after([count](StorageManager* store, PageId page) {
+          return PatchPage(store, page, kEntryCount, count);
+        });
+    EXPECT_EQ(forged_count.code(), StatusCode::kDataLoss)
+        << count << ": " << forged_count.ToString();
+  }
+  const Status nan_bound =
+      restore_after([](StorageManager* store, PageId page) {
+        return PatchPage(store, page, kFirstLo,
+                         std::numeric_limits<double>::quiet_NaN());
+      });
+  EXPECT_EQ(nan_bound.code(), StatusCode::kDataLoss) << nan_bound.ToString();
+  const Status inverted =
+      restore_after([](StorageManager* store, PageId page) {
+        return PatchPage(store, page, kFirstLo,
+                         std::numeric_limits<double>::max());
+      });
+  EXPECT_EQ(inverted.code(), StatusCode::kDataLoss) << inverted.ToString();
 }
 
 // Enough samples that the database section spans several pages.

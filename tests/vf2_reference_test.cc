@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -88,6 +89,16 @@ struct FuzzParam {
   int num_labels;
   bool induced;
 };
+
+// Names each instance by its fields. Without it gtest prints the raw bytes,
+// tail padding included, so the test names would differ between builds.
+void PrintTo(const FuzzParam& param, std::ostream* os) {
+  *os << "query=" << param.query_size << " data=" << param.data_size
+      << " query_density=" << param.query_density
+      << " data_density=" << param.data_density
+      << " labels=" << param.num_labels
+      << (param.induced ? " induced" : " monomorphism");
+}
 
 class Vf2ReferenceTest : public ::testing::TestWithParam<FuzzParam> {};
 

@@ -5,17 +5,16 @@
 # the thread-heavy test binaries, and runs everything carrying the ctest
 # labels in $LABELS: "concurrency" (thread pool, query service, sharded
 # engine, shard stress, lock-free histogram, parallel index build) and
-# "partitioning" (the differential partition-invariance suite, whose
-# Rebalance/Resize paths copy, publish and drain replicas while the
-# per-replica busy-time and traffic gauges are written by the query path
-# and read by StatsSnapshot) and "robustness" (the fault injector and a
-# seeded mutation fuzzer of its spec parser, a query failed whole by a
-# faulted sub-query, and fault-killed migrations and replica changes: the
-# rollback/roll-forward paths normal traffic never reaches, where leaks
-# and races hide) and "replication" (the replica-set differential suite:
-# round-robin routing over a lock-free cursor, and SetReplicas cloning
-# and retiring whole replicas — run under BOTH kinds, races on the
-# routing side and leaks on the retirement side);
+# "partitioning" (the differential partition-invariance suite over maps
+# fixed at load, whose updates write the per-replica cost gauges while
+# the query path writes the busy-time and traffic gauges and
+# StatsSnapshot reads them all) and "robustness" (the fault injector and
+# a seeded mutation fuzzer of its spec parser, the storage fault points,
+# and a query failed whole by a faulted sub-query: error paths normal
+# traffic never reaches, where leaks and races hide) and "replication"
+# (the replica-set differential suite: lock-step mirrors built in
+# parallel and round-robin routing over a lock-free cursor — run under
+# BOTH kinds, races on the routing side and leaks in the replica sets);
 # see tests/CMakeLists.txt. The ASan run additionally
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw

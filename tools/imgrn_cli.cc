@@ -49,13 +49,6 @@
 //       the restored engine. A `save` into a file that already holds a
 //       snapshot replaces it and reuses its pages, so saving again does
 //       not grow the file.
-//   imgrn rebalance --db=db.txt --query=q.txt [--shards=4] ...
-//       Demo/diagnostic for online rebalancing: load the database
-//       modulo-sharded, report the per-shard load and imbalance (estimated
-//       from the cost proxy AND measured as sub-query busy time), migrate
-//       to the balanced (LPT) plan while the engine stays queryable,
-//       report the new loads, and verify the query answers are
-//       bit-identical before and after.
 //   imgrn extract-query --db=db.txt --out=q.txt [--genes=5] [--gamma=0.5]
 //       Extract a connected query matrix from the database (for demos).
 //   imgrn infer --matrix=m.txt [--measure=imgrn] [--gamma=0.5]
@@ -312,8 +305,8 @@ int CmdQuery(int argc, char** argv) {
     matches = engine.Query(*query_matrix, params, &stats);
     const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
     std::fprintf(stderr,
-                 "(shard load imbalance: %.3f estimated, %.3f measured "
-                 "max/mean)\n",
+                 "(shard load imbalance=%.3f measured_imbalance=%.3f, "
+                 "max/mean, estimated / measured)\n",
                  snapshot.imbalance, snapshot.measured_imbalance);
   } else {
     EngineOptions engine_options;
@@ -338,91 +331,6 @@ int CmdQuery(int argc, char** argv) {
               static_cast<unsigned long long>(stats.page_accesses),
               stats.candidate_pairs, matches->size());
   PrintMatches(*matches);
-  return 0;
-}
-
-int CmdRebalance(int argc, char** argv) {
-  Args args(argc, argv, 2,
-            {{"db", ""},
-             {"query", ""},
-             {"shards", "4"},
-             {"gamma", "0.5"},
-             {"alpha", "0.5"},
-             {"top_k", "0"},
-             {"seed", "99"}});
-  if (!args.Has("db") || !args.Has("query")) {
-    std::fprintf(stderr, "rebalance requires --db=FILE --query=FILE\n");
-    return 2;
-  }
-  const size_t shards = args.GetCount("shards");
-  if (shards == 0) {
-    std::fprintf(stderr, "--shards must be >= 1\n");
-    return 2;
-  }
-  Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
-  if (!database.ok()) return Fail(database.status());
-  Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
-  if (!query_matrix.ok()) return Fail(query_matrix.status());
-
-  QueryParams params;
-  params.gamma = args.GetDouble("gamma");
-  params.alpha = args.GetDouble("alpha");
-  params.top_k = args.GetCount("top_k");
-  params.seed = args.GetCount("seed");
-
-  // Start from the worst case the balanced plan fixes: modulo placement.
-  const std::vector<double> costs = EstimateSourceCosts(*database);
-  ThreadPool pool;
-  ShardedEngineOptions options;
-  options.num_shards = shards;
-  ShardedEngine engine(options, &pool);
-  engine.LoadDatabase(std::move(*database));
-  Status status = engine.BuildIndex();
-  if (!status.ok()) return Fail(status);
-
-  // Measured seconds are cumulative busy time, so "after" includes the
-  // query answered before the migration.
-  auto print_loads = [&engine](const char* tag) {
-    const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
-    for (const ShardStats& shard : snapshot.shards) {
-      std::printf("%s shard%zu: sources=%zu load=%.3g measured=%.3gs\n", tag,
-                  shard.shard, shard.sources, shard.cost,
-                  shard.measured_seconds);
-    }
-    std::printf("%s imbalance=%.3f measured_imbalance=%.3f "
-                "(max/mean shard load)\n",
-                tag, snapshot.imbalance, snapshot.measured_imbalance);
-  };
-  Result<std::vector<QueryMatch>> before = engine.Query(*query_matrix, params);
-  if (!before.ok()) return Fail(before.status());
-  print_loads("before");
-
-  // Migrate to the LPT plan while the engine stays live (queries on
-  // untouched shards would keep running throughout).
-  const PartitionPlan plan = BalancedPartitioner().Partition(costs, shards);
-  status = engine.Rebalance(plan);
-  if (!status.ok()) return Fail(status);
-
-  Result<std::vector<QueryMatch>> after = engine.Query(*query_matrix, params);
-  if (!after.ok()) return Fail(after.status());
-  print_loads("after");
-  if (after->size() != before->size()) {
-    std::fprintf(stderr, "rebalance changed the answer count: %zu vs %zu\n",
-                 before->size(), after->size());
-    return 1;
-  }
-  for (size_t i = 0; i < before->size(); ++i) {
-    if ((*after)[i].source != (*before)[i].source ||
-        (*after)[i].probability != (*before)[i].probability ||
-        (*after)[i].mapping != (*before)[i].mapping) {
-      std::fprintf(stderr, "rebalance changed match %zu (source %u)\n", i,
-                   (*before)[i].source);
-      return 1;
-    }
-  }
-  std::printf("rebalance verified: %zu matches bit-identical before and "
-              "after migration\n",
-              before->size());
   return 0;
 }
 
@@ -627,8 +535,8 @@ int CmdKernels(int argc, char** argv) {
 int Usage() {
   std::fprintf(
       stderr,
-      "usage: imgrn <generate|extract-query|query|rebalance|snapshot|"
-      "infer|kernels> [--flags]\n"
+      "usage: imgrn <generate|extract-query|query|snapshot|infer|kernels> "
+      "[--flags]\n"
       "(see the header comment of tools/imgrn_cli.cc)\n");
   return 2;
 }
@@ -638,7 +546,6 @@ int Main(int argc, char** argv) {
   const char* command = argv[1];
   if (std::strcmp(command, "generate") == 0) return CmdGenerate(argc, argv);
   if (std::strcmp(command, "query") == 0) return CmdQuery(argc, argv);
-  if (std::strcmp(command, "rebalance") == 0) return CmdRebalance(argc, argv);
   if (std::strcmp(command, "snapshot") == 0) return CmdSnapshot(argc, argv);
   if (std::strcmp(command, "extract-query") == 0) {
     return CmdExtractQuery(argc, argv);
