@@ -1,7 +1,8 @@
 // Serving throughput of the QueryService: queries/sec and tail latency
 // over worker-thread and shard-count axes, on the synthetic default
-// workload. --shards=1 serves one shared engine (a reader-writer lock and
-// one buffer pool); --shards=K hash-partitions the database across K
+// workload. Every setting serves a ShardedEngine built on that setting's
+// thread pool: --shards=1 is one unpartitioned engine (one reader-writer
+// lock, one buffer pool); --shards=K partitions the database across K
 // independent engines and fans each request out on the same pool. Emits
 // one JSON line per (threads, shards) setting so the serving trajectory
 // can be tracked across PRs, e.g.:
@@ -22,9 +23,10 @@
 // recorded across PRs.
 //
 // --replicas=R > 1 mirrors every shard R times with round-robin routing
-// (read scaling; only meaningful on the sharded path); every JSON line
-// carries "replicas" and "qps_per_replica". The workload replays the same
-// query set --rounds times, and every replay is evaluated afresh.
+// (read scaling); every JSON line carries "replicas" and
+// "qps_per_replica". The workload replays the same query set --rounds
+// times, and every replay is evaluated afresh. "p50_ms" and "p95_ms" are
+// the service's latency histogram: execution time, queue wait excluded.
 
 #include <cstdio>
 #include <string>
@@ -65,8 +67,7 @@ int Main(int argc, char** argv) {
                {"rounds", "4 | times the query set is replayed per setting"},
                {"threads", "1,2,4,8 | comma-separated worker counts"},
                {"shards", "1 | comma-separated shard counts (1 = unsharded)"},
-               {"replicas",
-                "1 | replicas per shard (read scaling; sharded path only)"},
+               {"replicas", "1 | replicas per shard (read scaling)"},
                {"partition", "modulo | shard placement: modulo or balanced"},
                {"zipf",
                 "0 | Zipf exponent for skewed matrix sizes (0 = uniform)"},
@@ -133,29 +134,19 @@ int Main(int argc, char** argv) {
     }
   }
   const double zipf = flags.GetDouble("zipf");
-  auto make_database = [&] {
-    return zipf > 0 ? BuildZipfSkewedDatabase("Uni", defaults, zipf)
-                    : BuildSyntheticDatabase("Uni", defaults);
-  };
 
   PrintHeader("service_throughput",
-              "QueryService queries/sec vs worker threads (shared engine, "
-              "full query pipeline per request)",
+              "QueryService queries/sec vs worker threads (one ShardedEngine "
+              "per setting, full query pipeline per request)",
               "N=" + std::to_string(defaults.num_matrices) +
                   " queries=" + std::to_string(num_queries) +
                   " rounds=" + std::to_string(rounds) + " partition=" +
                   partition + " zipf=" + flags.GetString("zipf") +
                   " replicas=" + std::to_string(num_replicas));
 
-  GeneDatabase database = make_database();
-  ImGrnEngine engine;
-  engine.LoadDatabase(std::move(database));
-  const Status built = engine.BuildIndex();
-  if (!built.ok()) {
-    std::fprintf(stderr, "BuildIndex failed: %s\n",
-                 built.ToString().c_str());
-    return 1;
-  }
+  const GeneDatabase database =
+      zipf > 0 ? BuildZipfSkewedDatabase("Uni", defaults, zipf)
+               : BuildSyntheticDatabase("Uni", defaults);
 
   // The query workload: extracted query *matrices* (the full serving path
   // including ad-hoc inference, the part a real client pays per request).
@@ -166,7 +157,7 @@ int Main(int argc, char** argv) {
   std::vector<GeneMatrix> queries;
   while (queries.size() < num_queries) {
     Result<GeneMatrix> query =
-        ExtractQueryMatrix(engine.database(), query_config, &rng);
+        ExtractQueryMatrix(database, query_config, &rng);
     if (!query.ok()) break;  // Extremely rare; run with what we have.
     queries.push_back(std::move(*query));
   }
@@ -227,34 +218,25 @@ int Main(int argc, char** argv) {
   options.max_queue_depth = queries.size() * rounds + 1;
   for (size_t num_threads : thread_counts) {
     for (size_t num_shards : shard_counts) {
-      options.num_threads = num_threads;
-      if (num_shards <= 1) {
-        // The unsharded baseline: one engine, one buffer pool, whole-index
-        // write lock.
-        QueryService service(&engine, options);
-        run_setting(service, num_threads, 1, 1, 1.0);
-        continue;
-      }
       // One pool shared by the service (request parallelism) and the
-      // sharded engine (per-request fan-out). The sharded engine gets its
-      // own copy of the database; the generator is deterministic in the
-      // seed, so the data is identical.
+      // engine (per-request fan-out). Each setting builds its own engine
+      // over a copy of the database.
       ThreadPool pool(num_threads);
       ShardedEngineOptions sharded_options;
       sharded_options.num_shards = num_shards;
       sharded_options.num_replicas = num_replicas;
       sharded_options.partitioner = partitioner;
-      ShardedEngine sharded(sharded_options, &pool);
-      sharded.LoadDatabase(make_database());
-      const Status sharded_built = sharded.BuildIndex();
-      if (!sharded_built.ok()) {
-        std::fprintf(stderr, "sharded BuildIndex failed: %s\n",
-                     sharded_built.ToString().c_str());
+      ShardedEngine engine(sharded_options, &pool);
+      engine.LoadDatabase(database);
+      const Status built = engine.BuildIndex();
+      if (!built.ok()) {
+        std::fprintf(stderr, "BuildIndex failed: %s\n",
+                     built.ToString().c_str());
         return 1;
       }
-      QueryService service(&sharded, &pool, options);
+      QueryService service(&engine, &pool, options);
       run_setting(service, num_threads, num_shards, num_replicas,
-                  sharded.StatsSnapshot().imbalance);
+                  engine.StatsSnapshot().imbalance);
     }
   }
   if (json_file != nullptr) std::fclose(json_file);

@@ -39,15 +39,15 @@ struct EngineOptions {
 ///   QueryParams params{.gamma = 0.5, .alpha = 0.5};
 ///   auto matches = engine.Query(query_matrix, params, &stats);
 ///
-/// Concurrency contract (what service/query_service.h builds on): the const
+/// Concurrency contract (what service/sharded_engine.h builds on): the const
 /// methods — Query, QueryWithGraph, database(), index() — are safe to call
 /// from many threads at once on a built index; every piece of mutable
 /// state they reach is either per-call (PermutationCache, stats) or
 /// internally synchronized (the R*-tree buffer pool). The non-const methods
 /// (LoadDatabase, BuildIndex, AddMatrix, RemoveMatrix, SaveSnapshot,
-/// LoadSnapshot, mutable_database) require exclusive access: no other call
-/// may overlap them. QueryService enforces exactly this with a
-/// reader-writer lock.
+/// LoadSnapshot) require exclusive access: no other call may overlap them.
+/// ShardedEngine, the engine QueryService serves, enforces exactly this
+/// with a reader-writer lock per shard replica.
 class ImGrnEngine {
  public:
   explicit ImGrnEngine(EngineOptions options = {});
@@ -60,7 +60,6 @@ class ImGrnEngine {
   void LoadDatabase(GeneDatabase database);
 
   const GeneDatabase& database() const { return database_; }
-  GeneDatabase& mutable_database() { return database_; }
 
   /// Builds the pivot embedding + R*-tree index (Sections 4-5). Must be
   /// called after LoadDatabase and before Query. InvalidArgument, with

@@ -59,6 +59,12 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
         ": an R*-tree node must hold at least " +
         std::to_string(kMinNodeCapacity) + " entries and fit one page");
   }
+  if (options_.embed_samples == 0 ||
+      options_.embed_samples > kMaxEmbedSamples) {
+    return Status::InvalidArgument(
+        "embed_samples=" + std::to_string(options_.embed_samples) +
+        " must be in [1, " + std::to_string(kMaxEmbedSamples) + "]");
+  }
   Stopwatch timer;
   database_ = database;
   database_->StandardizeAll();

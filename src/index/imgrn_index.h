@@ -15,6 +15,12 @@
 
 namespace imgrn {
 
+/// Largest accepted ImGrnIndexOptions::embed_samples. The index draws S
+/// permutations of every sample length it embeds, so S is an allocation
+/// size: ImGrnIndex::Build rejects a larger value with kInvalidArgument and
+/// a snapshot holding one is kDataLoss. Every caller uses 32-64.
+inline constexpr size_t kMaxEmbedSamples = 65536;
+
 /// Configuration of the IM-GRN index (Section 5.1).
 struct ImGrnIndexOptions {
   /// Number of pivots d per matrix; the index dimensionality is 2d+1.
@@ -24,7 +30,8 @@ struct ImGrnIndexOptions {
   size_t signature_bits = 128;
   int signature_hashes = 2;
 
-  /// Permutation samples for the y coordinates E[dist(X^R, piv_w)].
+  /// Permutation samples for the y coordinates E[dist(X^R, piv_w)]; in
+  /// [1, kMaxEmbedSamples].
   size_t embed_samples = 64;
 
   /// Fig.-3 pivot selection knobs.

@@ -224,14 +224,17 @@ Result<PersistedIndexParts> ReadIndexParts(PageStreamReader* reader,
   IMGRN_RETURN_IF_ERROR(ReadPod(reader, &options.signature_hashes));
   IMGRN_RETURN_IF_ERROR(ReadPod(reader, &options.seed));
   // What ImGrnIndex, its R*-tree, its buffer pool and its permutation
-  // cache would otherwise CHECK. d and the signature width size records
-  // below (every built index has an inverted-file entry), so they must fit
-  // too; with them bounded, the tree's node capacity is safe to compute.
+  // cache would otherwise CHECK, and an embed_samples the first AddMatrix
+  // after the load would allocate without bound. d and the signature
+  // width size records below (every built index has an inverted-file
+  // entry), so they must fit too; with them bounded, the tree's node
+  // capacity is safe to compute.
   const size_t d = options.num_pivots;
   if (d == 0 || d > reader->remaining() / sizeof(double) ||
       options.signature_bits < 8 ||
       options.signature_bits / 8 > reader->remaining() ||
       options.signature_hashes < 1 || options.embed_samples == 0 ||
+      options.embed_samples > kMaxEmbedSamples ||
       options.buffer_pool_pages == 0 ||
       RTreeNodeCapacity(IndexTreeOptions(options)) < kMinNodeCapacity) {
     return Inconsistent("index options");

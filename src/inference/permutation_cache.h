@@ -65,10 +65,10 @@ class PermutationBlocks {
 /// ImGrnQueryProcessor, refinement, and InferGrn each construct a per-call
 /// cache seeded from the query params, which is also what makes concurrent
 /// queries bit-reproducible (see QueryService). ImGrnIndex's long-lived
-/// embed cache is only touched on the update path, which QueryService
-/// serializes behind its writer lock, and by a parallel Build, which
-/// fills BlocksForLength for every length before its workers start, so
-/// the workers only look entries up.
+/// embed cache is only touched on the update path, which ShardedEngine
+/// serializes behind the shard replica's writer lock, and by a parallel
+/// Build, which fills BlocksForLength for every length before its workers
+/// start, so the workers only look entries up.
 ///
 /// Order invariance: the permutations of length l depend only on
 /// (seed, num_samples, l) — each length draws from its own seeded stream,

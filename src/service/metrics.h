@@ -22,7 +22,10 @@ struct ServiceMetricsSnapshot {
   uint64_t failed = 0;             // Any other non-OK completion.
   size_t queue_depth = 0;          // Admitted but unfinished right now.
 
-  double latency_mean_ms = 0.0;    // Over served (OK) queries only.
+  // Execution latency of served (OK) queries only: from the moment a pool
+  // worker starts the query to its completion. Time spent queued before
+  // that is not included; queue_depth shows the backlog.
+  double latency_mean_ms = 0.0;
   double latency_p50_ms = 0.0;
   double latency_p95_ms = 0.0;
   double latency_p99_ms = 0.0;
@@ -48,8 +51,9 @@ class ServiceMetrics {
   void OnSubmitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
   void OnRejected() { rejected_.fetch_add(1, std::memory_order_relaxed); }
 
-  /// Classifies one finished query by its status; `seconds` is its service
-  /// latency (admission to completion).
+  /// Classifies one finished query by its status; `seconds` is its
+  /// execution latency, from the start of its pool task to completion
+  /// (queue wait excluded).
   void OnFinished(const Status& status, double seconds);
 
   uint64_t submitted() const {
@@ -66,8 +70,6 @@ class ServiceMetrics {
     return cancelled_.load(std::memory_order_relaxed);
   }
   uint64_t failed() const { return failed_.load(std::memory_order_relaxed); }
-
-  const LatencyHistogram& latency() const { return latency_; }
 
   /// `queue_depth` is owned by the QueryService (it is the admission
   /// control variable), so the snapshot takes it as an argument.

@@ -7,37 +7,9 @@
 
 namespace imgrn {
 
-QueryService::QueryService(ImGrnEngine* engine, QueryServiceOptions options)
-    : owned_single_(std::make_unique<SingleEngine>(engine)),
-      engine_(owned_single_.get()),
-      options_(options),
-      owned_pool_(std::make_unique<ThreadPool>(options.num_threads)),
-      pool_(owned_pool_.get()) {
-  IMGRN_CHECK_GE(options_.max_queue_depth, 1u);
-}
-
-QueryService::QueryService(ImGrnEngine* engine, ThreadPool* pool,
+QueryService::QueryService(ShardedEngine* engine, ThreadPool* pool,
                            QueryServiceOptions options)
-    : owned_single_(std::make_unique<SingleEngine>(engine)),
-      engine_(owned_single_.get()),
-      options_(options),
-      pool_(pool) {
-  IMGRN_CHECK(pool != nullptr);
-  IMGRN_CHECK_GE(options_.max_queue_depth, 1u);
-}
-
-QueryService::QueryService(QueryEngine* engine, QueryServiceOptions options)
-    : engine_(engine),
-      options_(options),
-      owned_pool_(std::make_unique<ThreadPool>(options.num_threads)),
-      pool_(owned_pool_.get()) {
-  IMGRN_CHECK(engine != nullptr);
-  IMGRN_CHECK_GE(options_.max_queue_depth, 1u);
-}
-
-QueryService::QueryService(QueryEngine* engine, ThreadPool* pool,
-                           QueryServiceOptions options)
-    : engine_(engine), options_(options), pool_(pool) {
+    : engine_(engine), pool_(pool), options_(options) {
   IMGRN_CHECK(engine != nullptr);
   IMGRN_CHECK(pool != nullptr);
   IMGRN_CHECK_GE(options_.max_queue_depth, 1u);
@@ -45,9 +17,8 @@ QueryService::QueryService(QueryEngine* engine, ThreadPool* pool,
 
 QueryService::~QueryService() {
   // Admitted tasks capture `this`; they must all finish before the members
-  // go away. With an owned pool its destructor would drain too, but an
-  // external pool outlives us — so the service tracks its own in-flight
-  // count either way.
+  // go away. The pool outlives us, so the service tracks its own in-flight
+  // count.
   std::unique_lock<std::mutex> lock(drain_mutex_);
   drain_cv_.wait(lock, [this] { return in_flight_.load() == 0; });
 }
@@ -94,10 +65,6 @@ QueryService::PendingQuery QueryService::SubmitWithControl(
 
 QueryService::PendingQuery QueryService::SubmitQuery(
     GeneMatrix query_matrix, const QueryParams& params) {
-  if (options_.default_deadline.count() > 0) {
-    return SubmitQuery(std::move(query_matrix), params,
-                       options_.default_deadline);
-  }
   return SubmitWithControl(std::move(query_matrix), params,
                            std::make_shared<QueryControl>());  // No deadline.
 }

@@ -9,57 +9,48 @@
 #include <mutex>
 #include <vector>
 
-#include "core/engine.h"
-#include "core/query_engine.h"
 #include "service/metrics.h"
+#include "service/sharded_engine.h"
 #include "service/thread_pool.h"
 
 namespace imgrn {
 
 /// Knobs of a QueryService.
 struct QueryServiceOptions {
-  /// Worker threads of the owned pool. 0 = hardware concurrency. Ignored
-  /// when an external ThreadPool is supplied.
-  size_t num_threads = 0;
-
   /// Admission control: the maximum number of queries admitted but not yet
   /// finished (queued + running). SubmitQuery beyond this fails fast with
   /// ResourceExhausted instead of building an unbounded backlog.
   size_t max_queue_depth = 256;
-
-  /// Deadline applied to SubmitQuery calls that do not pass their own.
-  /// Zero = no deadline.
-  std::chrono::nanoseconds default_deadline{0};
 };
 
 /// The serving layer of Section 8's "real prototype system": schedules
-/// query execution over a QueryEngine on a work-stealing ThreadPool, with
+/// query execution over a ShardedEngine on a work-stealing ThreadPool, with
 /// per-request deadlines/cancellation, admission control, and service
-/// metrics.
-///
-/// The engine can be either
-///   - one ImGrnEngine (wrapped in a SingleEngine adapter: a reader-writer
-///     lock lets any number of queries run concurrently while AddMatrix /
-///     RemoveMatrix take exclusive access — every query sees a consistent
-///     index snapshot), or
-///   - a ShardedEngine (service/sharded_engine.h): the database is
-///     hash-partitioned across K independent engines, each query fans out
-///     one sub-query per shard on this service's pool, and an update
-///     write-locks only its own shard.
+/// metrics. The engine keeps queries and updates consistent (see its
+/// contract): an update write-locks only its own shard, so every
+/// sub-query sees that shard either before or after the update. With one
+/// shard (num_shards = 1) every query sees one consistent snapshot.
 ///
 /// Typical use:
 ///
-///   QueryService service(&engine, {.num_threads = 8});
+///   ThreadPool pool(8);
+///   ShardedEngineOptions options;
+///   options.num_shards = 1;
+///   ShardedEngine engine(options, &pool);
+///   engine.LoadDatabase(std::move(database));
+///   IMGRN_CHECK_OK(engine.BuildIndex());
+///   QueryService service(&engine, &pool);
 ///   auto pending = service.SubmitQuery(mq, params, 50ms);
 ///   ... // pending.control->RequestCancel() to abort early
 ///   Result<std::vector<QueryMatch>> r = pending.result.get();
 ///   LOG(INFO) << service.MetricsSnapshot().DebugString();
 ///
 /// Notes:
-///   - The engine must outlive the service, and while the service exists
-///     all engine mutations must go through the service (or the
-///     QueryEngine interface — a bare ImGrnEngine::AddMatrix would bypass
-///     the adapter's write lock).
+///   - The engine and the pool must outlive the service. The pool is the
+///     caller's; sharing it with the engine's fan-out is the usual shape.
+///   - The latency metrics time a query from the moment a pool worker
+///     starts it to its completion; queue wait is not included
+///     (queue_depth shows the backlog).
 ///   - Per-query I/O attribution (QueryStats::page_accesses) is
 ///     approximate under concurrency: the buffer-pool counters are global
 ///     per index, so concurrent queries see each other's fetches in their
@@ -80,22 +71,9 @@ class QueryService {
     std::shared_ptr<QueryControl> control;
   };
 
-  /// Creates a service with its own thread pool over one ImGrnEngine
-  /// (wrapped in an owned SingleEngine adapter).
-  explicit QueryService(ImGrnEngine* engine, QueryServiceOptions options = {});
-
-  /// Shares an external pool (several services over one pool, or tests that
-  /// need to occupy workers deliberately). `pool` must outlive the service.
-  QueryService(ImGrnEngine* engine, ThreadPool* pool,
-               QueryServiceOptions options = {});
-
-  /// Serves any QueryEngine (e.g. a ShardedEngine) with an owned pool.
-  explicit QueryService(QueryEngine* engine, QueryServiceOptions options = {});
-
-  /// Serves any QueryEngine on an external pool. For a ShardedEngine this
-  /// is the usual shape: one pool shared by the service (request
-  /// parallelism) and the engine (per-request shard fan-out).
-  QueryService(QueryEngine* engine, ThreadPool* pool,
+  /// Serves `engine` on `pool`, which may also be the engine's fan-out
+  /// pool. Both must outlive the service.
+  QueryService(ShardedEngine* engine, ThreadPool* pool,
                QueryServiceOptions options = {});
 
   QueryService(const QueryService&) = delete;
@@ -105,9 +83,9 @@ class QueryService {
   ~QueryService();
 
   /// Schedules one IM-GRN query (full pipeline: inference + matching)
-  /// under the options' default deadline. Returns immediately; the result
-  /// arrives through the future. A full service yields a ready future
-  /// holding ResourceExhausted.
+  /// with no deadline. Returns immediately; the result arrives through the
+  /// future. A full service yields a ready future holding
+  /// ResourceExhausted.
   PendingQuery SubmitQuery(GeneMatrix query_matrix, const QueryParams& params);
 
   /// Same with an explicit deadline relative to now. A zero (or negative)
@@ -118,15 +96,14 @@ class QueryService {
                            std::chrono::nanoseconds deadline);
 
   /// Fans the query matrices out across the pool and gathers the results
-  /// in input order (per-entry statuses; one rejected or expired query
-  /// does not disturb its neighbors). Uses the default deadline.
+  /// in input order (per-entry statuses; one rejected query does not
+  /// disturb its neighbors). No deadline.
   std::vector<QueryResult> QueryBatch(const std::vector<GeneMatrix>& queries,
                                       const QueryParams& params);
 
-  /// Engine updates. Over a SingleEngine these serialize against ALL
-  /// running queries (exclusive lock: callers block until in-flight shared
-  /// sections drain, then the update applies atomically with respect to
-  /// queries); over a ShardedEngine only the owning shard is locked.
+  /// Engine updates: ShardedEngine::AddSource and RemoveSource. Each
+  /// write-locks only the owning shard, waits for the sub-queries running
+  /// there to drain, then applies atomically with respect to queries.
   Status AddMatrix(GeneMatrix matrix);
   Status RemoveMatrix(SourceId source);
 
@@ -135,18 +112,14 @@ class QueryService {
     return in_flight_.load(std::memory_order_relaxed);
   }
 
-  const ServiceMetrics& metrics() const { return metrics_; }
   ServiceMetricsSnapshot MetricsSnapshot() const {
     return metrics_.Snapshot(queue_depth());
   }
 
-  const QueryServiceOptions& options() const { return options_; }
-  ThreadPool& pool() { return *pool_; }
-
  private:
   /// Shared tail of the SubmitQuery overloads: admission, scheduling, the
   /// engine call, metrics. Query-vs-update synchronization lives inside
-  /// the QueryEngine implementation (the QueryEngine contract).
+  /// the engine (the ShardedEngine contract).
   PendingQuery SubmitWithControl(GeneMatrix query_matrix,
                                  const QueryParams& params,
                                  std::shared_ptr<QueryControl> control);
@@ -157,14 +130,9 @@ class QueryService {
   /// Releases the slot taken by TryAdmit and wakes a draining destructor.
   void FinishOne();
 
-  /// Set by the ImGrnEngine convenience ctors: the adapter that wraps the
-  /// bare engine in the query/update reader-writer lock.
-  std::unique_ptr<SingleEngine> owned_single_;
-  QueryEngine* engine_;
+  ShardedEngine* engine_;
+  ThreadPool* pool_;
   QueryServiceOptions options_;
-
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_;  // Owned or external.
 
   std::atomic<size_t> in_flight_{0};
   std::mutex drain_mutex_;

@@ -166,8 +166,8 @@ Result<std::vector<QueryMatch>> ShardedEngine::Query(
   if (control != nullptr) {
     IMGRN_RETURN_IF_ERROR(control->Check());
   }
-  // Infer the query GRN exactly once — same options and seed as the
-  // single-engine path, so the fanned-out sub-queries all match against
+  // Infer the query GRN exactly once — same options and seed as
+  // ImGrnEngine::Query, so the fanned-out sub-queries all match against
   // the identical graph.
   Stopwatch inference_timer;
   GrnInferenceOptions inference_options;
@@ -206,7 +206,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
       num_shards, Result<std::vector<QueryMatch>>(std::vector<QueryMatch>{}));
   std::vector<QueryStats> shard_stats(num_shards);
 
-  if (pool_ != nullptr) {
+  if (pool_ != nullptr && num_shards > 1) {
     // Fan out one sub-query per shard. Every future is gathered before this
     // function returns (even on error/cancellation), so no task outlives
     // the stack it captures; gathering helps run queued tasks, so sharing

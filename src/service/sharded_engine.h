@@ -8,7 +8,11 @@
 #include <string>
 #include <vector>
 
-#include "core/query_engine.h"
+#include "common/status.h"
+#include "graph/prob_graph.h"
+#include "matrix/gene_matrix.h"
+#include "query/query_control.h"
+#include "query/query_types.h"
 #include "service/partitioner.h"
 #include "service/replica_set.h"
 #include "service/thread_pool.h"
@@ -17,10 +21,10 @@ namespace imgrn {
 
 /// Knobs of a ShardedEngine.
 struct ShardedEngineOptions {
-  /// Number of independent ImGrnEngine shards. Each shard has its own
-  /// index, its own R*-tree paged file, and therefore its own buffer pool
-  /// — the shared buffer-pool mutex of the single-engine service does not
-  /// exist here. Fixed for the engine's lifetime.
+  /// Number of independent ImGrnEngine shards, each with its own index,
+  /// its own R*-tree pages and its own buffer pool. 1 is the unsharded
+  /// case: one engine over the whole database. Fixed for the engine's
+  /// lifetime.
   size_t num_shards = 4;
 
   /// Replicas per shard (1 = no replication, the historical behavior).
@@ -92,25 +96,36 @@ struct ShardedEngineStatsSnapshot {
   std::string DebugString() const;
 };
 
-/// A database partitioned across K independent ImGrnEngine instances,
-/// each optionally mirrored across R replicas. A query is validated, fans
-/// out one sub-query per shard and merges them. The partition map is
-/// pluggable (see ShardedEngineOptions::partitioner). The shard and
-/// replica counts are fixed at construction, and each source's owner when
-/// the source arrives (LoadDatabase or AddSource); nothing moves a source
-/// afterwards. A different layout is a new engine loaded with the
-/// database.
+/// The serving engine: a database partitioned across K independent
+/// ImGrnEngine instances, each optionally mirrored across R replicas, made
+/// safe for concurrent queries and updates. QueryService serves exactly
+/// this class; K = 1 is the unsharded case, one ImGrnEngine behind a
+/// reader-writer lock. A query is validated, fans out one sub-query per
+/// shard and merges them. The partition map is pluggable (see
+/// ShardedEngineOptions::partitioner). The shard and replica counts are
+/// fixed at construction, and each source's owner when the source arrives
+/// (LoadDatabase or AddSource); nothing moves a source afterwards. A
+/// different layout is a new engine loaded with the database.
 ///
-/// Why: the single-engine QueryService write-locks the WHOLE index for
-/// every AddMatrix/RemoveMatrix, and all queries contend on one buffer
-/// pool. Here an update routes to exactly one shard and only write-locks
-/// that shard's replicas — queries keep running on the other K-1 shards —
-/// and every replica traverses its own R*-tree over its own buffer pool.
-/// The shards also build their indices in parallel. Sharding splits the
-/// data; replication multiplies READ capacity: R replicas serve R
-/// sub-queries of the same shard concurrently (reads take shared locks,
-/// but each replica has its own buffer pool and engine, so they do not
-/// contend). The engine persists nothing: a durable index is a plain
+/// Contract:
+///   - Every method except the setup-phase LoadDatabase and BuildIndex is
+///     safe to call from any thread at any time once BuildIndex has run.
+///     ImGrnEngine alone promises only a thread-compatible const query
+///     path; the per-replica reader-writer locks below add the rest.
+///   - Source ids are dense and append-only across the engine's lifetime:
+///     the i-th source has id i, and AddSource requires the next id in
+///     sequence. RemoveSource retracts a source from query results; its id
+///     is never reused.
+///   - A query fails whole (see "Error semantics").
+///
+/// Why shards: an update routes to exactly one shard and only write-locks
+/// that shard's replicas — with K > 1, queries keep running on the other
+/// K-1 shards — and every replica traverses its own R*-tree over its own
+/// buffer pool. The shards also build their indices in parallel. Sharding
+/// splits the data; replication multiplies READ capacity: R replicas
+/// serve R sub-queries of the same shard concurrently (reads take shared
+/// locks, but each replica has its own buffer pool and engine, so they do
+/// not contend). The engine persists nothing: a durable index is a plain
 /// ImGrnEngine's snapshot, and a sharded engine re-partitions on load.
 ///
 /// Query semantics are bit-identical to a single ImGrnEngine over the
@@ -138,10 +153,12 @@ struct ShardedEngineStatsSnapshot {
 /// breakdown, so QueryStats::source_costs stays empty here.
 ///
 /// Fan-out runs on the ThreadPool passed at construction (pass null to run
-/// sub-queries sequentially on the calling thread). The pool may be shared
-/// with the QueryService that owns this engine: gathering uses
-/// ThreadPool::WaitReady, so a worker blocked on its sub-queries executes
-/// queued tasks itself instead of deadlocking the pool.
+/// sub-queries sequentially on the calling thread; a single shard's
+/// sub-query always runs there, since it has nothing to overlap with). The
+/// pool may be shared with the QueryService that serves this engine:
+/// gathering uses ThreadPool::WaitReady, so a worker blocked on its
+/// sub-queries executes queued tasks itself instead of deadlocking the
+/// pool.
 ///
 /// Error semantics: a query fails whole, like one ImGrnEngine. Each
 /// sub-query runs once, on the replica the round-robin cursor picks; there
@@ -151,13 +168,11 @@ struct ShardedEngineStatsSnapshot {
 /// when every shard answered. A cancelled/expired QueryControl fans out
 /// to every shard, so all sub-queries unwind at their next checkpoint.
 ///
-/// Thread safety: Query/QueryWithGraph/AddSource/RemoveSource/
-/// StatsSnapshot are safe from any thread once BuildIndex has run (the
-/// QueryEngine contract). LoadDatabase/BuildIndex are setup-phase calls:
-/// no other call may overlap them. Queries read the shard list without a
-/// lock, since only LoadDatabase writes it; updates serialize on one
-/// mutex and write-lock only the replicas of the shard they touch.
-class ShardedEngine : public QueryEngine {
+/// Locking: LoadDatabase/BuildIndex are setup-phase calls, and no other
+/// call may overlap them. Queries read the shard list without a lock,
+/// since only LoadDatabase writes it; updates serialize on one mutex and
+/// write-lock only the replicas of the shard they touch.
+class ShardedEngine {
  public:
   explicit ShardedEngine(ShardedEngineOptions options = {},
                          ThreadPool* pool = nullptr);
@@ -177,15 +192,19 @@ class ShardedEngine : public QueryEngine {
   /// ValidateGeneMatrix.
   Status BuildIndex();
 
+  /// Runs one IM-GRN query (ad-hoc inference + matching) against the
+  /// current source set. `stats` may be null; `control`, when non-null,
+  /// carries the request's deadline/cancellation flag.
   Result<std::vector<QueryMatch>> Query(
       const GeneMatrix& query_matrix, const QueryParams& params,
       QueryStats* stats = nullptr,
-      const QueryControl* control = nullptr) const override;
+      const QueryControl* control = nullptr) const;
 
+  /// Variant taking an already-inferred query GRN.
   Result<std::vector<QueryMatch>> QueryWithGraph(
       const ProbGraph& query_graph, const QueryParams& params,
       QueryStats* stats = nullptr,
-      const QueryControl* control = nullptr) const override;
+      const QueryControl* control = nullptr) const;
 
   /// Appends a new data source; `matrix.source_id()` must equal
   /// num_sources(). The partitioner picks the owning shard (modulo: id mod
@@ -193,11 +212,11 @@ class ShardedEngine : public QueryEngine {
   /// appended to every replica of that shard (lock step), and only those
   /// replicas are write-locked. InvalidArgument, with nothing changed, when
   /// the matrix fails ValidateGeneMatrix.
-  Status AddSource(GeneMatrix matrix) override;
+  Status AddSource(GeneMatrix matrix);
 
   /// Retracts a source from query results. Write-locks only the owning
   /// shard's replicas.
-  Status RemoveSource(SourceId source) override;
+  Status RemoveSource(SourceId source);
 
   size_t num_shards() const { return options_.num_shards; }
 
@@ -206,7 +225,7 @@ class ShardedEngine : public QueryEngine {
 
   /// Total sources ever added (the dense global id space; removed sources
   /// still count — ids are never reused).
-  size_t num_sources() const override;
+  size_t num_sources() const;
 
   /// Which shard owns a global source id. `source` must be <
   /// num_sources().

@@ -48,8 +48,8 @@ struct IoStats {
 /// structure (e.g. many queries traversing one R*-tree through the
 /// QueryService) may fetch pages in parallel. The backing store itself is
 /// NOT synchronized; callers must not Allocate() concurrently with
-/// fetches (the service layer enforces this with its reader-writer lock
-/// around index updates).
+/// fetches (ShardedEngine enforces this with each shard replica's
+/// reader-writer lock around index updates).
 class BufferPool {
  public:
   /// `capacity` is the number of resident pages. Must be >= 1.

@@ -121,6 +121,10 @@ Result<std::unique_ptr<DiskStorageManager>> DiskStorageManager::Open(
   if (::fstat(store->fd_, &st) != 0) return ErrnoStatus("fstat", options.path);
   if (st.st_size == 0) {
     IMGRN_RETURN_IF_ERROR(store->InitFresh());
+  } else if (static_cast<size_t>(st.st_size) < kDataStart) {
+    // InitFresh reserves the whole header region, so this file was cut.
+    return Status::DataLoss(options.path + " is shorter than its header "
+                            "region");
   } else {
     IMGRN_RETURN_IF_ERROR(store->Recover());
   }
@@ -128,9 +132,16 @@ Result<std::unique_ptr<DiskStorageManager>> DiskStorageManager::Open(
 }
 
 Status DiskStorageManager::InitFresh() {
+  // Generation 0 is the empty state: a header with no pages, no slots, no
+  // app root and no meta chain, which Recover accepts as exactly that. The
+  // file covers the whole header region from the start, so a fresh file
+  // is told apart from one cut inside that region.
   generation_ = 0;
   IMGRN_RETURN_IF_ERROR(WriteHeader(/*generation=*/0, kInvalidSlot,
                                     /*meta_count=*/0));
+  if (::ftruncate(fd_, static_cast<off_t>(kDataStart)) != 0) {
+    return ErrnoStatus("ftruncate", path_);
+  }
   if (::fsync(fd_) != 0) return ErrnoStatus("fsync", path_);
   return Status::Ok();
 }
@@ -188,6 +199,14 @@ Status DiskStorageManager::Recover() {
           std::to_string(page_size_));
     }
 
+    // The empty generation 0 InitFresh commits has no meta chain. It is
+    // never a fallback: when a later header was tried first, data was
+    // committed, and opening empty would hide its loss.
+    const bool fresh = h.generation == 0 && h.meta_count == 0 &&
+                       h.num_logical == 0 && h.num_slots == 0 &&
+                       h.app_root == kInvalidPageId;
+    if (fresh && i > 0) continue;
+
     num_slots_ = h.num_slots;
     std::vector<SlotId> chain;
     auto meta = ReadMetaChain(h.meta_head, h.meta_count, &chain);
@@ -195,6 +214,7 @@ Status DiskStorageManager::Recover() {
       last = meta.status();
       continue;
     }
+    if (fresh) meta->assign(2 * sizeof(uint64_t), 0);  // Two zero counts.
     Status parsed = ParseMeta(*meta);
     if (!parsed.ok()) {
       last = parsed;

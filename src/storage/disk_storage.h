@@ -66,10 +66,11 @@ class DiskStorageManager final : public StorageManager {
   };
 
   /// Opens (creating if absent) the store at `options.path`. A fresh file
-  /// is initialized with an empty generation-0 state; an existing file is
-  /// recovered to its last committed state. Fails with kDataLoss when no
-  /// header/meta chain verifies, kInvalidArgument on a page-size or
-  /// format mismatch.
+  /// is initialized with the committed, empty generation-0 state, which it
+  /// reopens to until its first Sync; an existing file is recovered to its
+  /// last committed state. Fails with kDataLoss when no header/meta chain
+  /// verifies or the file is shorter than its header region,
+  /// kInvalidArgument on a page-size or format mismatch.
   static Result<std::unique_ptr<DiskStorageManager>> Open(
       const StorageOptions& options);
 

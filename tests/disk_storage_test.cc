@@ -341,6 +341,28 @@ TEST(DiskStorageTest, TruncatedFileRejectedNotCrash) {
   EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
 }
 
+// A store reopens to its empty generation 0 until its first Sync, but
+// generation 0 is never a fallback: a file that kept both headers and lost
+// the first Sync's meta chain is kDataLoss, not an empty store.
+TEST(DiskStorageTest, EmptyGenerationIsNotAFallback) {
+  TempStoreFile file("no_empty_fallback");
+  {
+    std::unique_ptr<DiskStorageManager> store =
+        MustOpen(DiskOptions(file.path()));
+    ASSERT_NE(store, nullptr);
+    Page frame(kPageSize);
+    store->Allocate();
+    FillPage(&frame, 0, /*salt=*/6);
+    ASSERT_TRUE(store->Commit(0, frame).ok());
+    ASSERT_TRUE(store->Sync().ok());
+  }
+  ASSERT_EQ(::truncate(file.path().c_str(), kDataStart), 0);
+  Result<std::unique_ptr<DiskStorageManager>> store =
+      DiskStorageManager::Open(DiskOptions(file.path()));
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
+}
+
 TEST(DiskStorageTest, PageSizeMismatchRejectedWithInvalidArgument) {
   TempStoreFile file("page_size");
   {

@@ -68,6 +68,20 @@ TEST(EngineTest, BuildIndexRejectsNodeCapacityAboveAPage) {
   EXPECT_FALSE(engine.has_index());
 }
 
+TEST(EngineTest, BuildIndexRejectsEmbedSamplesOutsideTheCap) {
+  for (const size_t samples : {size_t{0}, kMaxEmbedSamples + 1}) {
+    SCOPED_TRACE(samples);
+    EngineOptions options;
+    options.index.embed_samples = samples;
+    ImGrnEngine engine(options);
+    engine.LoadDatabase(MakeDatabase(7));
+    const Status status = engine.BuildIndex();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+    EXPECT_FALSE(engine.has_index());
+  }
+}
+
 TEST(EngineTest, BuildAndQueryEndToEnd) {
   ImGrnEngine engine;
   engine.LoadDatabase(MakeDatabase(1));

@@ -1,7 +1,8 @@
-// The QueryService serving layer: concurrent queries agree byte-for-byte
-// with serial engine.Query execution, queries interleave safely with
-// AddMatrix/RemoveMatrix (consistent snapshots, no crashes), deadlines and
-// cancellation unwind cleanly, and admission control bounds the queue.
+// The QueryService serving layer over a ShardedEngine: concurrent queries
+// agree byte-for-byte with a serial ImGrnEngine, queries interleave safely
+// with AddMatrix/RemoveMatrix (consistent snapshots, no crashes),
+// deadlines and cancellation unwind cleanly, and admission control bounds
+// the queue.
 
 #include "service/query_service.h"
 
@@ -33,6 +34,22 @@ GeneMatrix ClusterMatrix(SourceId source, uint64_t seed, GeneId filler_base) {
                            {filler_base, filler_base + 1}, 0.97, &rng);
 }
 
+// The four-source database every fixture engine loads.
+GeneDatabase ClusterDatabase() {
+  GeneDatabase database;
+  for (SourceId i = 0; i < 4; ++i) {
+    database.Add(ClusterMatrix(i, 100 + i, 50 + 10 * i));
+  }
+  return database;
+}
+
+// The unsharded engine: one shard, one replica.
+ShardedEngineOptions OneShard() {
+  ShardedEngineOptions options;
+  options.num_shards = 1;
+  return options;
+}
+
 // A query matrix whose inferred GRN is the {1, 2, 3} clique/path cluster.
 GeneMatrix ClusterQueryMatrix(uint64_t seed) {
   Rng rng(seed);
@@ -55,12 +72,10 @@ bool MatchesIdentical(const std::vector<QueryMatch>& a,
 class QueryServiceTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    GeneDatabase database;
-    for (SourceId i = 0; i < 4; ++i) {
-      database.Add(ClusterMatrix(i, 100 + i, 50 + 10 * i));
-    }
-    engine_.LoadDatabase(std::move(database));
+    engine_.LoadDatabase(ClusterDatabase());
     ASSERT_TRUE(engine_.BuildIndex().ok());
+    served_.LoadDatabase(ClusterDatabase());
+    ASSERT_TRUE(served_.BuildIndex().ok());
     params_.gamma = 0.5;
     params_.alpha = 0.3;
   }
@@ -71,7 +86,11 @@ class QueryServiceTest : public ::testing::Test {
     return sources;
   }
 
+  // The serial reference, queried directly and never through a service.
   ImGrnEngine engine_;
+  // What the service serves: the unsharded engine, whose one sub-query
+  // runs on the pool worker that runs the request.
+  ShardedEngine served_{OneShard()};
   QueryParams params_;
 };
 
@@ -88,7 +107,8 @@ TEST_F(QueryServiceTest, ConcurrentQueriesMatchSerialByteForByte) {
     EXPECT_EQ(Sources(serial.back()), (std::set<SourceId>{0, 1, 2, 3}));
   }
 
-  QueryService service(&engine_, {.num_threads = 4});
+  ThreadPool pool(4);
+  QueryService service(&served_, &pool);
   std::vector<QueryService::QueryResult> concurrent =
       service.QueryBatch(queries, params_);
   ASSERT_EQ(concurrent.size(), serial.size());
@@ -101,12 +121,14 @@ TEST_F(QueryServiceTest, ConcurrentQueriesMatchSerialByteForByte) {
 
 TEST_F(QueryServiceTest, ConcurrentAgreementAcrossAddAndRemove) {
   // Byte-identical agreement with serial execution, re-established after an
-  // AddMatrix and after a RemoveMatrix go through the service.
+  // AddMatrix and after a RemoveMatrix go through the service (and, for
+  // the serial reference, straight to the reference engine).
   std::vector<GeneMatrix> queries;
   for (uint64_t i = 0; i < 4; ++i) {
     queries.push_back(ClusterQueryMatrix(8000 + i));
   }
-  QueryService service(&engine_, {.num_threads = 4});
+  ThreadPool pool(4);
+  QueryService service(&served_, &pool);
 
   auto check_agreement = [&](const std::set<SourceId>& expected_sources) {
     std::vector<QueryService::QueryResult> concurrent =
@@ -123,8 +145,10 @@ TEST_F(QueryServiceTest, ConcurrentAgreementAcrossAddAndRemove) {
 
   check_agreement({0, 1, 2, 3});
   ASSERT_TRUE(service.AddMatrix(ClusterMatrix(4, 204, 90)).ok());
+  ASSERT_TRUE(engine_.AddMatrix(ClusterMatrix(4, 204, 90)).ok());
   check_agreement({0, 1, 2, 3, 4});
   ASSERT_TRUE(service.RemoveMatrix(1).ok());
+  ASSERT_TRUE(engine_.RemoveMatrix(1).ok());
   check_agreement({0, 2, 3, 4});
 }
 
@@ -141,7 +165,8 @@ TEST_F(QueryServiceTest, QueriesInterleavedWithUpdatesSeeConsistentSnapshots) {
       {0, 2, 4, 5},        // After RemoveMatrix(3).
   };
 
-  QueryService service(&engine_, {.num_threads = 4, .max_queue_depth = 1024});
+  ThreadPool pool(4);
+  QueryService service(&served_, &pool, {.max_queue_depth = 1024});
   const GeneMatrix query = ClusterQueryMatrix(9001);
 
   std::vector<QueryService::PendingQuery> pending;
@@ -176,11 +201,25 @@ TEST_F(QueryServiceTest, QueriesInterleavedWithUpdatesSeeConsistentSnapshots) {
                             << sources.size() << " sources";
   }
   EXPECT_EQ(service.MetricsSnapshot().served, 40u);
-  EXPECT_TRUE(engine_.index().rtree().Validate().ok());
+
+  // The served engine ends where a serial engine given the same four
+  // updates ends, bit for bit.
+  ASSERT_TRUE(engine_.AddMatrix(ClusterMatrix(4, 204, 90)).ok());
+  ASSERT_TRUE(engine_.RemoveMatrix(1).ok());
+  ASSERT_TRUE(engine_.AddMatrix(ClusterMatrix(5, 205, 110)).ok());
+  ASSERT_TRUE(engine_.RemoveMatrix(3).ok());
+  Result<std::vector<QueryMatch>> expected = engine_.Query(query, params_);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  QueryService::QueryResult final_state =
+      service.SubmitQuery(query, params_).result.get();
+  ASSERT_TRUE(final_state.ok()) << final_state.status().ToString();
+  EXPECT_TRUE(MatchesIdentical(*final_state, *expected));
+  EXPECT_EQ(Sources(*final_state), valid_states.back());
 }
 
 TEST_F(QueryServiceTest, ZeroDeadlineReturnsDeadlineExceeded) {
-  QueryService service(&engine_, {.num_threads = 2});
+  ThreadPool pool(2);
+  QueryService service(&served_, &pool);
   QueryService::PendingQuery pending = service.SubmitQuery(
       ClusterQueryMatrix(42), params_, std::chrono::nanoseconds(0));
   QueryService::QueryResult result = pending.result.get();
@@ -190,23 +229,11 @@ TEST_F(QueryServiceTest, ZeroDeadlineReturnsDeadlineExceeded) {
   EXPECT_EQ(service.MetricsSnapshot().served, 0u);
 }
 
-TEST_F(QueryServiceTest, DefaultDeadlineFromOptionsApplies) {
-  QueryServiceOptions options;
-  options.num_threads = 2;
-  options.default_deadline = std::chrono::nanoseconds(1);  // Expires at once.
-  QueryService service(&engine_, options);
-  QueryService::QueryResult result =
-      service.SubmitQuery(ClusterQueryMatrix(43), params_).result.get();
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-}
-
 TEST_F(QueryServiceTest, FullQueueReturnsResourceExhausted) {
   // One worker, occupied by a plug task; queue depth 1. The first query
   // takes the only slot, the second must be turned away immediately.
   ThreadPool pool(1);
-  QueryService service(&engine_, &pool,
-                       {.num_threads = 1, .max_queue_depth = 1});
+  QueryService service(&served_, &pool, {.max_queue_depth = 1});
 
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
@@ -239,7 +266,7 @@ TEST_F(QueryServiceTest, FullQueueReturnsResourceExhausted) {
 
 TEST_F(QueryServiceTest, CancelBeforeStartReturnsCancelled) {
   ThreadPool pool(1);
-  QueryService service(&engine_, &pool, {.max_queue_depth = 4});
+  QueryService service(&served_, &pool, {.max_queue_depth = 4});
 
   std::promise<void> release;
   std::shared_future<void> released = release.get_future().share();
@@ -259,8 +286,9 @@ TEST_F(QueryServiceTest, CancelBeforeStartReturnsCancelled) {
 }
 
 TEST_F(QueryServiceTest, UpdateErrorsPropagateThroughService) {
-  QueryService service(&engine_, {.num_threads = 2});
-  // Wrong source id (must equal database().size()).
+  ThreadPool pool(2);
+  QueryService service(&served_, &pool);
+  // Wrong source id (must equal num_sources()).
   EXPECT_FALSE(service.AddMatrix(ClusterMatrix(9, 300, 120)).ok());
   EXPECT_FALSE(service.RemoveMatrix(77).ok());
   ASSERT_TRUE(service.RemoveMatrix(2).ok());
@@ -268,7 +296,8 @@ TEST_F(QueryServiceTest, UpdateErrorsPropagateThroughService) {
 }
 
 TEST_F(QueryServiceTest, MetricsLatencyAndDebugString) {
-  QueryService service(&engine_, {.num_threads = 2});
+  ThreadPool pool(2);
+  QueryService service(&served_, &pool);
   std::vector<GeneMatrix> queries;
   for (uint64_t i = 0; i < 6; ++i) {
     queries.push_back(ClusterQueryMatrix(9100 + i));
@@ -293,14 +322,10 @@ class ShardedQueryServiceTest : public QueryServiceTest {
  protected:
   // Builds the sharded twin of the fixture's 4-source database.
   void BuildSharded(size_t num_shards, ThreadPool* pool) {
-    GeneDatabase database;
-    for (SourceId i = 0; i < 4; ++i) {
-      database.Add(ClusterMatrix(i, 100 + i, 50 + 10 * i));
-    }
     ShardedEngineOptions options;
     options.num_shards = num_shards;
     sharded_ = std::make_unique<ShardedEngine>(options, pool);
-    sharded_->LoadDatabase(std::move(database));
+    sharded_->LoadDatabase(ClusterDatabase());
     ASSERT_TRUE(sharded_->BuildIndex().ok());
   }
 
@@ -410,9 +435,10 @@ TEST_F(ShardedQueryServiceTest, ZeroDeadlineOverShardedEngine) {
 }
 
 TEST_F(QueryServiceTest, DestructorDrainsInFlightQueries) {
+  ThreadPool pool(2);
   std::vector<QueryService::PendingQuery> pending;
   {
-    QueryService service(&engine_, {.num_threads = 2});
+    QueryService service(&served_, &pool);
     for (uint64_t i = 0; i < 8; ++i) {
       pending.push_back(
           service.SubmitQuery(ClusterQueryMatrix(9200 + i), params_));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
 #include <vector>
 
@@ -30,6 +31,14 @@ struct FuzzParam {
   size_t dims;
   bool clustered;
 };
+
+// Names each instance by its fields. Without it gtest prints the raw bytes,
+// tail padding included, so the test names would differ between builds.
+void PrintTo(const FuzzParam& param, std::ostream* os) {
+  *os << "seed=" << param.seed << " max_entries=" << param.max_entries
+      << " dims=" << param.dims
+      << (param.clustered ? " clustered" : " uniform");
+}
 
 class RTreeFuzzTest : public ::testing::TestWithParam<FuzzParam> {};
 

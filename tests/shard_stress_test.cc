@@ -200,7 +200,7 @@ TEST(ShardStressTest, QueriesRaceUpdatesWithoutLostUpdatesOrTornShards) {
 TEST(ShardStressTest, WriteLockedShardDoesNotBlockOtherShards) {
   // Pin shard 0 in the "update in progress" state (exclusive lock) and
   // prove the other shards keep serving sub-queries. A global engine lock —
-  // the single-engine QueryService design — would fail this test.
+  // what one shard (num_shards = 1) amounts to — would fail this test.
   const size_t kShards = 4;
   ShardedEngine sharded(Opts(kShards), nullptr);
   sharded.LoadDatabase(MakeDatabase(8));

@@ -125,6 +125,42 @@ TEST(SnapshotTest, LoadFromEmptyStoreIsNotFound) {
   EXPECT_EQ(engine.LoadSnapshot().code(), StatusCode::kNotFound);
 }
 
+TEST(SnapshotTest, NeverSyncedStoreReopensEmptyAndTakesASave) {
+  // A store whose first Sync never completed (a crash, or a load from a
+  // missing file, which creates it) holds the empty generation 0. It must
+  // reopen empty, not as damaged: no snapshot to load, and a save into it
+  // loads back.
+  TempStoreFile file("never_synced");
+  StorageOptions store_options = DiskEngineOptions(file.path()).storage;
+  {
+    Result<std::unique_ptr<StorageManager>> store = OpenStorage(store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    const PageId id = (*store)->Allocate();
+    ASSERT_TRUE((*store)->Commit(id, Page((*store)->page_size())).ok());
+    (*store)->SetAppRoot(id);
+  }  // Closed without a Sync.
+  {
+    Result<std::unique_ptr<StorageManager>> store = OpenStorage(store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ((*store)->num_pages(), 0u);
+    EXPECT_EQ((*store)->app_root(), kInvalidPageId);
+  }
+  {
+    ImGrnEngine engine(DiskEngineOptions(file.path()));
+    EXPECT_EQ(engine.LoadSnapshot().code(), StatusCode::kNotFound);
+  }
+  std::vector<QueryMatch> saved;
+  {
+    ImGrnEngine engine(DiskEngineOptions(file.path()));
+    engine.LoadDatabase(MakeDatabase(29));
+    ASSERT_TRUE(engine.BuildIndex().ok());
+    ASSERT_TRUE(engine.SaveSnapshot().ok());
+    saved = PathMatches(engine);
+    EXPECT_FALSE(saved.empty());
+  }
+  ExpectColdStartMatches(file.path(), saved);
+}
+
 TEST(SnapshotTest, MemoryBackendRoundTrip) {
   // The snapshot layer is backend-agnostic: on the (volatile) memory store
   // it still round-trips within the process.
@@ -638,6 +674,7 @@ TEST(SnapshotTest, ForgedCountsRejected) {
       {"num_pivots", kPartsSection, 0, 1ull << 40},
       {"signature_bits", kPartsSection, 8, 1ull << 40},
       {"embed_samples zero", kPartsSection, 16, 0},
+      {"embed_samples above the cap", kPartsSection, 16, kMaxEmbedSamples + 1},
       {"page_size", kPartsSection, 24, 4096},
       {"rtree_max_entries 3", kPartsSection, 32, 3},
       {"rtree_max_entries above a page", kPartsSection, 32, 4000},

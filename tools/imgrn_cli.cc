@@ -7,29 +7,24 @@
 //       Generate a synthetic gene feature database (Section 6.1 model).
 //   imgrn query --db=db.txt --query=q.txt
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
-//               [--replicas=1] [--store=mem|disk:FILE]
-//               [--partition=modulo|balanced]
+//               [--replicas=1] [--partition=modulo|balanced]
 //               [--fault=SPEC] [--fault-seed=N]
-//       Build the index and run one IM-GRN query; q.txt is a gene matrix
-//       file (matrix_io.h). To query a persisted index, use
+//       Build the index in memory and run one IM-GRN query through the
+//       serving engine (service/sharded_engine.h); q.txt is a gene matrix
+//       file (matrix_io.h). To query a persisted, disk-backed index, use
 //       `snapshot load --query`.
-//       --store selects the page-store backend of the engine's index
-//       (storage/storage_manager.h): "mem" (default) keeps pages in RAM;
-//       "disk:FILE" puts them in a crash-safe paged file. Results are
-//       bit-identical either way. "disk:FILE" requires --shards=1
-//       --replicas=1 and exits 2 otherwise: the sharded path serves from
-//       in-memory shards.
-//       --shards=K > 1 partitions the database across K in-memory engines
-//       and fans the query out (service/sharded_engine.h); the matches are
-//       identical to --shards=1 by construction for EVERY --partition
-//       strategy (modulo: source id mod K; balanced: LPT bin packing over
-//       the static genes² × samples cost estimates — see
-//       service/partitioner.h).
+//       --shards=K partitions the database across K in-memory engines and
+//       fans the query out; K = 1, the default, is one unpartitioned
+//       engine. The matches are identical for every K by construction,
+//       under EVERY --partition strategy (modulo: source id mod K;
+//       balanced: LPT bin packing over the static genes² × samples cost
+//       estimates — see service/partitioner.h). The estimated and
+//       measured shard load imbalance go to stderr.
 //       --replicas=R > 1 mirrors every shard across R replicas
 //       (service/replica_set.h): updates apply to all replicas in lock
 //       step and each sub-query is served by one replica picked
 //       round-robin, so the matches are identical to --replicas=1 by
-//       construction. Implies the sharded path even with --shards=1.
+//       construction.
 //       --fault= installs fault-injection rules for the run (grammar and
 //       wired sites in common/fault_injection.h, e.g.
 //       --fault=buffer_pool.fetch=n1); a spec naming a site no code
@@ -224,15 +219,9 @@ int CmdQuery(int argc, char** argv) {
              {"partition", "modulo"},
              {"fault", ""},
              {"fault-seed", "1234"},
-             {"store", "mem"},
              {"seed", "99"}});
   if (!args.Has("db") || !args.Has("query")) {
     std::fprintf(stderr, "query requires --db=FILE --query=FILE\n");
-    return 2;
-  }
-  Result<StorageOptions> store = ParseStoreSpec(args.Get("store"));
-  if (!store.ok()) {
-    std::fprintf(stderr, "--store: %s\n", store.status().message().c_str());
     return 2;
   }
   const size_t shards = args.GetCount("shards");
@@ -250,13 +239,6 @@ int CmdQuery(int argc, char** argv) {
   if (!partitioner.ok()) {
     std::fprintf(stderr, "--partition: %s\n",
                  partitioner.status().message().c_str());
-    return 2;
-  }
-  const bool sharded_path = shards > 1 || replicas > 1;
-  if (sharded_path && store->backend == StorageBackend::kDisk) {
-    std::fprintf(stderr,
-                 "--store=disk:FILE requires --shards=1 --replicas=1 (the "
-                 "sharded path serves from in-memory shards)\n");
     return 2;
   }
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
@@ -286,41 +268,26 @@ int CmdQuery(int argc, char** argv) {
                  args.Get("fault").c_str());
   }
 
+  std::fprintf(stderr,
+               "(%zu in-memory shards x %zu replicas, %s partitioning)\n",
+               shards, replicas, (*partitioner)->name());
+  ThreadPool pool;
+  ShardedEngineOptions options;
+  options.num_shards = shards;
+  options.num_replicas = replicas;
+  options.partitioner = *partitioner;
+  ShardedEngine engine(options, &pool);
+  engine.LoadDatabase(std::move(*database));
+  Status status = engine.BuildIndex();
+  if (!status.ok()) return Fail(status);
   QueryStats stats;
-  Result<std::vector<QueryMatch>> matches = std::vector<QueryMatch>{};
-  if (sharded_path) {
-    std::fprintf(stderr,
-                 "(sharding across %zu in-memory engines x %zu replicas, "
-                 "%s partitioning)\n",
-                 shards, replicas, (*partitioner)->name());
-    ThreadPool pool;
-    ShardedEngineOptions options;
-    options.num_shards = shards;
-    options.num_replicas = replicas;
-    options.partitioner = *partitioner;
-    ShardedEngine engine(options, &pool);
-    engine.LoadDatabase(std::move(*database));
-    Status status = engine.BuildIndex();
-    if (!status.ok()) return Fail(status);
-    matches = engine.Query(*query_matrix, params, &stats);
-    const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
-    std::fprintf(stderr,
-                 "(shard load imbalance=%.3f measured_imbalance=%.3f, "
-                 "max/mean, estimated / measured)\n",
-                 snapshot.imbalance, snapshot.measured_imbalance);
-  } else {
-    EngineOptions engine_options;
-    engine_options.storage = *store;
-    if (engine_options.storage.backend == StorageBackend::kDisk) {
-      std::fprintf(stderr, "(disk-backed store: %s)\n",
-                   engine_options.storage.path.c_str());
-    }
-    ImGrnEngine engine(engine_options);
-    engine.LoadDatabase(std::move(*database));
-    Status status = engine.BuildIndex();
-    if (!status.ok()) return Fail(status);
-    matches = engine.Query(*query_matrix, params, &stats);
-  }
+  Result<std::vector<QueryMatch>> matches =
+      engine.Query(*query_matrix, params, &stats);
+  const ShardedEngineStatsSnapshot snapshot = engine.StatsSnapshot();
+  std::fprintf(stderr,
+               "(shard load imbalance=%.3f measured_imbalance=%.3f, "
+               "max/mean, estimated / measured)\n",
+               snapshot.imbalance, snapshot.measured_imbalance);
   if (!matches.ok()) return Fail(matches.status());
 
   std::printf("query: %zu genes, %zu inferred edges (gamma=%.2f)\n",
