@@ -7,8 +7,11 @@
 
 namespace imgrn {
 
-ImGrnEngine::ImGrnEngine(EngineOptions options)
-    : options_(std::move(options)) {}
+ImGrnEngine::ImGrnEngine(EngineOptions options, PermutationTable* table)
+    : options_(std::move(options)),
+      owned_table_(table == nullptr ? std::make_unique<PermutationTable>()
+                                    : nullptr),
+      table_(table == nullptr ? owned_table_.get() : table) {}
 
 Status ImGrnEngine::EnsureStorage() {
   if (store_ != nullptr) return Status::Ok();
@@ -30,6 +33,11 @@ Status ImGrnEngine::BuildIndex() {
   if (database_.empty()) {
     return Status::FailedPrecondition("no database loaded");
   }
+  if (index_ != nullptr && index_->num_active() < database_.size()) {
+    return Status::FailedPrecondition(
+        "a removed source's data is freed and cannot be re-indexed; load "
+        "the surviving sources into a new engine");
+  }
   for (const GeneMatrix& matrix : database_.matrices()) {
     IMGRN_RETURN_IF_ERROR(ValidateGeneMatrix(
         matrix, "source " + std::to_string(matrix.source_id())));
@@ -40,7 +48,7 @@ Status ImGrnEngine::BuildIndex() {
   auto index = std::make_unique<ImGrnIndex>(index_options);
   IMGRN_RETURN_IF_ERROR(index->Build(&database_));
   index_ = std::move(index);
-  processor_ = std::make_unique<ImGrnQueryProcessor>(index_.get());
+  processor_ = std::make_unique<ImGrnQueryProcessor>(index_.get(), table_);
   return Status::Ok();
 }
 
@@ -89,7 +97,7 @@ Status ImGrnEngine::LoadSnapshot() {
       std::move(contents->parts.inverted_file), contents->tree_meta);
   IMGRN_RETURN_IF_ERROR(index.status());
   index_ = std::move(*index);
-  processor_ = std::make_unique<ImGrnQueryProcessor>(index_.get());
+  processor_ = std::make_unique<ImGrnQueryProcessor>(index_.get(), table_);
   return Status::Ok();
 }
 

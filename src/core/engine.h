@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "graph/prob_graph.h"
 #include "index/imgrn_index.h"
+#include "inference/permutation_cache.h"
 #include "matrix/gene_matrix.h"
 #include "query/imgrn_processor.h"
 #include "query/query_types.h"
@@ -42,15 +43,20 @@ struct EngineOptions {
 /// Concurrency contract (what service/sharded_engine.h builds on): the const
 /// methods — Query, QueryWithGraph, database(), index() — are safe to call
 /// from many threads at once on a built index; every piece of mutable
-/// state they reach is either per-call (PermutationCache, stats) or
-/// internally synchronized (the R*-tree buffer pool). The non-const methods
+/// state they reach is either per-call (the PermutationCache views, stats)
+/// or internally synchronized (the PermutationTable, which may be shared
+/// with other engines, and the R*-tree buffer pool). The non-const methods
 /// (LoadDatabase, BuildIndex, AddMatrix, RemoveMatrix, SaveSnapshot,
 /// LoadSnapshot) require exclusive access: no other call may overlap them.
 /// ShardedEngine, the engine QueryService serves, enforces exactly this
 /// with a reader-writer lock per shard replica.
 class ImGrnEngine {
  public:
-  explicit ImGrnEngine(EngineOptions options = {});
+  /// `table` supplies the query path's Monte Carlo permutations and must
+  /// outlive the engine; null gives the engine a table of its own.
+  /// ShardedEngine passes one table to all its shard engines.
+  explicit ImGrnEngine(EngineOptions options = {},
+                       PermutationTable* table = nullptr);
 
   ImGrnEngine(const ImGrnEngine&) = delete;
   ImGrnEngine& operator=(const ImGrnEngine&) = delete;
@@ -64,7 +70,10 @@ class ImGrnEngine {
   /// Builds the pivot embedding + R*-tree index (Sections 4-5). Must be
   /// called after LoadDatabase and before Query. InvalidArgument, with
   /// nothing built, when a matrix fails ValidateGeneMatrix (no genes, or a
-  /// NaN or ±Inf value).
+  /// NaN or ±Inf value). FailedPrecondition, keeping the current index,
+  /// once a source was removed (RemoveMatrix freed its data); to drop
+  /// removed sources for good, load the surviving ones, renumbered, into
+  /// a new engine (examples/database_maintenance.cc).
   Status BuildIndex();
 
   /// Appends a new data source and indexes it incrementally (no rebuild).
@@ -73,8 +82,11 @@ class ImGrnEngine {
   /// fails ValidateGeneMatrix.
   Status AddMatrix(GeneMatrix matrix);
 
-  /// Removes a data source from query results (its index entries are
-  /// deleted; the matrix data stays resident). Requires a built index.
+  /// Removes a data source from query results and frees its data: its
+  /// index entries are deleted, and database().matrix(source) becomes a
+  /// gene-less matrix that keeps its id and sample count (see
+  /// ImGrnIndex::RemoveMatrix). The id is never reused. Requires a built
+  /// index.
   Status RemoveMatrix(SourceId source);
 
   /// Persists the database and the built index — tree pages included —
@@ -124,6 +136,8 @@ class ImGrnEngine {
   Status EnsureStorage();
 
   EngineOptions options_;
+  std::unique_ptr<PermutationTable> owned_table_;  // Null when given one.
+  PermutationTable* table_;                        // Never null.
   GeneDatabase database_;
   // Declared before index_: the index's tree reads store_ pages until it
   // is destroyed, and members are destroyed in reverse order.

@@ -233,7 +233,15 @@ Status ImGrnIndex::RemoveMatrix(SourceId source) {
     IMGRN_CHECK(removed) << "index point missing for source " << source
                          << " column " << column;
   }
-  embeddings_[source].clear();
+  // Free what the source held: its points, its pivot vectors (the columns
+  // stay, for the snapshot format) and its matrix, of which a gene-less
+  // shell keeps the id and sample count.
+  std::vector<EmbeddedPoint>().swap(embeddings_[source]);
+  std::vector<std::vector<double>>().swap(pivot_sets_[source].vectors);
+  GeneMatrix& matrix = database_->mutable_matrix(source);
+  GeneMatrix freed(source, matrix.num_samples(), {});
+  freed.MarkStandardized();
+  matrix = std::move(freed);
   active_[source] = false;
   return Status::Ok();
 }
@@ -287,7 +295,10 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
       return Status::InvalidArgument("pivot count mismatch");
     }
     pivots.vectors.clear();
-    for (size_t column : pivots.columns) {
+    // A removed source's matrix was freed: only active sources get their
+    // pivot vectors back.
+    for (size_t w = 0; active[i] && w < d; ++w) {
+      const size_t column = pivots.columns[w];
       if (column >= matrix.num_genes()) {
         return Status::InvalidArgument("pivot column out of range");
       }

@@ -110,6 +110,11 @@ class ImGrnIndex {
   /// inverted-file bits are not un-set (hashed bits cannot be removed
   /// without counting); that only costs false-positive candidates, which
   /// the leaf-level checks and refinement filter exactly.
+  ///
+  /// The source's data is freed: its embedded points and pivot vectors
+  /// (its d pivot columns stay), and its database matrix, which becomes a
+  /// gene-less matrix with the same id and sample count. So the source
+  /// can never be indexed again.
   Status RemoveMatrix(SourceId source);
 
   /// False after RemoveMatrix(source).
@@ -191,9 +196,10 @@ class ImGrnIndex {
   /// arrays sized to `database`, plus the inverted file. Each pivot set
   /// needs only its `options.num_pivots` columns: the pivot vectors are
   /// re-derived as the database's standardized columns, which is what
-  /// they were at build time. A pivot column out of range, a point count
-  /// that does not match its matrix, or an x/y of the wrong length is
-  /// kInvalidArgument.
+  /// they were at build time; a removed source's matrix was freed, so it
+  /// gets none. A pivot column of an active source out of range (as every
+  /// column of a gene-less matrix is), a point count that does not match
+  /// its matrix, or an x/y of the wrong length is kInvalidArgument.
   ///
   /// The R*-tree is reopened node-for-node from `tree_meta`, whose pages
   /// SerializeAllNodes wrote into `options.storage`, which must be the

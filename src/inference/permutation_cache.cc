@@ -27,22 +27,73 @@ PermutationBlocks::PermutationBlocks(size_t num_samples, size_t length,
   }
 }
 
-PermutationCache::PermutationCache(size_t num_samples, uint64_t seed)
-    : num_samples_(num_samples), seed_(seed) {
+namespace {
+
+/// The `num_samples` permutations of length `l` for `seed`. A fresh stream
+/// per length (seed mixed with l) keeps the permutations a function of
+/// (seed, num_samples, l) alone — the order lengths are first requested in
+/// must not matter, or per-matrix refinement results would depend on which
+/// other matrices share the query (breaking the sharded engine's
+/// bit-identity with a single engine).
+std::shared_ptr<const PermutationBlocks> DrawBlocks(size_t num_samples,
+                                                    uint64_t seed, size_t l) {
+  Rng rng(seed ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(l) + 1)));
+  return std::make_shared<const PermutationBlocks>(num_samples, l, &rng);
+}
+
+}  // namespace
+
+std::shared_ptr<const PermutationBlocks> PermutationTable::Lookup(
+    size_t num_samples, uint64_t seed, size_t length) {
+  const Key key{num_samples, seed, length};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(key);
+    if (it != entries_.end()) return it->second;
+  }
+  // Drawn without the lock, so lookups of other keys never wait on a fill.
+  std::shared_ptr<const PermutationBlocks> drawn =
+      DrawBlocks(num_samples, seed, length);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // A racing fill drew the same permutations; the first insert wins.
+  const auto it = entries_.find(key);
+  if (it != entries_.end()) return it->second;
+  if (drawn->bytes() > kPermutationTableBytes) return drawn;
+  while (bytes_ + drawn->bytes() > kPermutationTableBytes) {
+    const auto oldest = entries_.find(insertion_order_.front());
+    bytes_ -= oldest->second->bytes();
+    entries_.erase(oldest);
+    insertion_order_.pop_front();
+  }
+  entries_.emplace(key, drawn);
+  insertion_order_.push_back(key);
+  bytes_ += drawn->bytes();
+  return drawn;
+}
+
+size_t PermutationTable::num_entries() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return entries_.size();
+}
+
+size_t PermutationTable::bytes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return bytes_;
+}
+
+PermutationCache::PermutationCache(size_t num_samples, uint64_t seed,
+                                   PermutationTable* table)
+    : num_samples_(num_samples), seed_(seed), table_(table) {
   IMGRN_CHECK_GT(num_samples, 0u);
 }
 
 const PermutationBlocks& PermutationCache::BlocksForLength(size_t l) {
-  auto it = blocks_.find(l);
-  if (it != blocks_.end()) return it->second;
-  // A fresh stream per length (seed mixed with l) keeps the permutations a
-  // function of (seed, num_samples, l) alone — the order lengths are first
-  // requested in must not matter, or per-matrix refinement results would
-  // depend on which other matrices share the query (breaking the sharded
-  // engine's bit-identity with a single engine).
-  Rng rng(seed_ ^ (0x9E3779B97F4A7C15ULL * (static_cast<uint64_t>(l) + 1)));
-  return blocks_.emplace(l, PermutationBlocks(num_samples_, l, &rng))
-      .first->second;
+  std::shared_ptr<const PermutationBlocks>& blocks = blocks_[l];
+  if (blocks == nullptr) {
+    blocks = table_ != nullptr ? table_->Lookup(num_samples_, seed_, l)
+                               : DrawBlocks(num_samples_, seed_, l);
+  }
+  return *blocks;
 }
 
 double EstimateEdgeProbabilityCached(std::span<const double> xs,

@@ -2,7 +2,12 @@
 #define IMGRN_INFERENCE_PERMUTATION_CACHE_H_
 
 #include <cstdint>
+#include <deque>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -43,6 +48,8 @@ class PermutationBlocks {
   const uint32_t* block(size_t k) const {
     return data_.data() + k * length_ * kPermutedDistanceBatch;
   }
+  /// Size of the index data in bytes.
+  size_t bytes() const { return data_.size() * sizeof(uint32_t); }
 
  private:
   size_t num_samples_ = 0;
@@ -50,25 +57,75 @@ class PermutationBlocks {
   std::vector<uint32_t> data_;
 };
 
-/// Caches S random permutations per vector length l. Estimating edge
-/// probabilities for all O(n^2) gene pairs of one matrix draws permutations
-/// of the same length over and over; reusing a fixed sample of permutations
-/// across pairs keeps every per-pair estimate unbiased (each permutation is
-/// still uniform) while removing the dominant RNG cost. The Baseline
-/// materialization and full-GRN inference use this; the plain
-/// EdgeProbabilityEstimator (fresh permutations per pair) remains the
-/// reference implementation.
+/// Largest total size of the blocks one PermutationTable keeps. The
+/// engines' query paths need a few MiB: two seeds (inference and
+/// refinement) times the distinct sample lengths, at 4 bytes per index.
+inline constexpr size_t kPermutationTableBytes = size_t{16} << 20;
+
+/// The engine-lifetime store of permutation blocks behind the query path,
+/// keyed by (S, seed, l). Every query of an engine with the same seed and
+/// sample count needs the same draws (see "Order invariance" below), so
+/// the first query that needs a length fills it and later queries look it
+/// up instead of drawing again.
 ///
-/// Thread compatibility: NOT thread-safe — BlocksForLength() mutates the
-/// cache on a miss, so a single instance must not be shared across threads
-/// without external synchronization. The query pipeline never shares one:
-/// ImGrnQueryProcessor, refinement, and InferGrn each construct a per-call
-/// cache seeded from the query params, which is also what makes concurrent
-/// queries bit-reproducible (see QueryService). ImGrnIndex's long-lived
-/// embed cache is only touched on the update path, which ShardedEngine
-/// serializes behind the shard replica's writer lock, and by a parallel
-/// Build, which fills BlocksForLength for every length before its workers
-/// start, so the workers only look entries up.
+/// Thread-safe. Entries are immutable once published and handed out as
+/// shared pointers. A miss draws outside the lock, from the same
+/// per-length stream a private PermutationCache uses, and the first insert
+/// wins; since both racers drew the same permutations, the content never
+/// depends on which thread filled first. The table keeps at most
+/// kPermutationTableBytes and evicts in insertion order; an entry larger
+/// than the bound is served but not kept. A holder of an evicted entry
+/// keeps it alive, so eviction never invalidates a query in flight.
+class PermutationTable {
+ public:
+  PermutationTable() = default;
+  PermutationTable(const PermutationTable&) = delete;
+  PermutationTable& operator=(const PermutationTable&) = delete;
+
+  /// The S = `num_samples` permutations of `length` drawn from `seed`'s
+  /// stream for that length, filled on first use.
+  std::shared_ptr<const PermutationBlocks> Lookup(size_t num_samples,
+                                                  uint64_t seed,
+                                                  size_t length);
+
+  /// Entries kept and their total size in bytes.
+  size_t num_entries() const;
+  size_t bytes() const;
+
+ private:
+  using Key = std::tuple<size_t, uint64_t, size_t>;  // (S, seed, l).
+
+  mutable std::mutex mutex_;
+  std::map<Key, std::shared_ptr<const PermutationBlocks>> entries_;
+  std::deque<Key> insertion_order_;
+  size_t bytes_ = 0;
+};
+
+/// Per-call view of S random permutations per vector length l. Estimating
+/// edge probabilities for all O(n^2) gene pairs of one matrix draws
+/// permutations of the same length over and over; reusing a fixed sample
+/// of permutations across pairs keeps every per-pair estimate unbiased
+/// (each permutation is still uniform) while removing the dominant RNG
+/// cost. The Baseline materialization and full-GRN inference use this;
+/// the plain EdgeProbabilityEstimator (fresh permutations per pair)
+/// remains the reference implementation.
+///
+/// A cache built with a PermutationTable looks its lengths up there, so
+/// queries share one draw; without one it draws into private blocks. Both
+/// return bit-identical blocks. The view keeps every entry it looked up,
+/// so a reference BlocksForLength returned stays valid for the view's
+/// lifetime even after the table evicts the entry.
+///
+/// Thread compatibility: the view itself is NOT thread-safe —
+/// BlocksForLength() mutates it on a first lookup, so one instance must
+/// not be shared across threads without external synchronization. The
+/// query pipeline never shares one: ImGrnQueryProcessor's refinement and
+/// InferGrn each construct a per-call view over the engine's table, which
+/// is thread-safe. ImGrnIndex's long-lived embed cache is only touched on
+/// the update path, which ShardedEngine serializes behind the shard
+/// replica's writer lock, and by a parallel Build, which fills
+/// BlocksForLength for every length before its workers start, so the
+/// workers only look entries up.
 ///
 /// Order invariance: the permutations of length l depend only on
 /// (seed, num_samples, l) — each length draws from its own seeded stream,
@@ -76,23 +133,30 @@ class PermutationBlocks {
 /// is refined with do not depend on which other matrices were refined
 /// first, which is what lets the sharded engine partition a database and
 /// still produce bit-identical results to a single engine (see
-/// service/sharded_engine.h).
+/// service/sharded_engine.h). The same holds across queries: a table
+/// entry an earlier query filled is exactly what this query would have
+/// drawn, so answers do not depend on which queries ran before, nor on
+/// what the table evicted.
 class PermutationCache {
  public:
   /// `num_samples` permutations are generated per distinct length, seeded
-  /// deterministically from `seed` and the length.
-  PermutationCache(size_t num_samples, uint64_t seed);
+  /// deterministically from `seed` and the length. `table`, when non-null,
+  /// supplies the blocks and must outlive the cache.
+  PermutationCache(size_t num_samples, uint64_t seed,
+                   PermutationTable* table = nullptr);
 
   size_t num_samples() const { return num_samples_; }
 
-  /// Returns the cached permutations of length `l`, drawn into interleaved
-  /// blocks on first use.
+  /// Returns the permutations of length `l`, looked up in the table or
+  /// drawn into interleaved blocks on first use.
   const PermutationBlocks& BlocksForLength(size_t l);
 
  private:
   size_t num_samples_;
   uint64_t seed_;
-  std::unordered_map<size_t, PermutationBlocks> blocks_;
+  PermutationTable* table_;
+  std::unordered_map<size_t, std::shared_ptr<const PermutationBlocks>>
+      blocks_;
 };
 
 /// Estimates e.p = Pr{dist(xs, xt^R) > dist(xs, xt)} using the cached

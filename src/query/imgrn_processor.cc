@@ -68,10 +68,20 @@ struct ImGrnQueryProcessor::TraversalContext {
   std::unordered_set<SourceId> candidate_sources;
 };
 
-ImGrnQueryProcessor::ImGrnQueryProcessor(const ImGrnIndex* index)
-    : index_(index) {
+ImGrnQueryProcessor::ImGrnQueryProcessor(const ImGrnIndex* index,
+                                         PermutationTable* table)
+    : index_(index), table_(table) {
   IMGRN_CHECK(index != nullptr);
   IMGRN_CHECK(index->is_built());
+}
+
+ProbGraph InferQueryGraph(const GeneMatrix& query_matrix,
+                          const QueryParams& params, PermutationTable* table) {
+  GrnInferenceOptions options;
+  options.num_samples = params.query_num_samples;
+  options.seed = params.seed;
+  PermutationCache cache(options.num_samples, options.seed, table);
+  return InferGrnWithCache(query_matrix, params.gamma, options, &cache);
 }
 
 Result<std::vector<QueryMatch>> ImGrnQueryProcessor::Query(
@@ -82,11 +92,7 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::Query(
     IMGRN_RETURN_IF_ERROR(control->Check());
   }
   Stopwatch inference_timer;
-  GrnInferenceOptions inference_options;
-  inference_options.num_samples = params.query_num_samples;
-  inference_options.seed = params.seed;
-  const ProbGraph query_graph =
-      InferGrn(query_matrix, params.gamma, inference_options);
+  const ProbGraph query_graph = InferQueryGraph(query_matrix, params, table_);
   const double inference_seconds = inference_timer.ElapsedSeconds();
 
   Result<std::vector<QueryMatch>> result =
@@ -136,7 +142,8 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
 
   // --- Refinement (Fig. 4 lines 28-30) ---
   Stopwatch refinement_timer;
-  PermutationCache cache(params.refine_num_samples, params.seed ^ 0x5EEDu);
+  PermutationCache cache(params.refine_num_samples, params.seed ^ 0x5EEDu,
+                         table_);
   std::vector<SourceId> sources(ctx.candidate_sources.begin(),
                                 ctx.candidate_sources.end());
   std::sort(sources.begin(), sources.end());

@@ -5,6 +5,7 @@
 
 #include "graph/prob_graph.h"
 #include "index/imgrn_index.h"
+#include "inference/permutation_cache.h"
 #include "query/query_control.h"
 #include "query/query_types.h"
 
@@ -26,11 +27,13 @@ namespace imgrn {
 ///  4. refine the surviving candidate matrices (Lemma 5, exact Monte Carlo
 ///     probabilities, labeled subgraph isomorphism, Eq. 3 vs alpha).
 ///
-/// The processor borrows the index (and, through it, the database); both
-/// must outlive it.
+/// The processor borrows the index (and, through it, the database) and the
+/// permutation table; all must outlive it. With a null table every query
+/// draws its permutations privately; the answers are the same.
 class ImGrnQueryProcessor {
  public:
-  explicit ImGrnQueryProcessor(const ImGrnIndex* index);
+  explicit ImGrnQueryProcessor(const ImGrnIndex* index,
+                               PermutationTable* table = nullptr);
 
   /// Full pipeline: infers Q from the query gene feature matrix, then
   /// matches. Returns InvalidArgument when ValidateQueryParams rejects the
@@ -65,7 +68,16 @@ class ImGrnQueryProcessor {
   std::vector<QueryMatch> MatchEdgeless(const ProbGraph& query) const;
 
   const ImGrnIndex* index_;
+  PermutationTable* table_;  // May be null.
 };
+
+/// Step 1 of the pipeline: infers the query GRN of `query_matrix` with
+/// the params' inference sample count and seed, drawing its permutations
+/// from `table` (null: privately). Every engine infers through this, so
+/// the fanned-out shards of a sharded query match against the graph a
+/// single engine would infer.
+ProbGraph InferQueryGraph(const GeneMatrix& query_matrix,
+                          const QueryParams& params, PermutationTable* table);
 
 }  // namespace imgrn
 

@@ -19,7 +19,10 @@ namespace imgrn {
 /// (refinement is per-source deterministic — see
 /// inference/permutation_cache.h).
 struct ShardReplica {
-  explicit ShardReplica(const EngineOptions& options) : engine(options) {}
+  /// `table` is the sharded engine's permutation table, shared by every
+  /// replica's engine (null: the engine owns one).
+  ShardReplica(const EngineOptions& options, PermutationTable* table)
+      : engine(options, table) {}
 
   /// Readers = sub-queries, writer = the update routed to this replica.
   mutable std::shared_mutex mutex;
@@ -56,10 +59,11 @@ struct ShardReplica {
 /// The replica list is fixed at construction.
 class ReplicaSet {
  public:
-  ReplicaSet(size_t num_replicas, const EngineOptions& options) {
+  ReplicaSet(size_t num_replicas, const EngineOptions& options,
+             PermutationTable* table = nullptr) {
     replicas_.reserve(num_replicas);
     for (size_t r = 0; r < num_replicas; ++r) {
-      replicas_.push_back(std::make_unique<ShardReplica>(options));
+      replicas_.push_back(std::make_unique<ShardReplica>(options, table));
     }
   }
 

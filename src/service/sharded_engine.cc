@@ -7,7 +7,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "inference/grn_inference.h"
 
 namespace imgrn {
 
@@ -65,8 +64,8 @@ void ShardedEngine::ResetShards() {
   shards_.clear();
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(
-        std::make_unique<ReplicaSet>(options_.num_replicas, options_.engine));
+    shards_.push_back(std::make_unique<ReplicaSet>(
+        options_.num_replicas, options_.engine, &permutation_table_));
   }
 }
 
@@ -118,6 +117,11 @@ Status ShardedEngine::BuildIndex() {
   // The replicas' engines check too, but would name shard-local ids.
   for (const std::unique_ptr<ReplicaSet>& set : shards_) {
     const ShardReplica& primary = set->primary();
+    if (primary.active_sources.load(std::memory_order_relaxed) <
+        primary.local_to_global.size()) {
+      return Status::FailedPrecondition(
+          "a removed source's data is freed and cannot be re-indexed");
+    }
     for (size_t local = 0; local < primary.local_to_global.size(); ++local) {
       IMGRN_RETURN_IF_ERROR(ValidateGeneMatrix(
           primary.engine.database().matrix(static_cast<SourceId>(local)),
@@ -166,15 +170,12 @@ Result<std::vector<QueryMatch>> ShardedEngine::Query(
   if (control != nullptr) {
     IMGRN_RETURN_IF_ERROR(control->Check());
   }
-  // Infer the query GRN exactly once — same options and seed as
-  // ImGrnEngine::Query, so the fanned-out sub-queries all match against
-  // the identical graph.
+  // Infer the query GRN exactly once, through InferQueryGraph as
+  // ImGrnEngine::Query does, so the fanned-out sub-queries all match
+  // against the identical graph.
   Stopwatch inference_timer;
-  GrnInferenceOptions inference_options;
-  inference_options.num_samples = params.query_num_samples;
-  inference_options.seed = params.seed;
   const ProbGraph query_graph =
-      InferGrn(query_matrix, params.gamma, inference_options);
+      InferQueryGraph(query_matrix, params, &permutation_table_);
   const double inference_seconds = inference_timer.ElapsedSeconds();
 
   Result<std::vector<QueryMatch>> result =

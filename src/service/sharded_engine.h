@@ -10,6 +10,7 @@
 
 #include "common/status.h"
 #include "graph/prob_graph.h"
+#include "inference/permutation_cache.h"
 #include "matrix/gene_matrix.h"
 #include "query/query_control.h"
 #include "query/query_types.h"
@@ -134,8 +135,10 @@ struct ShardedEngineStatsSnapshot {
 ///   - the query GRN is inferred ONCE (same seed, same stream), then fanned
 ///     out to each shard as a sub-query over that shard's sources;
 ///   - refinement probabilities are per-source deterministic regardless of
-///     partitioning (PermutationCache draws per-length streams — see
-///     inference/permutation_cache.h), so WHICH replica serves a
+///     partitioning: the engine's one PermutationTable serves its
+///     inference and every replica's refinement, and each entry depends
+///     only on (S, seed, l), never on which query, shard or replica filled
+///     it (see inference/permutation_cache.h), so WHICH replica serves a
 ///     sub-query cannot change its matches;
 ///   - matches come back with shard-local ids, are remapped to global
 ///     source ids, merged in ascending source order, and the top_k policy
@@ -189,7 +192,8 @@ class ShardedEngine {
   /// Builds every non-empty shard replica's index, in parallel when a
   /// pool is available. Must be called after LoadDatabase and before
   /// Query. InvalidArgument, with nothing built, when a matrix fails
-  /// ValidateGeneMatrix.
+  /// ValidateGeneMatrix. FailedPrecondition, keeping the built indices,
+  /// after a RemoveSource (see ImGrnEngine::BuildIndex).
   Status BuildIndex();
 
   /// Runs one IM-GRN query (ad-hoc inference + matching) against the
@@ -214,7 +218,8 @@ class ShardedEngine {
   /// the matrix fails ValidateGeneMatrix.
   Status AddSource(GeneMatrix matrix);
 
-  /// Retracts a source from query results. Write-locks only the owning
+  /// Retracts a source from query results and frees its data on every
+  /// replica (ImGrnEngine::RemoveMatrix). Write-locks only the owning
   /// shard's replicas.
   Status RemoveSource(SourceId source);
 
@@ -272,6 +277,12 @@ class ShardedEngine {
   ShardedEngineOptions options_;
   std::shared_ptr<const Partitioner> partitioner_;  // Never null.
   ThreadPool* pool_;  // May be null (sequential fan-out); not owned.
+
+  /// The query path's permutations: this engine's inference and every
+  /// shard replica's refinement look them up here. Internally
+  /// synchronized, hence mutable. Declared before shards_, whose engines
+  /// hold a pointer to it.
+  mutable PermutationTable permutation_table_;
 
   /// One ReplicaSet per shard. Written only by the constructor and
   /// LoadDatabase, so queries read it without a lock.

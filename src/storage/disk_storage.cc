@@ -224,6 +224,14 @@ Status DiskStorageManager::Recover() {
       last = Status::DataLoss("meta chain disagrees with header in " + path_);
       continue;
     }
+    // Read CHECKs that a page is live, so a root past the table or freed
+    // must be refused here.
+    if (h.app_root != kInvalidPageId && !IsLivePage(h.app_root)) {
+      last = Status::DataLoss("header's app root " +
+                              std::to_string(h.app_root) +
+                              " is not a live page in " + path_);
+      continue;
+    }
     generation_ = h.generation;
     app_root_ = h.app_root;
     committed_meta_ = std::move(chain);

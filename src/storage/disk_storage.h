@@ -68,9 +68,11 @@ class DiskStorageManager final : public StorageManager {
   /// Opens (creating if absent) the store at `options.path`. A fresh file
   /// is initialized with the committed, empty generation-0 state, which it
   /// reopens to until its first Sync; an existing file is recovered to its
-  /// last committed state. Fails with kDataLoss when no header/meta chain
-  /// verifies or the file is shorter than its header region,
-  /// kInvalidArgument on a page-size or format mismatch.
+  /// last committed state. A header whose app root is not a live page of
+  /// its own page table is not usable, like one whose meta chain fails.
+  /// Fails with kDataLoss when no header/meta chain verifies or the file
+  /// is shorter than its header region, kInvalidArgument on a page-size or
+  /// format mismatch.
   static Result<std::unique_ptr<DiskStorageManager>> Open(
       const StorageOptions& options);
 

@@ -40,6 +40,20 @@ fi
 grep -q "cold start in .*: 30 matrices" "$WORKDIR/with_index.out"
 grep -q "stats:" "$WORKDIR/with_index.out"
 
+# Loading a store that does not exist fails (exit 1) and leaves no file
+# behind: a mistyped path must not create an empty store.
+status=0
+"$IMGRN" snapshot load --store="disk:$WORKDIR/missing.pages" \
+    > /dev/null 2> "$WORKDIR/missing.err" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "expected exit 1 on snapshot load of a missing store, got $status" >&2
+  exit 1
+fi
+if [ -e "$WORKDIR/missing.pages" ]; then
+  echo "snapshot load of a missing store created it" >&2
+  exit 1
+fi
+
 # Query with an in-memory index; the answer set must match.
 "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
     --gamma=0.5 --alpha=0.1 --top_k=3 > "$WORKDIR/without_index.out"

@@ -363,6 +363,74 @@ TEST(DiskStorageTest, EmptyGenerationIsNotAFallback) {
   EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
 }
 
+// Header fields (FileHeader in disk_storage.cc): the app root u32 at byte
+// 20, and the CRC32C of bytes [0, 60) at byte 60. Generation g's header
+// lives in header slot g % 2.
+constexpr size_t kHeaderAppRoot = 20;
+constexpr size_t kHeaderCrc = 60;
+
+// Rewrites the app root of generation `generation`'s header and reseals
+// the header's CRC32C, so only Recover's own checks can refuse it.
+void ForgeAppRoot(const std::string& path, uint64_t generation,
+                  PageId app_root) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.good());
+  const std::streamoff offset =
+      static_cast<std::streamoff>((generation % 2) * kHeaderSlotSize);
+  uint8_t header[64];
+  f.seekg(offset);
+  f.read(reinterpret_cast<char*>(header), sizeof(header));
+  std::memcpy(header + kHeaderAppRoot, &app_root, sizeof(app_root));
+  const uint32_t crc = Crc32c(header, kHeaderCrc);
+  std::memcpy(header + kHeaderCrc, &crc, sizeof(crc));
+  f.seekp(offset);
+  f.write(reinterpret_cast<const char*>(header), sizeof(header));
+  ASSERT_TRUE(f.good());
+}
+
+// A re-sealed header whose app root is past the page table, or names a
+// page its own state freed, is refused like one whose meta chain fails:
+// the store reopens to the older header instead of aborting in Read's
+// CHECK, and with both headers forged it is kDataLoss.
+TEST(DiskStorageTest, AppRootNotALivePageFallsBackToOlderHeader) {
+  for (const PageId forged : {PageId{999999}, PageId{1}}) {
+    SCOPED_TRACE(forged);
+    TempStoreFile file("app_root");
+    {
+      std::unique_ptr<DiskStorageManager> store =
+          MustOpen(DiskOptions(file.path()));
+      ASSERT_NE(store, nullptr);
+      Page frame(kPageSize);
+      for (PageId id = 0; id < 2; ++id) {
+        store->Allocate();
+        FillPage(&frame, id, /*salt=*/8);
+        ASSERT_TRUE(store->Commit(id, frame).ok());
+      }
+      store->SetAppRoot(0);
+      ASSERT_TRUE(store->Sync().ok());  // Generation 1: pages 0 and 1.
+      store->Deallocate(1);
+      ASSERT_TRUE(store->Sync().ok());  // Generation 2: page 1 freed.
+    }
+    ForgeAppRoot(file.path(), /*generation=*/2, forged);
+    {
+      std::unique_ptr<DiskStorageManager> store =
+          MustOpen(DiskOptions(file.path()));
+      ASSERT_NE(store, nullptr);
+      EXPECT_EQ(store->generation(), 1u);
+      EXPECT_EQ(store->app_root(), 0u);
+      Page scratch(kPageSize);
+      Result<Page*> root = store->Read(store->app_root(), &scratch);
+      ASSERT_TRUE(root.ok()) << root.status().ToString();
+      EXPECT_TRUE(PageMatches(**root, 0, /*salt=*/8));
+    }
+    ForgeAppRoot(file.path(), /*generation=*/1, 999999);
+    Result<std::unique_ptr<DiskStorageManager>> store =
+        DiskStorageManager::Open(DiskOptions(file.path()));
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kDataLoss);
+  }
+}
+
 TEST(DiskStorageTest, PageSizeMismatchRejectedWithInvalidArgument) {
   TempStoreFile file("page_size");
   {

@@ -91,6 +91,55 @@ TEST_F(EngineUpdateTest, RemoveMatrixDisappearsFromResults) {
   EXPECT_TRUE(engine_.index().rtree().Validate().ok());
 }
 
+// A removal frees what it retracts. The source's matrix becomes gene-less,
+// keeping its id and sample count, and its embedded points and pivot
+// vectors are released; its d pivot columns stay. The other sources'
+// answers do not change. A rebuild could not re-index the freed source, so
+// it is refused and the index keeps serving as it was.
+TEST_F(EngineUpdateTest, RemoveMatrixFreesTheSourcesData) {
+  ASSERT_TRUE(engine_.AddMatrix(ClusterMatrix(2, 102, 70)).ok());
+  const GeneMatrix query_matrix = testing_util::MakeClusterQueryMatrix(106);
+  Result<std::vector<QueryMatch>> before =
+      engine_.Query(query_matrix, params_);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->size(), 3u);
+  const std::vector<size_t> pivot_columns = engine_.index().pivots(1).columns;
+
+  ASSERT_TRUE(engine_.RemoveMatrix(1).ok());
+  const GeneMatrix& freed = engine_.database().matrix(1);
+  EXPECT_EQ(freed.source_id(), 1u);
+  EXPECT_EQ(freed.num_samples(), 32u);
+  EXPECT_EQ(freed.num_genes(), 0u);
+  EXPECT_TRUE(freed.data().empty());
+  EXPECT_EQ(engine_.index().embedded_points(1).capacity(), 0u);
+  EXPECT_EQ(engine_.index().pivots(1).vectors.capacity(), 0u);
+  EXPECT_EQ(engine_.index().pivots(1).columns, pivot_columns);
+  for (SourceId kept : {0u, 2u}) {
+    EXPECT_EQ(engine_.database().matrix(kept).num_genes(), 5u);
+    EXPECT_EQ(engine_.index().embedded_points(kept).size(), 5u);
+    EXPECT_EQ(engine_.index().pivots(kept).vectors.size(),
+              engine_.index().num_pivots());
+  }
+
+  std::vector<QueryMatch> expected;
+  for (const QueryMatch& match : *before) {
+    if (match.source != 1) expected.push_back(match);
+  }
+  Result<std::vector<QueryMatch>> after = engine_.Query(query_matrix, params_);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  testing_util::ExpectIdenticalMatches(*after, expected, "after the removal");
+
+  const Status rebuilt = engine_.BuildIndex();
+  EXPECT_EQ(rebuilt.code(), StatusCode::kFailedPrecondition)
+      << rebuilt.ToString();
+  EXPECT_FALSE(engine_.index().IsActive(1));
+  Result<std::vector<QueryMatch>> again = engine_.Query(query_matrix, params_);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  testing_util::ExpectIdenticalMatches(*again, expected,
+                                       "after the refused rebuild");
+  EXPECT_TRUE(engine_.index().rtree().Validate().ok());
+}
+
 TEST_F(EngineUpdateTest, RemoveMatrixAffectsEdgelessQueriesToo) {
   ASSERT_TRUE(engine_.RemoveMatrix(1).ok());
   ProbGraph edgeless;

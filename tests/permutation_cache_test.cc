@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
+#include "core/engine.h"
 #include "matrix/vector_ops.h"
 #include "prob/edge_probability.h"
+#include "service/sharded_engine.h"
+#include "service/thread_pool.h"
+#include "test_util.h"
 
 namespace imgrn {
 namespace {
@@ -128,6 +136,238 @@ TEST(ExpectedPermutedDistanceCachedTest, AgreesWithFreshSampler) {
   const double fresh =
       SampledExpectedPermutedDistance(x, pivot, 3000, &rng);
   EXPECT_NEAR(cached, fresh, 0.1);
+}
+
+// Every index of every block, tail lanes included.
+std::vector<uint32_t> RawData(const PermutationBlocks& blocks) {
+  std::vector<uint32_t> data;
+  for (size_t k = 0; k < blocks.num_blocks(); ++k) {
+    const uint32_t* block = blocks.block(k);
+    data.insert(data.end(), block,
+                block + blocks.length() * kPermutedDistanceBatch);
+  }
+  return data;
+}
+
+// A fixed correlated pair of length `l`.
+std::pair<std::vector<double>, std::vector<double>> Pair(size_t l) {
+  Rng rng(l);
+  std::vector<double> a = RandomStandardized(l, &rng);
+  std::vector<double> b(l);
+  for (size_t i = 0; i < l; ++i) b[i] = 0.3 * a[i] + rng.Gaussian();
+  StandardizeInPlace(b);
+  return {a, b};
+}
+
+// The private estimate of Pair(l) from (S, seed): the reference every
+// table-backed estimate must equal.
+double PrivateEstimate(size_t num_samples, uint64_t seed, size_t l) {
+  PermutationCache cache(num_samples, seed);
+  const auto [a, b] = Pair(l);
+  return EstimateEdgeProbabilityCached(a, b, &cache);
+}
+
+double TableEstimate(PermutationTable* table, size_t num_samples,
+                     uint64_t seed, size_t l) {
+  PermutationCache cache(num_samples, seed, table);
+  const auto [a, b] = Pair(l);
+  return EstimateEdgeProbabilityCached(a, b, &cache);
+}
+
+// Entries of this shape are 4.69 MiB each (S * l * 4 bytes), so the
+// fourth one pushes the table past kPermutationTableBytes.
+constexpr size_t kLargeSamples = 4096;
+constexpr size_t kLargeLength = 300;
+
+TEST(PermutationTableTest, TableBackedBlocksBitIdenticalToPrivate) {
+  PermutationTable table;
+  for (size_t num_samples : {1, 7, 8, 64, 1024}) {
+    for (uint64_t seed : {0ull, 42ull, 99ull ^ 0x5EEDull}) {
+      for (size_t l : {2, 5, 30, 50}) {
+        SCOPED_TRACE(std::to_string(num_samples) + " samples, seed " +
+                     std::to_string(seed) + ", length " + std::to_string(l));
+        PermutationCache private_cache(num_samples, seed);
+        PermutationCache shared(num_samples, seed, &table);
+        const PermutationBlocks& expected = private_cache.BlocksForLength(l);
+        const PermutationBlocks& actual = shared.BlocksForLength(l);
+        EXPECT_EQ(actual.num_samples(), expected.num_samples());
+        EXPECT_EQ(actual.length(), l);
+        EXPECT_EQ(RawData(actual), RawData(expected));
+        EXPECT_EQ(&shared.BlocksForLength(l), &actual);
+      }
+    }
+  }
+  EXPECT_EQ(table.num_entries(), 5u * 3u * 4u);
+}
+
+TEST(PermutationTableTest, RacingFirstFillsLeaveOneEntry) {
+  constexpr size_t kThreads = 8;
+  constexpr size_t kSamples = 1024;
+  constexpr size_t kLength = 40;
+  PermutationTable table;
+  std::atomic<bool> go{false};
+  std::vector<const PermutationBlocks*> seen(kThreads, nullptr);
+  std::vector<double> estimates(kThreads, -1.0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      PermutationCache cache(kSamples, 5, &table);
+      seen[t] = &cache.BlocksForLength(kLength);
+      const auto [a, b] = Pair(kLength);
+      estimates[t] = EstimateEdgeProbabilityCached(a, b, &cache);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(table.num_entries(), 1u);
+  const double expected = PrivateEstimate(kSamples, 5, kLength);
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;  // The first insert won.
+    EXPECT_EQ(estimates[t], expected) << "thread " << t;
+  }
+}
+
+TEST(PermutationTableTest, ByteBoundEvictsInInsertionOrderKeepingEstimates) {
+  PermutationTable table;
+  std::vector<std::shared_ptr<const PermutationBlocks>> first;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    first.push_back(table.Lookup(kLargeSamples, seed, kLargeLength));
+    EXPECT_LE(table.bytes(), kPermutationTableBytes);
+  }
+  // The fourth insert evicted the first.
+  EXPECT_EQ(table.num_entries(), 3u);
+  EXPECT_EQ(table.bytes(), 3 * first[0]->bytes());
+  EXPECT_EQ(table.Lookup(kLargeSamples, 4, kLargeLength), first[3]);
+  // Seed 1 is drawn again, identically, and evicts seed 2.
+  const std::shared_ptr<const PermutationBlocks> refilled =
+      table.Lookup(kLargeSamples, 1, kLargeLength);
+  EXPECT_NE(refilled, first[0]);
+  EXPECT_EQ(RawData(*refilled), RawData(*first[0]));
+  EXPECT_EQ(table.Lookup(kLargeSamples, 3, kLargeLength), first[2]);
+  EXPECT_NE(table.Lookup(kLargeSamples, 2, kLargeLength), first[1]);
+  EXPECT_EQ(table.num_entries(), 3u);
+  first.clear();
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    EXPECT_EQ(TableEstimate(&table, kLargeSamples, seed, kLargeLength),
+              PrivateEstimate(kLargeSamples, seed, kLargeLength))
+        << "seed " << seed;
+    EXPECT_LE(table.bytes(), kPermutationTableBytes);
+  }
+}
+
+TEST(PermutationTableTest, OversizeEntryIsServedButNotKept) {
+  // 8192 * 520 * 4 bytes = 17.0 MiB, above the 16 MiB bound.
+  constexpr size_t kSamples = 8192;
+  constexpr size_t kLength = 520;
+  PermutationTable table;
+  const std::shared_ptr<const PermutationBlocks> blocks =
+      table.Lookup(kSamples, 3, kLength);
+  ASSERT_GT(blocks->bytes(), kPermutationTableBytes);
+  EXPECT_EQ(blocks->num_samples(), kSamples);
+  EXPECT_EQ(blocks->length(), kLength);
+  EXPECT_EQ(table.num_entries(), 0u);
+  EXPECT_EQ(table.bytes(), 0u);
+  EXPECT_EQ(TableEstimate(&table, kSamples, 3, kLength),
+            PrivateEstimate(kSamples, 3, kLength));
+  EXPECT_EQ(table.num_entries(), 0u);
+}
+
+TEST(PermutationTableTest, ViewKeepsAnEvictedEntryAlive) {
+  PermutationTable table;
+  PermutationCache view(kLargeSamples, 1, &table);
+  const PermutationBlocks& held = view.BlocksForLength(kLargeLength);
+  for (uint64_t seed = 2; seed <= 5; ++seed) {
+    table.Lookup(kLargeSamples, seed, kLargeLength);
+  }
+  ASSERT_EQ(table.num_entries(), 3u);  // Seeds 3-5: seed 1 is evicted.
+  // The view still serves the evicted blocks, intact.
+  EXPECT_EQ(&view.BlocksForLength(kLargeLength), &held);
+  PermutationCache private_cache(kLargeSamples, 1);
+  EXPECT_EQ(RawData(held),
+            RawData(private_cache.BlocksForLength(kLargeLength)));
+  const auto [a, b] = Pair(kLargeLength);
+  EXPECT_EQ(EstimateEdgeProbabilityCached(a, b, &view),
+            PrivateEstimate(kLargeSamples, 1, kLargeLength));
+}
+
+// Concurrent queries fill the engines' tables from cold: four client
+// threads query one ShardedEngine{K = 2, R = 2}, whose sub-queries also
+// run on a pool, and one ImGrnEngine, each thread in its own order so
+// first fills of every (S, seed, l) race. Every answer must be
+// bit-identical to a serial engine's.
+TEST(PermutationTableConcurrencyTest, ColdTableQueriesMatchSerialEngine) {
+  using testing_util::ClusterDatabaseConfig;
+  const ClusterDatabaseConfig config;
+  constexpr size_t kSources = 12;
+  ImGrnEngine serial;
+  serial.LoadDatabase(testing_util::MakeClusterDatabase(config, kSources));
+  ASSERT_TRUE(serial.BuildIndex().ok());
+  ImGrnEngine single;
+  single.LoadDatabase(testing_util::MakeClusterDatabase(config, kSources));
+  ASSERT_TRUE(single.BuildIndex().ok());
+  ThreadPool pool(2);
+  std::unique_ptr<ShardedEngine> sharded =
+      testing_util::MakeLoadedShardedEngine(
+          config, kSources, testing_util::MakeShardedOptions(2, 2), &pool);
+
+  struct Request {
+    GeneMatrix query;
+    QueryParams params;
+  };
+  std::vector<Request> requests;
+  for (uint64_t seed : {99u, 7u}) {
+    for (size_t samples : {24u, 32u, 41u}) {
+      QueryParams params = testing_util::DefaultClusterParams();
+      params.seed = seed;
+      requests.push_back(
+          {testing_util::MakeClusterQueryMatrix(1000 + samples, samples),
+           params});
+    }
+  }
+  std::vector<std::vector<QueryMatch>> expected;
+  for (const Request& request : requests) {
+    Result<std::vector<QueryMatch>> matches =
+        serial.Query(request.query, request.params);
+    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    expected.push_back(std::move(*matches));
+  }
+
+  constexpr size_t kThreads = 4;
+  // answers[t][2 * i] from the sharded engine, [2 * i + 1] from the single.
+  std::vector<std::vector<Result<std::vector<QueryMatch>>>> answers(kThreads);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (size_t n = 0; n < requests.size(); ++n) {
+        const Request& request = requests[(n + t) % requests.size()];
+        answers[t].push_back(sharded->Query(request.query, request.params));
+        answers[t].push_back(single.Query(request.query, request.params));
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (std::thread& thread : threads) thread.join();
+
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(answers[t].size(), 2 * requests.size());
+    for (size_t n = 0; n < requests.size(); ++n) {
+      const size_t i = (n + t) % requests.size();
+      for (size_t engine = 0; engine < 2; ++engine) {
+        const std::string context = "thread " + std::to_string(t) +
+                                    ", request " + std::to_string(i) +
+                                    (engine == 0 ? ", sharded" : ", single");
+        const Result<std::vector<QueryMatch>>& answer =
+            answers[t][2 * n + engine];
+        ASSERT_TRUE(answer.ok()) << context << ": "
+                                 << answer.status().ToString();
+        testing_util::ExpectIdenticalMatches(*answer, expected[i], context);
+      }
+    }
+  }
+  EXPECT_FALSE(expected[0].empty());
 }
 
 TEST(PermutationCacheDeathTest, ZeroSamplesAborts) {

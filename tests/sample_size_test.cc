@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "inference/permutation_cache.h"
 #include "matrix/vector_ops.h"
 #include "prob/edge_probability.h"
 
@@ -101,6 +102,60 @@ TEST(SampleSizeTest, GuaranteeHoldsEmpirically) {
   // assert the guarantee itself with a small slack for the finite
   // repetition count.
   EXPECT_GE(static_cast<double>(within) / kRepetitions, 1.0 - delta - 0.03);
+}
+
+// The same guarantee for the estimator queries use. A query estimates
+// every pair from one shared draw of S permutations per length, looked up
+// in the engine's PermutationTable, so for a fixed pair the estimate is
+// random only through the seed: Lemma 2 is a statement over seeds. Every
+// pair below, each with an exact probability in [0.3, 0.7], must land
+// within (1 +- eps) of it for at least a 1 - delta share of 200 seeds
+// (less a small slack for the finite seed count), all served by one
+// table as in an engine.
+TEST(SampleSizeTest, GuaranteeHoldsOverSeedsForTheSharedDraw) {
+  constexpr size_t kLength = 7;
+  constexpr int kPairs = 4;
+  Rng data_rng(77);
+  EdgeProbabilityEstimator enumerator(1);
+  std::vector<std::vector<double>> xs;
+  std::vector<std::vector<double>> xt;
+  std::vector<double> exact;
+  while (exact.size() < kPairs) {
+    std::vector<double> a(kLength), b(kLength);
+    for (double& value : a) value = data_rng.Gaussian();
+    for (double& value : b) value = data_rng.Gaussian();
+    StandardizeInPlace(a);
+    StandardizeInPlace(b);
+    const double p = enumerator.ExactByEnumeration(a, b);
+    if (p < 0.3 || p > 0.7) continue;
+    xs.push_back(std::move(a));
+    xt.push_back(std::move(b));
+    exact.push_back(p);
+  }
+
+  const double eps = 0.25;
+  const double delta = 0.1;
+  const size_t s = RequiredSampleSize(eps, delta);
+  PermutationTable table;
+  constexpr int kSeeds = 200;
+  std::vector<int> within(kPairs, 0);
+  for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    PermutationCache cache(s, seed, &table);
+    for (int i = 0; i < kPairs; ++i) {
+      const double estimate =
+          EstimateEdgeProbabilityCached(xs[i], xt[i], &cache);
+      if (estimate >= (1 - eps) * exact[i] &&
+          estimate <= (1 + eps) * exact[i]) {
+        ++within[i];
+      }
+    }
+  }
+  EXPECT_EQ(table.num_entries(), static_cast<size_t>(kSeeds));
+  for (int i = 0; i < kPairs; ++i) {
+    SCOPED_TRACE("pair " + std::to_string(i) + ", exact p " +
+                 std::to_string(exact[i]));
+    EXPECT_GE(static_cast<double>(within[i]) / kSeeds, 1.0 - delta - 0.03);
+  }
 }
 
 }  // namespace

@@ -469,6 +469,29 @@ TEST_F(ShardedEngineTest, BuildIndexRejectionNamesTheGlobalSource) {
   EXPECT_FALSE(sharded.has_index());
 }
 
+// A removal frees the source's data on every replica, so a later
+// BuildIndex cannot re-index it: kFailedPrecondition, and the built
+// indices keep answering like the single engine after the same removal.
+TEST_F(ShardedEngineTest, BuildIndexAfterRemoveSourceIsRefused) {
+  const size_t kSources = 5;
+  BuildReference(kSources);
+  ShardedEngine sharded(MakeShardedOptions(2, 2), nullptr);
+  sharded.LoadDatabase(MakeDatabase(kSources));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+  ASSERT_TRUE(reference_.RemoveMatrix(3).ok());
+  ASSERT_TRUE(sharded.RemoveSource(3).ok());
+  const Status status = sharded.BuildIndex();
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+      << status.ToString();
+  EXPECT_TRUE(sharded.has_index());
+  const QueryParams params = DefaultParams();
+  const GeneMatrix query = ClusterQueryMatrix(7950);
+  Result<std::vector<QueryMatch>> result = sharded.Query(query, params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectIdentical(*result, ReferenceQuery(query, params),
+                  "after a refused rebuild");
+}
+
 // A matrix holding a NaN or ±Inf value, or no gene at all, is rejected
 // with kInvalidArgument before anything changes: the source count and
 // every answer stay as they were, and the id stays free for a valid

@@ -721,6 +721,36 @@ TEST(SnapshotTest, ForgedCountsRejected) {
   }
 }
 
+TEST(SnapshotTest, ActiveSourceWithGenelessMatrixRejected) {
+  // A removed source is saved with its freed, gene-less matrix. Forging
+  // its active flag back on (and re-sealing the page) makes an active
+  // source without genes, which the load must refuse rather than serve.
+  TempStoreFile file("forged_active_freed");
+  {
+    ImGrnEngine engine(DiskEngineOptions(file.path()));
+    engine.LoadDatabase(MakeDatabase(24));
+    ASSERT_TRUE(engine.BuildIndex().ok());
+    ASSERT_TRUE(engine.RemoveMatrix(0).ok());
+    ASSERT_TRUE(engine.SaveSnapshot().ok());
+  }
+  {
+    StorageOptions store_options;
+    store_options.backend = StorageBackend::kDisk;
+    store_options.path = file.path();
+    Result<std::unique_ptr<StorageManager>> store = OpenStorage(store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // Source 0's active flag follows the source count.
+    ASSERT_TRUE(PatchField(store->get(), kPartsSection, kPartsSourceCount + 8,
+                           uint8_t{1})
+                    .ok());
+    ASSERT_TRUE((*store)->Sync().ok());
+  }
+  ImGrnEngine engine(DiskEngineOptions(file.path()));
+  const Status status = engine.LoadSnapshot();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_FALSE(engine.has_index());
+}
+
 TEST(SnapshotTest, ForgedOldTreePageIsSkippedByTheNextSave) {
   // A save over a snapshot frees the node pages its tree meta names. An id
   // there past the store end must be skipped, not passed to Deallocate: a

@@ -4,7 +4,8 @@
 # Configures a dedicated build tree with -DIMGRN_SANITIZE=<kind>, builds
 # the thread-heavy test binaries, and runs everything carrying the ctest
 # labels in $LABELS: "concurrency" (thread pool, query service, sharded
-# engine, shard stress, lock-free histogram, parallel index build) and
+# engine, shard stress, lock-free histogram, parallel index build, the
+# engines' shared permutation table filled by racing queries) and
 # "partitioning" (the differential partition-invariance suite over maps
 # fixed at load, whose updates write the per-replica cost gauges while
 # the query path writes the busy-time and traffic gauges and
@@ -93,7 +94,8 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DIMGRN_UBSAN="$UBSAN"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
-         partition_invariance_test fault_injection_test replication_test"
+         permutation_cache_test partition_invariance_test \
+         fault_injection_test replication_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
            imgrn_processor_test query_stats_test processor_fuzz_test"

@@ -69,6 +69,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <string>
 
@@ -350,6 +351,12 @@ int CmdSnapshotLoad(int argc, char** argv) {
   if (!store.ok()) {
     std::fprintf(stderr, "--store: %s\n", store.status().message().c_str());
     return 2;
+  }
+  // Opening a disk store creates a missing file; a load must not leave one
+  // behind for a mistyped path.
+  if (store->backend == StorageBackend::kDisk &&
+      !std::filesystem::exists(store->path)) {
+    return Fail(Status::NotFound("no store file " + store->path));
   }
   EngineOptions options;
   options.storage = *store;
