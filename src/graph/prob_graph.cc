@@ -40,6 +40,12 @@ std::optional<VertexId> ProbGraph::VertexWithLabel(GeneId label) const {
   return std::nullopt;
 }
 
+bool ProbGraph::LabelsAreDistinct() const {
+  std::vector<GeneId> sorted = labels_;
+  std::sort(sorted.begin(), sorted.end());
+  return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
+}
+
 bool ProbGraph::HasEdge(VertexId u, VertexId v) const {
   return edge_index_.contains(EdgeKey(u, v));
 }

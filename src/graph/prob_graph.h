@@ -48,6 +48,10 @@ class ProbGraph {
   /// holds duplicate labels this returns the first.
   std::optional<VertexId> VertexWithLabel(GeneId label) const;
 
+  /// True iff no two vertices carry the same label, as in every GRN
+  /// inferred from a gene matrix.
+  bool LabelsAreDistinct() const;
+
   bool HasEdge(VertexId u, VertexId v) const;
 
   /// Probability of edge (u, v); requires the edge to exist.

@@ -271,7 +271,7 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
   const size_t n = database->size();
   if (pivot_sets.size() != n || embeddings.size() != n ||
       active.size() != n) {
-    return Status::InvalidArgument(
+    return Status::DataLoss(
         "persisted index does not match the database's matrix count");
   }
   auto index = std::make_unique<ImGrnIndex>(std::move(options));
@@ -281,7 +281,7 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
   const size_t sig_bytes = index->signature_layout().num_bytes();
   for (const auto& [gene, sig] : inverted_file) {
     if (sig.size() != sig_bytes) {
-      return Status::InvalidArgument("inverted-file signature size mismatch");
+      return Status::DataLoss("inverted-file signature size mismatch");
     }
   }
 
@@ -292,7 +292,7 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
     const GeneMatrix& matrix = database->matrix(i);
     PivotSet& pivots = pivot_sets[i];
     if (pivots.columns.size() != d) {
-      return Status::InvalidArgument("pivot count mismatch");
+      return Status::DataLoss("pivot count mismatch");
     }
     pivots.vectors.clear();
     // A removed source's matrix was freed: only active sources get their
@@ -300,18 +300,18 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
     for (size_t w = 0; active[i] && w < d; ++w) {
       const size_t column = pivots.columns[w];
       if (column >= matrix.num_genes()) {
-        return Status::InvalidArgument("pivot column out of range");
+        return Status::DataLoss("pivot column out of range");
       }
       const std::span<const double> view = matrix.Column(column);
       pivots.vectors.emplace_back(view.begin(), view.end());
     }
     if (embeddings[i].size() != (active[i] ? matrix.num_genes() : 0)) {
-      return Status::InvalidArgument(
+      return Status::DataLoss(
           "embedded point count does not match matrix shape");
     }
     for (const EmbeddedPoint& point : embeddings[i]) {
       if (point.x.size() != d || point.y.size() != d) {
-        return Status::InvalidArgument("embedded point dimension mismatch");
+        return Status::DataLoss("embedded point dimension mismatch");
       }
     }
   }

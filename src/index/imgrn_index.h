@@ -197,9 +197,13 @@ class ImGrnIndex {
   /// needs only its `options.num_pivots` columns: the pivot vectors are
   /// re-derived as the database's standardized columns, which is what
   /// they were at build time; a removed source's matrix was freed, so it
-  /// gets none. A pivot column of an active source out of range (as every
+  /// gets none. Parts that disagree with each other or with the database
+  /// are kDataLoss, the code index/snapshot.h gives an internally
+  /// inconsistent section: a matrix count other than the database's, an
+  /// inverted-file signature of the wrong size, a pivot count other than
+  /// num_pivots, a pivot column of an active source out of range (as every
   /// column of a gene-less matrix is), a point count that does not match
-  /// its matrix, or an x/y of the wrong length is kInvalidArgument.
+  /// its matrix, or an x/y of the wrong length.
   ///
   /// The R*-tree is reopened node-for-node from `tree_meta`, whose pages
   /// SerializeAllNodes wrote into `options.storage`, which must be the

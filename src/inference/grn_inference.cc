@@ -6,23 +6,21 @@
 
 namespace imgrn {
 
-ProbGraph InferGrn(const GeneMatrix& matrix, double gamma,
-                   const GrnInferenceOptions& options,
-                   GrnInferenceStats* stats) {
-  PermutationCache cache(options.num_samples, options.seed);
-  return InferGrnWithCache(matrix, gamma, options, &cache, stats);
-}
+namespace {
 
-ProbGraph InferGrnWithCache(const GeneMatrix& matrix, double gamma,
-                            const GrnInferenceOptions& options,
-                            PermutationCache* cache,
-                            GrnInferenceStats* stats) {
+/// The pair loop behind both inference entry points: every gene pair, the
+/// Lemma-3 skip, then a Monte Carlo count stopped as `stop` allows.
+ProbGraph InferPairs(const GeneMatrix& matrix, double gamma,
+                     const GrnInferenceOptions& options,
+                     PermutationCache* cache, HitCountStop stop,
+                     GrnInferenceStats* stats) {
   IMGRN_CHECK_GE(gamma, 0.0);
   IMGRN_CHECK_LT(gamma, 1.0);
   GeneMatrix standardized = matrix;
   standardized.StandardizeColumns();
   const size_t n = standardized.num_genes();
   const size_t l = standardized.num_samples();
+  const size_t min_hits = MinHitsAbove(gamma, cache->num_samples());
 
   ProbGraph grn;
   for (size_t s = 0; s < n; ++s) {
@@ -41,8 +39,11 @@ ProbGraph InferGrnWithCache(const GeneMatrix& matrix, double gamma,
         }
       }
       ++local_stats.pairs_estimated;
-      const double p = EstimateEdgeProbabilityCached(
-          standardized.Column(s), standardized.Column(t), cache);
+      const size_t hits =
+          CountPermutedHits(standardized.Column(s), standardized.Column(t),
+                            cache, min_hits, stop);
+      const double p = static_cast<double>(hits) /
+                       static_cast<double>(cache->num_samples());
       if (p > gamma) {
         grn.AddEdge(static_cast<VertexId>(s), static_cast<VertexId>(t), p);
         ++local_stats.edges_inferred;
@@ -53,6 +54,30 @@ ProbGraph InferGrnWithCache(const GeneMatrix& matrix, double gamma,
     *stats = local_stats;
   }
   return grn;
+}
+
+}  // namespace
+
+ProbGraph InferGrn(const GeneMatrix& matrix, double gamma,
+                   const GrnInferenceOptions& options,
+                   GrnInferenceStats* stats) {
+  PermutationCache cache(options.num_samples, options.seed);
+  return InferGrnWithCache(matrix, gamma, options, &cache, stats);
+}
+
+ProbGraph InferGrnWithCache(const GeneMatrix& matrix, double gamma,
+                            const GrnInferenceOptions& options,
+                            PermutationCache* cache,
+                            GrnInferenceStats* stats) {
+  return InferPairs(matrix, gamma, options, cache, HitCountStop::kNever,
+                    stats);
+}
+
+ProbGraph InferGrnEdgeSet(const GeneMatrix& matrix, double gamma,
+                          const GrnInferenceOptions& options,
+                          PermutationCache* cache, GrnInferenceStats* stats) {
+  return InferPairs(matrix, gamma, options, cache,
+                    HitCountStop::kWhenDecided, stats);
 }
 
 }  // namespace imgrn

@@ -37,8 +37,9 @@ struct GrnInferenceStats {
 ///
 /// This is the "materialize one GRN" primitive: the IM-GRN query pipeline
 /// deliberately avoids calling it on database matrices (that is the whole
-/// point of the index), but uses it for the query matrix M_Q, for the
-/// Baseline competitor, and for refinement-adjacent checks in tests.
+/// point of the index), and infers the query matrix M_Q with its
+/// decision-only form InferGrnEdgeSet below. Baseline, `imgrn infer` and
+/// the ROC benches use it for its exact probabilities.
 ProbGraph InferGrn(const GeneMatrix& matrix, double gamma,
                    const GrnInferenceOptions& options = {},
                    GrnInferenceStats* stats = nullptr);
@@ -49,6 +50,18 @@ ProbGraph InferGrnWithCache(const GeneMatrix& matrix, double gamma,
                             const GrnInferenceOptions& options,
                             PermutationCache* cache,
                             GrnInferenceStats* stats = nullptr);
+
+/// The same edge set as InferGrnWithCache over the same permutations, but
+/// each pair's Monte Carlo count stops at the first block boundary where
+/// the decision p > gamma is fixed (HitCountStop::kWhenDecided). An edge
+/// carries h / S at that point: a lower bound on its full estimate that
+/// still exceeds gamma. For callers that read only the topology — the
+/// IM-GRN query graph, whose probabilities no answer depends on. `stats`
+/// counts as InferGrnWithCache's would.
+ProbGraph InferGrnEdgeSet(const GeneMatrix& matrix, double gamma,
+                          const GrnInferenceOptions& options,
+                          PermutationCache* cache,
+                          GrnInferenceStats* stats = nullptr);
 
 }  // namespace imgrn
 

@@ -96,9 +96,25 @@ const PermutationBlocks& PermutationCache::BlocksForLength(size_t l) {
   return *blocks;
 }
 
-double EstimateEdgeProbabilityCached(std::span<const double> xs,
-                                     std::span<const double> xt,
-                                     PermutationCache* cache) {
+size_t MinHitsAbove(double gamma, size_t num_samples) {
+  // Binary search for the first h in [0, S + 1) whose estimate clears
+  // gamma; S + 1 stands for "none does".
+  size_t lo = 0;
+  size_t hi = num_samples + 1;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (static_cast<double>(mid) / static_cast<double>(num_samples) > gamma) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+size_t CountPermutedHits(std::span<const double> xs,
+                         std::span<const double> xt, PermutationCache* cache,
+                         size_t min_hits, HitCountStop stop) {
   IMGRN_CHECK_EQ(xs.size(), xt.size());
   const PermutationBlocks& blocks = cache->BlocksForLength(xt.size());
   // The observed distance is the accept/reject anchor, computed once per
@@ -108,15 +124,28 @@ double EstimateEdgeProbabilityCached(std::span<const double> xs,
   auto* kernel = ActiveKernels().permuted_squared_distance_block;
   double distances[kPermutedDistanceBatch];
   size_t hits = 0;
+  size_t remaining = blocks.num_samples();
   for (size_t k = 0; k < blocks.num_blocks(); ++k) {
     const size_t width = blocks.block_width(k);
     kernel(xs, xt, blocks.block(k), width, distances);
     for (size_t b = 0; b < width; ++b) {
       if (distances[b] > observed) ++hits;
     }
+    remaining -= width;
+    if (stop == HitCountStop::kNever) continue;
+    if (hits + remaining < min_hits) break;
+    if (stop == HitCountStop::kWhenDecided && hits >= min_hits) break;
   }
+  return hits;
+}
+
+double EstimateEdgeProbabilityCached(std::span<const double> xs,
+                                     std::span<const double> xt,
+                                     PermutationCache* cache) {
+  const size_t hits =
+      CountPermutedHits(xs, xt, cache, 0, HitCountStop::kNever);
   return static_cast<double>(hits) /
-         static_cast<double>(blocks.num_samples());
+         static_cast<double>(cache->num_samples());
 }
 
 double EstimateEdgeProbabilityAbsoluteCached(std::span<const double> xs,

@@ -120,10 +120,10 @@ class PermutationTable {
 /// BlocksForLength() mutates it on a first lookup, so one instance must
 /// not be shared across threads without external synchronization. The
 /// query pipeline never shares one: ImGrnQueryProcessor's refinement and
-/// InferGrn each construct a per-call view over the engine's table, which
-/// is thread-safe. ImGrnIndex's long-lived embed cache is only touched on
-/// the update path, which ShardedEngine serializes behind the shard
-/// replica's writer lock, and by a parallel Build, which fills
+/// InferQueryGraph each construct a per-call view over the engine's table,
+/// which is thread-safe. ImGrnIndex's long-lived embed cache is only
+/// touched on the update path, which ShardedEngine serializes behind the
+/// shard replica's writer lock, and by a parallel Build, which fills
 /// BlocksForLength for every length before its workers start, so the
 /// workers only look entries up.
 ///
@@ -159,9 +159,39 @@ class PermutationCache {
       blocks_;
 };
 
+/// The smallest hit count h with double(h) / double(S) > gamma, S =
+/// `num_samples`, computed with the estimate's own expression. Division by
+/// S is monotone, so an estimate h / S exceeds gamma exactly when h is at
+/// least this. S + 1 when no count does (gamma >= 1).
+size_t MinHitsAbove(double gamma, size_t num_samples);
+
+/// Where CountPermutedHits may stop short of all S samples. It checks at
+/// each block boundary: after k samples (a multiple of
+/// kPermutedDistanceBatch, or S) with h hits among them.
+enum class HitCountStop {
+  /// Count all S samples: h / S is the exact estimate.
+  kNever,
+  /// Stop once h + (S - k) < min_hits: the estimate can no longer exceed
+  /// gamma.
+  kWhenUnreachable,
+  /// Stop then, or once h >= min_hits: it already exceeds gamma.
+  kWhenDecided,
+};
+
+/// Counts the samples R with dist(xs, xt^R) > dist(xs, xt) over the cached
+/// permutations of xt's length, block by block, stopping as `stop` allows
+/// against `min_hits` (MinHitsAbove(gamma, S)). Whatever the stop, the
+/// count reaches `min_hits` iff the full count does, so `count / S > gamma`
+/// decides Definition 2 exactly as the full estimate would. When no stop
+/// fires the count is the full one.
+size_t CountPermutedHits(std::span<const double> xs,
+                         std::span<const double> xt, PermutationCache* cache,
+                         size_t min_hits, HitCountStop stop);
+
 /// Estimates e.p = Pr{dist(xs, xt^R) > dist(xs, xt)} using the cached
 /// permutations for xt's length — the Lemma-1 reduced (one-sided) measure
-/// that all of the paper's pruning bounds are derived against.
+/// that all of the paper's pruning bounds are derived against. This is
+/// CountPermutedHits with no stop, divided by S.
 ///
 /// Evaluated via the batched block kernel: S samples cost ceil(S/8) passes
 /// over the columns instead of S permute-then-distance passes. The result

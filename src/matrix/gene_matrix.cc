@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -11,12 +12,24 @@
 
 namespace imgrn {
 
+namespace {
+
+/// l * n, CHECKed not to wrap.
+size_t CellCount(size_t num_samples, size_t num_genes) {
+  IMGRN_CHECK(num_genes == 0 ||
+              num_samples <= std::numeric_limits<size_t>::max() / num_genes)
+      << num_samples << " x " << num_genes << " cells overflow size_t";
+  return num_samples * num_genes;
+}
+
+}  // namespace
+
 GeneMatrix::GeneMatrix(SourceId source_id, size_t num_samples,
                        std::vector<GeneId> gene_ids)
     : source_id_(source_id),
       num_samples_(num_samples),
       gene_ids_(std::move(gene_ids)),
-      data_(num_samples * gene_ids_.size(), 0.0) {
+      data_(CellCount(num_samples, gene_ids_.size()), 0.0) {
   IMGRN_CHECK_GT(num_samples_, 0u);
   std::unordered_set<GeneId> seen;
   for (GeneId gene : gene_ids_) {

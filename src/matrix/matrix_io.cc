@@ -68,11 +68,19 @@ Result<GeneMatrix> ReadGeneMatrix(std::istream* in) {
   if (num_samples == 0 || num_genes == 0) {
     return Status::InvalidArgument("matrix dimensions must be positive");
   }
-  std::vector<GeneId> gene_ids(num_genes);
-  for (GeneId& gene : gene_ids) {
+  if (num_samples > std::numeric_limits<size_t>::max() / num_genes) {
+    return Status::InvalidArgument("matrix dimensions overflow");
+  }
+  // The buffers grow with what the stream delivers, never with the
+  // header's counts: a count the text cannot back fails as truncated
+  // input, not as an allocation.
+  std::vector<GeneId> gene_ids;
+  for (size_t k = 0; k < num_genes; ++k) {
+    GeneId gene = 0;
     if (!(*in >> gene)) {
       return Status::InvalidArgument("truncated gene id row");
     }
+    gene_ids.push_back(gene);
   }
   // Reject duplicate gene ids with a Status (the GeneMatrix constructor
   // would CHECK-fail; data errors must not abort).
@@ -83,14 +91,19 @@ Result<GeneMatrix> ReadGeneMatrix(std::istream* in) {
       return Status::InvalidArgument("duplicate gene ids in matrix");
     }
   }
+  std::vector<double> values;  // Sample-major, as the text lists them.
+  const size_t num_values = num_samples * num_genes;
+  for (size_t i = 0; i < num_values; ++i) {
+    double value = 0.0;
+    if (!(*in >> value)) {
+      return Status::InvalidArgument("truncated feature values");
+    }
+    values.push_back(value);
+  }
   GeneMatrix matrix(source, num_samples, std::move(gene_ids));
   for (size_t j = 0; j < num_samples; ++j) {
     for (size_t k = 0; k < num_genes; ++k) {
-      double value = 0.0;
-      if (!(*in >> value)) {
-        return Status::InvalidArgument("truncated feature values");
-      }
-      matrix.At(j, k) = value;
+      matrix.At(j, k) = values[j * num_genes + k];
     }
   }
   return matrix;

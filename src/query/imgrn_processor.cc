@@ -81,7 +81,7 @@ ProbGraph InferQueryGraph(const GeneMatrix& query_matrix,
   options.num_samples = params.query_num_samples;
   options.seed = params.seed;
   PermutationCache cache(options.num_samples, options.seed, table);
-  return InferGrnWithCache(query_matrix, params.gamma, options, &cache);
+  return InferGrnEdgeSet(query_matrix, params.gamma, options, &cache);
 }
 
 Result<std::vector<QueryMatch>> ImGrnQueryProcessor::Query(
@@ -108,9 +108,7 @@ Result<std::vector<QueryMatch>> ImGrnQueryProcessor::QueryWithGraph(
     const ProbGraph& query_graph, const QueryParams& params,
     QueryStats* stats, const QueryControl* control) const {
   IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params));
-  if (query_graph.num_vertices() == 0) {
-    return Status::InvalidArgument("query graph has no vertices");
-  }
+  IMGRN_RETURN_IF_ERROR(ValidateQueryGraph(query_graph));
   if (control != nullptr) {
     IMGRN_RETURN_IF_ERROR(control->Check());
   }

@@ -13,8 +13,9 @@ namespace imgrn {
 
 /// The IM-GRN query processor — algorithm IM-GRN_Processing of Fig. 4:
 ///
-///  1. infer the exact query GRN Q from M_Q (edge-inference pruning +
-///     Monte Carlo, threshold gamma);
+///  1. infer the query GRN Q from M_Q (edge-inference pruning + Monte
+///     Carlo, threshold gamma): the exact edge set, each pair's count
+///     stopped once its decision is fixed (InferQueryGraph below);
 ///  2. anchor on the highest-degree query gene g_s and its neighbor set
 ///     NS(g_s); build the query-side bit vectors qV_f / qV_d (the latter via
 ///     the inverted file IF);
@@ -24,8 +25,10 @@ namespace imgrn {
 ///     pair each, so each node's children are filtered once and Lemma 6
 ///     sees only the survivors' cross product); at the leaves, prune
 ///     candidate gene pairs by the pivot condition (Sec. 4.2) and Lemma 3;
-///  4. refine the surviving candidate matrices (Lemma 5, exact Monte Carlo
-///     probabilities, labeled subgraph isomorphism, Eq. 3 vs alpha).
+///  4. refine the surviving candidate matrices (Lemma 5, then Monte Carlo
+///     edge probabilities on the one label-preserving embedding, weakest
+///     edge first, stopping once the matrix is decided; Eq. 3 vs alpha —
+///     see refinement.h).
 ///
 /// The processor borrows the index (and, through it, the database) and the
 /// permutation table; all must outlive it. With a null table every query
@@ -49,7 +52,9 @@ class ImGrnQueryProcessor {
       const;
 
   /// Matching against an already-inferred query graph (used by benches that
-  /// reuse one Q across competitor methods, and by tests).
+  /// reuse one Q across competitor methods, and by tests). Returns
+  /// InvalidArgument when ValidateQueryParams rejects the parameters or
+  /// ValidateQueryGraph the graph: it is empty or repeats a gene label.
   Result<std::vector<QueryMatch>> QueryWithGraph(
       const ProbGraph& query_graph, const QueryParams& params,
       QueryStats* stats = nullptr, const QueryControl* control = nullptr)
@@ -76,6 +81,13 @@ class ImGrnQueryProcessor {
 /// from `table` (null: privately). Every engine infers through this, so
 /// the fanned-out shards of a sharded query match against the graph a
 /// single engine would infer.
+///
+/// The edge set equals InferGrn's at the same gamma, sample count and
+/// seed, but the edges' probabilities are InferGrnEdgeSet's: h / S where
+/// the count stopped, > gamma and <= the full estimate. Nothing reads
+/// them — Eq. 3 multiplies the candidate matrix's probabilities, never
+/// the query's — so use InferGrn where the probabilities themselves
+/// matter.
 ProbGraph InferQueryGraph(const GeneMatrix& query_matrix,
                           const QueryParams& params, PermutationTable* table);
 

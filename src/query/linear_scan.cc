@@ -16,6 +16,8 @@ LinearScanProcessor::LinearScanProcessor(const ImGrnIndex* index)
 std::vector<QueryMatch> LinearScanProcessor::QueryWithGraph(
     const ProbGraph& query_graph, const QueryParams& params,
     QueryStats* stats) const {
+  IMGRN_CHECK(query_graph.LabelsAreDistinct())
+      << "query graph repeats a gene label";
   Stopwatch timer;
   QueryStats local_stats;
   local_stats.query_vertices = query_graph.num_vertices();

@@ -23,6 +23,8 @@ class LinearScanProcessor {
  public:
   explicit LinearScanProcessor(const ImGrnIndex* index);
 
+  /// `query_graph` must not repeat a gene label (CHECKed; see
+  /// ValidateQueryGraph).
   std::vector<QueryMatch> QueryWithGraph(const ProbGraph& query_graph,
                                          const QueryParams& params,
                                          QueryStats* stats = nullptr) const;

@@ -21,6 +21,16 @@ Status ValidateQueryParams(const QueryParams& params,
   return ValidateGeneMatrix(*query_matrix, "query matrix");
 }
 
+Status ValidateQueryGraph(const ProbGraph& query_graph) {
+  if (query_graph.num_vertices() == 0) {
+    return Status::InvalidArgument("query graph has no vertices");
+  }
+  if (!query_graph.LabelsAreDistinct()) {
+    return Status::InvalidArgument("query graph repeats a gene label");
+  }
+  return Status::Ok();
+}
+
 void FinalizeMatches(size_t top_k, std::vector<QueryMatch>* matches) {
   if (top_k == 0) return;
   std::sort(matches->begin(), matches->end(),

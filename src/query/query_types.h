@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "graph/prob_graph.h"
 #include "matrix/gene_matrix.h"
 
 namespace imgrn {
@@ -52,6 +53,12 @@ struct QueryParams {
 /// ShardedEngine) checks this before any work.
 Status ValidateQueryParams(const QueryParams& params,
                            const GeneMatrix* query_matrix = nullptr);
+
+/// kInvalidArgument unless `query_graph` has a vertex and no two vertices
+/// share a gene label. A GRN holds each gene once, so a matrix holding
+/// every query gene embeds the query only one way (refinement.h); every
+/// QueryWithGraph entry point checks this before any work.
+Status ValidateQueryGraph(const ProbGraph& query_graph);
 
 /// One IM-GRN answer: matrix M_i matched the query.
 struct QueryMatch {

@@ -194,9 +194,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryWithGraph(
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
   IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params));
-  if (query_graph.num_vertices() == 0) {
-    return Status::InvalidArgument("query graph has no vertices");
-  }
+  IMGRN_RETURN_IF_ERROR(ValidateQueryGraph(query_graph));
   if (control != nullptr) {
     IMGRN_RETURN_IF_ERROR(control->Check());
   }

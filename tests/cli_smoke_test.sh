@@ -187,6 +187,24 @@ grep -q "bogus" "$WORKDIR/badpart.err"
 "$IMGRN" infer --matrix="$WORKDIR/q.txt" --measure=correlation \
     --gamma=0.5 | grep -q "edges above"
 
+# Matrix text whose header counts the text cannot back is an input error
+# (exit 1), not an abort: 10^12 genes announced, a sample x gene count
+# that wraps size_t, and a negative sample count.
+printf 'IMGRN-MATRIX 1\n0 30 1000000000000\n1 2 3\n' > "$WORKDIR/bad1.txt"
+printf 'IMGRN-MATRIX 1\n0 9223372036854775808 2\n1 2\n0.5 0.25\n' \
+    > "$WORKDIR/bad2.txt"
+printf 'IMGRN-MATRIX 1\n0 -1 1\n7\n0.5\n' > "$WORKDIR/bad3.txt"
+for bad in bad1 bad2 bad3; do
+  status=0
+  "$IMGRN" infer --matrix="$WORKDIR/$bad.txt" > /dev/null \
+      2> "$WORKDIR/$bad.err" || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "expected exit 1 on infer of $bad.txt, got $status" >&2
+    exit 1
+  fi
+  grep -q "^error: " "$WORKDIR/$bad.err"
+done
+
 # Numbers parse strictly: a negative count, a non-number and trailing
 # garbage each exit 2 naming the flag, before any work runs.
 for bad in --shards=-1 --gamma=abc --shards=2x; do

@@ -102,6 +102,31 @@ TEST(EngineTest, BuildAndQueryEndToEnd) {
   EXPECT_FALSE(sources.contains(2));
 }
 
+TEST(EngineTest, RepeatedLabelQueryGraphRejected) {
+  // A GRN holds each gene once; a query graph naming gene 1 twice is not
+  // one, so it is refused before any work rather than matched.
+  ImGrnEngine engine;
+  engine.LoadDatabase(MakeDatabase(1));
+  ASSERT_TRUE(engine.BuildIndex().ok());
+  ProbGraph query;
+  query.AddVertex(1);
+  query.AddVertex(2);
+  query.AddVertex(1);
+  query.AddEdge(0, 1, 1.0);
+  query.AddEdge(1, 2, 1.0);
+  QueryParams params;
+  params.gamma = 0.5;
+  params.alpha = 0.3;
+  EXPECT_EQ(engine.QueryWithGraph(query, params).status().code(),
+            StatusCode::kInvalidArgument);
+  // Edgeless, the repeat is refused all the same.
+  ProbGraph edgeless;
+  edgeless.AddVertex(3);
+  edgeless.AddVertex(3);
+  EXPECT_EQ(engine.QueryWithGraph(edgeless, params).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(EngineTest, QueryFromMatrixEndToEnd) {
   ImGrnEngine engine;
   engine.LoadDatabase(MakeDatabase(2));

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "datagen/synthetic.h"
@@ -94,6 +96,105 @@ TEST(MatrixIoTest, DuplicateGeneIdsRejectedWithoutAborting) {
   Result<GeneMatrix> loaded = ReadGeneMatrix(&buffer);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// Header counts the text cannot back are rejected as input, not met with
+// an allocation: each of these used to abort or crash the reader.
+TEST(MatrixIoTest, GeneCountBeyondTheTextRejected) {
+  // 10^12 gene ids announced, three delivered (was std::bad_alloc).
+  std::stringstream buffer("IMGRN-MATRIX 1\n0 30 1000000000000\n1 2 3\n");
+  Result<GeneMatrix> loaded = ReadGeneMatrix(&buffer);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(MatrixIoTest, OverflowingDimensionsRejected) {
+  // 2^63 samples x 2 genes wraps size_t to 0 (was a write into an empty
+  // buffer).
+  std::stringstream buffer(
+      "IMGRN-MATRIX 1\n0 9223372036854775808 2\n1 2\n0.5 0.25\n1 2\n");
+  Result<GeneMatrix> loaded = ReadGeneMatrix(&buffer);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("overflow"), std::string::npos);
+}
+
+TEST(MatrixIoTest, NegativeSampleCountRejected) {
+  // "-1" reads as the largest size_t (was std::length_error).
+  std::stringstream buffer("IMGRN-MATRIX 1\n0 -1 1\n7\n0.5\n");
+  Result<GeneMatrix> loaded = ReadGeneMatrix(&buffer);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+// A fixed-seed mutation fuzzer over valid matrix and database text: one to
+// three random inserts, deletes or overwrites per mutant. Every mutant
+// must load, with a shape its data fills, or be kInvalidArgument; nothing
+// may abort or allocate by a forged count.
+TEST(MatrixIoTest, SeededMutationsParseOrReject) {
+  std::vector<std::string> seeds;
+  {
+    std::stringstream text;
+    ASSERT_TRUE(WriteGeneMatrix(MakeMatrix(4, 6), &text).ok());
+    seeds.push_back(text.str());
+  }
+  {
+    GeneDatabase database;
+    database.Add(MakeMatrix(0, 7));
+    database.Add(MakeMatrix(1, 8));
+    std::stringstream text;
+    ASSERT_TRUE(WriteGeneDatabase(database, &text).ok());
+    seeds.push_back(text.str());
+  }
+  const std::string kAlphabet = "0123456789-+.eE \nnaif";
+  constexpr int kMutants = 6000;
+  Rng rng(20261019);
+  int loaded = 0;
+  for (int i = 0; i < kMutants; ++i) {
+    const size_t which = rng.UniformUint64(seeds.size());
+    std::string text = seeds[which];
+    const int edits = 1 + static_cast<int>(rng.UniformUint64(3));
+    for (int e = 0; e < edits; ++e) {
+      const char c = kAlphabet[rng.UniformUint64(kAlphabet.size())];
+      const size_t op = rng.UniformUint64(3);
+      if (op == 0 || text.empty()) {
+        text.insert(text.begin() + static_cast<ptrdiff_t>(
+                                       rng.UniformUint64(text.size() + 1)),
+                    c);
+      } else if (op == 1) {
+        text.erase(rng.UniformUint64(text.size()), 1);
+      } else {
+        text[rng.UniformUint64(text.size())] = c;
+      }
+    }
+    std::stringstream in(text);
+    std::vector<GeneMatrix> matrices;
+    Status status;
+    if (which == 0) {
+      Result<GeneMatrix> matrix = ReadGeneMatrix(&in);
+      status = matrix.status();
+      if (matrix.ok()) matrices.push_back(std::move(*matrix));
+    } else {
+      Result<GeneDatabase> database = ReadGeneDatabase(&in);
+      status = database.status();
+      if (database.ok()) matrices = database->matrices();
+    }
+    if (!status.ok()) {
+      ASSERT_EQ(status.code(), StatusCode::kInvalidArgument) << text;
+      continue;
+    }
+    ++loaded;
+    for (const GeneMatrix& matrix : matrices) {
+      EXPECT_GT(matrix.num_genes(), 0u) << text;
+      EXPECT_EQ(matrix.data().size(),
+                matrix.num_samples() * matrix.num_genes())
+          << text;
+    }
+  }
+  // Both outcomes occur often enough to matter: most edits land in a
+  // value, which still parses.
+  EXPECT_GT(loaded, kMutants / 100);
+  EXPECT_LT(loaded, kMutants - kMutants / 100);
 }
 
 TEST(MatrixIoTest, OutOfOrderSourceIdsRejected) {

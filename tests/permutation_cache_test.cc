@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -124,6 +125,73 @@ TEST(EstimateEdgeProbabilityCachedTest, ResultInUnitInterval) {
     const double p = EstimateEdgeProbabilityCached(a, b, &cache);
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
+  }
+}
+
+TEST(MinHitsAboveTest, MatchesTheEstimateExpression) {
+  // h / S > gamma iff h >= MinHitsAbove(gamma, S), for gamma on the h/S
+  // grid, one ulp either side of it, and at random.
+  Rng rng(31);
+  for (size_t num_samples : {1, 2, 3, 7, 8, 9, 16, 37, 100, 128, 129, 300}) {
+    const double s = static_cast<double>(num_samples);
+    std::vector<double> gammas;
+    for (size_t h = 0; h < num_samples; ++h) {
+      const double grid = static_cast<double>(h) / s;
+      gammas.insert(gammas.end(), {grid, std::nextafter(grid, 0.0),
+                                   std::nextafter(grid, 1.0)});
+    }
+    for (int i = 0; i < 50; ++i) gammas.push_back(rng.UniformDouble());
+    size_t mismatches = 0;
+    for (double gamma : gammas) {
+      const size_t min_hits = MinHitsAbove(gamma, num_samples);
+      EXPECT_LE(min_hits, num_samples + 1);
+      for (size_t h = 0; h <= num_samples; ++h) {
+        if ((static_cast<double>(h) / s > gamma) != (h >= min_hits)) {
+          ++mismatches;
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "S = " << num_samples;
+  }
+  EXPECT_EQ(MinHitsAbove(0.0, 128), 1u);
+  EXPECT_EQ(MinHitsAbove(0.5, 128), 65u);
+  EXPECT_EQ(MinHitsAbove(1.0, 128), 129u);  // No count clears gamma = 1.
+}
+
+TEST(CountPermutedHitsTest, StopsDecideAsTheFullCount) {
+  // Either stop leaves a count that reaches min_hits iff the full count
+  // does. The unreachable-only stop never cuts a count that gets there,
+  // and with no stop the count is the estimate's.
+  Rng rng(32);
+  for (size_t num_samples : {5, 8, 16, 33, 128}) {
+    PermutationCache cache(num_samples, 33 + num_samples);
+    for (size_t l : {3, 8, 17, 30}) {
+      for (int trial = 0; trial < 6; ++trial) {
+        const std::vector<double> a = RandomStandardized(l, &rng);
+        std::vector<double> b = RandomStandardized(l, &rng);
+        const double mix = 0.3 * trial - 0.6;  // Anti- to well correlated.
+        for (size_t i = 0; i < l; ++i) b[i] += mix * a[i];
+        StandardizeInPlace(b);
+        const size_t full =
+            CountPermutedHits(a, b, &cache, 0, HitCountStop::kNever);
+        EXPECT_EQ(static_cast<double>(full) /
+                      static_cast<double>(num_samples),
+                  EstimateEdgeProbabilityCached(a, b, &cache));
+        for (size_t min_hits = 0; min_hits <= num_samples + 1; ++min_hits) {
+          const size_t unreachable = CountPermutedHits(
+              a, b, &cache, min_hits, HitCountStop::kWhenUnreachable);
+          const size_t decided = CountPermutedHits(
+              a, b, &cache, min_hits, HitCountStop::kWhenDecided);
+          EXPECT_EQ(unreachable >= min_hits, full >= min_hits);
+          EXPECT_EQ(decided >= min_hits, full >= min_hits);
+          EXPECT_LE(decided, full);
+          EXPECT_LE(unreachable, full);
+          if (full >= min_hits) {
+            EXPECT_EQ(unreachable, full);
+          }
+        }
+      }
+    }
   }
 }
 

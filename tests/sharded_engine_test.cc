@@ -453,6 +453,34 @@ TEST_F(ShardedEngineTest, ErrorStatusesMatchSingleEnginePreconditions) {
   }
 }
 
+TEST_F(ShardedEngineTest, RepeatedLabelQueryGraphRejected) {
+  // The sharded engine refuses a query graph that repeats a gene label
+  // before fanning out, as the single engine does.
+  ShardedEngine sharded(Opts(3), nullptr);
+  sharded.LoadDatabase(MakeDatabase(6));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+  ProbGraph query;
+  query.AddVertex(1);
+  query.AddVertex(2);
+  query.AddVertex(3);
+  query.AddVertex(2);
+  query.AddEdge(0, 1, 1.0);
+  query.AddEdge(1, 2, 1.0);
+  query.AddEdge(2, 3, 1.0);
+  QueryStats stats;
+  stats.answers = 99;
+  EXPECT_EQ(sharded.QueryWithGraph(query, DefaultParams(), &stats)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(stats.answers, 99u);  // Refused before any work.
+  // The same genes, each once, are served.
+  const Result<std::vector<QueryMatch>> served = sharded.QueryWithGraph(
+      testing_util::MakePathQuery({1, 2, 3}), DefaultParams());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_FALSE(served->empty());
+}
+
 // BuildIndex rejects a matrix it cannot index under the source's GLOBAL
 // id, although its shard holds it at another local id.
 TEST_F(ShardedEngineTest, BuildIndexRejectionNamesTheGlobalSource) {

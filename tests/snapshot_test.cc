@@ -747,7 +747,7 @@ TEST(SnapshotTest, ActiveSourceWithGenelessMatrixRejected) {
   }
   ImGrnEngine engine(DiskEngineOptions(file.path()));
   const Status status = engine.LoadSnapshot();
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
   EXPECT_FALSE(engine.has_index());
 }
 

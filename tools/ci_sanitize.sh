@@ -12,7 +12,8 @@
 # StatsSnapshot reads them all) and "robustness" (the fault injector and
 # a seeded mutation fuzzer of its spec parser, the storage fault points,
 # and a query failed whole by a faulted sub-query: error paths normal
-# traffic never reaches, where leaks and races hide) and "replication"
+# traffic never reaches, where leaks and races hide; and the matrix text
+# readers with their seeded mutation fuzzer) and "replication"
 # (the replica-set differential suite: lock-step mirrors built in
 # parallel and round-robin routing over a lock-free cursor — run under
 # BOTH kinds, races on the routing side and leaks in the replica sets);
@@ -23,7 +24,9 @@
 # are single-threaded, so TSan would add nothing) and "query" (the Fig.-4
 # processor, its pinned traversal counters and its fuzz suite: the
 # traversal holds pointers into R*-tree node entries and per-leaf record
-# lists, so overruns show under ASan). ThreadSanitizer is the
+# lists, so overruns show under ASan; and the refinement and query-graph
+# inference differential suites, whose Monte Carlo counts stop part-way
+# through the permutation blocks). ThreadSanitizer is the
 # default and the gate that matters for src/service; pass "address" to
 # run the same workload under AddressSanitizer instead — CI runs BOTH
 # kinds, so the fault binaries get a TSan pass and an ASan
@@ -95,10 +98,11 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
          permutation_cache_test partition_invariance_test \
-         fault_injection_test replication_test"
+         fault_injection_test replication_test matrix_io_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
-           imgrn_processor_test query_stats_test processor_fuzz_test"
+           imgrn_processor_test query_stats_test processor_fuzz_test \
+           refinement_test grn_inference_test"
 fi
 # shellcheck disable=SC2086  # TARGETS is a deliberate word list
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target $TARGETS
