@@ -13,10 +13,9 @@ namespace imgrn {
 namespace bench {
 namespace {
 
-double BuildAndTime(GeneDatabase database, bool bulk_load = false) {
+double BuildAndTime(GeneDatabase database) {
   EngineOptions engine_options;
   engine_options.index.build_threads = 0;  // Parallel build (bit-identical).
-  engine_options.index.bulk_load = bulk_load;
   ImGrnEngine engine(engine_options);
   engine.LoadDatabase(std::move(database));
   IMGRN_CHECK_OK(engine.BuildIndex());
@@ -48,19 +47,6 @@ int Main(int argc, char** argv) {
           BuildAndTime(BuildSyntheticDatabase(dataset, defaults));
       std::printf("%s, %zu, %zu, %.4f\n", dataset, n_min, n_max, seconds);
     }
-  }
-
-  // Extra ablation: insertion build vs STR bulk load at the default range.
-  {
-    BenchDefaults defaults;
-    defaults.num_matrices = n_matrices;
-    defaults.seed = seed;
-    const double inserted =
-        BuildAndTime(BuildSyntheticDatabase("Uni", defaults), false);
-    const double bulk =
-        BuildAndTime(BuildSyntheticDatabase("Uni", defaults), true);
-    std::printf("# ablation: insertion build %.4f s vs STR bulk load %.4f s\n",
-                inserted, bulk);
   }
 
   PrintHeader("Figure 13(b)", "index construction time vs N",

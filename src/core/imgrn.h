@@ -9,7 +9,7 @@
 ///   prob/      - Monte Carlo edge probabilities, Markov bounds (Lemmas 2-4)
 ///   graph/     - probabilistic graphs, subgraph isomorphism, Eq. 3
 ///   storage/   - pages, buffer pool (I/O accounting)
-///   rtree/     - R*-tree with monoid payloads
+///   rtree/     - R*-tree with OR-merged payloads
 ///   inference/ - IM-GRN / Correlation / pCorr measures, ROC, GRN inference
 ///   embed/     - pivot embedding + cost-model pivot selection (Section 4)
 ///   index/     - the (2d+1)-dim IM-GRN index (Section 5.1)

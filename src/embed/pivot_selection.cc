@@ -26,13 +26,13 @@ double PivotCost(const GeneMatrix& standardized_matrix,
   return total;
 }
 
-PivotSet SelectPivots(const GeneMatrix& matrix,
+PivotSet SelectPivots(const GeneMatrix& matrix, size_t num_pivots,
                       const PivotSelectionOptions& options, Rng* rng) {
-  IMGRN_CHECK_GT(options.num_pivots, 0u);
+  IMGRN_CHECK_GT(num_pivots, 0u);
   GeneMatrix standardized = matrix;
   standardized.StandardizeColumns();
   const size_t n = standardized.num_genes();
-  const size_t d = std::min(options.num_pivots, n);
+  const size_t d = std::min(num_pivots, n);
 
   std::vector<size_t> all_columns(n);
   std::iota(all_columns.begin(), all_columns.end(), 0u);

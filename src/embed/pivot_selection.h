@@ -9,11 +9,8 @@
 
 namespace imgrn {
 
-/// Parameters of the Fig.-3 randomized-swap pivot selection.
+/// Iteration counts of the Fig.-3 randomized-swap pivot selection.
 struct PivotSelectionOptions {
-  /// Number of pivots d to choose (clamped to the matrix's gene count).
-  size_t num_pivots = 2;
-
   /// Outer restarts (Fig. 3 `global_iter`).
   size_t global_iterations = 3;
 
@@ -30,12 +27,13 @@ struct PivotSelectionOptions {
 double PivotCost(const GeneMatrix& standardized_matrix,
                  const std::vector<size_t>& pivot_columns);
 
-/// Procedure Pivot_Selection (Fig. 3): starts from random pivot subsets and
-/// greedily accepts random pivot/non-pivot swaps that lower T_i, with
-/// `global_iterations` restarts to escape local optima. Returns the best
-/// pivot set found (vectors are the standardized columns). `matrix` is
-/// standardized internally if necessary.
-PivotSet SelectPivots(const GeneMatrix& matrix,
+/// Procedure Pivot_Selection (Fig. 3): chooses `num_pivots` pivots d
+/// (clamped to the matrix's gene count; at least 1), starting from random
+/// pivot subsets and greedily accepting random pivot/non-pivot swaps that
+/// lower T_i, with `global_iterations` restarts to escape local optima.
+/// Returns the best pivot set found (vectors are the standardized
+/// columns). `matrix` is standardized internally if necessary.
+PivotSet SelectPivots(const GeneMatrix& matrix, size_t num_pivots,
                       const PivotSelectionOptions& options, Rng* rng);
 
 }  // namespace imgrn

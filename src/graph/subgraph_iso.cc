@@ -64,15 +64,6 @@ bool SubgraphIsomorphism::Feasible(VertexId q, VertexId g) const {
       return false;
     }
   }
-  if (options_.induced) {
-    // Non-edges of Q must stay non-edges in G.
-    for (VertexId other = 0; other < query_.num_vertices(); ++other) {
-      if (other == q || !mapped_query_[other]) continue;
-      if (!query_.HasEdge(q, other) && data_.HasEdge(g, mapping_[other])) {
-        return false;
-      }
-    }
-  }
   return true;
 }
 
@@ -81,9 +72,7 @@ bool SubgraphIsomorphism::Recurse(
     size_t* delivered) {
   if (depth == order_.size()) {
     ++*delivered;
-    if (!callback(mapping_)) return false;
-    return options_.max_embeddings == 0 ||
-           *delivered < options_.max_embeddings;
+    return callback(mapping_);
   }
   const VertexId q = order_[depth];
 

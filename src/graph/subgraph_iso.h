@@ -13,25 +13,18 @@ struct SubgraphIsoOptions {
   /// Require label(q) == label(f(q)) for every mapped vertex. IM-GRN
   /// matching is label-constrained (gene names are globally meaningful).
   bool match_labels = true;
-
-  /// If true, require *induced* isomorphism (non-edges of Q must map to
-  /// non-edges of G). The paper's matching is the standard non-induced
-  /// "Q is isomorphic to a subgraph G of G_i" (edge-preserving injection),
-  /// which is the default.
-  bool induced = false;
-
-  /// Stop after this many embeddings (0 = unlimited).
-  size_t max_embeddings = 0;
 };
 
 /// One embedding: mapping[q] = data vertex matched to query vertex q.
 using Embedding = std::vector<VertexId>;
 
 /// VF2-style backtracking subgraph-isomorphism matcher between a query
-/// graph and a data graph (edge probabilities are ignored here; probability
-/// thresholds are enforced by the caller via appearance.h). The matcher
-/// orders query vertices by a connectivity-first / degree-descending
-/// heuristic and prunes partial states by degree and label feasibility.
+/// graph and a data graph. It finds the paper's non-induced embeddings
+/// (Definition 4: edge-preserving injections, so a non-edge of the query
+/// may map to an edge). Edge probabilities are ignored here; the caller
+/// enforces probability thresholds via appearance.h. The matcher orders
+/// query vertices by a connectivity-first / degree-descending heuristic
+/// and prunes partial states by degree and label feasibility.
 class SubgraphIsomorphism {
  public:
   /// Borrows both graphs; they must outlive the matcher. Temporaries are
@@ -53,7 +46,7 @@ class SubgraphIsomorphism {
   /// Returns true iff at least one embedding exists.
   bool Exists();
 
-  /// Collects all embeddings (bounded by options.max_embeddings if set).
+  /// Collects all embeddings.
   std::vector<Embedding> AllEmbeddings();
 
  private:

@@ -11,7 +11,7 @@ namespace imgrn {
 /// synopses stored in R*-tree entry payloads (Section 5.1): each id sets
 /// `num_hashes` bits chosen by double hashing over MixHash64 and
 /// MixHash64Alt, so membership probes have no false negatives. The flat
-/// form lets signatures live inside the fixed-size, monoid-merged payload
+/// form lets signatures live inside the fixed-size, OR-merged payload
 /// bytes of RTreeEntry.
 struct ByteSignatureLayout {
   size_t num_bits = 128;
@@ -32,7 +32,7 @@ bool ByteSignatureMayContain(const ByteSignatureLayout& layout, uint64_t id,
 bool ByteSignaturesIntersect(std::span<const uint8_t> a,
                              std::span<const uint8_t> b);
 
-/// dst |= src, byte-wise. The RTree payload-merge monoid.
+/// dst |= src, byte-wise: the merge RTree applies to entry payloads.
 void ByteSignatureMerge(uint8_t* dst, const uint8_t* src, size_t num_bytes);
 
 /// 64-bit mix hash (SplitMix64 finalizer), the first double-hashing stream.

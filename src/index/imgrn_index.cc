@@ -29,9 +29,6 @@ RTreeOptions IndexTreeOptions(const ImGrnIndexOptions& options) {
   RTreeOptions tree;
   tree.dims = 2 * options.num_pivots + 1;
   tree.payload_size = 2 * sig_bytes;
-  tree.payload_merge = [sig_bytes](uint8_t* dst, const uint8_t* src) {
-    ByteSignatureMerge(dst, src, 2 * sig_bytes);
-  };
   tree.page_size = options.page_size;
   tree.max_entries = options.rtree_max_entries;
   tree.buffer_pool_pages = options.buffer_pool_pages;
@@ -81,67 +78,48 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
   embed_cache_ = std::make_unique<PermutationCache>(options_.embed_samples,
                                                     rng_->NextUint64());
 
-  std::vector<RTreeEntry> bulk_entries;
-  std::vector<RTreeEntry>* bulk_out =
-      options_.bulk_load ? &bulk_entries : nullptr;
-
-  size_t threads = options_.build_threads == 0
-                       ? std::max(1u, std::thread::hardware_concurrency())
-                       : options_.build_threads;
-  threads = std::min(threads, database_->size());
-  if (threads <= 1) {
-    for (SourceId i = 0; i < database_->size(); ++i) {
-      Rng matrix_rng = rng_->Split();
-      PivotSet pivots;
-      std::vector<EmbeddedPoint> points;
-      ComputeMatrixEmbedding(i, &matrix_rng, &pivots, &points);
-      InsertMatrixEmbedding(i, std::move(pivots), std::move(points),
-                            bulk_out);
-    }
-  } else {
-    const size_t n = database_->size();
-    // Determinism and thread safety under parallelism: (1) the permutation
-    // cache is filled in source order before any worker starts, so its
-    // per-length permutations do not depend on scheduling and workers only
-    // look entries up (embedding reads BlocksForLength, which fills the
-    // cache on a miss); (2) per-matrix RNGs are pre-split sequentially.
-    for (SourceId i = 0; i < n; ++i) {
-      embed_cache_->BlocksForLength(database_->matrix(i).num_samples());
-    }
-    std::vector<Rng> matrix_rngs;
-    matrix_rngs.reserve(n);
-    for (SourceId i = 0; i < n; ++i) {
-      matrix_rngs.push_back(rng_->Split());
-    }
-
-    std::vector<PivotSet> all_pivots(n);
-    std::vector<std::vector<EmbeddedPoint>> all_points(n);
-    std::atomic<size_t> next{0};
-    auto worker = [&]() {
-      for (;;) {
-        const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        ComputeMatrixEmbedding(static_cast<SourceId>(i), &matrix_rngs[i],
-                               &all_pivots[i], &all_points[i]);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (size_t t = 0; t < threads; ++t) {
-      pool.emplace_back(worker);
-    }
-    for (std::thread& thread : pool) {
-      thread.join();
-    }
-    // Serial insertion preserves the single-threaded tree structure.
-    for (SourceId i = 0; i < n; ++i) {
-      InsertMatrixEmbedding(i, std::move(all_pivots[i]),
-                            std::move(all_points[i]), bulk_out);
-    }
+  // Pivot selection and embedding run on `build_threads` workers, the
+  // calling thread among them; R*-tree insertion then runs serially in
+  // source order. The thread count cannot change the index: the
+  // permutation cache is filled in source order before the workers start,
+  // so they only look its entries up, and the per-matrix RNGs are
+  // pre-split in source order.
+  const size_t n = database_->size();
+  for (SourceId i = 0; i < n; ++i) {
+    embed_cache_->BlocksForLength(database_->matrix(i).num_samples());
+  }
+  std::vector<Rng> matrix_rngs;
+  matrix_rngs.reserve(n);
+  for (SourceId i = 0; i < n; ++i) {
+    matrix_rngs.push_back(rng_->Split());
   }
 
-  if (options_.bulk_load) {
-    rtree_->BulkLoad(std::move(bulk_entries));
+  std::vector<PivotSet> all_pivots(n);
+  std::vector<std::vector<EmbeddedPoint>> all_points(n);
+  std::atomic<size_t> next{0};
+  auto worker = [&]() {
+    for (;;) {
+      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= n) return;
+      ComputeMatrixEmbedding(static_cast<SourceId>(i), &matrix_rngs[i],
+                             &all_pivots[i], &all_points[i]);
+    }
+  };
+  const size_t threads =
+      options_.build_threads == 0
+          ? std::max(1u, std::thread::hardware_concurrency())
+          : options_.build_threads;
+  std::vector<std::thread> pool;
+  for (size_t t = 1; t < std::min(threads, n); ++t) {
+    pool.emplace_back(worker);
+  }
+  worker();
+  for (std::thread& thread : pool) {
+    thread.join();
+  }
+  for (SourceId i = 0; i < n; ++i) {
+    InsertMatrixEmbedding(i, std::move(all_pivots[i]),
+                          std::move(all_points[i]));
   }
 
   built_ = true;
@@ -154,9 +132,8 @@ void ImGrnIndex::ComputeMatrixEmbedding(
     std::vector<EmbeddedPoint>* points) const {
   const GeneMatrix& matrix = database_->matrix(source);
   IMGRN_CHECK(matrix.is_standardized());
-  PivotSelectionOptions selection_options = options_.pivot_selection;
-  selection_options.num_pivots = options_.num_pivots;
-  *pivots = SelectPivots(matrix, selection_options, rng);
+  *pivots = SelectPivots(matrix, options_.num_pivots,
+                         options_.pivot_selection, rng);
   // A matrix with fewer genes than d yields fewer pivots; pad by repeating
   // the last pivot so every embedded point has 2d+1 dims.
   while (pivots->size() < options_.num_pivots) {
@@ -167,23 +144,14 @@ void ImGrnIndex::ComputeMatrixEmbedding(
 }
 
 void ImGrnIndex::InsertMatrixEmbedding(SourceId source, PivotSet pivots,
-                                       std::vector<EmbeddedPoint> points,
-                                       std::vector<RTreeEntry>* bulk_out) {
+                                       std::vector<EmbeddedPoint> points) {
   IMGRN_CHECK_EQ(source, pivot_sets_.size());
   const ByteSignatureLayout layout = signature_layout();
   for (uint32_t column = 0; column < points.size(); ++column) {
     const EmbeddedPoint& point = points[column];
     const RecordRef ref{source, column};
-    std::vector<uint8_t> payload = MakeLeafPayload(point.gene, source);
-    if (bulk_out != nullptr) {
-      RTreeEntry entry;
-      entry.mbr = Mbr::FromPoint(point.ToIndexPoint());
-      entry.handle = EncodeRecordRef(ref);
-      entry.payload = std::move(payload);
-      bulk_out->push_back(std::move(entry));
-    } else {
-      rtree_->Insert(point.ToIndexPoint(), EncodeRecordRef(ref), payload);
-    }
+    rtree_->Insert(point.ToIndexPoint(), EncodeRecordRef(ref),
+                   MakeLeafPayload(point.gene, source));
 
     auto [it, inserted] = inverted_file_.try_emplace(
         point.gene, std::vector<uint8_t>(layout.num_bytes(), 0));

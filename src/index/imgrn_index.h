@@ -34,7 +34,8 @@ struct ImGrnIndexOptions {
   /// [1, kMaxEmbedSamples].
   size_t embed_samples = 64;
 
-  /// Fig.-3 pivot selection knobs.
+  /// Fig.-3 pivot selection iteration counts (the pivot count is
+  /// `num_pivots`).
   PivotSelectionOptions pivot_selection;
 
   /// Storage / R*-tree knobs.
@@ -48,16 +49,11 @@ struct ImGrnIndexOptions {
   /// wires its store in at construction.
   StorageManager* storage = nullptr;
 
-  /// Build the R*-tree with STR bulk loading (fast, near-full packing)
-  /// instead of one-at-a-time insertion. Query results are identical; the
-  /// tree remains fully updatable (incremental adds/removes still work).
-  bool bulk_load = false;
-
-  /// Worker threads for the pivot-selection + embedding phase of Build()
-  /// (the dominant cost; R*-tree insertion stays serial). The result is
-  /// bit-identical to a single-threaded build: per-matrix RNG streams are
-  /// pre-split and the permutation cache is pre-warmed in deterministic
-  /// order before workers start. 0 = use the hardware concurrency.
+  /// Worker threads for the pivot-selection + embedding phase of Build();
+  /// 1 runs it on the calling thread, 0 uses the hardware concurrency.
+  /// R*-tree insertion stays serial. The built index does not depend on
+  /// the thread count: per-matrix RNG streams are pre-split and the
+  /// permutation cache is pre-warmed in source order before workers start.
   size_t build_threads = 1;
 
   uint64_t seed = 7;
@@ -231,12 +227,9 @@ class ImGrnIndex {
                               std::vector<EmbeddedPoint>* points) const;
 
   /// The serial half: R*-tree insertion + inverted-file update +
-  /// bookkeeping. When `bulk_out` is non-null the R*-tree entries are
-  /// collected there (for one STR bulk load at the end of Build) instead
-  /// of inserted one by one.
+  /// bookkeeping.
   void InsertMatrixEmbedding(SourceId source, PivotSet pivots,
-                             std::vector<EmbeddedPoint> points,
-                             std::vector<RTreeEntry>* bulk_out = nullptr);
+                             std::vector<EmbeddedPoint> points);
 
   ImGrnIndexOptions options_;
   GeneDatabase* database_ = nullptr;

@@ -71,12 +71,8 @@ DenseMatrix ImGrnScores(const GeneMatrix& matrix, const ScoreOptions& options) {
   DenseMatrix scores(n, n);
   for (size_t s = 0; s < n; ++s) {
     for (size_t t = s + 1; t < n; ++t) {
-      const double p =
-          options.absolute_correlation
-              ? EstimateEdgeProbabilityAbsoluteCached(
-                    standardized.Column(s), standardized.Column(t), &cache)
-              : EstimateEdgeProbabilityCached(standardized.Column(s),
-                                              standardized.Column(t), &cache);
+      const double p = EstimateEdgeProbabilityAbsoluteCached(
+          standardized.Column(s), standardized.Column(t), &cache);
       scores.At(s, t) = p;
       scores.At(t, s) = p;
     }
@@ -106,16 +102,9 @@ Result<DenseMatrix> PartialCorrelationScores(const GeneMatrix& matrix,
   return scores;
 }
 
-size_t MiBins(const GeneMatrix& matrix, const ScoreOptions& options) {
-  return options.mi_bins > 0
-             ? options.mi_bins
-             : DefaultMutualInformationBins(matrix.num_samples());
-}
-
-DenseMatrix MutualInformationScores(const GeneMatrix& matrix,
-                                    const ScoreOptions& options) {
+DenseMatrix MutualInformationScores(const GeneMatrix& matrix) {
   const size_t n = matrix.num_genes();
-  const size_t bins = MiBins(matrix, options);
+  const size_t bins = DefaultMutualInformationBins(matrix.num_samples());
   DenseMatrix scores(n, n);
   for (size_t s = 0; s < n; ++s) {
     for (size_t t = s + 1; t < n; ++t) {
@@ -136,8 +125,8 @@ DenseMatrix ImGrnMutualInformationScores(const GeneMatrix& matrix,
   // The randomized-vector idea of Definition 2 applied to MI:
   // Pr{ MI(X_s, X_t) > MI(X_s, X_t^R) } over random permutations.
   const size_t n = matrix.num_genes();
-  const size_t bins = MiBins(matrix, options);
   const size_t l = matrix.num_samples();
+  const size_t bins = DefaultMutualInformationBins(l);
   PermutationCache cache(options.num_samples, options.seed);
   const PermutationBlocks& blocks = cache.BlocksForLength(l);
   DenseMatrix scores(n, n);
@@ -186,7 +175,7 @@ Result<DenseMatrix> ComputeScoreMatrix(const GeneMatrix& matrix,
     case InferenceMeasure::kPartialCorrelation:
       return PartialCorrelationScores(matrix, options);
     case InferenceMeasure::kMutualInformation:
-      return MutualInformationScores(matrix, options);
+      return MutualInformationScores(matrix);
     case InferenceMeasure::kImGrnMutualInformation:
       return ImGrnMutualInformationScores(matrix, options);
   }

@@ -44,17 +44,6 @@ struct ScoreOptions {
   /// kPartialCorrelation; required when l_i <= n_i.
   double ridge = 1e-3;
 
-  /// kImGrn only: score with the literal Eq.-(1) absolute-correlation
-  /// measure (true) or the one-sided Lemma-1 Euclidean reduction (false).
-  /// The ROC experiments use the absolute form, matching Definition 2;
-  /// the matching pipeline's pruning bounds are derived for the one-sided
-  /// form.
-  bool absolute_correlation = true;
-
-  /// Histogram bins for the mutual-information measures (0 = sqrt rule,
-  /// see DefaultMutualInformationBins).
-  size_t mi_bins = 0;
-
   /// Seed for the permutation draws.
   uint64_t seed = 42;
 };
@@ -63,6 +52,10 @@ struct ScoreOptions {
 /// of `matrix` (diagonal is 0). Scores are comparable across pairs and
 /// monotone in inferred interaction strength, which is all the ROC sweep
 /// needs. The matrix is standardized internally if it is not already.
+/// kImGrn scores with the literal Eq.-(1) absolute-correlation measure
+/// (Definition 2; the matching pipeline's pruning bounds use the one-sided
+/// Lemma-1 form instead), and the mutual-information measures bin by the
+/// sqrt rule (DefaultMutualInformationBins).
 ///
 /// kPartialCorrelation returns FailedPrecondition if the regularized
 /// covariance cannot be inverted.

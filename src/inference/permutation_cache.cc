@@ -116,6 +116,7 @@ size_t CountPermutedHits(std::span<const double> xs,
                          std::span<const double> xt, PermutationCache* cache,
                          size_t min_hits, HitCountStop stop) {
   IMGRN_CHECK_EQ(xs.size(), xt.size());
+  if (IsZeroVector(xs) || IsZeroVector(xt)) return 0;
   const PermutationBlocks& blocks = cache->BlocksForLength(xt.size());
   // The observed distance is the accept/reject anchor, computed once per
   // pair in the scalar reference's order (speed is immaterial next to the
@@ -152,6 +153,7 @@ double EstimateEdgeProbabilityAbsoluteCached(std::span<const double> xs,
                                              std::span<const double> xt,
                                              PermutationCache* cache) {
   IMGRN_CHECK_EQ(xs.size(), xt.size());
+  if (IsZeroVector(xs) || IsZeroVector(xt)) return 0.0;
   const PermutationBlocks& blocks = cache->BlocksForLength(xt.size());
   const double two_l = 2.0 * static_cast<double>(xs.size());
   const double observed =

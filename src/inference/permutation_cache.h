@@ -123,9 +123,9 @@ class PermutationTable {
 /// InferQueryGraph each construct a per-call view over the engine's table,
 /// which is thread-safe. ImGrnIndex's long-lived embed cache is only
 /// touched on the update path, which ShardedEngine serializes behind the
-/// shard replica's writer lock, and by a parallel Build, which fills
-/// BlocksForLength for every length before its workers start, so the
-/// workers only look entries up.
+/// shard replica's writer lock, and by Build, which fills BlocksForLength
+/// for every length before its workers start, so the workers only look
+/// entries up.
 ///
 /// Order invariance: the permutations of length l depend only on
 /// (seed, num_samples, l) — each length draws from its own seeded stream,
@@ -184,6 +184,11 @@ enum class HitCountStop {
 /// count reaches `min_hits` iff the full count does, so `count / S > gamma`
 /// decides Definition 2 exactly as the full estimate would. When no stop
 /// fires the count is the full one.
+///
+/// The count is 0 when xs or xt is all zeros, a standardized constant
+/// column. Such a vector correlates with nothing, and every permuted
+/// distance ties the observed one in exact arithmetic, so counting would
+/// leave the outcome to rounding (and to which argument is constant).
 size_t CountPermutedHits(std::span<const double> xs,
                          std::span<const double> xt, PermutationCache* cache,
                          size_t min_hits, HitCountStop stop);
@@ -211,7 +216,8 @@ double EstimateEdgeProbabilityCached(std::span<const double> xs,
 /// (Appendix B, Eq. 12). Differs from the one-sided reduction only when a
 /// correlation is negative; the ROC experiments of Section 6.2 use this
 /// variant so anti-correlated regulatory interactions rank high.
-/// Requires standardized vectors.
+/// Requires standardized vectors; 0 when either is all zeros, as for
+/// CountPermutedHits.
 double EstimateEdgeProbabilityAbsoluteCached(std::span<const double> xs,
                                              std::span<const double> xt,
                                              PermutationCache* cache);

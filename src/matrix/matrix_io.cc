@@ -32,6 +32,22 @@ Status ExpectHeader(std::istream* in, const char* magic) {
   return Status::Ok();
 }
 
+// Reads one unsigned id or count. operator>> accepts a sign and wraps a
+// negative number modulo 2^N ("-3" into a uint32_t reads as 4294967293,
+// the stream still good), so a field that starts with a sign is refused.
+template <typename T>
+Status ReadUnsigned(std::istream* in, const char* field, T* value) {
+  *in >> std::ws;
+  const int next = in->peek();
+  if (next == '-' || next == '+') {
+    return Status::InvalidArgument(std::string("signed ") + field);
+  }
+  if (!(*in >> *value)) {
+    return Status::InvalidArgument(std::string("truncated ") + field);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Status WriteGeneMatrix(const GeneMatrix& matrix, std::ostream* out) {
@@ -62,9 +78,9 @@ Result<GeneMatrix> ReadGeneMatrix(std::istream* in) {
   SourceId source = 0;
   size_t num_samples = 0;
   size_t num_genes = 0;
-  if (!(*in >> source >> num_samples >> num_genes)) {
-    return Status::InvalidArgument("truncated matrix dimensions");
-  }
+  IMGRN_RETURN_IF_ERROR(ReadUnsigned(in, "source id", &source));
+  IMGRN_RETURN_IF_ERROR(ReadUnsigned(in, "sample count", &num_samples));
+  IMGRN_RETURN_IF_ERROR(ReadUnsigned(in, "gene count", &num_genes));
   if (num_samples == 0 || num_genes == 0) {
     return Status::InvalidArgument("matrix dimensions must be positive");
   }
@@ -77,9 +93,7 @@ Result<GeneMatrix> ReadGeneMatrix(std::istream* in) {
   std::vector<GeneId> gene_ids;
   for (size_t k = 0; k < num_genes; ++k) {
     GeneId gene = 0;
-    if (!(*in >> gene)) {
-      return Status::InvalidArgument("truncated gene id row");
-    }
+    IMGRN_RETURN_IF_ERROR(ReadUnsigned(in, "gene id", &gene));
     gene_ids.push_back(gene);
   }
   // Reject duplicate gene ids with a Status (the GeneMatrix constructor
@@ -121,9 +135,7 @@ Status WriteGeneDatabase(const GeneDatabase& database, std::ostream* out) {
 Result<GeneDatabase> ReadGeneDatabase(std::istream* in) {
   IMGRN_RETURN_IF_ERROR(ExpectHeader(in, kDatabaseMagic));
   size_t count = 0;
-  if (!(*in >> count)) {
-    return Status::InvalidArgument("truncated database count");
-  }
+  IMGRN_RETURN_IF_ERROR(ReadUnsigned(in, "database count", &count));
   GeneDatabase database;
   for (size_t i = 0; i < count; ++i) {
     Result<GeneMatrix> matrix = ReadGeneMatrix(in);

@@ -1,5 +1,6 @@
 #include "matrix/vector_ops.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -140,6 +141,11 @@ std::vector<double> Standardized(std::span<const double> values) {
   std::vector<double> out(values.begin(), values.end());
   StandardizeInPlace(out);
   return out;
+}
+
+bool IsZeroVector(std::span<const double> values) {
+  return std::all_of(values.begin(), values.end(),
+                     [](double v) { return v == 0.0; });
 }
 
 bool IsStandardized(std::span<const double> values, double tolerance) {

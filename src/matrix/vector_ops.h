@@ -61,6 +61,10 @@ void StandardizeInPlace(std::span<double> values);
 /// Returns a standardized copy.
 std::vector<double> Standardized(std::span<const double> values);
 
+/// True when every entry is 0.0, as in a standardized constant vector.
+/// Stops at the first non-zero entry.
+bool IsZeroVector(std::span<const double> values);
+
 /// Returns true if ||values||^2 ~= values.size() and mean(values) ~= 0, the
 /// standardization invariant (used for cheap precondition checks).
 bool IsStandardized(std::span<const double> values, double tolerance = 1e-6);

@@ -19,6 +19,7 @@ double EdgeProbabilityEstimator::Estimate(std::span<const double> xs,
                                           Rng* rng) const {
   IMGRN_CHECK_EQ(xs.size(), xt.size());
   IMGRN_CHECK_GT(xs.size(), 1u);
+  if (IsZeroVector(xs) || IsZeroVector(xt)) return 0.0;
   const double observed = SquaredEuclideanDistance(xs, xt);
   std::vector<uint32_t> perm;
   std::vector<double> permuted(xt.size());
@@ -74,6 +75,7 @@ double EdgeProbabilityEstimator::ExactByEnumeration(
   IMGRN_CHECK_EQ(xs.size(), xt.size());
   const size_t l = xs.size();
   IMGRN_CHECK_LE(l, 8u) << "exact enumeration is factorial; keep l <= 8";
+  if (IsZeroVector(xs) || IsZeroVector(xt)) return 0.0;
   const double observed = SquaredEuclideanDistance(xs, xt);
   std::vector<uint32_t> perm(l);
   std::iota(perm.begin(), perm.end(), 0u);

@@ -18,7 +18,11 @@ namespace imgrn {
 /// size l!). The estimator draws `num_samples` permutations and returns the
 /// fraction whose distance exceeds dist(X_s, X_t). Vectors must be
 /// standardized (mean 0, ||X||^2 = l) for the reduction to be valid; callers
-/// standardize once per matrix via GeneMatrix::StandardizeColumns().
+/// standardize once per matrix via GeneMatrix::StandardizeColumns(). The
+/// distance-space methods (Estimate, ExactByEnumeration) return 0 when
+/// either vector is all zeros, a standardized constant column, without
+/// drawing: every permuted distance ties the observed one, and only
+/// rounding would break the tie.
 class EdgeProbabilityEstimator {
  public:
   /// `num_samples` is typically RequiredSampleSize(eps, delta); the paper's

@@ -116,9 +116,7 @@ Result<std::vector<QueryMatch>> BaselineMaterialization::Query(
         }
       }
     }
-    SubgraphIsoOptions iso_options;
-    iso_options.match_labels = true;
-    SubgraphIsomorphism iso(query_graph, grn, iso_options);
+    SubgraphIsomorphism iso(query_graph, grn);
     double best = -1.0;
     Embedding best_embedding;
     iso.Enumerate([&](const Embedding& embedding) {

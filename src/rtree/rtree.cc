@@ -1,7 +1,6 @@
 #include "rtree/rtree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -13,6 +12,10 @@ namespace {
 
 /// R*'s minimum node fill m, as a percentage of the capacity M.
 constexpr size_t kMinFillPercent = 40;
+
+/// The share of M, in percent, that R*'s forced reinsertion takes out of a
+/// level's first overflowing node.
+constexpr size_t kReinsertPercent = 30;
 
 }  // namespace
 
@@ -28,10 +31,6 @@ size_t RTreeNodeCapacity(const RTreeOptions& options) {
 
 RTree::RTree(RTreeOptions options) : options_(std::move(options)) {
   IMGRN_CHECK_GE(options_.dims, 1u);
-  if (options_.payload_size > 0) {
-    IMGRN_CHECK(options_.payload_merge != nullptr)
-        << "payload_size > 0 requires a payload_merge monoid";
-  }
   if (options_.storage != nullptr) {
     IMGRN_CHECK_EQ(options_.storage->page_size(), options_.page_size);
     store_ = options_.storage;
@@ -46,7 +45,7 @@ RTree::RTree(RTreeOptions options) : options_(std::move(options)) {
       << "R*-tree node capacity out of range at dims=" << options_.dims;
   min_entries_ = std::max<size_t>(2, max_entries_ * kMinFillPercent / 100);
   reinsert_count_ =
-      std::min(max_entries_ * options_.reinsert_percent / 100,
+      std::min(max_entries_ * kReinsertPercent / 100,
                max_entries_ + 1 - min_entries_);
 }
 
@@ -95,10 +94,15 @@ void RTree::FreeNode(NodeId id) {
 
 void RTree::MergedPayload(const RTreeNode& node,
                           std::vector<uint8_t>* out) const {
-  out->assign(options_.payload_size, 0);
-  if (options_.payload_size == 0) return;
+  // Raw pointers and a local size: a store through a uint8_t* may alias any
+  // object, so indexing the vectors directly would reload their pointers
+  // for every byte and keep the loop from vectorizing.
+  const size_t size = options_.payload_size;
+  out->assign(size, 0);
+  uint8_t* merged = out->data();
   for (const RTreeEntry& entry : node.entries) {
-    options_.payload_merge(out->data(), entry.payload.data());
+    const uint8_t* payload = entry.payload.data();
+    for (size_t i = 0; i < size; ++i) merged[i] |= payload[i];
   }
 }
 
@@ -166,15 +170,10 @@ size_t RTree::ChooseSubtree(NodeId node_id, const Mbr& mbr) const {
 
 void RTree::Insert(const std::vector<double>& point, uint64_t record_id,
                    std::span<const uint8_t> payload) {
-  InsertMbr(Mbr::FromPoint(point), record_id, payload);
-}
-
-void RTree::InsertMbr(const Mbr& mbr, uint64_t record_id,
-                      std::span<const uint8_t> payload) {
-  IMGRN_CHECK_EQ(mbr.dims(), options_.dims);
+  IMGRN_CHECK_EQ(point.size(), options_.dims);
   IMGRN_CHECK_EQ(payload.size(), options_.payload_size);
   RTreeEntry entry;
-  entry.mbr = mbr;
+  entry.mbr = Mbr::FromPoint(point);
   entry.handle = record_id;
   entry.payload.assign(payload.begin(), payload.end());
 
@@ -215,8 +214,7 @@ void RTree::HandleOverflow(std::vector<PathStep>& path, NodeId node_id,
                            std::vector<bool>* reinserted_levels) {
   const int level = NodeUnaccounted(node_id).level;
   const bool can_reinsert =
-      reinsert_count_ > 0 && node_id != root_ &&
-      !(*reinserted_levels)[static_cast<size_t>(level)];
+      node_id != root_ && !(*reinserted_levels)[static_cast<size_t>(level)];
   if (can_reinsert) {
     (*reinserted_levels)[static_cast<size_t>(level)] = true;
     ForcedReinsert(path, node_id, reinserted_levels);
@@ -380,86 +378,6 @@ NodeId RTree::SplitNode(NodeId node_id) {
     }
   }
   return sibling_id;
-}
-
-void RTree::StrOrder(std::span<RTreeEntry> entries, size_t axis,
-                     size_t num_groups) const {
-  if (num_groups <= 1 || entries.size() <= 1) return;
-  const size_t dims = options_.dims;
-  // Slab count for this axis: spread the remaining group budget across the
-  // remaining dimensions (classic STR S = ceil(k^(1/(d - axis)))).
-  const double remaining_dims = static_cast<double>(dims - axis);
-  size_t slabs = static_cast<size_t>(std::ceil(
-      std::pow(static_cast<double>(num_groups), 1.0 / remaining_dims)));
-  slabs = std::clamp<size_t>(slabs, 1, num_groups);
-
-  std::sort(entries.begin(), entries.end(),
-            [axis](const RTreeEntry& a, const RTreeEntry& b) {
-              return a.mbr.Center(axis) < b.mbr.Center(axis);
-            });
-  if (slabs == 1 || axis + 1 >= dims) return;
-
-  // Even slab sizes; distribute group budget proportionally.
-  const size_t n = entries.size();
-  const size_t base = n / slabs;
-  const size_t extra = n % slabs;
-  const size_t groups_base = num_groups / slabs;
-  const size_t groups_extra = num_groups % slabs;
-  size_t offset = 0;
-  for (size_t s = 0; s < slabs; ++s) {
-    const size_t size = base + (s < extra ? 1 : 0);
-    const size_t slab_groups = groups_base + (s < groups_extra ? 1 : 0);
-    StrOrder(entries.subspan(offset, size), axis + 1,
-             std::max<size_t>(1, slab_groups));
-    offset += size;
-  }
-}
-
-void RTree::BulkLoad(std::vector<RTreeEntry> entries) {
-  IMGRN_CHECK_EQ(num_records_, 0u);
-  IMGRN_CHECK(root_ == kInvalidNodeId) << "BulkLoad requires an empty tree";
-  if (entries.empty()) return;
-  for (const RTreeEntry& entry : entries) {
-    IMGRN_CHECK_EQ(entry.mbr.dims(), options_.dims);
-    IMGRN_CHECK_EQ(entry.payload.size(), options_.payload_size);
-  }
-  num_records_ = entries.size();
-
-  int level = 0;
-  while (true) {
-    const size_t n = entries.size();
-    if (n <= max_entries_) {
-      // Everything fits in the root.
-      const NodeId root = AllocateNode(level);
-      MutableNode(root).entries = std::move(entries);
-      root_ = root;
-      return;
-    }
-    // Even group sizes keep every node within [m, M]: with
-    // k = ceil(n / M), floor(n / k) >= M/2 >= m (min fill <= 50%).
-    const size_t num_groups = (n + max_entries_ - 1) / max_entries_;
-    StrOrder(std::span<RTreeEntry>(entries), 0, num_groups);
-
-    std::vector<RTreeEntry> parents;
-    parents.reserve(num_groups);
-    const size_t base = n / num_groups;
-    const size_t extra = n % num_groups;
-    size_t offset = 0;
-    for (size_t g = 0; g < num_groups; ++g) {
-      const size_t size = base + (g < extra ? 1 : 0);
-      const NodeId node_id = AllocateNode(level);
-      RTreeNode& node = MutableNode(node_id);
-      node.entries.assign(
-          std::make_move_iterator(entries.begin() +
-                                  static_cast<long>(offset)),
-          std::make_move_iterator(entries.begin() +
-                                  static_cast<long>(offset + size)));
-      offset += size;
-      parents.push_back(MakeParentEntry(node_id));
-    }
-    entries = std::move(parents);
-    ++level;
-  }
 }
 
 void RTree::AdjustPath(const std::vector<PathStep>& path) {

@@ -18,13 +18,9 @@ struct RTreeOptions {
   /// Dimensionality of indexed rectangles/points. Required, >= 1.
   size_t dims = 0;
 
-  /// Opaque augmentation bytes per entry (0 disables payloads). When > 0 a
-  /// `payload_merge` monoid must be supplied.
+  /// Payload bytes per entry (0 disables payloads). An internal entry's
+  /// payload is the bitwise OR of its child node's entry payloads.
   size_t payload_size = 0;
-
-  /// Commutative, associative merge with all-zero identity:
-  /// dst = dst (+) src. The IM-GRN index passes bitwise OR.
-  std::function<void(uint8_t* dst, const uint8_t* src)> payload_merge;
 
   /// Page size of the backing file.
   size_t page_size = kDefaultPageSize;
@@ -33,10 +29,6 @@ struct RTreeOptions {
   /// page. Tests pass small values to force deep trees. The minimum fill
   /// is m = max(2, 40% of M), as R* recommends.
   size_t max_entries = 0;
-
-  /// Fraction of M removed by forced reinsertion on first overflow (R*
-  /// recommends 30%). 0 disables forced reinsertion.
-  size_t reinsert_percent = 30;
 
   /// Buffer-pool capacity in pages, for I/O accounting.
   size_t buffer_pool_pages = 64;
@@ -71,7 +63,8 @@ size_t RTreeNodeCapacity(const RTreeOptions& options);
 ///   - forced reinsertion on first overflow per level,
 ///   - the R* margin-driven split,
 ///   - deletion with tree condensation and orphan reinsertion,
-///   - per-entry monoid payloads (bit-vector synopses for IM-GRN, Sec. 5.1),
+///   - per-entry payloads OR-merged up the tree (bit-vector synopses for
+///     IM-GRN, Sec. 5.1),
 ///   - one page per node and buffer-pool-accounted node access, so queries
 ///     report the paper's "number of page accesses" I/O metric.
 /// Everything needed besides the node pages themselves to reopen a
@@ -97,17 +90,6 @@ class RTree {
   /// empty when payload_size is 0).
   void Insert(const std::vector<double>& point, uint64_t record_id,
               std::span<const uint8_t> payload = {});
-
-  /// Inserts a rectangle record.
-  void InsertMbr(const Mbr& mbr, uint64_t record_id,
-                 std::span<const uint8_t> payload = {});
-
-  /// Bulk-loads an EMPTY tree with Sort-Tile-Recursive packing
-  /// (Leutenegger et al.): O(n log n) with near-full nodes, typically much
-  /// faster and better-clustered than one-at-a-time insertion. Groups at
-  /// every level are evenly sized, so the min-fill invariant holds and the
-  /// tree remains fully updatable afterwards. No-op for an empty input.
-  void BulkLoad(std::vector<RTreeEntry> entries);
 
   /// Deletes the record with the given point and id. Returns false if no
   /// such record exists.
@@ -191,7 +173,7 @@ class RTree {
   /// Builds the internal-node entry describing `child`.
   RTreeEntry MakeParentEntry(NodeId child) const;
 
-  /// Merges all entry payloads of `node` into `out` (resized/zeroed first).
+  /// ORs all entry payloads of `node` into `out` (resized/zeroed first).
   void MergedPayload(const RTreeNode& node, std::vector<uint8_t>* out) const;
 
   /// Chooses the child of `node_id` to descend into for `mbr`.
@@ -207,7 +189,7 @@ class RTree {
   void HandleOverflow(std::vector<PathStep>& path, NodeId node_id,
                       std::vector<bool>* reinserted_levels);
 
-  /// R* forced reinsert: removes reinsert_count entries farthest from the
+  /// R* forced reinsert: removes reinsert_count_ entries farthest from the
   /// node-MBR center and re-inserts them at the node's level.
   void ForcedReinsert(std::vector<PathStep>& path, NodeId node_id,
                       std::vector<bool>* reinserted_levels);
@@ -225,11 +207,6 @@ class RTree {
   /// Recursive leaf lookup for Delete.
   bool FindLeaf(NodeId node_id, const Mbr& mbr, uint64_t record_id,
                 std::vector<PathStep>* path) const;
-
-  /// STR helper: reorders `entries` so that chopping the result into
-  /// `num_groups` even slices yields spatially clustered groups.
-  void StrOrder(std::span<RTreeEntry> entries, size_t axis,
-                size_t num_groups) const;
 
   /// Post-delete condensation: removes underfull nodes along `path`,
   /// collecting orphan entries for reinsertion.

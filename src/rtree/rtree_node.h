@@ -20,7 +20,7 @@ inline constexpr NodeId kInvalidNodeId = static_cast<NodeId>(-1);
 /// NodeId; in leaves it is the caller's 64-bit record id. `payload` carries
 /// `payload_size` opaque augmentation bytes (the IM-GRN index stores the
 /// V_f / V_d bit-vector signatures of Section 5.1 here); internal-entry
-/// payloads are the monoid-merge of the child subtree's payloads.
+/// payloads are the bitwise OR of the child subtree's payloads.
 struct RTreeEntry {
   Mbr mbr;
   uint64_t handle = 0;

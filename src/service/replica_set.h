@@ -11,18 +11,17 @@
 
 namespace imgrn {
 
-/// One physical replica of a logical shard: its own ImGrnEngine (own
-/// index, own R*-tree paged file, own buffer pool), the local -> global id
-/// table and its traffic gauges. Replicas of one shard are bit-exact
-/// mirrors of each other: every update applies to all of them in lock
-/// step, so any replica answers any sub-query with the identical matches
-/// (refinement is per-source deterministic — see
+/// One physical replica of a logical shard: its own in-memory ImGrnEngine
+/// with default options (own index, own R*-tree pages, own buffer pool),
+/// the local -> global id table and its traffic gauges. Replicas of one
+/// shard are bit-exact mirrors of each other: every update applies to all
+/// of them in lock step, so any replica answers any sub-query with the
+/// identical matches (refinement is per-source deterministic — see
 /// inference/permutation_cache.h).
 struct ShardReplica {
   /// `table` is the sharded engine's permutation table, shared by every
   /// replica's engine (null: the engine owns one).
-  ShardReplica(const EngineOptions& options, PermutationTable* table)
-      : engine(options, table) {}
+  explicit ShardReplica(PermutationTable* table) : engine({}, table) {}
 
   /// Readers = sub-queries, writer = the update routed to this replica.
   mutable std::shared_mutex mutex;
@@ -59,11 +58,10 @@ struct ShardReplica {
 /// The replica list is fixed at construction.
 class ReplicaSet {
  public:
-  ReplicaSet(size_t num_replicas, const EngineOptions& options,
-             PermutationTable* table = nullptr) {
+  explicit ReplicaSet(size_t num_replicas, PermutationTable* table = nullptr) {
     replicas_.reserve(num_replicas);
     for (size_t r = 0; r < num_replicas; ++r) {
-      replicas_.push_back(std::make_unique<ShardReplica>(options, table));
+      replicas_.push_back(std::make_unique<ShardReplica>(table));
     }
   }
 

@@ -64,8 +64,8 @@ void ShardedEngine::ResetShards() {
   shards_.clear();
   shards_.reserve(options_.num_shards);
   for (size_t s = 0; s < options_.num_shards; ++s) {
-    shards_.push_back(std::make_unique<ReplicaSet>(
-        options_.num_replicas, options_.engine, &permutation_table_));
+    shards_.push_back(std::make_unique<ReplicaSet>(options_.num_replicas,
+                                                   &permutation_table_));
   }
 }
 

@@ -40,11 +40,6 @@ struct ShardedEngineOptions {
   /// afterwards. Null means ModuloPartitioner (source i -> shard i mod K).
   /// See service/partitioner.h; partitioning never affects query results.
   std::shared_ptr<const Partitioner> partitioner;
-
-  /// Engine/index options applied to every shard replica, verbatim. Keep
-  /// `engine.storage` in memory (the default): a disk path would be opened
-  /// by every replica at once.
-  EngineOptions engine;
 };
 
 /// Per-replica counters inside one ShardStats.

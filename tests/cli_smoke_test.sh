@@ -73,7 +73,7 @@ grep '^match' "$WORKDIR/shards4.out" > "$WORKDIR/s4" || true
 test -s "$WORKDIR/s1"  # The query must actually match something.
 diff "$WORKDIR/s1" "$WORKDIR/s4"
 
-# Replication is read scaling, not a semantic knob: --replicas=3 (every
+# Replication is not a semantic knob: --replicas=3 (every
 # shard mirrored, sub-queries routed round-robin) must match --shards=1
 # exactly, with and without sharding on top.
 "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \

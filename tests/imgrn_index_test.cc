@@ -240,37 +240,6 @@ TEST(ImGrnIndexTest, ParallelBuildBitIdenticalToSerial) {
   }
 }
 
-TEST(ImGrnIndexTest, BulkLoadedIndexAnswersLikeInserted) {
-  GeneDatabase database_a = MakeDatabase(8, 23);
-  GeneDatabase database_b = MakeDatabase(8, 23);
-  ImGrnIndexOptions inserted_options = SmallOptions();
-  ImGrnIndexOptions bulk_options = SmallOptions();
-  bulk_options.bulk_load = true;
-
-  ImGrnIndex inserted(inserted_options);
-  ImGrnIndex bulk(bulk_options);
-  ASSERT_TRUE(inserted.Build(&database_a).ok());
-  ASSERT_TRUE(bulk.Build(&database_b).ok());
-  EXPECT_EQ(bulk.rtree().size(), inserted.rtree().size());
-  EXPECT_TRUE(bulk.rtree().Validate().ok())
-      << bulk.rtree().Validate().ToString();
-  // Embeddings are independent of the tree-build strategy.
-  for (SourceId i = 0; i < database_a.size(); ++i) {
-    const auto& points_a = inserted.embedded_points(i);
-    const auto& points_b = bulk.embedded_points(i);
-    ASSERT_EQ(points_a.size(), points_b.size());
-    for (size_t s = 0; s < points_a.size(); ++s) {
-      EXPECT_EQ(points_a[s].x, points_b[s].x);
-    }
-  }
-  // Bulk-loaded indexes stay updatable.
-  Rng rng(24);
-  database_b.Add(MakePlantedMatrix(8, 24, {{1, 2, 3}},
-                                   {200, 201}, 0.9, &rng));
-  ASSERT_TRUE(bulk.AddMatrix(8).ok());
-  EXPECT_TRUE(bulk.rtree().Validate().ok());
-}
-
 TEST(ImGrnIndexTest, ZeroThreadsUsesHardwareConcurrency) {
   GeneDatabase database = MakeDatabase(4, 22);
   ImGrnIndexOptions options = SmallOptions();

@@ -127,6 +127,29 @@ TEST(MatrixIoTest, NegativeSampleCountRejected) {
   EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
+// operator>> reads "-3" into an unsigned field as 2^N - 3 and
+// "-18446744073709551615" into a size_t as 1, the stream still good, so
+// each of these used to load under a wrapped id or count.
+TEST(MatrixIoTest, SignedFieldsRejected) {
+  const char* const kMatrices[] = {
+      "IMGRN-MATRIX 1\n-1 1 1\n7\n0.5\n",                      // source id
+      "IMGRN-MATRIX 1\n0 -18446744073709551615 1\n7\n0.5\n",   // samples
+      "IMGRN-MATRIX 1\n0 1 -18446744073709551615\n7\n0.5\n",   // genes
+      "IMGRN-MATRIX 1\n0 1 2\n-3 5\n0.5 0.25\n",               // gene id
+  };
+  for (const char* text : kMatrices) {
+    std::stringstream buffer(text);
+    EXPECT_EQ(ReadGeneMatrix(&buffer).status().code(),
+              StatusCode::kInvalidArgument)
+        << text;
+  }
+  std::stringstream database(
+      "IMGRN-DB 1\n-18446744073709551615\n"
+      "IMGRN-MATRIX 1\n0 1 1\n7\n0.5\n");
+  EXPECT_EQ(ReadGeneDatabase(&database).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 // A fixed-seed mutation fuzzer over valid matrix and database text: one to
 // three random inserts, deletes or overwrites per mutant. Every mutant
 // must load, with a shape its data fills, or be kInvalidArgument; nothing

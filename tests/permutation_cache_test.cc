@@ -6,6 +6,7 @@
 #include <cmath>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -189,6 +190,45 @@ TEST(CountPermutedHitsTest, StopsDecideAsTheFullCount) {
           if (full >= min_hits) {
             EXPECT_EQ(unreachable, full);
           }
+        }
+      }
+    }
+  }
+}
+
+// A constant column standardizes to zeros, and every permuted distance
+// then ties the observed one in exact arithmetic. Its edge probability is
+// 0 in either argument order, in every distance-space estimator. Counting
+// used to leave it to rounding: anywhere from 0 to near 1 with the
+// constant column first, 0 with it second.
+TEST(ConstantColumnTest, EdgeProbabilityIsZeroInEitherOrder) {
+  Rng rng(31);
+  const EdgeProbabilityEstimator estimator(128);
+  for (size_t l : {8, 20, 30, 50}) {
+    std::vector<double> constant(l, 2.5);
+    StandardizeInPlace(constant);
+    ASSERT_TRUE(IsZeroVector(constant));
+    PermutationCache cache(128, l);
+    for (int partner = 0; partner < 4; ++partner) {
+      const std::vector<double> x = RandomStandardized(l, &rng);
+      const std::vector<double>* orders[2][2] = {{&constant, &x},
+                                                 {&x, &constant}};
+      for (const auto& order : orders) {
+        const std::vector<double>& a = *order[0];
+        const std::vector<double>& b = *order[1];
+        SCOPED_TRACE("l=" + std::to_string(l) + " partner " +
+                     std::to_string(partner) +
+                     (&a == &constant ? ", constant first"
+                                      : ", constant second"));
+        EXPECT_EQ(EstimateEdgeProbabilityCached(a, b, &cache), 0.0);
+        EXPECT_EQ(EstimateEdgeProbabilityAbsoluteCached(a, b, &cache), 0.0);
+        EXPECT_EQ(CountPermutedHits(a, b, &cache, 1,
+                                    HitCountStop::kWhenDecided),
+                  0u);
+        Rng draws(partner);
+        EXPECT_EQ(estimator.Estimate(a, b, &draws), 0.0);
+        if (l <= 8) {
+          EXPECT_EQ(estimator.ExactByEnumeration(a, b), 0.0);
         }
       }
     }

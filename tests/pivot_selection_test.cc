@@ -50,9 +50,7 @@ TEST(SelectPivotsTest, ReturnsRequestedCount) {
   GeneMatrix matrix =
       MakePlantedMatrix(0, 12, {{1, 2, 3, 4}}, {5, 6}, 0.7, &data_rng);
   Rng rng(4);
-  PivotSelectionOptions options;
-  options.num_pivots = 3;
-  PivotSet pivots = SelectPivots(matrix, options, &rng);
+  PivotSet pivots = SelectPivots(matrix, 3, {}, &rng);
   EXPECT_EQ(pivots.size(), 3u);
   EXPECT_EQ(pivots.columns.size(), 3u);
   for (const auto& vec : pivots.vectors) {
@@ -64,9 +62,7 @@ TEST(SelectPivotsTest, ClampsToGeneCount) {
   Rng data_rng(5);
   GeneMatrix matrix = MakePlantedMatrix(0, 10, {{1, 2}}, {}, 0.7, &data_rng);
   Rng rng(6);
-  PivotSelectionOptions options;
-  options.num_pivots = 10;
-  PivotSet pivots = SelectPivots(matrix, options, &rng);
+  PivotSet pivots = SelectPivots(matrix, 10, {}, &rng);
   EXPECT_EQ(pivots.size(), 2u);
 }
 
@@ -75,9 +71,7 @@ TEST(SelectPivotsTest, PivotColumnsAreDistinct) {
   GeneMatrix matrix = MakePlantedMatrix(0, 15, {{1, 2, 3, 4, 5}},
                                         {6, 7, 8}, 0.6, &data_rng);
   Rng rng(8);
-  PivotSelectionOptions options;
-  options.num_pivots = 4;
-  PivotSet pivots = SelectPivots(matrix, options, &rng);
+  PivotSet pivots = SelectPivots(matrix, 4, {}, &rng);
   std::set<size_t> unique(pivots.columns.begin(), pivots.columns.end());
   EXPECT_EQ(unique.size(), pivots.columns.size());
 }
@@ -91,10 +85,9 @@ TEST(SelectPivotsTest, OptimizedCostNoWorseThanRandomBaseline) {
 
   Rng select_rng(10);
   PivotSelectionOptions options;
-  options.num_pivots = 2;
   options.global_iterations = 4;
   options.swap_iterations = 30;
-  PivotSet selected = SelectPivots(matrix, options, &select_rng);
+  PivotSet selected = SelectPivots(matrix, 2, options, &select_rng);
   const double optimized_cost = PivotCost(standardized, selected.columns);
 
   // Average cost of random pivot pairs must not beat the optimizer.
@@ -119,9 +112,7 @@ TEST(SelectPivotsTest, PivotVectorsAreStandardizedColumns) {
   GeneMatrix standardized = matrix;
   standardized.StandardizeColumns();
   Rng rng(13);
-  PivotSelectionOptions options;
-  options.num_pivots = 2;
-  PivotSet pivots = SelectPivots(matrix, options, &rng);
+  PivotSet pivots = SelectPivots(matrix, 2, {}, &rng);
   for (size_t w = 0; w < pivots.size(); ++w) {
     std::span<const double> column =
         standardized.Column(pivots.columns[w]);
@@ -136,10 +127,8 @@ TEST(SelectPivotsTest, DeterministicGivenRngSeed) {
   GeneMatrix matrix = MakePlantedMatrix(0, 12, {{1, 2, 3}},
                                         {4, 5, 6, 7}, 0.7, &data_rng);
   Rng rng_a(15), rng_b(15);
-  PivotSelectionOptions options;
-  options.num_pivots = 2;
-  PivotSet a = SelectPivots(matrix, options, &rng_a);
-  PivotSet b = SelectPivots(matrix, options, &rng_b);
+  PivotSet a = SelectPivots(matrix, 2, {}, &rng_a);
+  PivotSet b = SelectPivots(matrix, 2, {}, &rng_b);
   EXPECT_EQ(a.columns, b.columns);
 }
 
@@ -157,10 +146,9 @@ TEST_P(PivotCountSweep, MorePivotsNeverRaiseOptimalCost) {
   standardized.StandardizeColumns();
   Rng rng(17);
   PivotSelectionOptions options;
-  options.num_pivots = GetParam();
   options.global_iterations = 4;
   options.swap_iterations = 40;
-  PivotSet pivots = SelectPivots(matrix, options, &rng);
+  PivotSet pivots = SelectPivots(matrix, GetParam(), options, &rng);
   EXPECT_EQ(pivots.size(), std::min<size_t>(GetParam(), 9));
   EXPECT_GE(PivotCost(standardized, pivots.columns), 0.0);
 }

@@ -382,8 +382,8 @@ TEST_F(RefinementTest, EdgelessQueryAlwaysAcceptsContainingMatrix) {
 // A random source over genes drawn from {1, ..., kUniverse}: 10-40
 // samples; genes 1-6 share one planted factor and genes 7-9 another, each
 // at a random strength per source, and genes 10-12 are independent. About
-// one column in eight is constant instead (standardized to zeros, so no
-// permutation beats its observed distance and its edges estimate to 0).
+// one column in eight is constant instead (standardized to zeros, which
+// CountPermutedHits gives no hits, so its edges estimate to 0).
 constexpr GeneId kUniverse = 12;
 
 GeneMatrix MakeSweepMatrix(SourceId source, Rng* rng) {

@@ -200,7 +200,7 @@ TEST_F(ReplicationTest, RoundRobinSpreadsSubQueriesEvenly) {
 
 // The routing primitive itself: strict round robin.
 TEST(ReplicaSetTest, PickReplicaIsRoundRobin) {
-  ReplicaSet set(3, EngineOptions{});
+  ReplicaSet set(3);
   ASSERT_EQ(set.size(), 3u);
   for (size_t want : {0, 1, 2, 0, 1, 2}) {
     EXPECT_EQ(set.PickReplica(), want);

@@ -125,9 +125,6 @@ TEST(RTreeFuzzTest, PayloadIntegrityUnderChurn) {
   options.dims = 2;
   options.max_entries = 4;
   options.payload_size = 8;
-  options.payload_merge = [](uint8_t* dst, const uint8_t* src) {
-    for (int i = 0; i < 8; ++i) dst[i] |= src[i];
-  };
   RTree tree(std::move(options));
 
   std::map<uint64_t, std::vector<double>> live;

@@ -194,9 +194,6 @@ TEST(RTreeTest, SearchEarlyStop) {
 TEST(RTreeTest, PayloadMergedUpTheTree) {
   RTreeOptions options = SmallNodeOptions(2, 4);
   options.payload_size = 4;
-  options.payload_merge = [](uint8_t* dst, const uint8_t* src) {
-    for (int i = 0; i < 4; ++i) dst[i] |= src[i];
-  };
   RTree tree(std::move(options));
   Rng rng(7);
   for (uint64_t i = 0; i < 64; ++i) {
@@ -253,10 +250,6 @@ TEST(RTreeTest, RepeatQueryHitsBufferPool) {
 TEST(RTreeTest, SerializationRoundTripsEveryNode) {
   RTreeOptions options = SmallNodeOptions(3, 5);
   options.payload_size = 2;
-  options.payload_merge = [](uint8_t* dst, const uint8_t* src) {
-    dst[0] |= src[0];
-    dst[1] |= src[1];
-  };
   RTree tree(std::move(options));
   Rng rng(10);
   for (uint64_t i = 0; i < 120; ++i) {
@@ -301,150 +294,11 @@ TEST(RTreeTest, DerivedCapacityFromPageSize) {
   RTreeOptions options;
   options.dims = 5;  // (2d+1) with d=2.
   options.payload_size = 32;
-  options.payload_merge = [](uint8_t* dst, const uint8_t* src) {
-    for (int i = 0; i < 32; ++i) dst[i] |= src[i];
-  };
   RTree tree(std::move(options));
   // entry = 8 + 80 + 32 = 120 bytes; (8192 - 12) / 120 = 68.
   EXPECT_EQ(tree.max_entries(), 68u);
   EXPECT_EQ(tree.min_entries(), 27u);
 }
-
-TEST(RTreeTest, NoReinsertOptionStillCorrect) {
-  RTreeOptions options = SmallNodeOptions(2, 4);
-  options.reinsert_percent = 0;
-  RTree tree(std::move(options));
-  Oracle oracle;
-  Rng rng(11);
-  for (uint64_t i = 0; i < 150; ++i) {
-    auto point = RandomPoint(2, &rng);
-    tree.Insert(point, i);
-    oracle.records.emplace_back(point, i);
-  }
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  const Mbr box = Mbr::FromBounds({20, 20}, {60, 60});
-  EXPECT_EQ(TreeQuery(tree, box), oracle.Query(box));
-}
-
-TEST(RTreeBulkLoadTest, MatchesInsertionResults) {
-  Rng rng(20);
-  std::vector<std::vector<double>> points;
-  for (int i = 0; i < 400; ++i) points.push_back(RandomPoint(3, &rng));
-
-  RTree inserted(SmallNodeOptions(3, 8));
-  for (uint64_t i = 0; i < points.size(); ++i) {
-    inserted.Insert(points[i], i);
-  }
-  RTree bulk(SmallNodeOptions(3, 8));
-  std::vector<RTreeEntry> entries;
-  for (uint64_t i = 0; i < points.size(); ++i) {
-    RTreeEntry entry;
-    entry.mbr = Mbr::FromPoint(points[i]);
-    entry.handle = i;
-    entries.push_back(std::move(entry));
-  }
-  bulk.BulkLoad(std::move(entries));
-
-  EXPECT_EQ(bulk.size(), inserted.size());
-  ASSERT_TRUE(bulk.Validate().ok()) << bulk.Validate().ToString();
-  // Packed trees are shallower or equal.
-  EXPECT_LE(bulk.height(), inserted.height());
-  EXPECT_LE(bulk.num_nodes(), inserted.num_nodes());
-  for (int trial = 0; trial < 25; ++trial) {
-    std::vector<double> lo = RandomPoint(3, &rng);
-    std::vector<double> hi = lo;
-    for (size_t d = 0; d < 3; ++d) hi[d] += rng.UniformDouble(0, 40);
-    const Mbr box = Mbr::FromBounds(lo, hi);
-    EXPECT_EQ(TreeQuery(bulk, box), TreeQuery(inserted, box));
-  }
-}
-
-TEST(RTreeBulkLoadTest, EmptyInputIsNoop) {
-  RTree tree(SmallNodeOptions(2));
-  tree.BulkLoad({});
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.height(), 0);
-}
-
-TEST(RTreeBulkLoadTest, SingleLeafRoot) {
-  RTree tree(SmallNodeOptions(2, 8));
-  std::vector<RTreeEntry> entries(5);
-  for (uint64_t i = 0; i < 5; ++i) {
-    entries[i].mbr = Mbr::FromPoint({static_cast<double>(i), 0.0});
-    entries[i].handle = i;
-  }
-  tree.BulkLoad(std::move(entries));
-  EXPECT_EQ(tree.height(), 1);
-  EXPECT_EQ(tree.size(), 5u);
-  EXPECT_TRUE(tree.Validate().ok());
-}
-
-TEST(RTreeBulkLoadTest, TreeRemainsUpdatable) {
-  Rng rng(21);
-  RTree tree(SmallNodeOptions(2, 6));
-  std::vector<RTreeEntry> entries;
-  std::vector<std::vector<double>> points;
-  for (uint64_t i = 0; i < 200; ++i) {
-    points.push_back(RandomPoint(2, &rng));
-    RTreeEntry entry;
-    entry.mbr = Mbr::FromPoint(points.back());
-    entry.handle = i;
-    entries.push_back(std::move(entry));
-  }
-  tree.BulkLoad(std::move(entries));
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  // Mixed post-bulk traffic.
-  for (uint64_t i = 200; i < 260; ++i) {
-    tree.Insert(RandomPoint(2, &rng), i);
-  }
-  for (uint64_t i = 0; i < 50; ++i) {
-    EXPECT_TRUE(tree.Delete(points[i], i));
-  }
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  EXPECT_EQ(tree.size(), 210u);
-}
-
-TEST(RTreeBulkLoadTest, WithPayloadsMergesCorrectly) {
-  RTreeOptions options = SmallNodeOptions(2, 4);
-  options.payload_size = 2;
-  options.payload_merge = [](uint8_t* dst, const uint8_t* src) {
-    dst[0] |= src[0];
-    dst[1] |= src[1];
-  };
-  RTree tree(std::move(options));
-  Rng rng(22);
-  std::vector<RTreeEntry> entries(50);
-  for (uint64_t i = 0; i < 50; ++i) {
-    entries[i].mbr = Mbr::FromPoint(RandomPoint(2, &rng));
-    entries[i].handle = i;
-    entries[i].payload = {static_cast<uint8_t>(1u << (i % 8)),
-                          static_cast<uint8_t>(i & 0xFF)};
-  }
-  tree.BulkLoad(std::move(entries));
-  // Validate() verifies internal payloads equal their subtree merges.
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-}
-
-class BulkLoadSweepTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(BulkLoadSweepTest, ValidAtEverySize) {
-  const size_t count = GetParam();
-  Rng rng(count);
-  RTree tree(SmallNodeOptions(4, 6));
-  std::vector<RTreeEntry> entries(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    entries[i].mbr = Mbr::FromPoint(RandomPoint(4, &rng));
-    entries[i].handle = i;
-  }
-  tree.BulkLoad(std::move(entries));
-  EXPECT_EQ(tree.size(), count);
-  ASSERT_TRUE(tree.Validate().ok())
-      << "count " << count << ": " << tree.Validate().ToString();
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, BulkLoadSweepTest,
-                         ::testing::Values(1, 2, 6, 7, 13, 36, 37, 100, 215,
-                                           216, 217, 1000));
 
 struct SweepParam {
   size_t dims;

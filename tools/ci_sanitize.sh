@@ -20,13 +20,16 @@
 # see tests/CMakeLists.txt. The ASan run additionally
 # covers "storage" (the durable page store: shadow-paging recovery,
 # kill-at-each-fsync-point reopen, snapshot corruption rejection — raw
-# buffer juggling on paths where overflows and leaks hide; the binaries
+# buffer juggling on paths where overflows and leaks hide; and the R*-tree
+# suites, rtree_test and rtree_fuzz_test: node splits, forced
+# reinsertion, condensation and payload merges under churn; the binaries
 # are single-threaded, so TSan would add nothing) and "query" (the Fig.-4
 # processor, its pinned traversal counters and its fuzz suite: the
 # traversal holds pointers into R*-tree node entries and per-leaf record
-# lists, so overruns show under ASan; and the refinement and query-graph
+# lists, so overruns show under ASan; the refinement and query-graph
 # inference differential suites, whose Monte Carlo counts stop part-way
-# through the permutation blocks). ThreadSanitizer is the
+# through the permutation blocks; and the VF2 matcher's suites,
+# subgraph_iso_test and vf2_reference_test). ThreadSanitizer is the
 # default and the gate that matters for src/service; pass "address" to
 # run the same workload under AddressSanitizer instead — CI runs BOTH
 # kinds, so the fault binaries get a TSan pass and an ASan
@@ -101,8 +104,10 @@ TARGETS="thread_pool_test query_service_test sharded_engine_test \
          fault_injection_test replication_test matrix_io_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
+           rtree_test rtree_fuzz_test \
            imgrn_processor_test query_stats_test processor_fuzz_test \
-           refinement_test grn_inference_test"
+           refinement_test grn_inference_test \
+           subgraph_iso_test vf2_reference_test"
 fi
 # shellcheck disable=SC2086  # TARGETS is a deliberate word list
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target $TARGETS

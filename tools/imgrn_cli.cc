@@ -24,7 +24,11 @@
 //       (service/replica_set.h): updates apply to all replicas in lock
 //       step and each sub-query is served by one replica picked
 //       round-robin, so the matches are identical to --replicas=1 by
-//       construction.
+//       construction. The replicas share this process's cores, so they
+//       add no read throughput (R = 2 served the same qps as R = 1 within
+//       5% on the sharded_mixed benchmark workload without writes) while
+//       doubling build time and update latency; replica routing will be
+//       deleted once that workload moves to R = 1.
 //       --fault= installs fault-injection rules for the run (grammar and
 //       wired sites in common/fault_injection.h, e.g.
 //       --fault=buffer_pool.fetch=n1); a spec naming a site no code
