@@ -62,7 +62,7 @@ std::string Flags::GetString(const std::string& key) const {
   // Stored defaults carry their help text ("value | help"); a value the
   // user passed replaced the whole string. Strip the suffix so a default
   // reads back as just the value — without this, a string flag left at
-  // its default (e.g. --partition) hands the help text to the consumer.
+  // its default (e.g. --shards) hands the help text to the consumer.
   const size_t sep = it->second.find(" | ");
   return sep == std::string::npos ? it->second : it->second.substr(0, sep);
 }

@@ -61,10 +61,10 @@ GeneDatabase BuildSyntheticDatabase(const std::string& distribution,
 /// max(genes_min, genes_max / (i+1)^exponent) genes, so a few giant
 /// sources dominate the per-query cost (cost ~ genes^2 * samples) the way
 /// a handful of large studies dominate a real literature corpus. The skew
-/// is what makes placement matter: modulo partitioning piles the giants
-/// onto whichever shards their ids hash to, while cost-based bin packing
-/// spreads them (see service/partitioner.h). exponent = 0 degenerates to
-/// every matrix at genes_max.
+/// shows what placement by id costs: source g lives on shard g mod K, so
+/// the giants land wherever their ids fall, and the sharded engine's
+/// imbalance gauge reads the result. exponent = 0 degenerates to every
+/// matrix at genes_max.
 GeneDatabase BuildZipfSkewedDatabase(const std::string& distribution,
                                      const BenchDefaults& defaults,
                                      double exponent);

@@ -2,23 +2,21 @@
 // over worker-thread and shard-count axes, on the synthetic default
 // workload. Every setting serves a ShardedEngine built on that setting's
 // thread pool: --shards=1 is one unpartitioned engine (one reader-writer
-// lock, one buffer pool); --shards=K partitions the database across K
-// independent engines and fans each request out on the same pool. Emits
+// lock, one buffer pool); --shards=K places source g on the g mod K-th of
+// K independent engines and fans each request out on the same pool. Emits
 // one JSON line per (threads, shards) setting so the serving trajectory
 // can be tracked across PRs, e.g.:
 //
 //   {"bench":"service_throughput","threads":4,"shards":2,"replicas":1,
 //    "queries":96,"qps":812.4,"qps_per_replica":812.4,"p50_ms":3.1,
-//    "p95_ms":7.9,"speedup_vs_1":3.2,"partition":"balanced",
-//    "imbalance":1.04}
+//    "p95_ms":7.9,"speedup_vs_1":3.2,"imbalance":1.04}
 //
 // "imbalance" is max/mean estimated shard load (1.0 = perfect balance);
 // the fan-out latency of a sharded request is bounded by its hottest
 // shard, so qps should be read NEXT TO the imbalance it was achieved at.
-// --partition picks the placement strategy (modulo | balanced) and
 // --zipf=s > 0 draws matrix sizes from a Zipf-like rank decay so a few
-// giant sources dominate the load — the skewed regime where the
-// strategies actually differ. --json_out=FILE appends every JSON line to
+// giant sources dominate the load, the skewed regime where placement by
+// id shows its imbalance. --json_out=FILE appends every JSON line to
 // FILE (e.g. BENCH_service_throughput.json) so the perf trajectory is
 // recorded across PRs.
 //
@@ -73,7 +71,6 @@ int Main(int argc, char** argv) {
                {"shards", "1 | comma-separated shard counts (1 = unsharded)"},
                {"replicas",
                 "1 | replicas per shard (adds no read throughput in-process)"},
-               {"partition", "modulo | shard placement: modulo or balanced"},
                {"zipf",
                 "0 | Zipf exponent for skewed matrix sizes (0 = uniform)"},
                {"json_out",
@@ -120,15 +117,6 @@ int Main(int argc, char** argv) {
   params.refine_num_samples = params.query_num_samples;
   params.seed = defaults.seed;
 
-  const std::string partition = flags.GetString("partition");
-  Result<std::shared_ptr<const Partitioner>> parsed =
-      ParsePartitioner(partition);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "--partition: %s\n",
-                 parsed.status().message().c_str());
-    return 1;
-  }
-  const std::shared_ptr<const Partitioner> partitioner = *parsed;
   const std::string json_out = flags.GetString("json_out");
   std::FILE* json_file = nullptr;
   if (!json_out.empty()) {
@@ -145,8 +133,8 @@ int Main(int argc, char** argv) {
               "per setting, full query pipeline per request)",
               "N=" + std::to_string(defaults.num_matrices) +
                   " queries=" + std::to_string(num_queries) +
-                  " rounds=" + std::to_string(rounds) + " partition=" +
-                  partition + " zipf=" + flags.GetString("zipf") +
+                  " rounds=" + std::to_string(rounds) +
+                  " zipf=" + flags.GetString("zipf") +
                   " replicas=" + std::to_string(num_replicas));
 
   const GeneDatabase database =
@@ -206,11 +194,11 @@ int Main(int argc, char** argv) {
         "\"replicas\":%zu,\"queries\":%zu,\"failed\":%zu,\"qps\":%.1f,"
         "\"qps_per_replica\":%.1f,"
         "\"p50_ms\":%.3f,\"p95_ms\":%.3f,\"speedup_vs_1\":%.2f,"
-        "\"partition\":\"%s\",\"imbalance\":%.3f}\n",
+        "\"imbalance\":%.3f}\n",
         num_threads, num_shards, replicas, total, failed, qps,
         qps / static_cast<double>(replicas), snapshot.latency_p50_ms,
         snapshot.latency_p95_ms, qps_at_1 > 0 ? qps / qps_at_1 : 0.0,
-        num_shards > 1 ? partition.c_str() : "none", imbalance);
+        imbalance);
     std::fputs(line, stdout);
     std::fflush(stdout);
     if (json_file != nullptr) {
@@ -230,7 +218,6 @@ int Main(int argc, char** argv) {
       ShardedEngineOptions sharded_options;
       sharded_options.num_shards = num_shards;
       sharded_options.num_replicas = num_replicas;
-      sharded_options.partitioner = partitioner;
       ShardedEngine engine(sharded_options, &pool);
       engine.LoadDatabase(database);
       const Status built = engine.BuildIndex();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "common/logging.h"
 #include "inference/permutation_cache.h"
 #include "matrix/vector_ops.h"
 #include "prob/markov_bound.h"
@@ -15,7 +14,9 @@ Result<GeneMatrix> ExtractQueryMatrix(const GeneDatabase& database,
   if (database.empty()) {
     return Status::InvalidArgument("empty database");
   }
-  IMGRN_CHECK_GE(config.num_genes, 1u);
+  if (config.num_genes == 0) {
+    return Status::InvalidArgument("a query needs at least one gene");
+  }
   PermutationCache cache(config.num_samples, rng->NextUint64());
 
   for (size_t attempt = 0; attempt < config.max_attempts; ++attempt) {

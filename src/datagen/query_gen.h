@@ -31,7 +31,8 @@ struct QueryGenConfig {
 /// Extracts one query matrix M_Q. Grows a connected gene set greedily: start
 /// from a random column and repeatedly add a column whose edge probability
 /// to some member exceeds gamma (Markov-prescreened). Returns NotFound when
-/// no connected n_Q-gene set is found within max_attempts matrices.
+/// no connected n_Q-gene set is found within max_attempts matrices, and
+/// InvalidArgument for an empty database or n_Q = 0.
 Result<GeneMatrix> ExtractQueryMatrix(const GeneDatabase& database,
                                       const QueryGenConfig& config, Rng* rng);
 

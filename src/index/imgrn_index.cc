@@ -38,9 +38,6 @@ RTreeOptions IndexTreeOptions(const ImGrnIndexOptions& options) {
 
 ImGrnIndex::ImGrnIndex(ImGrnIndexOptions options)
     : options_(std::move(options)) {
-  IMGRN_CHECK_GE(options_.num_pivots, 1u);
-  IMGRN_CHECK_GE(options_.signature_bits, 8u);
-  IMGRN_CHECK_GE(options_.signature_hashes, 1);
   zero_signature_.assign(signature_layout().num_bytes(), 0);
 }
 
@@ -48,6 +45,12 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
   if (database == nullptr || database->empty()) {
     return Status::InvalidArgument("cannot build an index over an empty "
                                    "database");
+  }
+  if (options_.num_pivots == 0 || options_.signature_bits < 8 ||
+      options_.signature_hashes < 1 || options_.buffer_pool_pages == 0) {
+    return Status::InvalidArgument(
+        "index options need num_pivots >= 1, signature_bits >= 8, "
+        "signature_hashes >= 1 and buffer_pool_pages >= 1");
   }
   if (RTreeNodeCapacity(IndexTreeOptions(options_)) < kMinNodeCapacity) {
     return Status::InvalidArgument(
@@ -57,10 +60,11 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
         std::to_string(kMinNodeCapacity) + " entries and fit one page");
   }
   if (options_.embed_samples == 0 ||
-      options_.embed_samples > kMaxEmbedSamples) {
+      options_.embed_samples > kMaxPermutationSamples) {
     return Status::InvalidArgument(
         "embed_samples=" + std::to_string(options_.embed_samples) +
-        " must be in [1, " + std::to_string(kMaxEmbedSamples) + "]");
+        " must be in [1, " + std::to_string(kMaxPermutationSamples) +
+        "]");
   }
   Stopwatch timer;
   database_ = database;

@@ -15,12 +15,6 @@
 
 namespace imgrn {
 
-/// Largest accepted ImGrnIndexOptions::embed_samples. The index draws S
-/// permutations of every sample length it embeds, so S is an allocation
-/// size: ImGrnIndex::Build rejects a larger value with kInvalidArgument and
-/// a snapshot holding one is kDataLoss. Every caller uses 32-64.
-inline constexpr size_t kMaxEmbedSamples = 65536;
-
 /// Configuration of the IM-GRN index (Section 5.1).
 struct ImGrnIndexOptions {
   /// Number of pivots d per matrix; the index dimensionality is 2d+1.
@@ -31,7 +25,8 @@ struct ImGrnIndexOptions {
   int signature_hashes = 2;
 
   /// Permutation samples for the y coordinates E[dist(X^R, piv_w)]; in
-  /// [1, kMaxEmbedSamples].
+  /// [1, kMaxPermutationSamples] (ImGrnIndex::Build rejects others with
+  /// kInvalidArgument, and a snapshot holding one is kDataLoss).
   size_t embed_samples = 64;
 
   /// Fig.-3 pivot selection iteration counts (the pivot count is
@@ -85,13 +80,17 @@ RTreeOptions IndexTreeOptions(const ImGrnIndexOptions& options);
 ///    sources containing that gene.
 class ImGrnIndex {
  public:
+  /// Build checks the options (kInvalidArgument); Restore takes options
+  /// the snapshot reader has checked (kDataLoss).
   explicit ImGrnIndex(ImGrnIndexOptions options);
 
   /// Builds the index over `database`. The database must outlive the index
   /// (the index stores no gene data, only embeddings). Matrices are
   /// standardized in place. Returns InvalidArgument, with nothing built,
-  /// for an empty database or for options whose R*-tree node capacity
-  /// (RTreeNodeCapacity) is below kMinNodeCapacity or above one page.
+  /// for an empty database or for options it cannot build with: no pivot,
+  /// signatures under 8 bits or 1 hash, an empty buffer pool, embed_samples
+  /// outside [1, kMaxPermutationSamples], or an R*-tree node capacity
+  /// (RTreeNodeCapacity) below kMinNodeCapacity or above one page.
   Status Build(GeneDatabase* database);
 
   /// --- Incremental maintenance ---

@@ -234,7 +234,7 @@ Result<PersistedIndexParts> ReadIndexParts(PageStreamReader* reader,
       options.signature_bits < 8 ||
       options.signature_bits / 8 > reader->remaining() ||
       options.signature_hashes < 1 || options.embed_samples == 0 ||
-      options.embed_samples > kMaxEmbedSamples ||
+      options.embed_samples > kMaxPermutationSamples ||
       options.buffer_pool_pages == 0 ||
       RTreeNodeCapacity(IndexTreeOptions(options)) < kMinNodeCapacity) {
     return Inconsistent("index options");

@@ -16,6 +16,12 @@
 
 namespace imgrn {
 
+/// Largest accepted permutation count S: QueryParams' query and refine
+/// counts and ImGrnIndexOptions::embed_samples. S permutations of every
+/// sample length are drawn and kept, so S is an allocation size; no
+/// caller uses more than 1,024.
+inline constexpr size_t kMaxPermutationSamples = 65536;
+
 /// The S permutations of one length, laid out for the batched Monte Carlo
 /// kernel (simd_ops.h permuted_squared_distance_block): samples are grouped
 /// into blocks of kPermutedDistanceBatch, and within block k the indices

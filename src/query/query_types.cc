@@ -1,6 +1,9 @@
 #include "query/query_types.h"
 
 #include <algorithm>
+#include <string>
+
+#include "inference/permutation_cache.h"
 
 namespace imgrn {
 
@@ -13,9 +16,13 @@ Status ValidateQueryParams(const QueryParams& params,
   if (!(params.alpha >= 0.0 && params.alpha < 1.0)) {
     return Status::InvalidArgument("alpha must be in [0, 1)");
   }
-  if (params.query_num_samples == 0 || params.refine_num_samples == 0) {
-    return Status::InvalidArgument(
-        "query_num_samples and refine_num_samples must be >= 1");
+  for (const size_t samples :
+       {params.query_num_samples, params.refine_num_samples}) {
+    if (samples == 0 || samples > kMaxPermutationSamples) {
+      return Status::InvalidArgument(
+          "query_num_samples and refine_num_samples must be in [1, " +
+          std::to_string(kMaxPermutationSamples) + "]");
+    }
   }
   if (query_matrix == nullptr) return Status::Ok();
   return ValidateGeneMatrix(*query_matrix, "query matrix");

@@ -19,10 +19,12 @@ struct QueryParams {
   /// Probabilistic (appearance) threshold alpha in [0, 1).
   double alpha = 0.5;
 
-  /// Monte Carlo permutations for inferring the query GRN from M_Q.
+  /// Monte Carlo permutations for inferring the query GRN from M_Q; in
+  /// [1, kMaxPermutationSamples].
   size_t query_num_samples = 128;
 
-  /// Monte Carlo permutations for exact edge probabilities in refinement.
+  /// Monte Carlo permutations for exact edge probabilities in refinement;
+  /// in [1, kMaxPermutationSamples].
   size_t refine_num_samples = 128;
 
   /// Pruning toggles (all on by default; benches ablate them).
@@ -48,9 +50,10 @@ struct QueryParams {
 };
 
 /// kInvalidArgument unless gamma and alpha lie in [0, 1) (NaN does not) and
-/// both sample counts are positive; given a `query_matrix`, also unless it
-/// passes ValidateGeneMatrix. Every query entry point (ImGrnQueryProcessor,
-/// ShardedEngine) checks this before any work.
+/// both sample counts lie in [1, kMaxPermutationSamples]; given a
+/// `query_matrix`, also unless it passes ValidateGeneMatrix. Every query
+/// entry point (ImGrnQueryProcessor, ShardedEngine) checks this before any
+/// work.
 Status ValidateQueryParams(const QueryParams& params,
                            const GeneMatrix* query_matrix = nullptr);
 

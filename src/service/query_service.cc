@@ -72,9 +72,15 @@ QueryService::PendingQuery QueryService::SubmitQuery(
 QueryService::PendingQuery QueryService::SubmitQuery(
     GeneMatrix query_matrix, const QueryParams& params,
     std::chrono::nanoseconds deadline) {
-  return SubmitWithControl(
-      std::move(query_matrix), params,
-      std::make_shared<QueryControl>(QueryControl::Clock::now() + deadline));
+  // now + deadline saturates: a sum past the clock's range would wrap to a
+  // time already past.
+  using Clock = QueryControl::Clock;
+  const Clock::time_point now = Clock::now();
+  const Clock::time_point expiry = deadline >= Clock::time_point::max() - now
+                                       ? Clock::time_point::max()
+                                       : now + deadline;
+  return SubmitWithControl(std::move(query_matrix), params,
+                           std::make_shared<QueryControl>(expiry));
 }
 
 std::vector<QueryService::QueryResult> QueryService::QueryBatch(

@@ -91,7 +91,8 @@ class QueryService {
   /// Same with an explicit deadline relative to now. A zero (or negative)
   /// deadline admits the query but expires it at its first checkpoint, so
   /// it completes with DeadlineExceeded — the conventional probe for "is
-  /// the service at capacity".
+  /// the service at capacity". A deadline past the clock's range, such as
+  /// nanoseconds::max(), never expires.
   PendingQuery SubmitQuery(GeneMatrix query_matrix, const QueryParams& params,
                            std::chrono::nanoseconds deadline);
 

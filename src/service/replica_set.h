@@ -12,11 +12,12 @@
 namespace imgrn {
 
 /// One physical replica of a logical shard: its own in-memory ImGrnEngine
-/// with default options (own index, own R*-tree pages, own buffer pool),
-/// the local -> global id table and its traffic gauges. Replicas of one
-/// shard are bit-exact mirrors of each other: every update applies to all
-/// of them in lock step, so any replica answers any sub-query with the
-/// identical matches (refinement is per-source deterministic — see
+/// with default options (own index, own R*-tree pages, own buffer pool)
+/// and its traffic gauges. Local id l of shard s's engine holds global
+/// source l * K + s (see ShardedEngine). Replicas of one shard are
+/// bit-exact mirrors of each other: every update applies to all of them in
+/// lock step, so any replica answers any sub-query with the identical
+/// matches (refinement is per-source deterministic — see
 /// inference/permutation_cache.h).
 struct ShardReplica {
   /// `table` is the sharded engine's permutation table, shared by every
@@ -29,13 +30,6 @@ struct ShardReplica {
   /// Holds a built index once the replica received a source; an empty
   /// replica answers every sub-query with no matches.
   ImGrnEngine engine;
-
-  /// local id i of this replica's engine holds global source
-  /// local_to_global[i]. Entries are never erased (engine local ids are
-  /// never reused; a removed source is only deactivated), and a shard
-  /// receives its sources in ascending global order, so the table is
-  /// sorted and identical on every replica of the shard.
-  std::vector<SourceId> local_to_global;
 
   /// Count and estimated cost of active sources, mirrored atomically so
   /// StatsSnapshot never has to touch `mutex` (it stays callable while a

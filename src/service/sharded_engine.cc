@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <numeric>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,17 +11,20 @@
 
 namespace imgrn {
 
-namespace {
-
-/// Local id of `global` on `replica`, which must hold it.
-SourceId LocalOf(const ShardReplica& replica, SourceId global) {
-  const auto it = std::lower_bound(replica.local_to_global.begin(),
-                                   replica.local_to_global.end(), global);
-  IMGRN_CHECK(it != replica.local_to_global.end() && *it == global);
-  return static_cast<SourceId>(it - replica.local_to_global.begin());
+double EstimateSourceCost(const GeneMatrix& matrix) {
+  const double genes = static_cast<double>(matrix.num_genes());
+  const double samples = static_cast<double>(matrix.num_samples());
+  return genes * genes * samples;
 }
 
-}  // namespace
+double MaxMeanImbalance(const std::vector<double>& shard_costs) {
+  if (shard_costs.empty()) return 1.0;
+  const double total =
+      std::accumulate(shard_costs.begin(), shard_costs.end(), 0.0);
+  if (total <= 0.0) return 1.0;
+  const double mean = total / static_cast<double>(shard_costs.size());
+  return *std::max_element(shard_costs.begin(), shard_costs.end()) / mean;
+}
 
 std::string ShardedEngineStatsSnapshot::DebugString() const {
   std::string out;
@@ -50,11 +54,7 @@ std::string ShardedEngineStatsSnapshot::DebugString() const {
 }
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options, ThreadPool* pool)
-    : options_(std::move(options)),
-      partitioner_(options_.partitioner != nullptr
-                       ? options_.partitioner
-                       : std::make_shared<ModuloPartitioner>()),
-      pool_(pool) {
+    : options_(options), pool_(pool) {
   IMGRN_CHECK_GE(options_.num_shards, 1u);
   IMGRN_CHECK_GE(options_.num_replicas, 1u);
   ResetShards();
@@ -73,21 +73,14 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
   ResetShards();
   const size_t num_shards = shards_.size();
   const size_t total = database.size();
-  const std::vector<double> costs = EstimateSourceCosts(database);
-  PartitionPlan plan = partitioner_->Partition(costs, num_shards);
-  IMGRN_CHECK_EQ(plan.num_shards, num_shards);
-  IMGRN_CHECK_OK(plan.Validate(total));
-
   std::vector<GeneDatabase> parts(num_shards);
-  std::vector<std::vector<SourceId>> locals(num_shards);
   std::vector<double> shard_costs(num_shards, 0.0);
   for (SourceId global = 0; global < total; ++global) {
-    const size_t s = plan.shard_of[global];
+    const size_t s = ShardOf(global);
     GeneMatrix matrix = std::move(database.mutable_matrix(global));
-    matrix.set_source_id(static_cast<SourceId>(parts[s].size()));
+    shard_costs[s] += EstimateSourceCost(matrix);
+    matrix.set_source_id(static_cast<SourceId>(global / num_shards));
     parts[s].Add(std::move(matrix));
-    locals[s].push_back(global);
-    shard_costs[s] += costs[global];
   }
   for (size_t s = 0; s < num_shards; ++s) {
     ReplicaSet& set = *shards_[s];
@@ -96,8 +89,7 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
     // even their per-sub-query COUNTERS match across replicas.
     for (size_t r = 0; r < set.size(); ++r) {
       ShardReplica& replica = set.replica(r);
-      replica.local_to_global = locals[s];
-      replica.active_sources.store(locals[s].size(),
+      replica.active_sources.store(parts[s].size(),
                                    std::memory_order_relaxed);
       replica.cost.store(shard_costs[s], std::memory_order_relaxed);
       if (parts[s].empty()) continue;
@@ -106,26 +98,28 @@ void ShardedEngine::LoadDatabase(GeneDatabase database) {
       replica.engine.LoadDatabase(std::move(part));
     }
   }
-  shard_of_ = std::move(plan.shard_of);
+  num_sources_ = total;
   built_ = false;
 }
 
 Status ShardedEngine::BuildIndex() {
-  if (shard_of_.empty()) {
+  if (num_sources_ == 0) {
     return Status::FailedPrecondition("no database loaded");
   }
   // The replicas' engines check too, but would name shard-local ids.
-  for (const std::unique_ptr<ReplicaSet>& set : shards_) {
-    const ShardReplica& primary = set->primary();
+  const size_t num_shards = shards_.size();
+  for (size_t s = 0; s < num_shards; ++s) {
+    const ShardReplica& primary = shards_[s]->primary();
+    const GeneDatabase& part = primary.engine.database();
     if (primary.active_sources.load(std::memory_order_relaxed) <
-        primary.local_to_global.size()) {
+        part.size()) {
       return Status::FailedPrecondition(
           "a removed source's data is freed and cannot be re-indexed");
     }
-    for (size_t local = 0; local < primary.local_to_global.size(); ++local) {
+    for (size_t local = 0; local < part.size(); ++local) {
       IMGRN_RETURN_IF_ERROR(ValidateGeneMatrix(
-          primary.engine.database().matrix(static_cast<SourceId>(local)),
-          "source " + std::to_string(primary.local_to_global[local])));
+          part.matrix(static_cast<SourceId>(local)),
+          "source " + std::to_string(local * num_shards + s)));
     }
   }
   // Build every populated replica's index; the builds are independent, so
@@ -133,7 +127,7 @@ Status ShardedEngine::BuildIndex() {
   std::vector<ShardReplica*> pending;
   for (const std::unique_ptr<ReplicaSet>& set : shards_) {
     for (size_t r = 0; r < set->size(); ++r) {
-      if (set->replica(r).local_to_global.empty()) continue;
+      if (set->replica(r).engine.database().empty()) continue;
       pending.push_back(&set->replica(r));
     }
   }
@@ -318,12 +312,12 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
         if (!local.ok()) return local.status();
         replica.busy_seconds.fetch_add(local_stats.total_seconds,
                                        std::memory_order_relaxed);
-        // Remap shard-local ids to global source ids while the reader lock
-        // still pins local_to_global. The engine returns ascending local
-        // ids and the table is sorted, so the ids stay ascending.
+        // Remap shard-local ids to global source ids: local l on shard s
+        // is source l * K + s. The engine returns ascending local ids, so
+        // the global ids stay ascending.
         for (QueryMatch& match : *local) {
-          IMGRN_CHECK_LT(match.source, replica.local_to_global.size());
-          match.source = replica.local_to_global[match.source];
+          match.source = static_cast<SourceId>(match.source * num_shards() +
+                                               shard_index);
         }
         if (stats != nullptr) *stats = std::move(local_stats);
         return local;
@@ -336,18 +330,16 @@ Result<std::vector<QueryMatch>> ShardedEngine::RunShard(
 }
 
 Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
-                                            GeneMatrix matrix,
-                                            SourceId global, double cost) {
+                                            GeneMatrix matrix, double cost) {
   std::unique_lock<std::shared_mutex> lock(replica.mutex);
-  // The new local id is defined by the side table, NOT the engine: every
-  // query remaps through local_to_global, so IT is the authority on what
-  // local ids mean. The engine's database happens to agree because
-  // RemoveMatrix only deactivates (never shrinks) — the CHECK pins that
-  // assumption down so a future engine that compacts on removal fails
-  // loudly here instead of silently remapping matches to wrong globals
-  // after a RemoveSource -> AddSource sequence on the same shard.
+  // Source g lives at local id g div K, which every query remaps back to g.
+  // The engine's next id agrees because RemoveMatrix only deactivates
+  // (never shrinks) — the CHECK pins that assumption down so a future
+  // engine that compacts on removal fails loudly here instead of silently
+  // remapping matches to wrong globals after a RemoveSource -> AddSource
+  // sequence on the same shard.
   const SourceId local =
-      static_cast<SourceId>(replica.local_to_global.size());
+      static_cast<SourceId>(matrix.source_id() / num_shards());
   matrix.set_source_id(local);
   if (!replica.engine.has_index()) {
     IMGRN_CHECK_EQ(local, 0u);
@@ -361,7 +353,6 @@ Status ShardedEngine::AppendToReplicaLocked(ShardReplica& replica,
                    replica.engine.database().size());
     IMGRN_RETURN_IF_ERROR(replica.engine.AddMatrix(std::move(matrix)));
   }
-  replica.local_to_global.push_back(global);
   replica.active_sources.fetch_add(1, std::memory_order_relaxed);
   replica.cost.store(replica.cost.load(std::memory_order_relaxed) + cost,
                      std::memory_order_relaxed);
@@ -373,7 +364,7 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  if (matrix.source_id() != shard_of_.size()) {
+  if (matrix.source_id() != num_sources_) {
     return Status::InvalidArgument(
         "new matrix's source id must equal num_sources()");
   }
@@ -382,24 +373,16 @@ Status ShardedEngine::AddSource(GeneMatrix matrix) {
   IMGRN_RETURN_IF_ERROR(
       ValidateGeneMatrix(matrix, "source " + std::to_string(global)));
   const double cost = EstimateSourceCost(matrix);
-  std::vector<double> shard_costs;
-  shard_costs.reserve(shards_.size());
-  for (const std::unique_ptr<ReplicaSet>& set : shards_) {
-    shard_costs.push_back(set->primary().cost.load(std::memory_order_relaxed));
-  }
-  const size_t s = partitioner_->PlaceSource(global, cost, shard_costs);
-  IMGRN_CHECK_LT(s, shards_.size());
-  ReplicaSet& set = *shards_[s];
+  ReplicaSet& set = *shards_[ShardOf(global)];
   // Only the primary's append may fail; then nothing changed. A mirror
   // repeats the identical append on an identical engine, which the
   // primary's success shows cannot fail, so a set never exposes the source
   // on some replicas but not others.
-  IMGRN_RETURN_IF_ERROR(
-      AppendToReplicaLocked(set.primary(), matrix, global, cost));
+  IMGRN_RETURN_IF_ERROR(AppendToReplicaLocked(set.primary(), matrix, cost));
   for (size_t r = 1; r < set.size(); ++r) {
-    IMGRN_CHECK_OK(AppendToReplicaLocked(set.replica(r), matrix, global, cost));
+    IMGRN_CHECK_OK(AppendToReplicaLocked(set.replica(r), matrix, cost));
   }
-  shard_of_.push_back(static_cast<uint32_t>(s));
+  ++num_sources_;
   return Status::Ok();
 }
 
@@ -408,15 +391,15 @@ Status ShardedEngine::RemoveSource(SourceId source) {
   if (!built_) {
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
-  if (source >= shard_of_.size()) {
+  if (source >= num_sources_) {
     return Status::InvalidArgument("unknown source id");
   }
-  ReplicaSet& set = *shards_[shard_of_[source]];
+  ReplicaSet& set = *shards_[ShardOf(source)];
   // Existence check against the primary (replicas mirror the active set,
   // at the same local ids). No replica lock needed for the reads: replicas
   // are only written by holders of update_mutex_, which we are.
   const ShardReplica& primary = set.primary();
-  const SourceId local = LocalOf(primary, source);
+  const SourceId local = static_cast<SourceId>(source / num_shards());
   if (!primary.engine.index().IsActive(local)) {
     return Status::FailedPrecondition("matrix already removed");
   }
@@ -435,13 +418,7 @@ Status ShardedEngine::RemoveSource(SourceId source) {
 
 size_t ShardedEngine::num_sources() const {
   std::lock_guard<std::mutex> routing(update_mutex_);
-  return shard_of_.size();
-}
-
-size_t ShardedEngine::ShardOf(SourceId source) const {
-  std::lock_guard<std::mutex> routing(update_mutex_);
-  IMGRN_CHECK_LT(source, shard_of_.size());
-  return shard_of_[source];
+  return num_sources_;
 }
 
 ShardedEngineStatsSnapshot ShardedEngine::StatsSnapshot() const {

@@ -14,18 +14,29 @@
 #include "matrix/gene_matrix.h"
 #include "query/query_control.h"
 #include "query/query_types.h"
-#include "service/partitioner.h"
 #include "service/replica_set.h"
 #include "service/thread_pool.h"
 
 namespace imgrn {
+
+/// Deterministic proxy for the per-query work a source induces: candidate
+/// gene pairs scale with n_i^2 and each refinement permutation touches all
+/// l_i samples, so cost = n_i^2 * l_i. The absolute scale is meaningless;
+/// only ratios matter (the per-shard cost gauges and their imbalance).
+double EstimateSourceCost(const GeneMatrix& matrix);
+
+/// max(shard_costs) / mean(shard_costs): 1.0 is perfect balance, K is the
+/// worst case (all load on one of K shards). Fan-out latency is bounded by
+/// the hottest shard, so this ratio IS the skew penalty. Returns 1.0 for
+/// an empty vector or an idle engine (mean 0).
+double MaxMeanImbalance(const std::vector<double>& shard_costs);
 
 /// Knobs of a ShardedEngine.
 struct ShardedEngineOptions {
   /// Number of independent ImGrnEngine shards, each with its own index,
   /// its own R*-tree pages and its own buffer pool. 1 is the unsharded
   /// case: one engine over the whole database. Fixed for the engine's
-  /// lifetime.
+  /// lifetime; source g lives on shard g mod num_shards.
   size_t num_shards = 4;
 
   /// Replicas per shard (1 = no replication, the historical behavior).
@@ -34,12 +45,6 @@ struct ShardedEngineOptions {
   /// replica picked round-robin, so answers stay byte-identical. Fixed for
   /// the engine's lifetime.
   size_t num_replicas = 1;
-
-  /// Placement policy: decides which shard owns each source, both for the
-  /// LoadDatabase split and for every AddSource. A source never moves
-  /// afterwards. Null means ModuloPartitioner (source i -> shard i mod K).
-  /// See service/partitioner.h; partitioning never affects query results.
-  std::shared_ptr<const Partitioner> partitioner;
 };
 
 /// Per-replica counters inside one ShardStats.
@@ -97,10 +102,10 @@ struct ShardedEngineStatsSnapshot {
 /// safe for concurrent queries and updates. QueryService serves exactly
 /// this class; K = 1 is the unsharded case, one ImGrnEngine behind a
 /// reader-writer lock. A query is validated, fans out one sub-query per
-/// shard and merges them. The partition map is pluggable (see
-/// ShardedEngineOptions::partitioner). The shard and replica counts are
-/// fixed at construction, and each source's owner when the source arrives
-/// (LoadDatabase or AddSource); nothing moves a source afterwards. A
+/// shard and merges them. Placement is a fixed function of the id: source
+/// g lives on shard g mod K at that shard's local id g div K, whether it
+/// arrives with LoadDatabase or AddSource, and nothing moves it
+/// afterwards. The shard and replica counts are fixed at construction; a
 /// different layout is a new engine loaded with the database.
 ///
 /// Contract:
@@ -125,8 +130,7 @@ struct ShardedEngineStatsSnapshot {
 /// ImGrnEngine's snapshot, and a sharded engine re-partitions on load.
 ///
 /// Query semantics are bit-identical to a single ImGrnEngine over the
-/// unpartitioned database, for every shard count, every replica count and
-/// every partition map:
+/// unpartitioned database, for every shard count and every replica count:
 ///   - the query GRN is inferred ONCE (same seed, same stream), then fanned
 ///     out to each shard as a sub-query over that shard's sources;
 ///   - refinement probabilities are per-source deterministic regardless of
@@ -136,18 +140,19 @@ struct ShardedEngineStatsSnapshot {
 ///     it (see inference/permutation_cache.h), so WHICH replica serves a
 ///     sub-query cannot change its matches;
 ///   - matches come back with shard-local ids, are remapped to global
-///     source ids, merged in ascending source order, and the top_k policy
-///     is applied once to the merged set;
+///     source ids (local l on shard s is l * K + s), merged in ascending
+///     source order, and the top_k policy is applied once to the merged
+///     set;
 ///   - index pruning only ever discards non-answers, so different per-shard
 ///     pivots change work, not results.
 /// tests/sharded_engine_test.cc enforces this differentially across shard
-/// counts; tests/partition_invariance_test.cc for arbitrary partition
-/// maps; tests/replication_test.cc across replica counts.
+/// counts (empty shards and K > num_sources included);
+/// tests/replication_test.cc across replica counts.
 ///
-/// Load accounting is static plus one measurement: placement packs the
-/// genes² × samples estimates (ShardStats::cost), and each replica sums
-/// the QueryStats::total_seconds of the sub-queries it serves
-/// (ShardStats::measured_seconds). Sub-queries skip the per-source
+/// Load accounting is static plus one measurement: each shard sums the
+/// genes² × samples estimates of its live sources (ShardStats::cost), and
+/// each replica sums the QueryStats::total_seconds of the sub-queries it
+/// serves (ShardStats::measured_seconds). Sub-queries skip the per-source
 /// breakdown, so QueryStats::source_costs stays empty here.
 ///
 /// Fan-out runs on the ThreadPool passed at construction (pass null to run
@@ -178,10 +183,9 @@ class ShardedEngine {
   ShardedEngine(const ShardedEngine&) = delete;
   ShardedEngine& operator=(const ShardedEngine&) = delete;
 
-  /// Partitions the database across fresh shards following the configured
-  /// partitioner's plan over the per-source cost estimates (each shard's
-  /// slice is remapped to that shard's dense local id space, mirrored
-  /// onto every replica). Invalidates any previously built indices.
+  /// Splits the database across fresh shards: source g goes to shard
+  /// g mod K at local id g div K, mirrored onto every replica of that
+  /// shard. Invalidates any previously built indices.
   void LoadDatabase(GeneDatabase database);
 
   /// Builds every non-empty shard replica's index, in parallel when a
@@ -206,9 +210,8 @@ class ShardedEngine {
       const QueryControl* control = nullptr) const;
 
   /// Appends a new data source; `matrix.source_id()` must equal
-  /// num_sources(). The partitioner picks the owning shard (modulo: id mod
-  /// K; cost-based policies: the least-loaded shard); the matrix is
-  /// appended to every replica of that shard (lock step), and only those
+  /// num_sources(). The matrix is appended to every replica of shard
+  /// ShardOf(id) (lock step), at local id id div K, and only those
   /// replicas are write-locked. InvalidArgument, with nothing changed, when
   /// the matrix fails ValidateGeneMatrix.
   Status AddSource(GeneMatrix matrix);
@@ -227,9 +230,10 @@ class ShardedEngine {
   /// still count — ids are never reused).
   size_t num_sources() const;
 
-  /// Which shard owns a global source id. `source` must be <
-  /// num_sources().
-  size_t ShardOf(SourceId source) const;
+  /// The shard that owns global source id `source`: source mod K.
+  size_t ShardOf(SourceId source) const {
+    return source % options_.num_shards;
+  }
 
   bool has_index() const { return built_; }
 
@@ -264,13 +268,13 @@ class ShardedEngine {
   /// empty replicas.
   void ResetShards();
 
-  /// Appends `matrix` (a global source) to `replica`'s engine under its
-  /// write lock, bootstrapping the engine if the replica was empty.
+  /// Appends `matrix`, which carries its global source id, to `replica`'s
+  /// engine under its write lock, bootstrapping the engine if the replica
+  /// was empty.
   Status AppendToReplicaLocked(ShardReplica& replica, GeneMatrix matrix,
-                               SourceId global, double cost);
+                               double cost);
 
   ShardedEngineOptions options_;
-  std::shared_ptr<const Partitioner> partitioner_;  // Never null.
   ThreadPool* pool_;  // May be null (sequential fan-out); not owned.
 
   /// The query path's permutations: this engine's inference and every
@@ -288,9 +292,9 @@ class ShardedEngine {
   /// via the replica mutexes.
   mutable std::mutex update_mutex_;
 
-  /// Global source id -> owning shard; its size is num_sources(). Guarded
-  /// by update_mutex_: AddSource appends to it.
-  std::vector<uint32_t> shard_of_;
+  /// Total sources ever added: the next global id. Guarded by
+  /// update_mutex_.
+  size_t num_sources_ = 0;
 
   /// Set by BuildIndex, cleared by LoadDatabase.
   bool built_ = false;

@@ -80,7 +80,6 @@ TEST(ByteSignatureTest, MergeWithZeroIsIdentity) {
 }
 
 TEST(ByteSignatureTest, MergeCommutativeAndAssociative) {
-  ByteSignatureLayout layout{64, 2};
   Rng rng(1);
   std::vector<uint8_t> a(8), b(8), c(8);
   for (size_t i = 0; i < 8; ++i) {

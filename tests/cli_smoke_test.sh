@@ -63,7 +63,8 @@ test -s "$WORKDIR/a"  # The reopened snapshot must actually answer.
 diff "$WORKDIR/a" "$WORKDIR/b"
 
 # The sharded engine must return the identical matches: --shards=1 (one
-# unpartitioned engine) vs --shards=4 (hash-partitioned fan-out/merge).
+# unpartitioned engine) vs --shards=4 (source g on shard g mod 4,
+# fan-out/merge).
 "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
     --gamma=0.5 --alpha=0.1 --shards=1 > "$WORKDIR/shards1.out"
 "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" \
@@ -144,10 +145,9 @@ if [ "$status" -ne 2 ]; then
 fi
 grep -q "unknown flag --allow-partial" "$WORKDIR/partial.err"
 
-# Partition invariance on a skewed database: matrices span 8..40 genes, so
-# the per-source costs are far from uniform. --partition=balanced (LPT over
-# the cost estimates) and --partition=modulo must both match --shards=1
-# exactly — the partitioner only moves load, never answers.
+# Placement invariance on a skewed database: matrices span 8..40 genes, so
+# the per-source costs are far from uniform, and --shards=4 must still
+# match --shards=1 exactly — placement only moves load, never answers.
 "$IMGRN" generate --out="$WORKDIR/skew.txt" --n_matrices=16 \
     --genes_min=8 --genes_max=40 --gene_universe=200 --seed=11 \
     | grep -q "wrote 16 matrices"
@@ -156,31 +156,28 @@ grep -q "unknown flag --allow-partial" "$WORKDIR/partial.err"
 "$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
     --gamma=0.5 --alpha=0.1 --shards=1 > "$WORKDIR/skew1.out"
 "$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=4 --partition=modulo \
-    2> "$WORKDIR/skew_mod.err" > "$WORKDIR/skew_mod.out"
-"$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
-    --gamma=0.5 --alpha=0.1 --shards=4 --partition=balanced 2>/dev/null \
-    > "$WORKDIR/skew_bal.out"
+    --gamma=0.5 --alpha=0.1 --shards=4 \
+    2> "$WORKDIR/skew4.err" > "$WORKDIR/skew4.out"
 grep '^match' "$WORKDIR/skew1.out" > "$WORKDIR/k1" || true
-grep '^match' "$WORKDIR/skew_mod.out" > "$WORKDIR/km" || true
-grep '^match' "$WORKDIR/skew_bal.out" > "$WORKDIR/kb" || true
+grep '^match' "$WORKDIR/skew4.out" > "$WORKDIR/k4" || true
 test -s "$WORKDIR/k1"  # The skewed query must actually match something.
-diff "$WORKDIR/k1" "$WORKDIR/km"
-diff "$WORKDIR/k1" "$WORKDIR/kb"
+diff "$WORKDIR/k1" "$WORKDIR/k4"
 # The sharded path reports the shard load imbalance on stderr, estimated
 # from the cost proxy and measured as sub-query busy time.
-grep -q "imbalance=" "$WORKDIR/skew_mod.err"
-grep -q "measured_imbalance=" "$WORKDIR/skew_mod.err"
+grep -q "imbalance=" "$WORKDIR/skew4.err"
+grep -q "measured_imbalance=" "$WORKDIR/skew4.err"
 
-# Unknown partition strategies are rejected with a diagnosable message
-# naming the valid strategies (not a crash on a null partitioner).
-if "$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
-    --shards=4 --partition=bogus 2>"$WORKDIR/badpart.err"; then
-  echo "expected failure on unknown --partition" >&2
+# Placement is by id, with no strategy to pick: --partition is an unknown
+# flag.
+status=0
+"$IMGRN" query --db="$WORKDIR/skew.txt" --query="$WORKDIR/sq.txt" \
+    --shards=4 --partition=modulo > /dev/null 2> "$WORKDIR/badpart.err" ||
+    status=$?
+if [ "$status" -ne 2 ]; then
+  echo "expected exit 2 on --partition=modulo, got $status" >&2
   exit 1
 fi
-grep -q "valid strategies" "$WORKDIR/badpart.err"
-grep -q "bogus" "$WORKDIR/badpart.err"
+grep -q "unknown flag --partition" "$WORKDIR/badpart.err"
 
 "$IMGRN" infer --matrix="$WORKDIR/q.txt" --gamma=0.5 \
     | grep -q "inferred GRN"
@@ -205,18 +202,49 @@ for bad in bad1 bad2 bad3; do
   grep -q "^error: " "$WORKDIR/$bad.err"
 done
 
-# Numbers parse strictly: a negative count, a non-number and trailing
-# garbage each exit 2 naming the flag, before any work runs.
-for bad in --shards=-1 --gamma=abc --shards=2x; do
+# Numbers parse strictly and must be in range, and a choice flag must name
+# one of its values: a negative count, a non-number, trailing garbage, a
+# threshold outside [0, 1), a count of 0 or past its bound, a maximum
+# below its minimum and an unknown distribution each exit 2 naming the
+# flag, before any work runs. Each line: the flag to name, then the
+# command.
+DB="--db=$WORKDIR/db.txt"
+GEN="generate --out=$WORKDIR/gen.txt"
+while read -r flag command; do
   status=0
-  "$IMGRN" query --db="$WORKDIR/db.txt" --query="$WORKDIR/q.txt" "$bad" \
-      > /dev/null 2> "$WORKDIR/badnum.err" || status=$?
+  # shellcheck disable=SC2086  # command is a deliberate word list
+  "$IMGRN" $command < /dev/null > /dev/null 2> "$WORKDIR/badnum.err" ||
+      status=$?
   if [ "$status" -ne 2 ]; then
-    echo "expected exit 2 on $bad, got $status" >&2
+    echo "expected exit 2 on $command, got $status" >&2
     exit 1
   fi
-  grep -q -- "${bad%%=*}" "$WORKDIR/badnum.err"
-done
+  grep -q -- "--$flag" "$WORKDIR/badnum.err"
+done <<EOF
+shards query $DB --query=$WORKDIR/q.txt --shards=-1
+gamma query $DB --query=$WORKDIR/q.txt --gamma=abc
+shards query $DB --query=$WORKDIR/q.txt --shards=2x
+gamma query $DB --query=$WORKDIR/q.txt --gamma=1.5
+alpha snapshot load --store=disk:$WORKDIR/db.pages --query=$WORKDIR/q.txt --alpha=1
+gamma extract-query $DB --out=$WORKDIR/bad_q.txt --gamma=1.5
+gamma infer --matrix=$WORKDIR/q.txt --gamma=1.5
+gamma infer --matrix=$WORKDIR/q.txt --gamma=-0.1
+samples infer --matrix=$WORKDIR/q.txt --samples=0
+samples infer --matrix=$WORKDIR/q.txt --samples=1099511627776
+genes extract-query $DB --out=$WORKDIR/bad_q.txt --genes=0
+pivots snapshot save $DB --store=disk:$WORKDIR/bad.pages --pivots=0
+genes_min $GEN --genes_min=1 --genes_max=1
+genes_max $GEN --genes_min=50 --genes_max=10
+samples_max $GEN --samples_min=40 --samples_max=30
+samples_min $GEN --samples_min=1 --samples_max=1
+gene_universe $GEN --gene_universe=1
+gene_universe $GEN --gene_universe=4294967297
+dist $GEN --dist=bogus
+EOF
+if [ -e "$WORKDIR/gen.txt" ]; then
+  echo "a rejected generate wrote its output" >&2
+  exit 1
+fi
 
 # Error paths exit non-zero.
 if "$IMGRN" query --db="/nonexistent" --query="$WORKDIR/q.txt" \

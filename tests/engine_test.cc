@@ -68,11 +68,21 @@ TEST(EngineTest, BuildIndexRejectsNodeCapacityAboveAPage) {
   EXPECT_FALSE(engine.has_index());
 }
 
+// Index options the index cannot be built with — embed_samples outside
+// [1, kMaxPermutationSamples], no pivot, signatures under 8 bits or 1
+// hash, an empty buffer pool — fail the build with kInvalidArgument.
 TEST(EngineTest, BuildIndexRejectsEmbedSamplesOutsideTheCap) {
-  for (const size_t samples : {size_t{0}, kMaxEmbedSamples + 1}) {
-    SCOPED_TRACE(samples);
+  for (int variant = 0; variant < 6; ++variant) {
+    SCOPED_TRACE(variant);
     EngineOptions options;
-    options.index.embed_samples = samples;
+    if (variant == 0) options.index.embed_samples = 0;
+    if (variant == 1) {
+      options.index.embed_samples = kMaxPermutationSamples + 1;
+    }
+    if (variant == 2) options.index.num_pivots = 0;
+    if (variant == 3) options.index.signature_bits = 7;
+    if (variant == 4) options.index.signature_hashes = 0;
+    if (variant == 5) options.index.buffer_pool_pages = 0;
     ImGrnEngine engine(options);
     engine.LoadDatabase(MakeDatabase(7));
     const Status status = engine.BuildIndex();

@@ -99,6 +99,8 @@ TEST(QueryGenTest, FailsWhenNoConnectedSetExists) {
   EXPECT_EQ(query.status().code(), StatusCode::kNotFound);
 }
 
+// One gene is the smallest query: it always succeeds, and zero genes are
+// rejected with kInvalidArgument.
 TEST(QueryGenTest, SingleGeneQueryAlwaysSucceeds) {
   GeneDatabase database = ClusteredDatabase(10);
   QueryGenConfig config;
@@ -107,6 +109,10 @@ TEST(QueryGenTest, SingleGeneQueryAlwaysSucceeds) {
   Result<GeneMatrix> query = ExtractQueryMatrix(database, config, &rng);
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(query->num_genes(), 1u);
+
+  config.num_genes = 0;
+  EXPECT_EQ(ExtractQueryMatrix(database, config, &rng).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryGenTest, DistinctGenesInQuery) {

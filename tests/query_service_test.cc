@@ -229,6 +229,25 @@ TEST_F(QueryServiceTest, ZeroDeadlineReturnsDeadlineExceeded) {
   EXPECT_EQ(service.MetricsSnapshot().served, 0u);
 }
 
+// A deadline past the clock's range never expires: the query gets the
+// answer it gets without a deadline.
+TEST_F(QueryServiceTest, MaxDeadlineAnswersLikeNoDeadline) {
+  ThreadPool pool(2);
+  QueryService service(&served_, &pool);
+  Result<std::vector<QueryMatch>> expected =
+      service.SubmitQuery(ClusterQueryMatrix(42), params_).result.get();
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_FALSE(expected->empty());
+  QueryService::QueryResult result =
+      service
+          .SubmitQuery(ClusterQueryMatrix(42), params_,
+                       std::chrono::nanoseconds::max())
+          .result.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(MatchesIdentical(*result, *expected));
+  EXPECT_EQ(service.MetricsSnapshot().deadline_expired, 0u);
+}
+
 TEST_F(QueryServiceTest, FullQueueReturnsResourceExhausted) {
   // One worker, occupied by a plug task; queue depth 1. The first query
   // takes the only slot, the second must be turned away immediately.

@@ -2,7 +2,9 @@
 // results are byte-identical to a single ImGrnEngine over the unpartitioned
 // database (the differential contract of service/sharded_engine.h),
 // including empty shards, K > num_sources, top_k truncation, updates, and
-// the error statuses of the single-engine path.
+// the error statuses of the single-engine path; and the load gauges:
+// per-shard cost sums that track removals exactly, and the max/mean
+// imbalance that placement by id reaches on a skewed database.
 
 #include "service/sharded_engine.h"
 
@@ -25,6 +27,7 @@ using testing_util::ExpectIdenticalMatches;
 using testing_util::MakeClusterDatabase;
 using testing_util::MakeClusterMatrix;
 using testing_util::MakeClusterQueryMatrix;
+using testing_util::MakePlantedMatrix;
 using testing_util::MakeShardedOptions;
 
 // This suite's planted-cluster database (see tests/test_util.h): every
@@ -43,6 +46,31 @@ GeneDatabase MakeDatabase(size_t num_sources) {
 
 GeneMatrix ClusterQueryMatrix(uint64_t seed) {
   return MakeClusterQueryMatrix(seed);
+}
+
+// A skewed database: sources with id % 4 == 0 are "giants" (40 genes),
+// everything else is small (8 genes), all at 30 samples. Under K = 4
+// every giant lands on shard 0:
+//   giant cost 40^2*30 = 48000, small cost 8^2*30 = 1920,
+//   shard 0 carries 4*48000 = 192000 of a 215040 total,
+//   imbalance = 192000 / (215040/4) ~ 3.57.
+GeneMatrix SkewMatrix(SourceId source) {
+  Rng rng(1700 + source);
+  const bool giant = source % 4 == 0;
+  const size_t num_filler = (giant ? 40u : 8u) - 3u;
+  std::vector<GeneId> filler;
+  for (size_t g = 0; g < num_filler; ++g) {
+    filler.push_back(static_cast<GeneId>(100 + 100 * source + g));
+  }
+  return MakePlantedMatrix(source, 30, {{1, 2, 3}}, filler, 0.97, &rng);
+}
+
+GeneDatabase MakeSkewedDatabase(size_t num_sources) {
+  GeneDatabase database;
+  for (SourceId i = 0; i < num_sources; ++i) {
+    database.Add(SkewMatrix(i));
+  }
+  return database;
 }
 
 void ExpectIdentical(const std::vector<QueryMatch>& actual,
@@ -208,13 +236,13 @@ TEST_F(ShardedEngineTest, UpdatesMatchSingleEngineAndRouteToOneShard) {
 }
 
 TEST_F(ShardedEngineTest, RemoveThenAddKeepsLocalIdAccountingConsistent) {
-  // Regression guard for the local-id bookkeeping in AppendToShardLocked:
+  // Regression guard for the local-id bookkeeping in AppendToReplicaLocked:
   // after RemoveSource the shard's engine database keeps the retracted
-  // slot (the engine never shrinks), so the next local id MUST come from
-  // the side tables (local_to_global), which stay in lockstep with the
-  // engine — not from any count of live sources. If the two ever diverge,
-  // the appended matrix lands on the wrong local id and the global-id
-  // translation silently corrupts every later result on that shard.
+  // slot (the engine never shrinks), so the next local id, id div K, is
+  // the engine's database size — not any count of live sources. If the
+  // two ever diverge, the appended matrix lands on the wrong local id and
+  // the global-id translation silently corrupts every later result on
+  // that shard.
   // Exercised at K=1 (every remove/add hits the same shard — the
   // worst case for slot reuse) and K=2.
   const size_t kSources = 4;
@@ -392,6 +420,91 @@ TEST_F(ShardedEngineTest, MeasuredSecondsSumSubQueryBusyTime) {
   EXPECT_EQ(sharded.StatsSnapshot().measured_imbalance, 1.0);
 }
 
+TEST_F(ShardedEngineTest, ModuloPlacementIsImbalancedOnSkewedDatabase) {
+  // On the residue-aligned skewed database, placement by id is badly
+  // imbalanced (>= 2.0) and still returns the single engine's results.
+  const size_t kSources = 16;
+  testing_util::ReferenceEngineFixture::BuildReference(
+      MakeSkewedDatabase(kSources));
+  const QueryParams params = DefaultParams();
+  const GeneMatrix query = ClusterQueryMatrix(9700);
+  const std::vector<QueryMatch> expected = ReferenceQuery(query, params);
+  ASSERT_EQ(expected.size(), kSources);
+
+  ThreadPool pool(4);
+  ShardedEngine sharded(Opts(4), &pool);
+  sharded.LoadDatabase(MakeSkewedDatabase(kSources));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+
+  Result<std::vector<QueryMatch>> result = sharded.Query(query, params);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ExpectIdentical(*result, expected, "modulo");
+  EXPECT_GE(sharded.StatsSnapshot().imbalance, 2.0);
+}
+
+TEST_F(ShardedEngineTest, CostGaugesTrackLiveSourcesExactlyAfterRemovals) {
+  // The per-shard cost gauge must equal the EstimateSourceCost sum over
+  // the shard's LIVE sources exactly — removals subtract the precise
+  // amount they added, no drift, no residue from retracted sources.
+  const size_t kSources = 10;
+  GeneDatabase database = MakeDatabase(kSources);
+  std::vector<double> static_costs;
+  for (const GeneMatrix& matrix : database.matrices()) {
+    static_costs.push_back(EstimateSourceCost(matrix));
+  }
+
+  ShardedEngineOptions options;
+  options.num_shards = 3;
+  ShardedEngine sharded(options, nullptr);
+  sharded.LoadDatabase(std::move(database));
+  ASSERT_TRUE(sharded.BuildIndex().ok());
+
+  auto check_gauges = [&](const std::vector<bool>& live,
+                          const std::string& context) {
+    const ShardedEngineStatsSnapshot snapshot = sharded.StatsSnapshot();
+    ASSERT_EQ(snapshot.shards.size(), 3u) << context;
+    for (size_t s = 0; s < 3; ++s) {
+      double want_cost = 0.0;
+      size_t want_sources = 0;
+      for (SourceId i = 0; i < live.size(); ++i) {
+        if (live[i] && sharded.ShardOf(i) == s) {
+          want_cost += static_costs[i];
+          ++want_sources;
+        }
+      }
+      EXPECT_EQ(snapshot.shards[s].sources, want_sources)
+          << context << " shard " << s;
+      // Exact equality on purpose: the gauge is maintained by +=/-= of the
+      // same EstimateSourceCost values, so removal must cancel bit-exactly.
+      EXPECT_DOUBLE_EQ(snapshot.shards[s].cost, want_cost)
+          << context << " shard " << s;
+    }
+  };
+
+  std::vector<bool> live(kSources, true);
+  check_gauges(live, "initial");
+
+  for (SourceId victim : {1u, 4u, 7u, 2u}) {
+    ASSERT_TRUE(sharded.RemoveSource(victim).ok());
+    live[victim] = false;
+    check_gauges(live, "after removing " + std::to_string(victim));
+  }
+
+  // An append after the removals lands on the gauge too.
+  ASSERT_TRUE(sharded.AddSource(ClusterMatrix(10)).ok());
+  live.push_back(true);
+  static_costs.push_back(EstimateSourceCost(ClusterMatrix(10)));
+  check_gauges(live, "after re-add");
+}
+
+TEST_F(ShardedEngineTest, ImbalanceGauge) {
+  EXPECT_DOUBLE_EQ(MaxMeanImbalance({}), 1.0);
+  EXPECT_DOUBLE_EQ(MaxMeanImbalance({0.0, 0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(MaxMeanImbalance({2.0, 2.0, 2.0}), 1.0);
+  EXPECT_DOUBLE_EQ(MaxMeanImbalance({4.0, 0.0, 0.0, 0.0}), 4.0);
+  EXPECT_DOUBLE_EQ(MaxMeanImbalance({3.0, 1.0}), 1.5);
+}
+
 TEST_F(ShardedEngineTest, ErrorStatusesMatchSingleEnginePreconditions) {
   ShardedEngine sharded(Opts(2), nullptr);
   const GeneMatrix query = ClusterQueryMatrix(7800);
@@ -416,23 +529,29 @@ TEST_F(ShardedEngineTest, ErrorStatusesMatchSingleEnginePreconditions) {
   EXPECT_EQ(sharded.QueryWithGraph(empty_graph, params).status().code(),
             StatusCode::kInvalidArgument);
 
-  // NaN parameters, zero sample counts and non-finite query values: the
-  // single engine and the sharded one both return kInvalidArgument.
+  // NaN parameters, sample counts of zero or past kMaxPermutationSamples
+  // and non-finite query values: the single engine and the sharded one
+  // both return kInvalidArgument.
   BuildReference(4);
   const ProbGraph graph = testing_util::MakePathQuery({1, 2, 3});
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (int variant = 0; variant < 7; ++variant) {
+  for (int variant = 0; variant < 10; ++variant) {
     QueryParams bad = DefaultParams();
     GeneMatrix bad_query = query;
     if (variant == 0) bad.gamma = nan;
     if (variant == 1) bad.alpha = nan;
     if (variant == 2) bad.query_num_samples = 0;
     if (variant == 3) bad.refine_num_samples = 0;
-    if (variant == 4) bad_query.At(0, 0) = nan;
+    if (variant == 4) bad.query_num_samples = size_t{1} << 40;
     if (variant == 5) {
+      bad.refine_num_samples = std::numeric_limits<size_t>::max();
+    }
+    if (variant == 6) bad.refine_num_samples = kMaxPermutationSamples + 1;
+    if (variant == 7) bad_query.At(0, 0) = nan;
+    if (variant == 8) {
       bad_query.At(7, 2) = std::numeric_limits<double>::infinity();
     }
-    if (variant == 6) {
+    if (variant == 9) {
       bad_query.At(1, 1) = -std::numeric_limits<double>::infinity();
     }
     const std::string context = "variant " + std::to_string(variant);
@@ -442,7 +561,7 @@ TEST_F(ShardedEngineTest, ErrorStatusesMatchSingleEnginePreconditions) {
     EXPECT_EQ(sharded.Query(bad_query, bad).status().code(),
               StatusCode::kInvalidArgument)
         << context;
-    if (variant < 4) {
+    if (variant < 7) {
       EXPECT_EQ(reference_.QueryWithGraph(graph, bad).status().code(),
                 StatusCode::kInvalidArgument)
           << context;

@@ -674,7 +674,8 @@ TEST(SnapshotTest, ForgedCountsRejected) {
       {"num_pivots", kPartsSection, 0, 1ull << 40},
       {"signature_bits", kPartsSection, 8, 1ull << 40},
       {"embed_samples zero", kPartsSection, 16, 0},
-      {"embed_samples above the cap", kPartsSection, 16, kMaxEmbedSamples + 1},
+      {"embed_samples above the cap", kPartsSection, 16,
+       kMaxPermutationSamples + 1},
       {"page_size", kPartsSection, 24, 4096},
       {"rtree_max_entries 3", kPartsSection, 32, 3},
       {"rtree_max_entries above a page", kPartsSection, 32, 4000},

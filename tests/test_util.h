@@ -69,15 +69,14 @@ inline ProbGraph MakePathQuery(const std::vector<GeneId>& genes) {
 // --- Shared cluster-database scaffolding ---------------------------------
 //
 // The service-layer differential suites (sharded_engine_test,
-// partition_invariance_test, fault_injection_test, shard_stress_test,
-// replication_test) all build the same shape of database: cluster
-// {1, 2, 3} planted in every source (so every source answers the cluster
-// query) plus per-source filler genes. They differ only in seeds,
-// sample-count formulas, and filler gene ids — and those differences are
-// part of each suite's pinned expectations, so the generator is
-// parameterized rather than unified. Changing a config changes what a
-// suite's goldens mean; the defaults below reproduce the historical
-// partition_invariance_test matrices bit-for-bit.
+// fault_injection_test, shard_stress_test, replication_test) all build
+// the same shape of database: cluster {1, 2, 3} planted in every source
+// (so every source answers the cluster query) plus per-source filler
+// genes. They differ only in seeds, sample-count formulas, and filler
+// gene ids — and those differences are part of each suite's pinned
+// expectations, so the generator is parameterized rather than unified.
+// Changing a config changes what a suite's goldens mean, so each suite
+// names its own seed base.
 
 struct ClusterDatabaseConfig {
   /// Source s draws from Rng(seed_base + s).
@@ -167,7 +166,7 @@ inline std::unique_ptr<ShardedEngine> MakeLoadedShardedEngine(
 
 /// Byte-exact match comparison — the differential suites' core assertion.
 /// EXPECT_EQ on the probability doubles on purpose: sharding, replication
-/// and partitioning must not perturb a single bit.
+/// and placement must not perturb a single bit.
 inline void ExpectIdenticalMatches(const std::vector<QueryMatch>& actual,
                                    const std::vector<QueryMatch>& expected,
                                    const std::string& context) {

@@ -4,12 +4,11 @@
 # Configures a dedicated build tree with -DIMGRN_SANITIZE=<kind>, builds
 # the thread-heavy test binaries, and runs everything carrying the ctest
 # labels in $LABELS: "concurrency" (thread pool, query service, sharded
-# engine, shard stress, lock-free histogram, parallel index build, the
-# engines' shared permutation table filled by racing queries) and
-# "partitioning" (the differential partition-invariance suite over maps
-# fixed at load, whose updates write the per-replica cost gauges while
-# the query path writes the busy-time and traffic gauges and
-# StatsSnapshot reads them all) and "robustness" (the fault injector and
+# engine with its load gauges, whose updates write the per-replica cost
+# gauges while the query path writes the busy-time and traffic gauges and
+# StatsSnapshot reads them all, shard stress, lock-free histogram,
+# parallel index build, the engines' shared permutation table filled by
+# racing queries) and "robustness" (the fault injector and
 # a seeded mutation fuzzer of its spec parser, the storage fault points,
 # and a query failed whole by a faulted sub-query: error paths normal
 # traffic never reaches, where leaks and races hide; and the matrix text
@@ -100,8 +99,8 @@ cmake -B "$BUILD_DIR" -S "$SRC_DIR" \
   -DIMGRN_UBSAN="$UBSAN"
 TARGETS="thread_pool_test query_service_test sharded_engine_test \
          shard_stress_test histogram_test imgrn_index_test \
-         permutation_cache_test partition_invariance_test \
-         fault_injection_test replication_test matrix_io_test"
+         permutation_cache_test fault_injection_test replication_test \
+         matrix_io_test"
 if [ "$KIND" = address ]; then
   TARGETS="$TARGETS disk_storage_test snapshot_test storage_differential_test \
            rtree_test rtree_fuzz_test \
@@ -123,7 +122,7 @@ fi
 
 # One ctest invocation per label (gtest_discover_tests supports only one
 # label per binary, so the gate's coverage is the union of these runs).
-LABELS="concurrency partitioning robustness replication"
+LABELS="concurrency robustness replication"
 if [ "$KIND" = address ]; then
   LABELS="$LABELS storage query"
 fi

@@ -7,19 +7,17 @@
 //       Generate a synthetic gene feature database (Section 6.1 model).
 //   imgrn query --db=db.txt --query=q.txt
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
-//               [--replicas=1] [--partition=modulo|balanced]
-//               [--fault=SPEC] [--fault-seed=N]
+//               [--replicas=1] [--fault=SPEC] [--fault-seed=N]
 //       Build the index in memory and run one IM-GRN query through the
 //       serving engine (service/sharded_engine.h); q.txt is a gene matrix
 //       file (matrix_io.h). To query a persisted, disk-backed index, use
 //       `snapshot load --query`.
 //       --shards=K partitions the database across K in-memory engines and
 //       fans the query out; K = 1, the default, is one unpartitioned
-//       engine. The matches are identical for every K by construction,
-//       under EVERY --partition strategy (modulo: source id mod K;
-//       balanced: LPT bin packing over the static genes² × samples cost
-//       estimates — see service/partitioner.h). The estimated and
-//       measured shard load imbalance go to stderr.
+//       engine. Source g lives on shard g mod K, and the matches are
+//       identical for every K by construction. The shard load imbalance,
+//       estimated from genes² × samples per source and measured as
+//       sub-query busy time, goes to stderr.
 //       --replicas=R > 1 mirrors every shard across R replicas
 //       (service/replica_set.h): updates apply to all replicas in lock
 //       step and each sub-query is served by one replica picked
@@ -65,7 +63,13 @@
 //
 // Every flag is --key=value. A numeric value must parse completely and be
 // in range, and counts, sizes and seeds must not be negative; otherwise
-// the command exits 2 naming the flag, like an unknown flag.
+// the command exits 2 naming the flag, like an unknown flag. In range
+// means: thresholds (--gamma, --alpha; infer's --gamma only for the imgrn
+// measure) in [0, 1); Monte Carlo counts (--samples) in
+// [1, kMaxPermutationSamples]; --genes and --pivots at least 1;
+// generate's minimums at least 2, each maximum at least its minimum, and
+// --gene_universe from --genes_max to the largest gene id. A choice flag
+// (--dist, --measure) must name one of its values.
 
 #include <cerrno>
 #include <chrono>
@@ -74,6 +78,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -145,6 +150,22 @@ class Args {
     return static_cast<uint64_t>(value);
   }
 
+  /// GetCount within [min, max].
+  uint64_t GetCountIn(
+      const std::string& key, uint64_t min,
+      uint64_t max = std::numeric_limits<uint64_t>::max()) const {
+    const uint64_t value = GetCount(key);
+    if (value < min || value > max) BadValue(key);
+    return value;
+  }
+
+  /// GetDouble for a probability threshold, in [0, 1).
+  double GetThreshold(const std::string& key) const {
+    const double value = GetDouble(key);
+    if (!(value >= 0.0 && value < 1.0)) BadValue(key);
+    return value;
+  }
+
   bool Has(const std::string& key) const {
     return !values_.at(key).empty();
   }
@@ -179,15 +200,26 @@ int CmdGenerate(int argc, char** argv) {
     std::fprintf(stderr, "generate requires --out=FILE\n");
     return 2;
   }
+  // The linear model needs two genes and two samples per matrix, draws
+  // each size as an int, and draws a matrix's gene ids without repeats
+  // from the universe.
+  constexpr uint64_t kMaxSize = std::numeric_limits<int>::max();
   SyntheticConfig config;
   config.num_matrices = args.GetCount("n_matrices");
-  config.genes_min = args.GetCount("genes_min");
-  config.genes_max = args.GetCount("genes_max");
-  config.samples_min = args.GetCount("samples_min");
-  config.samples_max = args.GetCount("samples_max");
-  config.gene_universe =
-      static_cast<GeneId>(args.GetCount("gene_universe"));
-  config.weight_distribution = args.Get("dist") == "Gau"
+  config.genes_min = args.GetCountIn("genes_min", 2, kMaxSize);
+  config.genes_max = args.GetCountIn("genes_max", config.genes_min, kMaxSize);
+  config.samples_min = args.GetCountIn("samples_min", 2, kMaxSize);
+  config.samples_max =
+      args.GetCountIn("samples_max", config.samples_min, kMaxSize);
+  config.gene_universe = static_cast<GeneId>(args.GetCountIn(
+      "gene_universe", config.genes_max, std::numeric_limits<GeneId>::max()));
+  const std::string dist = args.Get("dist");
+  if (dist != "Uni" && dist != "Gau") {
+    std::fprintf(stderr, "bad value for --dist: '%s' (Uni or Gau)\n",
+                 dist.c_str());
+    return 2;
+  }
+  config.weight_distribution = dist == "Gau"
                                    ? EdgeWeightDistribution::kGaussian
                                    : EdgeWeightDistribution::kUniform;
   config.seed = args.GetCount("seed");
@@ -221,7 +253,6 @@ int CmdQuery(int argc, char** argv) {
              {"top_k", "0"},
              {"shards", "1"},
              {"replicas", "1"},
-             {"partition", "modulo"},
              {"fault", ""},
              {"fault-seed", "1234"},
              {"seed", "99"}});
@@ -239,21 +270,14 @@ int CmdQuery(int argc, char** argv) {
     std::fprintf(stderr, "--replicas must be >= 1\n");
     return 2;
   }
-  Result<std::shared_ptr<const Partitioner>> partitioner =
-      ParsePartitioner(args.Get("partition"));
-  if (!partitioner.ok()) {
-    std::fprintf(stderr, "--partition: %s\n",
-                 partitioner.status().message().c_str());
-    return 2;
-  }
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
   if (!database.ok()) return Fail(database.status());
   Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
   if (!query_matrix.ok()) return Fail(query_matrix.status());
 
   QueryParams params;
-  params.gamma = args.GetDouble("gamma");
-  params.alpha = args.GetDouble("alpha");
+  params.gamma = args.GetThreshold("gamma");
+  params.alpha = args.GetThreshold("alpha");
   params.top_k = args.GetCount("top_k");
   params.seed = args.GetCount("seed");
 
@@ -273,14 +297,12 @@ int CmdQuery(int argc, char** argv) {
                  args.Get("fault").c_str());
   }
 
-  std::fprintf(stderr,
-               "(%zu in-memory shards x %zu replicas, %s partitioning)\n",
-               shards, replicas, (*partitioner)->name());
+  std::fprintf(stderr, "(%zu in-memory shards x %zu replicas)\n", shards,
+               replicas);
   ThreadPool pool;
   ShardedEngineOptions options;
   options.num_shards = shards;
   options.num_replicas = replicas;
-  options.partitioner = *partitioner;
   ShardedEngine engine(options, &pool);
   engine.LoadDatabase(std::move(*database));
   Status status = engine.BuildIndex();
@@ -323,7 +345,7 @@ int CmdSnapshotSave(int argc, char** argv) {
   if (!database.ok()) return Fail(database.status());
 
   EngineOptions options;
-  options.index.num_pivots = args.GetCount("pivots");
+  options.index.num_pivots = args.GetCountIn("pivots", 1);
   options.index.seed = args.GetCount("seed");
   options.storage = *store;
   ImGrnEngine engine(options);
@@ -381,8 +403,8 @@ int CmdSnapshotLoad(int argc, char** argv) {
   Result<GeneMatrix> query_matrix = LoadGeneMatrix(args.Get("query"));
   if (!query_matrix.ok()) return Fail(query_matrix.status());
   QueryParams params;
-  params.gamma = args.GetDouble("gamma");
-  params.alpha = args.GetDouble("alpha");
+  params.gamma = args.GetThreshold("gamma");
+  params.alpha = args.GetThreshold("alpha");
   params.top_k = args.GetCount("top_k");
   params.seed = args.GetCount("seed");
   QueryStats stats;
@@ -424,8 +446,8 @@ int CmdExtractQuery(int argc, char** argv) {
   Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
   if (!database.ok()) return Fail(database.status());
   QueryGenConfig config;
-  config.num_genes = args.GetCount("genes");
-  config.gamma = args.GetDouble("gamma");
+  config.num_genes = args.GetCountIn("genes", 1);
+  config.gamma = args.GetThreshold("gamma");
   Rng rng(args.GetCount("seed"));
   Result<GeneMatrix> query = ExtractQueryMatrix(*database, config, &rng);
   if (!query.ok()) return Fail(query.status());
@@ -451,11 +473,12 @@ int CmdInfer(int argc, char** argv) {
   }
   Result<GeneMatrix> matrix = LoadGeneMatrix(args.Get("matrix"));
   if (!matrix.ok()) return Fail(matrix.status());
-  const double gamma = args.GetDouble("gamma");
 
   if (args.Get("measure") == "imgrn") {
+    const double gamma = args.GetThreshold("gamma");
     GrnInferenceOptions options;
-    options.num_samples = args.GetCount("samples");
+    options.num_samples =
+        args.GetCountIn("samples", 1, kMaxPermutationSamples);
     options.seed = args.GetCount("seed");
     GrnInferenceStats stats;
     const ProbGraph grn = InferGrn(*matrix, gamma, options, &stats);
@@ -481,6 +504,7 @@ int CmdInfer(int argc, char** argv) {
                  args.Get("measure").c_str());
     return 2;
   }
+  const double gamma = args.GetDouble("gamma");
   Result<DenseMatrix> scores = ComputeScoreMatrix(*matrix, measure);
   if (!scores.ok()) return Fail(scores.status());
   size_t edges = 0;
