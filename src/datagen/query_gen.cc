@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "inference/permutation_cache.h"
 #include "matrix/vector_ops.h"
@@ -16,6 +17,17 @@ Result<GeneMatrix> ExtractQueryMatrix(const GeneDatabase& database,
   }
   if (config.num_genes == 0) {
     return Status::InvalidArgument("a query needs at least one gene");
+  }
+  // Written so that NaN fails it too.
+  if (!(config.gamma >= 0.0 && config.gamma < 1.0)) {
+    return Status::InvalidArgument("gamma=" + std::to_string(config.gamma) +
+                                   " must be in [0, 1)");
+  }
+  if (config.num_samples == 0 ||
+      config.num_samples > kMaxPermutationSamples) {
+    return Status::InvalidArgument(
+        "num_samples=" + std::to_string(config.num_samples) +
+        " must be in [1, " + std::to_string(kMaxPermutationSamples) + "]");
   }
   PermutationCache cache(config.num_samples, rng->NextUint64());
 

@@ -1,7 +1,7 @@
 #ifndef IMGRN_DATAGEN_QUERY_GEN_H_
 #define IMGRN_DATAGEN_QUERY_GEN_H_
 
-#include <cstdint>
+#include <cstddef>
 
 #include "common/random.h"
 #include "common/status.h"
@@ -16,23 +16,25 @@ struct QueryGenConfig {
   /// n_Q: number of query genes (Table 2 default 5).
   size_t num_genes = 5;
 
-  /// Inference threshold the extracted query must be connected under.
+  /// Inference threshold the extracted query must be connected under, in
+  /// [0, 1).
   double gamma = 0.5;
 
-  /// Monte Carlo permutations for the connectivity probes.
+  /// Monte Carlo permutations for the connectivity probes, in
+  /// [1, kMaxPermutationSamples].
   size_t num_samples = 64;
 
   /// Matrices tried before giving up.
   size_t max_attempts = 64;
-
-  uint64_t seed = 4242;
 };
 
-/// Extracts one query matrix M_Q. Grows a connected gene set greedily: start
-/// from a random column and repeatedly add a column whose edge probability
-/// to some member exceeds gamma (Markov-prescreened). Returns NotFound when
-/// no connected n_Q-gene set is found within max_attempts matrices, and
-/// InvalidArgument for an empty database or n_Q = 0.
+/// Extracts one query matrix M_Q, drawing only from `rng`. Grows a
+/// connected gene set greedily: start from a random column and repeatedly
+/// add a column whose edge probability to some member exceeds gamma
+/// (Markov-prescreened). Returns NotFound when no connected n_Q-gene set is
+/// found within max_attempts matrices. Returns InvalidArgument, before any
+/// draw from `rng`, for an empty database, n_Q = 0, a gamma outside
+/// [0, 1) or NaN, or a num_samples outside [1, kMaxPermutationSamples].
 Result<GeneMatrix> ExtractQueryMatrix(const GeneDatabase& database,
                                       const QueryGenConfig& config, Rng* rng);
 

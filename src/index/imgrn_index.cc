@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <string>
 #include <thread>
 
 #include "common/logging.h"
@@ -37,9 +38,7 @@ RTreeOptions IndexTreeOptions(const ImGrnIndexOptions& options) {
 }
 
 ImGrnIndex::ImGrnIndex(ImGrnIndexOptions options)
-    : options_(std::move(options)) {
-  zero_signature_.assign(signature_layout().num_bytes(), 0);
-}
+    : options_(std::move(options)) {}
 
 Status ImGrnIndex::Build(GeneDatabase* database) {
   if (database == nullptr || database->empty()) {
@@ -52,10 +51,21 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
         "index options need num_pivots >= 1, signature_bits >= 8, "
         "signature_hashes >= 1 and buffer_pool_pages >= 1");
   }
-  if (RTreeNodeCapacity(IndexTreeOptions(options_)) < kMinNodeCapacity) {
+  // num_pivots and signature_bits are bounded by the page first, as the
+  // snapshot reader bounds them by its bytes, so that neither the 2d+1
+  // dimensions nor the signature bytes IndexTreeOptions forms can wrap.
+  if (options_.num_pivots > options_.page_size ||
+      options_.signature_bits / 8 > options_.page_size ||
+      RTreeNodeCapacity(IndexTreeOptions(options_)) < kMinNodeCapacity) {
+    std::string message =
+        "num_pivots=" + std::to_string(options_.num_pivots) +
+        ", signature_bits=" + std::to_string(options_.signature_bits);
+    if (options_.rtree_max_entries != 0) {
+      message +=
+          ", rtree_max_entries=" + std::to_string(options_.rtree_max_entries);
+    }
     return Status::InvalidArgument(
-        "rtree_max_entries=" + std::to_string(options_.rtree_max_entries) +
-        " with page_size=" + std::to_string(options_.page_size) +
+        message + " and page_size=" + std::to_string(options_.page_size) +
         ": an R*-tree node must hold at least " +
         std::to_string(kMinNodeCapacity) + " entries and fit one page");
   }
@@ -69,6 +79,7 @@ Status ImGrnIndex::Build(GeneDatabase* database) {
   Stopwatch timer;
   database_ = database;
   database_->StandardizeAll();
+  zero_signature_.assign(signature_layout().num_bytes(), 0);
   rtree_ = std::make_unique<RTree>(IndexTreeOptions(options_));
 
   pivot_sets_.clear();
@@ -256,6 +267,7 @@ Result<std::unique_ptr<ImGrnIndex>> ImGrnIndex::Restore(
       return Status::DataLoss("inverted-file signature size mismatch");
     }
   }
+  index->zero_signature_.assign(sig_bytes, 0);
 
   index->rtree_ = std::make_unique<RTree>(IndexTreeOptions(index->options_));
 

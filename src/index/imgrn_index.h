@@ -89,8 +89,10 @@ class ImGrnIndex {
   /// standardized in place. Returns InvalidArgument, with nothing built,
   /// for an empty database or for options it cannot build with: no pivot,
   /// signatures under 8 bits or 1 hash, an empty buffer pool, embed_samples
-  /// outside [1, kMaxPermutationSamples], or an R*-tree node capacity
-  /// (RTreeNodeCapacity) below kMinNodeCapacity or above one page.
+  /// outside [1, kMaxPermutationSamples], num_pivots or signature_bits / 8
+  /// above page_size, or an R*-tree node capacity (RTreeNodeCapacity) below
+  /// kMinNodeCapacity or above one page. The message of the last two names
+  /// num_pivots and signature_bits, and rtree_max_entries when it is set.
   Status Build(GeneDatabase* database);
 
   /// --- Incremental maintenance ---

@@ -22,9 +22,15 @@ constexpr size_t kReinsertPercent = 30;
 size_t RTreeNodeCapacity(const RTreeOptions& options) {
   const size_t header = SerializedNodeHeaderSize();
   if (options.page_size < header) return 0;
+  const size_t room = options.page_size - header;
+  // An entry too wide for the page is refused before its size is formed,
+  // so that 2 * dims doubles plus the payload cannot wrap.
+  if (options.dims > room / (2 * sizeof(double)) ||
+      options.payload_size > room) {
+    return 0;
+  }
   const size_t page_capacity =
-      (options.page_size - header) /
-      SerializedEntrySize(options.dims, options.payload_size);
+      room / SerializedEntrySize(options.dims, options.payload_size);
   if (options.max_entries == 0) return page_capacity;
   return options.max_entries <= page_capacity ? options.max_entries : 0;
 }

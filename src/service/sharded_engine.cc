@@ -284,6 +284,7 @@ Result<std::vector<QueryMatch>> ShardedEngine::QueryShard(
     return Status::FailedPrecondition("BuildIndex() has not run");
   }
   IMGRN_RETURN_IF_ERROR(ValidateQueryParams(params));
+  IMGRN_RETURN_IF_ERROR(ValidateQueryGraph(query_graph));
   return RunShard(shard, /*replica_index=*/0, query_graph, params, stats,
                   control);
 }

@@ -239,9 +239,11 @@ class ShardedEngine {
 
   /// Runs one shard's sub-query on its PRIMARY replica under that
   /// replica's reader lock, returning that shard's matches with GLOBAL
-  /// source ids (ascending). An empty shard yields an empty result. This
-  /// is the unit Query fans out (there routed across all replicas); it is
-  /// also useful on its own (tests, debugging a single shard).
+  /// source ids (ascending). An empty shard yields an empty result; a
+  /// graph QueryWithGraph refuses (ValidateQueryGraph) is refused on every
+  /// shard, empty or not. This is the unit Query fans out (there routed
+  /// across all replicas); it is also useful on its own (tests, debugging a
+  /// single shard).
   Result<std::vector<QueryMatch>> QueryShard(
       size_t shard, const ProbGraph& query_graph, const QueryParams& params,
       QueryStats* stats = nullptr,

@@ -70,9 +70,10 @@ TEST(EngineTest, BuildIndexRejectsNodeCapacityAboveAPage) {
 
 // Index options the index cannot be built with — embed_samples outside
 // [1, kMaxPermutationSamples], no pivot, signatures under 8 bits or 1
-// hash, an empty buffer pool — fail the build with kInvalidArgument.
+// hash, an empty buffer pool, entries wider than a page — fail the build
+// with kInvalidArgument.
 TEST(EngineTest, BuildIndexRejectsEmbedSamplesOutsideTheCap) {
-  for (int variant = 0; variant < 6; ++variant) {
+  for (int variant = 0; variant < 9; ++variant) {
     SCOPED_TRACE(variant);
     EngineOptions options;
     if (variant == 0) options.index.embed_samples = 0;
@@ -83,11 +84,22 @@ TEST(EngineTest, BuildIndexRejectsEmbedSamplesOutsideTheCap) {
     if (variant == 3) options.index.signature_bits = 7;
     if (variant == 4) options.index.signature_hashes = 0;
     if (variant == 5) options.index.buffer_pool_pages = 0;
+    // Entries wider than a page, at sizes whose 2d+1 dimensions or
+    // signature bytes would wrap if formed unchecked.
+    if (variant == 6) options.index.num_pivots = size_t{1} << 62;
+    if (variant == 7) options.index.num_pivots = size_t{1} << 63;
+    if (variant == 8) {
+      options.index.signature_bits = std::numeric_limits<size_t>::max();
+    }
     ImGrnEngine engine(options);
     engine.LoadDatabase(MakeDatabase(7));
     const Status status = engine.BuildIndex();
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << status.ToString();
+    if (variant >= 6) {
+      EXPECT_NE(status.message().find("num_pivots="), std::string::npos)
+          << status.message();
+    }
     EXPECT_FALSE(engine.has_index());
   }
 }

@@ -66,6 +66,20 @@ TEST(ImGrnIndexTest, DimsFollowPivotCount) {
   EXPECT_EQ(index.dims(), 7u);
 }
 
+// An entry wider than a page leaves no R*-tree node capacity, however
+// large the pivot count: the entry size is never formed from sizes that
+// wrap it back into range.
+TEST(ImGrnIndexTest, NoNodeCapacityForEntriesWiderThanAPage) {
+  EXPECT_GE(RTreeNodeCapacity(IndexTreeOptions(SmallOptions())),
+            kMinNodeCapacity);
+  for (const size_t num_pivots : {size_t{1} << 62, (size_t{1} << 63) - 1}) {
+    SCOPED_TRACE(num_pivots);
+    ImGrnIndexOptions options = SmallOptions();
+    options.num_pivots = num_pivots;
+    EXPECT_EQ(RTreeNodeCapacity(IndexTreeOptions(options)), 0u);
+  }
+}
+
 TEST(ImGrnIndexTest, DatabaseStandardizedDuringBuild) {
   GeneDatabase database = MakeDatabase(3, 2);
   ImGrnIndex index(SmallOptions());

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "common/random.h"
 #include "inference/grn_inference.h"
+#include "inference/permutation_cache.h"
 #include "tests/test_util.h"
 
 namespace imgrn {
@@ -99,8 +102,10 @@ TEST(QueryGenTest, FailsWhenNoConnectedSetExists) {
   EXPECT_EQ(query.status().code(), StatusCode::kNotFound);
 }
 
-// One gene is the smallest query: it always succeeds, and zero genes are
-// rejected with kInvalidArgument.
+// One gene is the smallest query: it always succeeds. Zero genes, a gamma
+// outside [0, 1) or NaN, and a sample count outside
+// [1, kMaxPermutationSamples] are rejected with kInvalidArgument before
+// any draw from the caller's stream.
 TEST(QueryGenTest, SingleGeneQueryAlwaysSucceeds) {
   GeneDatabase database = ClusteredDatabase(10);
   QueryGenConfig config;
@@ -110,9 +115,22 @@ TEST(QueryGenTest, SingleGeneQueryAlwaysSucceeds) {
   ASSERT_TRUE(query.ok());
   EXPECT_EQ(query->num_genes(), 1u);
 
-  config.num_genes = 0;
-  EXPECT_EQ(ExtractQueryMatrix(database, config, &rng).status().code(),
-            StatusCode::kInvalidArgument);
+  const Rng before = rng;
+  std::vector<QueryGenConfig> rejected(7, config);
+  rejected[0].num_genes = 0;
+  rejected[1].gamma = -0.1;
+  rejected[2].gamma = 1.0;
+  rejected[3].gamma = 1.5;
+  rejected[4].gamma = std::numeric_limits<double>::quiet_NaN();
+  rejected[5].num_samples = 0;
+  rejected[6].num_samples = kMaxPermutationSamples + 1;
+  for (size_t i = 0; i < rejected.size(); ++i) {
+    EXPECT_EQ(ExtractQueryMatrix(database, rejected[i], &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << "variant " << i;
+  }
+  Rng expected = before;
+  EXPECT_EQ(rng.NextUint64(), expected.NextUint64());
 }
 
 TEST(QueryGenTest, DistinctGenesInQuery) {

@@ -598,6 +598,17 @@ TEST_F(ShardedEngineTest, RepeatedLabelQueryGraphRejected) {
       testing_util::MakePathQuery({1, 2, 3}), DefaultParams());
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_FALSE(served->empty());
+
+  // QueryShard refuses it on every shard, the empty ones included: with
+  // K = 4 over 2 sources, shards 2 and 3 hold no source.
+  ShardedEngine sparse(Opts(4), nullptr);
+  sparse.LoadDatabase(MakeDatabase(2));
+  ASSERT_TRUE(sparse.BuildIndex().ok());
+  for (size_t shard = 0; shard < sparse.num_shards(); ++shard) {
+    EXPECT_EQ(sparse.QueryShard(shard, query, DefaultParams()).status().code(),
+              StatusCode::kInvalidArgument)
+        << "shard " << shard;
+  }
 }
 
 // BuildIndex rejects a matrix it cannot index under the source's GLOBAL

@@ -8,11 +8,10 @@
 # gauges while the query path writes the busy-time and traffic gauges and
 # StatsSnapshot reads them all, shard stress, lock-free histogram,
 # parallel index build, the engines' shared permutation table filled by
-# racing queries) and "robustness" (the fault injector and
-# a seeded mutation fuzzer of its spec parser, the storage fault points,
-# and a query failed whole by a faulted sub-query: error paths normal
-# traffic never reaches, where leaks and races hide; and the matrix text
-# readers with their seeded mutation fuzzer) and "replication"
+# racing queries) and "robustness" (the fault injector, the storage
+# fault points, and a query failed whole by a faulted sub-query: error
+# paths normal traffic never reaches, where leaks and races hide; and the
+# matrix text readers with their seeded mutation fuzzer) and "replication"
 # (the replica-set differential suite: lock-step mirrors built in
 # parallel and round-robin routing over a lock-free cursor — run under
 # BOTH kinds, races on the routing side and leaks in the replica sets);

@@ -7,7 +7,7 @@
 //       Generate a synthetic gene feature database (Section 6.1 model).
 //   imgrn query --db=db.txt --query=q.txt
 //               [--gamma=0.5] [--alpha=0.5] [--top_k=0] [--shards=1]
-//               [--replicas=1] [--fault=SPEC] [--fault-seed=N]
+//               [--replicas=1]
 //       Build the index in memory and run one IM-GRN query through the
 //       serving engine (service/sharded_engine.h); q.txt is a gene matrix
 //       file (matrix_io.h). To query a persisted, disk-backed index, use
@@ -27,10 +27,6 @@
 //       5% on the sharded_mixed benchmark workload without writes) while
 //       doubling build time and update latency; replica routing will be
 //       deleted once that workload moves to R = 1.
-//       --fault= installs fault-injection rules for the run (grammar and
-//       wired sites in common/fault_injection.h, e.g.
-//       --fault=buffer_pool.fetch=n1); a spec naming a site no code
-//       evaluates exits 2. --fault-seed seeds the probabilistic triggers.
 //       A failed sub-query fails the whole query, as on one engine: the
 //       command prints the error and exits 1.
 //   imgrn snapshot save --db=db.txt --store=disk:FILE [--pivots=2]
@@ -66,10 +62,11 @@
 // the command exits 2 naming the flag, like an unknown flag. In range
 // means: thresholds (--gamma, --alpha; infer's --gamma only for the imgrn
 // measure) in [0, 1); Monte Carlo counts (--samples) in
-// [1, kMaxPermutationSamples]; --genes and --pivots at least 1;
-// generate's minimums at least 2, each maximum at least its minimum, and
-// --gene_universe from --genes_max to the largest gene id. A choice flag
-// (--dist, --measure) must name one of its values.
+// [1, kMaxPermutationSamples]; --genes at least 1; --pivots at least 1
+// and few enough that an R*-tree node of kMinNodeCapacity entries fits a
+// page; generate's minimums at least 2, each maximum at least its
+// minimum, and --gene_universe from --genes_max to the largest gene id. A
+// choice flag (--dist, --measure) must name one of its values.
 
 #include <cerrno>
 #include <chrono>
@@ -83,7 +80,6 @@
 #include <string>
 
 #include "common/crc32c.h"
-#include "common/fault_injection.h"
 #include "core/imgrn.h"
 #include "matrix/simd_ops.h"
 #include "service/sharded_engine.h"
@@ -170,13 +166,14 @@ class Args {
     return !values_.at(key).empty();
   }
 
- private:
+  /// Exits 2 naming the flag: for a value out of range.
   [[noreturn]] void BadValue(const std::string& key) const {
     std::fprintf(stderr, "bad value for --%s: '%s'\n", key.c_str(),
                  values_.at(key).c_str());
     std::exit(2);
   }
 
+ private:
   std::map<std::string, std::string> values_;
 };
 
@@ -253,8 +250,6 @@ int CmdQuery(int argc, char** argv) {
              {"top_k", "0"},
              {"shards", "1"},
              {"replicas", "1"},
-             {"fault", ""},
-             {"fault-seed", "1234"},
              {"seed", "99"}});
   if (!args.Has("db") || !args.Has("query")) {
     std::fprintf(stderr, "query requires --db=FILE --query=FILE\n");
@@ -280,22 +275,6 @@ int CmdQuery(int argc, char** argv) {
   params.alpha = args.GetThreshold("alpha");
   params.top_k = args.GetCount("top_k");
   params.seed = args.GetCount("seed");
-
-  if (args.Has("fault")) {
-    Result<std::vector<FaultRule>> rules = ParseFaultSpec(args.Get("fault"));
-    if (!rules.ok()) {
-      std::fprintf(stderr, "--fault: %s\n",
-                   rules.status().message().c_str());
-      return 2;
-    }
-    FaultInjector::Global().Seed(
-        args.GetCount("fault-seed"));
-    for (FaultRule& rule : *rules) {
-      FaultInjector::Global().Enable(std::move(rule));
-    }
-    std::fprintf(stderr, "(fault injection armed: %s)\n",
-                 args.Get("fault").c_str());
-  }
 
   std::fprintf(stderr, "(%zu in-memory shards x %zu replicas)\n", shards,
                replicas);
@@ -341,13 +320,18 @@ int CmdSnapshotSave(int argc, char** argv) {
     std::fprintf(stderr, "--store: %s\n", store.status().message().c_str());
     return 2;
   }
-  Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
-  if (!database.ok()) return Fail(database.status());
-
   EngineOptions options;
   options.index.num_pivots = args.GetCountIn("pivots", 1);
+  // So many pivots that no R*-tree node of their 2d+1-dimensional entries
+  // fits a page is an input error too.
+  if (RTreeNodeCapacity(IndexTreeOptions(options.index)) < kMinNodeCapacity) {
+    args.BadValue("pivots");
+  }
   options.index.seed = args.GetCount("seed");
   options.storage = *store;
+
+  Result<GeneDatabase> database = LoadGeneDatabase(args.Get("db"));
+  if (!database.ok()) return Fail(database.status());
   ImGrnEngine engine(options);
   engine.LoadDatabase(std::move(*database));
   Status status = engine.BuildIndex();
